@@ -136,6 +136,8 @@ class Field:
     # -- identity ---------------------------------------------------------
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, Field)
             and self.p == other.p

@@ -5,6 +5,10 @@ zeros; the empty tuple is the zero polynomial and ``degree`` of zero is -1.
 Coefficients are int-encoded field elements (see ``fields``).  The
 indeterminate is positional: the same class serves polynomials in the chart
 coordinate x and, after a Frobenius rewrite, in the twist coordinate.
+
+Over a prime field (k = 1) the ring operations, division with remainder and
+``poly_gcd`` work on the coefficients as plain ints mod p; over an extension
+field they go through the ``Field`` element methods.
 """
 
 from __future__ import annotations
@@ -97,16 +101,35 @@ class Poly:
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
-        for i, c in enumerate(b):
-            out[i] = F.add(out[i], c)
+        if F.k == 1:
+            p = F.p
+            for i, c in enumerate(b):
+                out[i] = (out[i] + c) % p
+        else:
+            for i, c in enumerate(b):
+                out[i] = F.add(out[i], c)
         return Poly(F, out)
 
     def __neg__(self) -> "Poly":
         F = self.field
+        if F.k == 1:
+            p = F.p
+            return Poly(F, [-c % p for c in self.coeffs])
         return Poly(F, [F.neg(c) for c in self.coeffs])
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        self._same_field(other)
+        F = self.field
+        a, b = self.coeffs, other.coeffs
+        out = list(a) + [0] * (len(b) - len(a))
+        if F.k == 1:
+            p = F.p
+            for i, c in enumerate(b):
+                out[i] = (out[i] - c) % p
+        else:
+            for i, c in enumerate(b):
+                out[i] = F.sub(out[i], c)
+        return Poly(F, out)
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._same_field(other)
@@ -136,6 +159,9 @@ class Poly:
             return Poly(F, ())
         if c == 1:
             return self
+        if F.k == 1:
+            p = F.p
+            return Poly(F, [c * a % p for a in self.coeffs])
         return Poly(F, [F.mul(c, a) for a in self.coeffs])
 
     def __pow__(self, n: int) -> "Poly":
@@ -159,14 +185,17 @@ class Poly:
         db = other.degree
         if self.degree < db:
             return Poly(F, ()), self
-        inv_lead = F.inv(other.lc())
         quo = [0] * (self.degree - db + 1)
-        for shift in range(self.degree - db, -1, -1):
-            c = F.mul(rem[shift + db], inv_lead)
-            if c:
-                quo[shift] = c
-                for i, bc in enumerate(other.coeffs):
-                    rem[shift + i] = F.sub(rem[shift + i], F.mul(c, bc))
+        if F.k == 1:
+            _reduce_mod_p(rem, other.coeffs, F.p, quo)
+        else:
+            inv_lead = F.inv(other.lc())
+            for shift in range(self.degree - db, -1, -1):
+                c = F.mul(rem[shift + db], inv_lead)
+                if c:
+                    quo[shift] = c
+                    for i, bc in enumerate(other.coeffs):
+                        rem[shift + i] = F.sub(rem[shift + i], F.mul(c, bc))
         return Poly(F, quo), Poly(F, rem)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
@@ -256,9 +285,38 @@ class Poly:
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor."""
+    a._same_field(b)
+    F = a.field
+    if F.k == 1:
+        # Euclid's remainder sequence in place on coefficient lists
+        p = F.p
+        r0, r1 = list(a.coeffs), list(b.coeffs)
+        while r1:
+            _reduce_mod_p(r0, r1, p)
+            while r0 and r0[-1] == 0:
+                r0.pop()
+            r0, r1 = r1, r0
+        return Poly(F, r0).monic()
     while not b.is_zero():
         a, b = b, a % b
     return a.monic()
+
+
+def _reduce_mod_p(rem: list[int], div, p: int, quo: list[int] | None = None):
+    """Reduce ``rem`` modulo the nonzero ``div`` over F_p in place, leaving
+    every entry in [0, p) and zero from index deg(div) up; the quotient
+    goes into ``quo`` when given.  Entries are reduced mod p only at the
+    end, except the leading one, which is reduced when it is read."""
+    db = len(div) - 1
+    inv_lead = pow(div[-1], p - 2, p)
+    for shift in range(len(rem) - 1 - db, -1, -1):
+        c = rem[shift + db] * inv_lead % p
+        if c:
+            if quo is not None:
+                quo[shift] = c
+            for i, bc in enumerate(div):
+                rem[shift + i] -= c * bc
+    rem[:] = [c % p for c in rem]
 
 
 def find_irreducible(p: int, k: int) -> Poly:

@@ -2,7 +2,9 @@
 
 Canonical form: gcd(num, den) = 1 and den monic, so equality is structural
 and serialized values are stable.  The canonical form is restored after every
-arithmetic operation.
+arithmetic operation.  The gcd is skipped only where the result is canonical
+by construction: the sum, difference and product of two polynomials
+(denominator 1), the negation of any f, and the derivative of a polynomial.
 """
 
 from __future__ import annotations
@@ -33,6 +35,14 @@ class RatFunc:
                 num, den = num.scale(c), den.scale(c)
         self.num = num
         self.den = den
+
+    @classmethod
+    def _canonical(cls, num: Poly, den: Poly) -> "RatFunc":
+        """Wrap a pair already in canonical form, without the gcd."""
+        f = cls.__new__(cls)
+        f.num = num
+        f.den = den
+        return f
 
     # -- constructors -------------------------------------------------------
 
@@ -95,15 +105,21 @@ class RatFunc:
     # -- field operations -----------------------------------------------------
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
+        if self.den.is_one() and other.den.is_one():
+            return RatFunc._canonical(self.num + other.num, self.den)
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
+        return RatFunc._canonical(-self.num, self.den)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
+        if self.den.is_one() and other.den.is_one():
+            return RatFunc._canonical(self.num - other.num, self.den)
         return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
+        if self.den.is_one() and other.den.is_one():
+            return RatFunc._canonical(self.num * other.num, self.den)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
@@ -125,6 +141,8 @@ class RatFunc:
 
     def derivative(self) -> "RatFunc":
         n, d = self.num, self.den
+        if d.is_one():
+            return RatFunc._canonical(n.derivative(), d)
         return RatFunc(n.derivative() * d - n * d.derivative(), d * d)
 
     def compose_xpow(self, n: int) -> "RatFunc":

@@ -1,6 +1,6 @@
 """Acceptance suite: one test per criterion, at full size, exact comparisons.
 
-Each test prints a PASS/FAIL line (run pytest with -s or check test_output) and
+Each test prints a PASS/FAIL line (run pytest with -s to see it) and
 enforces the stated runtime budget.  All comparisons are exact: the library
 computes over finite fields, so no tolerances apply.
 """

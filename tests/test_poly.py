@@ -1,3 +1,5 @@
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,7 +8,8 @@ from pflags.errors import PflagsError
 from pflags.fields import GF
 from pflags.poly import Poly, find_irreducible, poly_gcd, roots_in_field
 
-FIELDS = [GF(2), GF(3), GF(5), GF(2, 2), GF(3, 2)]
+FIELDS = [GF(2), GF(3), GF(5), GF(7), GF(31), GF(2, 2), GF(3, 2)]
+PRIME_FIELDS = [F for F in FIELDS if F.k == 1]
 
 
 def polys(field, max_len=6):
@@ -70,6 +73,113 @@ def test_gcd_divides_and_is_monic(fp):
         assert (f % d).is_zero()
     if not g.is_zero():
         assert (g % d).is_zero()
+
+
+# -- reference loops on Field element methods: over a prime field the library
+#    computes on ints mod p, and must agree with these
+
+
+def _trim(cs) -> tuple:
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(F, a, b):
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return _trim(F.add(x, y) for x, y in zip(a, b))
+
+
+def ref_sub(F, a, b):
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return _trim(F.sub(x, y) for x, y in zip(a, b))
+
+
+def ref_neg(F, a):
+    return _trim(F.sub(0, x) for x in a)
+
+
+def ref_scale(F, a, c):
+    return _trim(F.mul(c, x) for x in a)
+
+
+def ref_divmod(F, a, b):
+    db = len(b) - 1
+    if len(a) - 1 < db:
+        return (), _trim(a)
+    rem = list(a)
+    inv_lead = F.inv(b[-1])
+    quo = [0] * (len(a) - db)
+    for shift in range(len(a) - 1 - db, -1, -1):
+        c = F.mul(rem[shift + db], inv_lead)
+        quo[shift] = c
+        for i, bc in enumerate(b):
+            rem[shift + i] = F.sub(rem[shift + i], F.mul(c, bc))
+    return _trim(quo), _trim(rem)
+
+
+def ref_gcd(F, a, b):
+    while b:
+        a, b = b, ref_divmod(F, a, b)[1]
+    return ref_scale(F, a, F.inv(a[-1])) if a else ()
+
+
+@st.composite
+def prime_field_operands(draw):
+    """A prime field, two polynomials of degree <= 12 and a scalar; the
+    second polynomial is drawn freely, or zero, constant, of the first's
+    degree, or sharing a factor with the first."""
+    F = draw(st.sampled_from(PRIME_FIELDS))
+    coeff = st.integers(0, F.p - 1)
+    unit = st.integers(1, F.p - 1)
+    f = Poly(F, draw(st.lists(coeff, max_size=13)))
+    shape = draw(st.sampled_from(["free", "zero", "constant", "equal-degree", "shared-factor"]))
+    if shape == "zero":
+        g = Poly.zero(F)
+    elif shape == "constant":
+        g = Poly.constant(F, draw(unit))
+    elif shape == "equal-degree":
+        n = len(f.coeffs)
+        g = Poly(F, draw(st.lists(coeff, min_size=n - 1, max_size=n - 1)) + [draw(unit)]) if n else f
+    elif shape == "shared-factor":
+        h = Poly(F, draw(st.lists(coeff, max_size=5)) + [draw(unit)])
+        f, g = f * h, Poly(F, draw(st.lists(coeff, max_size=7))) * h
+    else:
+        g = Poly(F, draw(st.lists(coeff, max_size=13)))
+    return F, f, g, draw(coeff)
+
+
+@given(prime_field_operands())
+@settings(max_examples=200, deadline=None)
+def test_prime_field_kernel_matches_field_loops(operands):
+    F, f, g, c = operands
+    a, b = f.coeffs, g.coeffs
+    assert (f + g).coeffs == ref_add(F, a, b)
+    assert (f - g).coeffs == ref_sub(F, a, b)
+    assert (g - f).coeffs == ref_sub(F, b, a)
+    assert (-f).coeffs == ref_neg(F, a)
+    assert f.scale(c).coeffs == ref_scale(F, a, c)
+    assert poly_gcd(f, g).coeffs == ref_gcd(F, a, b)
+    assert poly_gcd(g, f).coeffs == ref_gcd(F, b, a)
+    for x, y in ((f, g), (g, f)):
+        if y.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                divmod(x, y)
+        else:
+            q, r = divmod(x, y)
+            assert (q.coeffs, r.coeffs) == ref_divmod(F, x.coeffs, y.coeffs)
+
+
+@pytest.mark.parametrize("F,G", [(GF(5), GF(7)), (GF(7), GF(5)), (GF(3), GF(3, 2)), (GF(3, 2), GF(3))])
+def test_mixed_field_arithmetic_rejected(F, G):
+    f = Poly(F, (1, 2, 1))
+    for g in (Poly(G, (2, 1)), Poly.zero(G)):
+        for op in (operator.add, operator.sub, operator.mul, divmod, poly_gcd):
+            with pytest.raises(PflagsError, match="mixed-field"):
+                op(f, g)
 
 
 def test_evaluate_horner():

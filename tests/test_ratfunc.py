@@ -1,18 +1,24 @@
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pflags.errors import PflagsError
 from pflags.fields import GF
 from pflags.poly import Poly, poly_gcd
 from pflags.ratfunc import RatFunc, in_frobenius_subfield, sqrt_ratfunc
 
-FIELDS = [GF(2), GF(3), GF(5), GF(2, 2)]
+FIELDS = [GF(2), GF(3), GF(5), GF(7), GF(2, 2)]
 
 
 def ratfuncs(field, max_len=4):
+    """Rational functions, half of them drawn as polynomials (denominator 1)."""
     coeff = st.integers(0, field.q - 1)
     num = st.lists(coeff, max_size=max_len)
-    den = st.lists(coeff, max_size=max_len).filter(lambda cs: any(cs))
+    den = st.one_of(
+        st.just([1]), st.lists(coeff, max_size=max_len).filter(lambda cs: any(cs))
+    )
     return st.tuples(num, den).map(
         lambda nd: RatFunc(Poly(field, nd[0]), Poly(field, nd[1]))
     )
@@ -24,15 +30,18 @@ def field_and_ratfuncs(n):
     )
 
 
-@given(field_and_ratfuncs(1))
+@given(field_and_ratfuncs(2))
 @settings(max_examples=100)
 def test_canonical_form(fr):
-    _, f = fr
-    assert f.den.is_monic()
-    if f.is_zero():
-        assert f.den.is_one()
-    else:
-        assert poly_gcd(f.num, f.den).is_one()
+    _, f, g = fr
+    # some of these skip the gcd when the operands are polynomials
+    for h in (f, f + g, f - g, f * g, -f, f.derivative()):
+        assert h.den.is_monic()
+        if h.is_zero():
+            assert h.den.is_one()
+        else:
+            assert poly_gcd(h.num, h.den).is_one()
+        assert h == RatFunc(h.num, h.den)
 
 
 @given(field_and_ratfuncs(2))
@@ -58,6 +67,14 @@ def test_canonical_equality_is_structural():
     a = RatFunc(Poly(F, (0, 2)), Poly(F, (2, 0, 2)))   # 2x / (2 + 2x^2)
     b = RatFunc(Poly(F, (0, 1)), Poly(F, (1, 0, 1)))   # x / (1 + x^2)
     assert a == b and hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("F,G", [(GF(5), GF(7)), (GF(7), GF(5)), (GF(3), GF(3, 2)), (GF(3, 2), GF(3))])
+def test_mixed_field_polynomial_operands_rejected(F, G):
+    f, g = RatFunc(Poly(F, (1, 1))), RatFunc(Poly(G, (2, 1)))
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(PflagsError, match="mixed-field"):
+            op(f, g)
 
 
 def test_zero_denominator_rejected():
