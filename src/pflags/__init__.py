@@ -16,7 +16,7 @@ Four layers:
   characteristic polynomials of p-curvature, twist descent, dimension counts,
   rank-2 no-flag certificates, and nilpotent triangularization.
 
-The ``pflags`` command line exposes the same operations over JSON payloads.
+The ``pflags`` command line runs 14 of these operations over JSON payloads.
 """
 
 from .elliptic import (

@@ -6,7 +6,8 @@ text summary or, with --json, a canonical machine-readable report that is
 byte-identical across runs.
 
 Exit codes: 0 success; 1 validation or invariant violations (reported, not
-crashed); 2 precondition or needs-extension errors; 3 parse or usage errors.
+crashed); 2 precondition, needs-extension and other library errors; 3 parse
+or usage errors.
 """
 
 from __future__ import annotations
@@ -16,16 +17,10 @@ import json
 import sys
 from importlib import resources
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from . import ops, properties
-from .errors import (
-    InternalInvariantError,
-    InvalidFieldError,
-    NeedsExtensionError,
-    ParseError,
-    PreconditionError,
-)
+from .errors import InternalInvariantError, ParseError, PflagsError, PreconditionError
 from .jsonio import canonical_dumps, digest
 
 EXIT_OK = 0
@@ -33,29 +28,62 @@ EXIT_VIOLATION = 1
 EXIT_PRECONDITION = 2
 EXIT_PARSE = 3
 
-# subcommand -> (op name, payload builder inputs, invariants the op verifies)
+
+class Subcommand(NamedTuple):
+    op: str  # name in ops.OP_TABLE
+    key: str | None  # the input is wrapped under this key; None: it is the op payload
+    flags: dict[str, int | None]  # integer flags and their defaults; set over the input
+    invariants: list[str]
+    violations: bool = False  # a nonempty result lists violations (exit 1)
+
+
 SUBCOMMANDS = {
-    "pone-check": ("validate", "connection", ["infinity-chart-regularity"]),
-    "pone-pcurv": ("pm1_curvature", "connection", ["connection-valid"]),
-    "pone-flag": ("complete_flag", "connection",
-                  ["connection-valid", "flag-stability-verified"]),
-    "pone-descend": ("cartier_descent", "connection",
-                     ["connection-valid", "psi-vanishes", "frame-horizontal",
-                      "frame-invertible"]),
-    "pone-pullback": ("frobenius_pullback", "connection", ["connection-valid"]),
-    "ell-profile": ("atiyah_profile", "scalars", ["gcd-invariance", "conservation"]),
-    "ell-classes": ("line_classes", "payload", ["gcd-invariance", "conservation"]),
-    "ell-admits": ("admits_connection", "payload", ["profile-conservation"]),
-    "ell-skeleton": ("flag_skeleton", "payload",
-                     ["connection-existence", "profile-conservation"]),
-    "ell-peel": ("peel_order", "payload", ["deterministic-order"]),
-    "hit-charpoly": ("char_poly_psi", "chart", ["psi-O-linearity", "coefficient-descent"]),
-    "hit-dims": ("hitchin_dims", "scalars", ["genus-bound"]),
-    "hit-cert": ("no_flag_certificate", "chart",
-                 ["psi-O-linearity", "coefficient-descent"]),
-    "hit-nilflag": ("nilpotent_flag", "chart",
-                    ["psi-O-linearity", "psi-nilpotent", "gauge-triangularizes"]),
+    "pone-check": Subcommand("validate", "connection", {}, ["infinity-chart-regularity"],
+                             violations=True),
+    "pone-pcurv": Subcommand("pm1_curvature", "connection", {}, ["connection-valid"]),
+    "pone-flag": Subcommand("complete_flag", "connection", {},
+                            ["connection-valid", "flag-stability-verified"]),
+    "pone-descend": Subcommand("cartier_descent", "connection", {},
+                               ["connection-valid", "psi-vanishes", "frame-horizontal",
+                                "frame-invertible"]),
+    "pone-pullback": Subcommand("frobenius_pullback", "connection", {"s": 1},
+                                ["connection-valid"]),
+    "ell-profile": Subcommand("atiyah_profile", None, {"r": None, "d": None},
+                              ["gcd-invariance", "conservation"]),
+    "ell-classes": Subcommand("line_classes", None, {}, ["gcd-invariance", "conservation"]),
+    "ell-admits": Subcommand("admits_connection", None, {"p": None}, ["profile-conservation"]),
+    "ell-skeleton": Subcommand("flag_skeleton", None, {"p": None},
+                               ["connection-existence", "profile-conservation"]),
+    "ell-peel": Subcommand("peel_order", None, {}, ["deterministic-order"]),
+    "hit-charpoly": Subcommand("char_poly_psi", "chart", {},
+                               ["psi-O-linearity", "coefficient-descent"]),
+    "hit-dims": Subcommand("hitchin_dims", None, {"g": None, "r": None}, ["genus-bound"]),
+    "hit-cert": Subcommand("no_flag_certificate", "chart", {},
+                           ["psi-O-linearity", "coefficient-descent"]),
+    "hit-nilflag": Subcommand("nilpotent_flag", "chart", {},
+                              ["psi-O-linearity", "psi-nilpotent", "gauge-triangularizes"]),
 }
+
+FLAG_HELP = {
+    "s": "Frobenius pullback steps",
+    "r": "rank",
+    "d": "degree",
+    "g": "genus (>= 2)",
+    "p": "characteristic",
+}
+
+# library error -> (report status, exit code); the most specific class listed
+# wins, so PreconditionError, NeedsExtensionError, InvalidFieldError and any
+# other library error are precondition errors
+ERROR_STATUS = {
+    ParseError: ("parse-error", EXIT_PARSE),
+    InternalInvariantError: ("invariant-violation", EXIT_VIOLATION),
+    PflagsError: ("precondition-error", EXIT_PRECONDITION),
+}
+
+
+def _error_status(exc: PflagsError) -> tuple[str, int]:
+    return next(ERROR_STATUS[cls] for cls in type(exc).__mro__ if cls in ERROR_STATUS)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -64,21 +92,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact calculations with flags of flat bundles in characteristic p.",
     )
     sub = parser.add_subparsers(dest="subcommand")
-    for name in SUBCOMMANDS:
-        sp = sub.add_parser(name, help=f"run the {SUBCOMMANDS[name][0]} operation")
+    for name, row in SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=f"run the {row.op} operation")
         sp.add_argument("--input", help="path to the JSON input payload")
         sp.add_argument("--inline", help="inline JSON input payload")
         sp.add_argument("--json", action="store_true", help="emit the full JSON report")
-        if name == "pone-pullback":
-            sp.add_argument("--s", type=int, default=1, help="Frobenius pullback steps")
-        if name == "ell-profile":
-            sp.add_argument("--r", type=int, help="rank")
-            sp.add_argument("--d", type=int, help="degree")
-        if name == "hit-dims":
-            sp.add_argument("--g", type=int, help="genus (>= 2)")
-            sp.add_argument("--r", type=int, help="rank")
-        if name in ("ell-admits", "ell-skeleton"):
-            sp.add_argument("--p", type=int, help="characteristic")
+        for flag, default in row.flags.items():
+            sp.add_argument(f"--{flag}", type=int, default=default, help=FLAG_HELP[flag])
     st = sub.add_parser("selftest", help="run the fixture corpus and fast property suites")
     st.add_argument("--filter", default="", help="only run items whose name contains this")
     st.add_argument("--seed", type=int, default=0, help="seed for the property suites")
@@ -105,38 +125,20 @@ def _load_payload(args) -> Any:
         raise ParseError(f"malformed JSON input: {exc}") from exc
 
 
-def _assemble(name: str, args, payload: Any) -> dict:
-    kind = SUBCOMMANDS[name][1]
-    if kind == "connection":
-        if payload is None:
-            raise ParseError("a connection JSON payload is required (--input or --inline)")
-        out = {"connection": payload}
-        if name == "pone-pullback":
-            out["s"] = args.s
-        return out
-    if kind == "chart":
-        if payload is None:
-            raise ParseError("a chart connection JSON payload is required")
-        return {"chart": payload}
-    if kind == "scalars":
-        if name == "ell-profile":
-            if payload is not None:
-                return payload
-            if args.r is None or args.d is None:
-                raise ParseError("ell-profile needs --r and --d (or an input payload)")
-            return {"r": args.r, "d": args.d}
-        if payload is not None:
-            return payload
-        if args.g is None or args.r is None:
-            raise ParseError("hit-dims needs --g and --r (or an input payload)")
-        return {"g": args.g, "r": args.r}
-    # kind == "payload": the input object is the op payload itself
+def _assemble(row: Subcommand, args, payload: Any) -> dict:
+    """The op payload: the input, wrapped under the row's key or else a JSON
+    object, with every flag that was given or has a default set over it.  With
+    no input, the flags alone stand in when the row has flags and all are set."""
+    flags = {flag: getattr(args, flag) for flag in row.flags}
     if payload is None:
-        raise ParseError(f"{name} requires a JSON input payload")
-    if name in ("ell-admits", "ell-skeleton") and getattr(args, "p", None) is not None:
-        payload = dict(payload)
-        payload["p"] = args.p
-    return payload
+        if row.key is None and flags and None not in flags.values():
+            return flags
+        raise ParseError("a JSON input payload is required (--input or --inline)")
+    if row.key is not None:
+        payload = {row.key: payload}
+    elif not isinstance(payload, dict):
+        raise ParseError("input payload must be a JSON object")
+    return {**payload, **{flag: value for flag, value in flags.items() if value is not None}}
 
 
 def _report(subcommand: str, payload: Any, result: Any, invariants: list[str],
@@ -168,27 +170,19 @@ def _emit(report: dict, as_json: bool):
 
 
 def _run_subcommand(name: str, args) -> int:
-    op_name, _, invariants = SUBCOMMANDS[name]
+    row = SUBCOMMANDS[name]
     try:
-        payload = _assemble(name, args, _load_payload(args))
-        result = ops.OP_TABLE[op_name](payload)
-    except ParseError as exc:
-        _emit(_report(name, None, None, [], "parse-error", EXIT_PARSE, str(exc)), args.json)
-        return EXIT_PARSE
-    except (PreconditionError, NeedsExtensionError, InvalidFieldError) as exc:
-        _emit(_report(name, None, None, invariants, "precondition-error",
-                      EXIT_PRECONDITION, str(exc)), args.json)
-        return EXIT_PRECONDITION
-    except InternalInvariantError as exc:
-        _emit(_report(name, None, None, invariants, "invariant-violation",
-                      EXIT_VIOLATION, str(exc)), args.json)
-        return EXIT_VIOLATION
-    if name == "pone-check" and result:
-        report = _report(name, payload, result, invariants, "violations", EXIT_VIOLATION)
-        _emit(report, args.json)
-        return EXIT_VIOLATION
-    _emit(_report(name, payload, result, invariants, "ok", EXIT_OK), args.json)
-    return EXIT_OK
+        payload = _assemble(row, args, _load_payload(args))
+        result = ops.OP_TABLE[row.op](payload)
+    except PflagsError as exc:
+        status, exit_code = _error_status(exc)
+        checked = [] if exit_code == EXIT_PARSE else row.invariants
+        _emit(_report(name, None, None, checked, status, exit_code, str(exc)), args.json)
+        return exit_code
+    violated = bool(row.violations and result)
+    status, exit_code = ("violations", EXIT_VIOLATION) if violated else ("ok", EXIT_OK)
+    _emit(_report(name, payload, result, row.invariants, status, exit_code), args.json)
+    return exit_code
 
 
 # -- selftest ---------------------------------------------------------------------------
@@ -211,12 +205,10 @@ def _run_fixture(item: dict) -> tuple[bool, str]:
     expect = item.get("expect", {})
     try:
         result = op(item.get("input", {}))
-    except PreconditionError:
-        if expect.get("error") == "precondition":
+    except PflagsError as exc:
+        if isinstance(exc, PreconditionError) and expect.get("error") == "precondition":
             return True, ""
-        return False, "unexpected precondition error"
-    except ParseError as exc:
-        return False, f"input did not parse: {exc}"
+        return False, f"{_error_status(exc)[0]}: {exc}"
     if "error" in expect:
         return False, f"expected a {expect['error']} error, got a result"
     if "value_subset" in expect:

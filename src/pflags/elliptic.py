@@ -220,9 +220,15 @@ def first_line_class(atom: AtiyahAtom) -> PicClass:
 # -- connection existence ------------------------------------------------------------
 
 
+def _require_characteristic(p: int) -> None:
+    if p < 2:
+        raise PreconditionError(f"characteristic must be >= 2, got {p}")
+
+
 def admits_connection(x: AtiyahAtom | Sequence[AtiyahAtom], p: int) -> bool:
     """Connection existence: p must divide every line-class degree of every
     atom (the terminal degree included); direct sums are handled atomwise."""
+    _require_characteristic(p)
     if isinstance(x, AtiyahAtom):
         return all(deg % p == 0 for deg in atiyah_profile(x.r, x.d).deg_l)
     return all(admits_connection(atom, p) for atom in x)
@@ -231,6 +237,7 @@ def admits_connection(x: AtiyahAtom | Sequence[AtiyahAtom], p: int) -> bool:
 def flag_skeleton(bundle: Sequence[AtiyahAtom], p: int) -> FlagSkeleton:
     """Graded line classes (with multiplicity) of any complete flag refining
     the canonical filtrations of a connection-admitting direct sum."""
+    _require_characteristic(p)
     entries: list[tuple[PicClass, int]] = []
     for atom in bundle:
         pr = atiyah_profile(atom.r, atom.d)

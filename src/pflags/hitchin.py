@@ -22,6 +22,7 @@ from .errors import (
 from .fields import Field
 from .matrix import (
     MatRF,
+    _rref,
     apply_connection,
     charpoly_berkowitz,
     gauge_transform,
@@ -199,7 +200,7 @@ def nilpotent_flag_chart(c: ChartConn) -> NilpotentFlag:
     psi = p_curvature_chart(c)
     if not is_nilpotent(psi):
         raise PreconditionError("p-curvature is not nilpotent; no flag this way")
-    gauge = _triangularize(F, c.A)
+    gauge = _triangularize(F, c.A, psi)
     transformed = gauge_transform(c.A, gauge)
     for i in range(c.r):
         for j in range(i):
@@ -208,12 +209,13 @@ def nilpotent_flag_chart(c: ChartConn) -> NilpotentFlag:
     return NilpotentFlag(gauge, tuple(range(c.r)))
 
 
-def _triangularize(field: Field, a: MatRF) -> MatRF:
+def _triangularize(field: Field, a: MatRF, psi: MatRF | None = None) -> MatRF:
+    """A gauge triangularizing T(v) = v' + a v; psi is the p-curvature of a,
+    computed here when not given."""
     r = a.n
     if r == 1:
         return MatRF.identity(field, 1)
-    psi = p_curvature_matrix(a, field.p)
-    ker = kernel(psi)
+    ker = kernel(psi if psi is not None else p_curvature_matrix(a, field.p))
     if not ker:
         raise PreconditionError("p-curvature has trivial kernel; not nilpotent")
     v0 = _horizontal_in_subspace(field, a, ker)
@@ -259,24 +261,12 @@ def _horizontal_in_subspace(field: Field, a: MatRF, basis: list) -> tuple:
 
 
 def _extend_to_basis(field: Field, v0, r: int) -> list:
-    """Columns [v0, standard vectors] greedily completed to an invertible set."""
+    """Columns [v0, standard vectors] greedily completed to an invertible set:
+    the pivot columns of the reduced row echelon form of [v0 | I]."""
     zero, one = RatFunc.zero(field), RatFunc.one(field)
-    cols = [tuple(v0)]
-    for i in range(r):
-        if len(cols) == r:
-            break
-        cand = tuple(one if t == i else zero for t in range(r))
-        trial = cols + [cand]
-        mat_rows = [[trial[j][t] for j in range(len(trial))] for t in range(r)]
-        if _column_rank(field, mat_rows) == len(trial):
-            cols.append(cand)
-    if len(cols) != r:
+    rows = [[v0[t]] + [one if j == t else zero for j in range(r)] for t in range(r)]
+    _, pivots = _rref(rows)
+    if len(pivots) != r or pivots[0] != 0:
         raise InternalInvariantError("failed to extend a vector to a basis")
-    return cols
-
-
-def _column_rank(field: Field, rows) -> int:
-    from .matrix import _rref
-
-    _, pivots = _rref([list(r) for r in rows])
-    return len(pivots)
+    return [tuple(v0)] + [tuple(one if t == c - 1 else zero for t in range(r))
+                          for c in pivots[1:]]

@@ -1,9 +1,9 @@
 """JSON-in, JSON-out wrappers around every library operation.
 
 The CLI subcommands and the fixture selftest both dispatch through this
-table, so fixtures exercise exactly the surface the CLI exposes.  Payload
-validation errors raise ParseError; domain violations raise through from the
-library untouched.
+table.  The CLI runs 14 of these ops (its ``SUBCOMMANDS`` rows name them);
+the fixtures exercise every op.  Payload validation errors raise ParseError;
+domain violations raise through from the library untouched.
 """
 
 from __future__ import annotations

@@ -171,6 +171,8 @@ class FlagP1:
 def admits_level(b: BundleP1, p: int, m: int) -> bool:
     """Whether the split bundle carries a level-m module structure: every
     degree must be divisible by p^{m+1}."""
+    if p < 2:
+        raise PreconditionError(f"characteristic must be >= 2, got {p}")
     if m < 0:
         raise PreconditionError(f"level must be >= 0, got {m}")
     q = p ** (m + 1)

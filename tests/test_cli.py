@@ -1,7 +1,8 @@
 import json
 from pathlib import Path
 
-from pflags.cli import main
+from pflags.cli import SUBCOMMANDS, main
+from pflags.ops import OP_TABLE
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "pflags" / "fixtures"
 
@@ -178,25 +179,74 @@ def test_malformed_payloads_exit_3(capsys):
          '{"field":{"p":2,"k":1},"level":0,"twist_degrees":[2,0],"A":[[[]]]}'),
         ("pone-pcurv",  # non-prime characteristic
          '{"field":{"p":4,"k":1},"level":0,"twist_degrees":[0],"A":[[[]]]}'),
-        ("ell-skeleton", '{"group":{"factors":[2]},"atoms":[]}'),  # empty bundle
+        ("ell-skeleton", '{"group":{"factors":[2]},"atoms":[]}', "--p", "2"),  # empty bundle
+        ("ell-admits", "[3]", "--p", "2"),  # not a JSON object
         ("hit-charpoly",  # zero denominator
          '{"field":{"p":3,"k":1},"A":[[{"num":[1],"den":[]}]]}'),
     ]
-    for sub, inline in bad_payloads:
-        argv = [sub, "--inline", inline]
-        if sub == "ell-skeleton":
-            argv += ["--p", "2"]
-        code, _ = run(capsys, *argv)
+    for sub, inline, *flags in bad_payloads:
+        code, _ = run(capsys, sub, "--inline", inline, *flags)
         assert code == 3, (sub, inline)
 
 
 def test_domain_violations_exit_2(capsys):
-    code, _ = run(capsys, "pone-pullback", "--inline",
-                  '{"field":{"p":2,"k":1},"level":0,"twist_degrees":[0],"A":[[[]]]}',
-                  "--s", "-1")
-    assert code == 2
-    code, _ = run(capsys, "ell-profile", "--r", "0", "--d", "3")
-    assert code == 2
-    code, _ = run(capsys, "hit-cert", "--inline",
-                  '{"field":{"p":3,"k":1},"r":1,"A":[[[0,1]]]}')
-    assert code == 2
+    bundle = '{"group":{"factors":[2]},"atoms":[{"r":3,"d":2,"lam":[1]}]}'
+    cases = [
+        ("pone-pullback", "--inline",
+         '{"field":{"p":2,"k":1},"level":0,"twist_degrees":[0],"A":[[[]]]}', "--s", "-1"),
+        ("ell-profile", "--r", "0", "--d", "3"),
+        ("hit-cert", "--inline", '{"field":{"p":3,"k":1},"r":1,"A":[[[0,1]]]}'),
+        ("ell-admits", "--inline", bundle, "--p", "0"),  # characteristic below 2
+        ("ell-skeleton", "--inline", bundle, "--p", "0"),
+        ("ell-admits", "--inline", bundle, "--p", "-3"),
+    ]
+    for argv in cases:
+        code, _ = run(capsys, *argv)
+        assert code == 2, argv
+
+
+# every subcommand the CLI exposes; selftest is the only one outside SUBCOMMANDS
+CLI_SURFACE = [
+    "pone-check", "pone-pcurv", "pone-flag", "pone-descend", "pone-pullback",
+    "ell-profile", "ell-classes", "ell-admits", "ell-skeleton", "ell-peel",
+    "hit-charpoly", "hit-dims", "hit-cert", "hit-nilflag", "selftest",
+]
+
+
+def test_subcommand_rows_name_ops():
+    assert [*SUBCOMMANDS, "selftest"] == CLI_SURFACE
+    for name, row in SUBCOMMANDS.items():
+        assert row.op in OP_TABLE, name
+
+
+def test_help_lists_every_subcommand(capsys):
+    code, out = run(capsys, "--help")
+    assert code == 0
+    assert "{" + ",".join(CLI_SURFACE) + "}" in out
+
+
+def test_every_subcommand_without_input_exits_3(capsys):
+    for name in SUBCOMMANDS:
+        code, out = run(capsys, name, "--json")
+        assert code == 3, name
+        assert json.loads(out)["status"] == "parse-error", name
+
+
+def test_flag_overrides_input(capsys):
+    code, out = run(capsys, "ell-profile", "--inline", '{"r":5,"d":3}', "--r", "7", "--json")
+    assert code == 0
+    report = json.loads(out)
+    flagged = json.loads(run(capsys, "ell-profile", "--r", "7", "--d", "3", "--json")[1])
+    assert report["result"] == flagged["result"]
+    assert report["inputs_digest"] == flagged["inputs_digest"]
+
+
+def test_selftest_reports_library_errors(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    items = [{"name": "bad-field/find_irreducible", "op": "find_irreducible",
+              "input": {"p": 4, "k": 2}, "expect": {"value": [1, 1, 1]}}]
+    (corpus / "items.json").write_text(json.dumps(items))
+    code, out = run(capsys, "selftest", "--corpus", str(corpus), "--filter", "bad-field")
+    assert code == 1
+    assert "FAIL bad-field/find_irreducible (precondition-error: 4 is not prime)" in out

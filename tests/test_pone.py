@@ -64,6 +64,12 @@ def test_admits_level(degrees, p, m, expected):
     assert admits_level(BundleP1(degrees), p, m) == expected
 
 
+@pytest.mark.parametrize("p", [0, 1, -2])
+def test_admits_level_rejects_characteristic_below_2(p):
+    with pytest.raises(PreconditionError):
+        admits_level(BundleP1([2, 0]), p, 0)
+
+
 def test_canonical_connection_examples():
     d = canonical_connection(BundleP1([4, 2]), F2, 0)
     assert d.m == 0 and d.base.degrees == (4, 2)
