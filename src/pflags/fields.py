@@ -5,16 +5,17 @@ base-p digits are the coordinates in the power basis of the modulus root.  For
 k = 1 an element is just its residue mod p.  This keeps values hashable,
 comparable, and cheap to store inside polynomial coefficient tuples.
 
-The extension modulus defaults to the monic irreducible polynomial of degree k
-over F_p whose little-endian coefficient vector encodes the smallest integer
-in base p, so extension fields are reproducible across runs.  Fields with
-q <= 128 precompute multiplication and inverse tables; larger fields fall back
-to digit arithmetic.
+``GF(p, k, modulus)`` is the one constructor.  It normalises its arguments and
+builds each field once, so every spelling of a field (default or explicit
+modulus, any integer sequence, unreduced residues) is the same ``Field``
+object and field equality is identity.  The extension modulus defaults to the
+monic irreducible polynomial of degree k over F_p whose little-endian
+coefficient vector encodes the smallest integer in base p, so extension fields
+are reproducible across runs.  Fields with q <= 128 precompute multiplication
+and inverse tables; larger fields fall back to digit arithmetic.
 """
 
 from __future__ import annotations
-
-import functools
 
 from .errors import InvalidFieldError
 
@@ -51,40 +52,44 @@ def _undigits(ds, p: int) -> int:
     return n
 
 
-# -- polynomial helpers over F_p on raw digit lists (ascending, may carry
-#    trailing zeros); only what the irreducibility search needs.
-
-def _ptrim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmod(a: list[int], b: list[int], p: int) -> list[int]:
-    a = a[:]
-    inv_lead = pow(b[-1], p - 2, p)
-    while len(a) >= len(b) and a:
-        c = a[-1] * inv_lead % p
-        shift = len(a) - len(b)
-        for i, bc in enumerate(b):
-            a[shift + i] = (a[shift + i] - c * bc) % p
-        _ptrim(a)
-    return a
+def _reduce_mod_p(rem: list[int], div, p: int, quo: list[int] | None = None):
+    """Reduce ``rem`` modulo the nonzero ``div`` over F_p in place, leaving
+    every entry in [0, p) and zero from index deg(div) up; the quotient
+    goes into ``quo`` when given.  Entries are reduced mod p only at the
+    end, except the leading one, which is reduced when it is read.  Both
+    are ascending coefficient lists; this is the one F_p polynomial
+    reduction, shared by the irreducibility search and ``poly``."""
+    db = len(div) - 1
+    inv_lead = pow(div[-1], p - 2, p)
+    for shift in range(len(rem) - 1 - db, -1, -1):
+        c = rem[shift + db] * inv_lead % p
+        if c:
+            if quo is not None:
+                quo[shift] = c
+            for i, bc in enumerate(div):
+                rem[shift + i] -= c * bc
+    rem[:] = [c % p for c in rem]
 
 
-def _is_irreducible_digits(coeffs: list[int], p: int) -> bool:
+def _is_irreducible_digits(coeffs, p: int) -> bool:
     """Exhaustive trial division by every monic divisor of degree <= k/2."""
     k = len(coeffs) - 1
     if coeffs[-1] != 1:
         return False
-    if k == 1:
-        return True
     for d in range(1, k // 2 + 1):
         for n in range(p**d):
-            div = _digits(n, p, d) + [1]
-            if not _pmod(coeffs, div, p):
+            rem = list(coeffs)
+            _reduce_mod_p(rem, _digits(n, p, d) + [1], p)
+            if not any(rem):
                 return False
     return True
+
+
+def _check_pk(p: int, k: int):
+    if not is_prime(p):
+        raise InvalidFieldError(f"{p} is not prime")
+    if k < 1:
+        raise InvalidFieldError(f"extension degree must be >= 1, got {k}")
 
 
 def find_irreducible_coeffs(p: int, k: int) -> tuple[int, ...]:
@@ -94,10 +99,7 @@ def find_irreducible_coeffs(p: int, k: int) -> tuple[int, ...]:
     vector encodes (constant term least significant); the first irreducible
     wins.  For k = 1 the marker polynomial x is returned.
     """
-    if not is_prime(p):
-        raise InvalidFieldError(f"{p} is not prime")
-    if k < 1:
-        raise InvalidFieldError(f"extension degree must be >= 1, got {k}")
+    _check_pk(p, k)
     if k == 1:
         return (0, 1)
     for n in range(p**k):
@@ -112,17 +114,12 @@ class Field:
 
     __slots__ = ("p", "k", "q", "modulus", "_mul_table", "_inv_table")
 
-    def __init__(self, p: int, k: int = 1, modulus: tuple[int, ...] | None = None):
-        if not is_prime(p):
-            raise InvalidFieldError(f"{p} is not prime")
-        if k < 1:
-            raise InvalidFieldError(f"extension degree must be >= 1, got {k}")
-        if modulus is None:
-            modulus = find_irreducible_coeffs(p, k) if k > 1 else (0, 1)
-        modulus = tuple(c % p for c in modulus)
+    def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
+        """Build F_{p^k} on a modulus already reduced mod p.  Call ``GF``
+        instead: it builds each field once."""
         if len(modulus) != k + 1 or modulus[-1] != 1:
             raise InvalidFieldError(f"modulus must be monic of degree {k}")
-        if k > 1 and not _is_irreducible_digits(list(modulus), p):
+        if not _is_irreducible_digits(modulus, p):
             raise InvalidFieldError(f"modulus {modulus} is reducible over F_{p}")
         self.p = p
         self.k = k
@@ -133,20 +130,12 @@ class Field:
         if k > 1 and self.q <= _TABLE_MAX:
             self._build_tables()
 
-    # -- identity ---------------------------------------------------------
+    # -- identity: ``GF`` interns, so a field equals only itself ------------
 
     def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            isinstance(other, Field)
-            and self.p == other.p
-            and self.k == other.k
-            and self.modulus == other.modulus
-        )
+        return self is other
 
-    def __hash__(self):
-        return hash((self.p, self.k, self.modulus))
+    __hash__ = object.__hash__
 
     def __repr__(self):
         return f"GF({self.q})" if self.k > 1 else f"GF({self.p})"
@@ -283,7 +272,28 @@ class Field:
         self._inv_table = inv
 
 
-@functools.lru_cache(maxsize=None)
-def GF(p: int, k: int = 1, modulus: tuple[int, ...] | None = None) -> Field:
-    """Cached field constructor; equal parameters share one instance."""
-    return Field(p, k, modulus)
+_FIELDS: dict[tuple, Field] = {}  # (p, k, modulus), and (p, k) for the default
+
+
+def GF(p: int, k: int = 1, modulus=None) -> Field:
+    """The field F_{p^k}; the one constructor, so each field is one object.
+
+    ``modulus`` is any ascending integer sequence; it is reduced mod p before
+    the lookup, and when omitted it is the default of
+    ``find_irreducible_coeffs``.  For k = 1 the element encoding ignores the
+    modulus, so every monic linear modulus names F_p.  Every spelling of a
+    field returns the same instance, and fields compare by identity.
+    """
+    if modulus is None:
+        field = _FIELDS.get((p, k))
+        if field is None:
+            field = _FIELDS[(p, k)] = GF(p, k, find_irreducible_coeffs(p, k))
+        return field
+    _check_pk(p, k)
+    modulus = tuple(c % p for c in modulus)
+    if k == 1 and len(modulus) == 2 and modulus[1] == 1:
+        modulus = (0, 1)
+    field = _FIELDS.get((p, k, modulus))
+    if field is None:
+        field = _FIELDS[(p, k, modulus)] = Field(p, k, modulus)
+    return field

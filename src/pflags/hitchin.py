@@ -45,7 +45,7 @@ class ChartConn:
     A: MatRF
 
     def __post_init__(self):
-        if self.A.n != self.r or self.A.field != self.field:
+        if self.A.n != self.r or self.A.field is not self.field:
             raise PflagsError("chart matrix shape or field mismatch")
 
     @classmethod

@@ -4,8 +4,9 @@ Encodings (documented in docs/formats.md): a field element is an integer for
 prime fields and an ascending residue array otherwise; polynomials are
 ascending coefficient arrays; rational functions are {"num", "den"} pairs;
 matrices are row-major nested arrays.  Decoders raise ParseError with a
-location string on malformed input; encoders produce values whose canonical
-json.dumps is byte-stable.
+location string on malformed input; an integer must be a JSON integer (``type``
+exactly ``int``), so ``true``/``false`` are rejected wherever a number is read.
+Encoders produce values whose canonical json.dumps is byte-stable.
 """
 
 from __future__ import annotations
@@ -49,14 +50,13 @@ def field_to_json(field: Field) -> dict:
 
 def field_from_json(obj: Any, where: str = "field") -> Field:
     _expect(isinstance(obj, dict), where, "expected an object")
-    _expect(isinstance(obj.get("p"), int), where, "p must be an integer")
+    _expect(type(obj.get("p")) is int, where, "p must be an integer")
     k = obj.get("k", 1)
-    _expect(isinstance(k, int), where, "k must be an integer")
+    _expect(type(k) is int, where, "k must be an integer")
     modulus = obj.get("modulus")
     if modulus is not None:
-        _expect(isinstance(modulus, list) and all(isinstance(c, int) for c in modulus),
+        _expect(isinstance(modulus, list) and all(type(c) is int for c in modulus),
                 where, "modulus must be an integer array")
-        modulus = tuple(modulus)
     try:
         return GF(obj["p"], k, modulus)
     except InvalidFieldError as exc:
@@ -68,11 +68,11 @@ def elem_to_json(field: Field, e: int) -> Any:
 
 
 def elem_from_json(field: Field, obj: Any, where: str = "element") -> int:
-    if isinstance(obj, int):
+    if type(obj) is int:
         _expect(0 <= obj < field.q if field.k == 1 else 0 <= obj < field.p,
                 where, f"residue out of range for {field!r}")
         return obj if field.k == 1 else field.from_coeffs([obj])
-    _expect(isinstance(obj, list) and all(isinstance(c, int) for c in obj),
+    _expect(isinstance(obj, list) and all(type(c) is int for c in obj),
             where, "expected an integer or residue array")
     _expect(all(0 <= c < field.p for c in obj), where, "residues must be in [0, p)")
     try:
@@ -141,9 +141,9 @@ def connection_from_json(obj: Any, where: str = "connection") -> DmBundle:
     _expect(isinstance(obj, dict), where, "expected an object")
     field = field_from_json(obj.get("field"), f"{where}.field")
     level = obj.get("level", 0)
-    _expect(isinstance(level, int) and level >= 0, where, "level must be a nonnegative integer")
+    _expect(type(level) is int and level >= 0, where, "level must be a nonnegative integer")
     degs = obj.get("twist_degrees")
-    _expect(isinstance(degs, list) and degs and all(isinstance(x, int) for x in degs),
+    _expect(isinstance(degs, list) and degs and all(type(x) is int for x in degs),
             where, "twist_degrees must be a nonempty integer array")
     sorted_degs = sorted(degs, reverse=True)
     _expect(list(degs) == sorted_degs, where, "twist_degrees must be descending")
@@ -165,8 +165,9 @@ def flag_to_json(f: FlagP1) -> dict:
 
 
 def flag_from_json(obj: Any, where: str = "flag") -> FlagP1:
-    _expect(isinstance(obj, dict) and isinstance(obj.get("perm"), list), where,
-            "expected {perm: [...]}")
+    _expect(isinstance(obj, dict) and isinstance(obj.get("perm"), list)
+            and all(type(i) is int for i in obj["perm"]), where,
+            "expected {perm: [...]} with integer entries")
     try:
         return FlagP1(obj["perm"])
     except PflagsError as exc:
@@ -183,7 +184,7 @@ def group_to_json(g: Pic0Group) -> dict:
 def group_from_json(obj: Any, where: str = "group") -> Pic0Group:
     _expect(isinstance(obj, dict) and isinstance(obj.get("factors"), list), where,
             "expected {factors: [...]}")
-    _expect(all(isinstance(n, int) and n >= 1 for n in obj["factors"]), where,
+    _expect(all(type(n) is int and n >= 1 for n in obj["factors"]), where,
             "factors must be integers >= 1")
     return Pic0Group(tuple(obj["factors"]))
 
@@ -194,10 +195,10 @@ def atom_to_json(a: AtiyahAtom) -> dict:
 
 def atom_from_json(group: Pic0Group, obj: Any, where: str = "atom") -> AtiyahAtom:
     _expect(isinstance(obj, dict), where, "expected an object")
-    _expect(isinstance(obj.get("r"), int) and isinstance(obj.get("d"), int), where,
+    _expect(type(obj.get("r")) is int and type(obj.get("d")) is int, where,
             "r and d must be integers")
     lam = obj.get("lam", [0] * len(group.factors))
-    _expect(isinstance(lam, list) and all(isinstance(t, int) for t in lam), where,
+    _expect(isinstance(lam, list) and all(type(t) is int for t in lam), where,
             "lam must be an integer array")
     try:
         return AtiyahAtom(group, obj["r"], obj["d"], tuple(lam))
@@ -225,7 +226,7 @@ def chart_from_json(obj: Any, where: str = "chart") -> ChartConn:
     field = field_from_json(obj.get("field"), f"{where}.field")
     a = matrix_from_json(field, obj.get("A"), f"{where}.A")
     r = obj.get("r", a.n)
-    _expect(isinstance(r, int) and r == a.n, where, "r must match the matrix size")
+    _expect(type(r) is int and r == a.n, where, "r must match the matrix size")
     return ChartConn(field, r, a)
 
 

@@ -30,7 +30,7 @@ class MatRF:
             raise PflagsError("matrix must be square and nonempty")
         for row in rows:
             for e in row:
-                if not isinstance(e, RatFunc) or e.field != field:
+                if not isinstance(e, RatFunc) or e.field is not field:
                     raise PflagsError("matrix entries must be RatFunc over the field")
         self.field = field
         self.n = n
@@ -54,7 +54,7 @@ class MatRF:
         return self.rows[i]
 
     def __eq__(self, other):
-        return isinstance(other, MatRF) and self.field == other.field and self.rows == other.rows
+        return isinstance(other, MatRF) and self.field is other.field and self.rows == other.rows
 
     def __hash__(self):
         return hash((self.field, self.rows))
@@ -86,9 +86,6 @@ class MatRF:
     def scale(self, c: RatFunc) -> "MatRF":
         return MatRF(self.field, [[c * a for a in row] for row in self.rows])
 
-    def transpose(self) -> "MatRF":
-        return MatRF(self.field, list(zip(*self.rows)))
-
     def matvec(self, v: Vec) -> Vec:
         return tuple(_dot(row, v) for row in self.rows)
 
@@ -99,6 +96,8 @@ class MatRF:
         return MatRF(self.field, [[fn(a) for a in row] for row in self.rows])
 
     def pow(self, e: int) -> "MatRF":
+        if e < 0:
+            raise PflagsError("negative matrix power")
         result = MatRF.identity(self.field, self.n)
         base = self
         while e:

@@ -27,8 +27,15 @@ def _require(payload: Any, *keys: str) -> None:
 
 def _int(payload: dict, key: str) -> int:
     v = payload.get(key)
-    if not isinstance(v, int) or isinstance(v, bool):
+    if type(v) is not int:  # JSON true/false are not integers
         raise ParseError(f"{key} must be an integer")
+    return v
+
+
+def _ints(payload: dict, key: str) -> list[int]:
+    v = payload.get(key)
+    if not isinstance(v, list) or not all(type(d) is int for d in v):
+        raise ParseError(f"{key} must be an integer array")
     return v
 
 
@@ -75,16 +82,14 @@ def op_roots_in_field(payload: dict) -> Any:
 
 def op_admits_level(payload: dict) -> Any:
     _require(payload, "degrees", "p", "m")
-    degrees = payload["degrees"]
-    if not isinstance(degrees, list) or not all(isinstance(d, int) for d in degrees):
-        raise ParseError("degrees must be an integer array")
-    return pone.admits_level(BundleP1(degrees), _int(payload, "p"), _int(payload, "m"))
+    return pone.admits_level(BundleP1(_ints(payload, "degrees")), _int(payload, "p"),
+                             _int(payload, "m"))
 
 
 def op_canonical_connection(payload: dict) -> Any:
     _require(payload, "degrees", "field", "m")
     field = jsonio.field_from_json(payload["field"])
-    d = pone.canonical_connection(BundleP1(payload["degrees"]), field, _int(payload, "m"))
+    d = pone.canonical_connection(BundleP1(_ints(payload, "degrees")), field, _int(payload, "m"))
     return jsonio.connection_to_json(d)
 
 

@@ -7,14 +7,15 @@ indeterminate is positional: the same class serves polynomials in the chart
 coordinate x and, after a Frobenius rewrite, in the twist coordinate.
 
 Over a prime field (k = 1) the ring operations, division with remainder and
-``poly_gcd`` work on the coefficients as plain ints mod p; over an extension
-field they go through the ``Field`` element methods.
+``poly_gcd`` work on the coefficients as plain ints mod p, reducing through
+``fields._reduce_mod_p``; over an extension field they go through the
+``Field`` element methods.
 """
 
 from __future__ import annotations
 
 from .errors import PflagsError
-from .fields import Field, GF, find_irreducible_coeffs
+from .fields import Field, GF, _reduce_mod_p, find_irreducible_coeffs
 
 
 class Poly:
@@ -78,7 +79,7 @@ class Poly:
     def __eq__(self, other):
         return (
             isinstance(other, Poly)
-            and self.field == other.field
+            and self.field is other.field
             and self.coeffs == other.coeffs
         )
 
@@ -91,7 +92,7 @@ class Poly:
     # -- ring operations ----------------------------------------------------
 
     def _same_field(self, other: "Poly"):
-        if self.field != other.field:
+        if self.field is not other.field:
             raise PflagsError("mixed-field polynomial arithmetic")
 
     def __add__(self, other: "Poly") -> "Poly":
@@ -300,23 +301,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     while not b.is_zero():
         a, b = b, a % b
     return a.monic()
-
-
-def _reduce_mod_p(rem: list[int], div, p: int, quo: list[int] | None = None):
-    """Reduce ``rem`` modulo the nonzero ``div`` over F_p in place, leaving
-    every entry in [0, p) and zero from index deg(div) up; the quotient
-    goes into ``quo`` when given.  Entries are reduced mod p only at the
-    end, except the leading one, which is reduced when it is read."""
-    db = len(div) - 1
-    inv_lead = pow(div[-1], p - 2, p)
-    for shift in range(len(rem) - 1 - db, -1, -1):
-        c = rem[shift + db] * inv_lead % p
-        if c:
-            if quo is not None:
-                quo[shift] = c
-            for i, bc in enumerate(div):
-                rem[shift + i] -= c * bc
-    rem[:] = [c % p for c in rem]
 
 
 def find_irreducible(p: int, k: int) -> Poly:

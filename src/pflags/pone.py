@@ -79,7 +79,7 @@ class Conn0:
             raise PflagsError(f"matrix must be {r}x{r} to match the bundle rank")
         for row in rows:
             for e in row:
-                if not isinstance(e, Poly) or e.field != field:
+                if not isinstance(e, Poly) or e.field is not field:
                     raise PflagsError("entries must be polynomials over the connection field")
         self.field = field
         self.bundle = bundle
@@ -100,7 +100,7 @@ class Conn0:
     def __eq__(self, other):
         return (
             isinstance(other, Conn0)
-            and self.field == other.field
+            and self.field is other.field
             and self.bundle == other.bundle
             and self.A == other.A
         )
@@ -312,7 +312,7 @@ def tensor(a: Conn0, b: Conn0) -> tuple[Conn0, tuple[int, ...]]:
     permutation used: position n of the output is pair index perm[n] in the
     lexicographic (i, k) enumeration of summand pairs.
     """
-    if a.field != b.field:
+    if a.field is not b.field:
         raise PflagsError("tensor of connections over different fields")
     F = a.field
     ra, rb = a.rank, b.rank

@@ -20,7 +20,7 @@ class RatFunc:
     def __init__(self, num: Poly, den: Poly | None = None):
         if den is None:
             den = Poly.one(num.field)
-        if num.field != den.field:
+        if num.field is not den.field:
             raise PflagsError("mixed-field rational function")
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
@@ -62,10 +62,6 @@ class RatFunc:
     def constant(cls, field: Field, c: int) -> "RatFunc":
         return cls(Poly.constant(field, c))
 
-    @classmethod
-    def from_poly(cls, f: Poly) -> "RatFunc":
-        return cls(f)
-
     # -- structure ----------------------------------------------------------
 
     @property
@@ -77,9 +73,6 @@ class RatFunc:
 
     def is_one(self) -> bool:
         return self.num.is_one() and self.den.is_one()
-
-    def is_poly(self) -> bool:
-        return self.den.is_one()
 
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_one()

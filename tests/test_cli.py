@@ -183,6 +183,25 @@ def test_malformed_payloads_exit_3(capsys):
         ("ell-admits", "[3]", "--p", "2"),  # not a JSON object
         ("hit-charpoly",  # zero denominator
          '{"field":{"p":3,"k":1},"A":[[{"num":[1],"den":[]}]]}'),
+        # JSON booleans are not integers, wherever an integer is read
+        ("hit-charpoly", '{"field":{"p":3,"k":true},"A":[[[false],[true]],[[0,true],[0]]]}'),
+        ("hit-charpoly", '{"field":{"p":3,"k":1},"A":[[[false],[true]],[[0,true],[0]]]}'),
+        ("hit-charpoly", '{"field":{"p":3,"k":1},"r":true,"A":[[[1]]]}'),
+        ("hit-charpoly", '{"field":{"p":true,"k":1},"A":[[[1]]]}'),
+        ("hit-charpoly", '{"field":{"p":2,"k":2,"modulus":[true,true,true]},"A":[[[1]]]}'),
+        ("pone-pcurv", '{"field":{"p":2,"k":1},"level":true,"twist_degrees":[0],"A":[[[]]]}'),
+        ("pone-pcurv", '{"field":{"p":2,"k":1},"level":0,"twist_degrees":[true],"A":[[[]]]}'),
+        ("pone-pcurv", '{"field":{"p":2,"k":1},"level":0,"twist_degrees":[0],"A":[[[true]]]}'),
+        ("ell-skeleton", '{"group":{"factors":[true]},"atoms":[{"r":1,"d":0,"lam":[0]}]}',
+         "--p", "2"),
+        ("ell-skeleton", '{"group":{"factors":[2]},"atoms":[{"r":true,"d":0,"lam":[0]}]}',
+         "--p", "2"),
+        ("ell-skeleton", '{"group":{"factors":[2]},"atoms":[{"r":1,"d":false,"lam":[0]}]}',
+         "--p", "2"),
+        ("ell-skeleton", '{"group":{"factors":[2]},"atoms":[{"r":1,"d":0,"lam":[true]}]}',
+         "--p", "2"),
+        ("ell-classes", '{"group":{"factors":[2]},"atom":{"r":true,"d":0,"lam":[1]}}'),
+        ("ell-profile", '{"r":true,"d":3}'),
     ]
     for sub, inline, *flags in bad_payloads:
         code, _ = run(capsys, sub, "--inline", inline, *flags)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pflags import jsonio
 from pflags.errors import InvalidFieldError
 from pflags.fields import GF, Field, find_irreducible_coeffs, is_prime
 
@@ -67,7 +68,7 @@ def test_find_irreducible_is_irreducible_and_minimal(p, k):
 
 def test_non_prime_rejected():
     with pytest.raises(InvalidFieldError):
-        Field(6)
+        GF(6)
     with pytest.raises(InvalidFieldError):
         find_irreducible_coeffs(4, 2)
     assert is_prime(2) and is_prime(97) and not is_prime(91)
@@ -75,7 +76,7 @@ def test_non_prime_rejected():
 
 def test_reducible_modulus_rejected():
     with pytest.raises(InvalidFieldError):
-        Field(2, 2, (1, 0, 1))  # x^2 + 1 = (x + 1)^2 over F_2
+        GF(2, 2, (1, 0, 1))  # x^2 + 1 = (x + 1)^2 over F_2
 
 
 @pytest.mark.parametrize("field", SMALL_FIELDS, ids=repr)
@@ -128,5 +129,27 @@ def test_element_codec_roundtrip():
 
 
 def test_gf_cache_shares_instances():
-    assert GF(5) is GF(5)
-    assert GF(2, 3) == Field(2, 3)
+    """Every spelling of a field returns the one interned object."""
+    f3 = GF(3)
+    for same in (GF(3), GF(3, 1), GF(3, 1, (0, 1)), GF(3, 1, [1, 1]), GF(3, 1, (2, 4)),
+                 jsonio.field_from_json({"p": 3}),
+                 jsonio.field_from_json({"p": 3, "k": 1, "modulus": [1, 1]}),
+                 jsonio.field_from_json(jsonio.field_to_json(f3))):
+        assert same is f3
+    f4 = GF(2, 2)
+    for same in (GF(2, 2, (1, 1, 1)), GF(2, 2, [1, 1, 1]), GF(2, 2, [3, 1, 1]),
+                 jsonio.field_from_json({"p": 2, "k": 2}),
+                 jsonio.field_from_json({"p": 2, "k": 2, "modulus": [1, 1, 1]}),
+                 jsonio.field_from_json(jsonio.field_to_json(f4))):
+        assert same is f4
+    assert GF(2, 3) is GF(2, 3, (1, 1, 0, 1))
+    assert GF(2, 3, (1, 0, 1, 1)) is not GF(2, 3)  # another modulus, another field
+    assert GF(2, 3, (1, 0, 1, 1)) != GF(2, 3)
+    assert GF(5) is not GF(7) and GF(3) != GF(3, 2)
+    assert isinstance(f3, Field) and {f3: 1}[GF(3, 1, [4, 1])] == 1
+
+
+@pytest.mark.parametrize("modulus", [(0, 2), (1, 0), (1,), (0, 0, 1), (1, 1, 1)])
+def test_k1_modulus_must_be_monic_linear(modulus):
+    with pytest.raises(InvalidFieldError):
+        GF(3, 1, modulus)

@@ -15,8 +15,8 @@ from pflags.sampling import random_chart_conn, random_conn0, random_poly, random
 
 def test_field_roundtrip_and_default_modulus():
     f = GF(3, 2)
-    assert jsonio.field_from_json(jsonio.field_to_json(f)) == f
-    assert jsonio.field_from_json({"p": 3, "k": 2}) == f  # default modulus
+    assert jsonio.field_from_json(jsonio.field_to_json(f)) is f
+    assert jsonio.field_from_json({"p": 3, "k": 2}) is f  # default modulus
     assert jsonio.field_to_json(GF(5)) == {"p": 5, "k": 1}
 
 
@@ -27,6 +27,10 @@ def test_field_parse_errors():
         jsonio.field_from_json({"p": 2, "k": 2, "modulus": [1, 0, 1]})
     with pytest.raises(ParseError):
         jsonio.field_from_json(["not", "an", "object"])
+    for bad in ({"p": True}, {"p": 3, "k": True}, {"p": 2, "k": 2, "modulus": [True, 1, 1]},
+                {"p": 3, "k": 1, "modulus": [0, 2]}, {"p": 3, "k": 1, "modulus": [0, 0, 1]}):
+        with pytest.raises(ParseError):
+            jsonio.field_from_json(bad)
 
 
 def test_elem_codec():
@@ -39,6 +43,9 @@ def test_elem_codec():
     assert jsonio.elem_from_json(ext, 1) == 1  # prime-subfield shorthand
     with pytest.raises(ParseError):
         jsonio.elem_from_json(prime, 9)
+    for field, bad in ((prime, True), (prime, False), (ext, [True, 0]), (ext, False)):
+        with pytest.raises(ParseError):
+            jsonio.elem_from_json(field, bad)
 
 
 def test_poly_and_ratfunc_roundtrip():
@@ -105,6 +112,14 @@ def test_atom_and_group_codecs():
         jsonio.atom_from_json(g, {"r": 2})
     with pytest.raises(ParseError):
         jsonio.group_from_json({"factors": [0]})
+    with pytest.raises(ParseError):
+        jsonio.group_from_json({"factors": [True]})
+    for bad in ({"r": True, "d": 0}, {"r": 1, "d": False}, {"r": 1, "d": 0, "lam": [True, 0]}):
+        with pytest.raises(ParseError):
+            jsonio.atom_from_json(g, bad)
+    assert jsonio.flag_from_json({"perm": [1, 0]}).perm == (1, 0)
+    with pytest.raises(ParseError):
+        jsonio.flag_from_json({"perm": [True, False]})
 
 
 def test_canonical_dumps_is_stable():

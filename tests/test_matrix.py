@@ -225,3 +225,18 @@ def test_horizontal_sections_rank_drops_for_nonzero_psi():
     # cyclic connection with invertible psi: no horizontal sections at all
     a = MatRF(F, [[rf(F, []), rf(F, [1])], [rf(F, [0, 1]), rf(F, [])]])
     assert horizontal_sections(a) == []
+
+
+def test_matrix_pow():
+    F = GF(3)
+    m = MatRF(F, [[rf(F, [1]), rf(F, [0, 1])], [rf(F, []), rf(F, [1], [1, 1])]])
+    assert m.pow(0) == MatRF.identity(F, 2)
+    assert m.pow(1) == m
+    assert m.pow(5) == m * m * m * m * m
+    for e in (-1, -4):
+        try:
+            m.pow(e)
+        except PflagsError:
+            pass
+        else:
+            raise AssertionError(f"pow({e}) did not raise")
