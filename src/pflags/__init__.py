@@ -42,7 +42,7 @@ from .errors import (
     PflagsError,
     PreconditionError,
 )
-from .fields import GF, Field
+from .fields import GF
 from .hitchin import (
     ChartConn,
     CharPolyP,
@@ -95,7 +95,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AtiyahAtom", "AtiyahProfile", "BundleP1", "ChartConn", "CharPolyP",
-    "Conn0", "DmBundle", "Field", "FlagP1", "FlagSkeleton", "GF",
+    "Conn0", "DmBundle", "FlagP1", "FlagSkeleton", "GF",
     "HitchinDims", "HomConstraint", "InternalInvariantError",
     "InvalidFieldError", "MatRF", "NeedsExtensionError", "NilpotentFlag",
     "NoFlagCertificate", "ParseError", "PflagsError", "Pic0Group", "PicClass",

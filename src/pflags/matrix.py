@@ -4,8 +4,11 @@ Besides ring operations this module provides: a division-free characteristic
 polynomial (classical recurrences divide by integers that vanish mod p),
 kernel and inverse by Gaussian elimination over the rational function field,
 the action of a connection operator T(v) = v' + A v, its p-th iterate (the
-p-curvature matrix), gauge transformation, and the solver for T(v) = 0 viewed
-as F_q(x^p)-linear algebra on the rank-rp module F_q(x)^r.
+p-curvature matrix psi), gauge transformation, and the horizontal sections
+(T(v) = 0) as an F_q(x^p)-basis.  The sections come from Katz's projector
+applied to ker psi, built from the same iterates T^k e_i as psi; the only
+linear solves are r x r over F_q(x) and s x rp over F_q(x^p), with s the
+number of sections.
 """
 
 from __future__ import annotations
@@ -250,11 +253,17 @@ def gauge_transform(a: MatRF, g: MatRF) -> MatRF:
 
 
 def p_curvature_matrix(a: MatRF, p: int) -> MatRF:
-    """The matrix of T^p, T(v) = v' + A v; O_X-linear by Jacobson's theorem.
+    """The matrix of T^p, T(v) = v' + A v; O_X-linear by Jacobson's theorem."""
+    return _column_matrix(a.field, [its[p] for its in _t_iterates(a, p)])
 
-    Columns are computed over a common denominator: with A = B/beta and
-    v = n/delta, T(v) = (beta(n' delta - n delta') + delta B n) / (beta delta^2),
-    reducing by the gcd each step to keep degrees at their true size.
+
+def _t_iterates(a: MatRF, p: int) -> list[list[tuple[list[Poly], Poly]]]:
+    """The iterates T^k e_i for k = 0..p, one list per i, each as
+    (numerators, common denominator).
+
+    With A = B/beta and v = n/delta, T(v) = (beta(n' delta - n delta') +
+    delta B n) / (beta delta^2), reducing by the gcd each step to keep degrees
+    at their true size.
     """
     F = a.field
     n = a.n
@@ -264,25 +273,40 @@ def p_curvature_matrix(a: MatRF, p: int) -> MatRF:
             if not e.den.is_one():
                 beta = beta // poly_gcd(beta, e.den) * e.den
     bmat = [[e.num * (beta // e.den) for e in row] for row in a.rows]
-    zero_p = Poly.zero(F)
-    columns = []
+    zero_p, one_p = Poly.zero(F), Poly.one(F)
+    iterates = []
     for i in range(n):
         num = [zero_p] * n
-        num[i] = Poly.one(F)
-        den = Poly.one(F)
+        num[i] = one_p
+        its = [(num, one_p)]
         for _ in range(p):
-            num, den = _apply_t_common_den(bmat, beta, num, den)
-        columns.append([RatFunc(e, den) for e in num])
-    return MatRF(F, [[columns[j][i] for j in range(n)] for i in range(n)])
+            its.append(_apply_t_common_den(bmat, beta, *its[-1]))
+        iterates.append(its)
+    return iterates
+
+
+def _column_matrix(field: Field, columns) -> MatRF:
+    """The matrix whose j-th column is the vector numerators/denominator."""
+    n = len(columns)
+    return MatRF(field, [[RatFunc(columns[j][0][i], columns[j][1]) for j in range(n)]
+                         for i in range(n)])
 
 
 def _apply_t_common_den(bmat, beta: Poly, num: list[Poly], den: Poly):
     """One application of T to v = num/den where A = bmat/beta."""
-    dden = den.derivative()
     bn = [_poly_dot(row, num) for row in bmat]
-    new_num = [beta * (ni.derivative() * den - ni * dden) + den * bi
-               for ni, bi in zip(num, bn)]
-    new_den = beta * den * den
+    if den.is_one():
+        # polynomial v: T(v) = (beta n' + B n) / beta, no products with den
+        dn = [ni.derivative() for ni in num]
+        if not beta.is_one():
+            dn = [beta * d for d in dn]
+        new_num = [d + bi for d, bi in zip(dn, bn)]
+        new_den = beta
+    else:
+        dden = den.derivative()
+        new_num = [beta * (ni.derivative() * den - ni * dden) + den * bi
+                   for ni, bi in zip(num, bn)]
+        new_den = beta * den * den
     if not new_den.is_one():
         g = new_den
         for e in new_num:
@@ -312,7 +336,7 @@ def _poly_dot(row, vec) -> Poly:
     return acc
 
 
-# -- horizontal sections: T(v) = 0 as F_q(x^p)-linear algebra ---------------------
+# -- horizontal sections: Katz's projector ------------------------------------------
 
 
 def _frobenius_parts(f: RatFunc, p: int) -> list[RatFunc]:
@@ -340,39 +364,54 @@ def _frobenius_parts(f: RatFunc, p: int) -> list[RatFunc]:
 def horizontal_sections(a: MatRF) -> list[Vec]:
     """A basis of { v in F_q(x)^r : v' + A v = 0 } over F_q(x^p).
 
-    F_q(x)^r is an F_q(x^p)-module with basis x^j e_i (0 <= j < p), on which T
-    acts linearly; the kernel is computed by Gaussian elimination over the
-    twist function field and mapped back.  Every returned vector is
-    re-verified to be horizontal.
+    T is F_q(x^p)-linear, and its solutions span the same F_q(x^p)-dimension
+    s as the F_q(x)-dimension of ker psi (Cartier, applied to the T-stable
+    subspace ker psi).  Katz's projector P(v) = sum_{k<p} (-t)^k/k! T^k v,
+    t = x - a0, is F_q(x^p)-linear, fixes horizontal vectors and maps ker psi
+    onto them (T P(v) = (-t)^{p-1}/(p-1)! psi(v)).  The images P(x^j b) of the
+    kernel basis b of psi are taken round by round, j = 0, 1, ..., until they
+    have rank s; at a point a0 where A and the b are regular, P(b) = b mod t,
+    so round 0 already does.
+
+    The result is the reduced echelon basis of the solutions written in the
+    F_q(x^p)-basis x^j e_i (coordinate i p + j), with the coordinates taken
+    last-first: each vector has a 1 at its last nonzero coordinate and 0 at
+    the last nonzero coordinates of the others, listed in increasing order of
+    that coordinate.  The solution space alone fixes this basis; it is the
+    kernel basis Gaussian elimination of the rp x rp matrix of T would give.
+    Every returned vector is re-verified to be horizontal.
     """
     F = a.field
     p = F.p
     r = a.n
-    dim = r * p
-    zero = RatFunc.zero(F)
-    cols: list[list[RatFunc]] = []
-    for i in range(r):
-        a_parts = [_frobenius_parts(a.rows[t][i], p) for t in range(r)]
-        for j in range(p):
-            col = [zero] * dim
-            if j >= 1:
-                col[i * p + (j - 1)] = RatFunc.constant(F, F.scalar(j))
-            # A[t][i] * x^j spread over the x-power basis, carrying y = x^p
-            for t in range(r):
-                for jj in range(p):
-                    c = a_parts[t][jj]
-                    if c.is_zero():
-                        continue
-                    e = jj + j
-                    if e >= p:
-                        c = c * RatFunc.x(F)  # the carried x^p is y
-                        e -= p
-                    idx = t * p + e
-                    col[idx] = col[idx] + c
-            cols.append(col)
-    m = MatRF(F, [[cols[c][t] for c in range(dim)] for t in range(dim)])
+    iterates = _t_iterates(a, p)
+    ker = kernel(_column_matrix(F, [its[p] for its in iterates]))
+    if not ker:
+        return []
+    s = len(ker)
+    a0 = next((c for c in F.elements()
+               if all(e.den.evaluate(c) for row in (*a.rows, *ker) for e in row)), 0)
+    neg_t = Poly(F, [a0, F.neg(1)])
+    weights = [Poly.one(F)]  # (-t)^k / k!
+    for k in range(1, p):
+        weights.append((weights[-1] * neg_t).scale(F.inv(F.scalar(k))))
+    weights = [RatFunc(w) for w in weights]
+    rows: list[list[RatFunc]] = []
+    for j in range(p):
+        xj = RatFunc(Poly.monomial(F, 1, j))
+        for b in ker:
+            image = _project(iterates, weights, [xj * e for e in b])
+            rows.append([c for e in image for c in _frobenius_parts(e, p)][::-1])
+        rows, pivots = _rref(rows)
+        del rows[len(pivots):]
+        if len(pivots) == s:
+            break
+    else:
+        raise InternalInvariantError(
+            f"projected sections have rank {len(rows)}, ker psi has dimension {s}")
     sols = []
-    for kv in kernel(m):
+    for row in reversed(rows):
+        kv = row[::-1]
         v = []
         for i in range(r):
             acc = RatFunc.zero(F)
@@ -387,3 +426,39 @@ def horizontal_sections(a: MatRF) -> list[Vec]:
             raise InternalInvariantError("claimed horizontal section fails T(v) = 0")
         sols.append(v)
     return sols
+
+
+def _project(iterates, weights: list[RatFunc], g: Vec) -> Vec:
+    """P(g) = sum_k c_k T^k g with c_k = weights[k], from the iterates T^m e_i.
+
+    By Leibniz, T^k (f e_i) = sum_m C(k, m) f^(k-m) T^m e_i and
+    c_k C(k, m) = c_m c_(k-m), so P(g) = sum_i sum_m c_m D_m(g_i) T^m e_i with
+    D_m(f) = sum_{l < p-m} c_l f^(l).  The sum is taken over one common
+    denominator.
+    """
+    p = len(weights)
+    terms = []
+    for f, its in zip(g, iterates):
+        if f.is_zero():
+            continue
+        derivs = [f]
+        for _ in range(p - 1):
+            derivs.append(derivs[-1].derivative())
+        dm = derivs[0]  # D_{p-1}(f) = f
+        for m in range(p - 1, -1, -1):
+            if m < p - 1 and not derivs[p - 1 - m].is_zero():
+                dm = dm + weights[p - 1 - m] * derivs[p - 1 - m]
+            w = weights[m] * dm
+            tn, d = its[m]
+            if not w.is_zero() and any(not e.is_zero() for e in tn):
+                terms.append((w.num, w.den * d, tn))
+    F = g[0].field
+    den = Poly.one(F)
+    for _, wd, _ in terms:
+        if not wd.is_one():
+            den = den // poly_gcd(den, wd) * wd
+    nums = [Poly.zero(F)] * len(g)
+    for wn, wd, tn in terms:
+        factor = wn * (den // wd if not wd.is_one() else den)
+        nums = [acc if e.is_zero() else acc + factor * e for acc, e in zip(nums, tn)]
+    return tuple(RatFunc(e, den) for e in nums)

@@ -367,10 +367,9 @@ def cartier_descent(c: Conn0) -> tuple[BundleP1, MatRF]:
     No field extension is attempted: a short horizontal basis raises instead.
     """
     ensure_valid(c)
-    psi = p_curvature(c)
-    if not psi.is_zero():
-        raise PreconditionError("p-curvature does not vanish; nothing descends")
     a = c.matrix()
+    if not p_curvature_matrix(a, c.field.p).is_zero():
+        raise PreconditionError("p-curvature does not vanish; nothing descends")
     sols = horizontal_sections(a)
     r = c.rank
     if len(sols) != r:

@@ -149,6 +149,17 @@ def test_gf_cache_shares_instances():
     assert isinstance(f3, Field) and {f3: 1}[GF(3, 1, [4, 1])] == 1
 
 
+def test_gf_is_the_only_public_field_constructor():
+    """Fields are built through GF alone; the Field type stays in pflags.fields."""
+    import pflags
+
+    assert pflags.GF is GF and "GF" in pflags.__all__
+    assert not hasattr(pflags, "Field") and "Field" not in pflags.__all__
+    for name in pflags.__all__:
+        obj = getattr(pflags, name)
+        assert not (isinstance(obj, type) and issubclass(obj, Field)), name
+
+
 @pytest.mark.parametrize("modulus", [(0, 2), (1, 0), (1,), (0, 0, 1), (1, 1, 1)])
 def test_k1_modulus_must_be_monic_linear(modulus):
     with pytest.raises(InvalidFieldError):

@@ -16,7 +16,13 @@ from pflags.matrix import (
 )
 from pflags.poly import Poly
 from pflags.ratfunc import RatFunc
-from pflags.sampling import random_poly, random_ratfunc
+from pflags.sampling import (
+    random_flat_conn0,
+    random_poly,
+    random_polynomial_gauge,
+    random_ratfunc,
+    random_strict_upper,
+)
 
 
 def rf(field, coeffs, den=None):
@@ -225,6 +231,208 @@ def test_horizontal_sections_rank_drops_for_nonzero_psi():
     # cyclic connection with invertible psi: no horizontal sections at all
     a = MatRF(F, [[rf(F, []), rf(F, [1])], [rf(F, [0, 1]), rf(F, [])]])
     assert horizontal_sections(a) == []
+
+
+# Reference: T(v) = 0 solved as F_q(x^p)-linear algebra on the basis x^j e_i
+# (coordinate i p + j) by the rp x rp kernel; horizontal_sections must return
+# exactly this basis.
+
+
+def _frobenius_parts_ref(f, p):
+    F = f.field
+    if f.is_zero():
+        return [RatFunc.zero(F)] * p
+    big = f.num * f.den ** (p - 1)
+    den_y = Poly(F, [F.frobenius(c) for c in f.den.coeffs])
+    return [RatFunc(Poly(F, big.coeffs[j::p]), den_y) for j in range(p)]
+
+
+def _kernel_ref(rows, field):
+    """Right kernel by Gauss-Jordan: a 1 at each free column, free columns in
+    increasing order."""
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0])
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c].inv()
+        rows[r] = [inv * e for e in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [RatFunc.zero(field)] * ncols
+        v[fc] = RatFunc.one(field)
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def horizontal_sections_rp(a):
+    F = a.field
+    p = F.p
+    r = a.n
+    dim = r * p
+    zero = RatFunc.zero(F)
+    cols = []
+    for i in range(r):
+        a_parts = [_frobenius_parts_ref(a.rows[t][i], p) for t in range(r)]
+        for j in range(p):
+            col = [zero] * dim
+            if j >= 1:
+                col[i * p + (j - 1)] = RatFunc.constant(F, F.scalar(j))
+            for t in range(r):
+                for jj in range(p):
+                    c = a_parts[t][jj]
+                    if c.is_zero():
+                        continue
+                    e = jj + j
+                    if e >= p:
+                        c = c * RatFunc.x(F)
+                        e -= p
+                    col[t * p + e] = col[t * p + e] + c
+            cols.append(col)
+    sols = []
+    for kv in _kernel_ref([[cols[c][t] for c in range(dim)] for t in range(dim)], F):
+        v = []
+        for i in range(r):
+            acc = RatFunc.zero(F)
+            for j in range(p):
+                if not kv[i * p + j].is_zero():
+                    acc = acc + kv[i * p + j].compose_xpow(p) * RatFunc(Poly.monomial(F, 1, j))
+            v.append(acc)
+        sols.append(tuple(v))
+    return sols
+
+
+def _restricted_to_ker_psi(a):
+    """T restricted to the span of the kernel basis of psi, as in the
+    nilpotent flag construction."""
+    F = a.field
+    basis = kernel(p_curvature_matrix(a, F.p))
+    cols = [solve(basis, apply_connection(a, v), F) for v in basis]
+    k = len(basis)
+    return MatRF(F, [[cols[j][i] for j in range(k)] for i in range(k)])
+
+
+def _frame_with_short_round(rng, field, r):
+    """A = F^-1 F' for a polynomial F whose first row lies in x F_q(x^p), with
+    a pole of A at every F_q point, or None.  The horizontal frame is F^-1,
+    so the images of e_i under the projector expanded at 0 have a zero first
+    coordinate in that frame: the round j = 0 falls short of rank r."""
+    p = field.p
+    rows = [[RatFunc(Poly.x(field) * random_poly(rng, field, 1).compose_xpow(p))
+             for _ in range(r)]]
+    rows += [[RatFunc(random_poly(rng, field, 2)) for _ in range(r)] for _ in range(r - 1)]
+    f = MatRF(field, rows)
+    try:
+        a = inverse(f) * f.derivative()
+    except PflagsError:
+        return None
+    return a if _no_regular_point(a) else None
+
+
+def _katz_images_at_zero(a):
+    """P(e_i) = sum_{k<p} (-x)^k/k! T^k e_i, by repeated application of T."""
+    F = a.field
+    p = F.p
+    zero, one = RatFunc.zero(F), RatFunc.one(F)
+    images = []
+    for i in range(a.n):
+        v = tuple(one if t == i else zero for t in range(a.n))
+        acc = v
+        weight = RatFunc.one(F)
+        for k in range(1, p):
+            v = apply_connection(a, v)
+            weight = weight * RatFunc(Poly(F, [0, F.neg(1)])) * RatFunc.constant(
+                F, F.inv(F.scalar(k)))
+            acc = tuple(s + weight * e for s, e in zip(acc, v))
+        images.append(acc)
+    return MatRF(F, [[images[j][i] for j in range(a.n)] for i in range(a.n)])
+
+
+def _no_regular_point(a):
+    F = a.field
+    return all(any(e.den.evaluate(c) == 0 for row in a.rows for e in row)
+               for c in F.elements())
+
+
+def test_horizontal_sections_match_rp_kernel_on_flat_p1():
+    rng = random.Random(77)
+    for F in (GF(2), GF(3), GF(5), GF(7), GF(2, 2), GF(3, 2)):
+        for r in range(1, 5):
+            for _ in range(2 if F.q < 7 else 1):
+                a = random_flat_conn0(rng, F, r=r).matrix()
+                while r > 1 and a.is_zero():  # rank 1 on P^1 is always trivial
+                    a = random_flat_conn0(rng, F, r=r).matrix()
+                sols = horizontal_sections(a)
+                assert len(sols) == r
+                assert tuple(sols) == tuple(horizontal_sections_rp(a))
+
+
+def test_horizontal_sections_match_rp_kernel_on_restrictions():
+    rng = random.Random(78)
+    for p in (2, 3, 5):
+        F = GF(p)
+        for r in (2, 3):
+            for _ in range(3):
+                a = gauge_transform(random_strict_upper(rng, F, r),
+                                    random_polynomial_gauge(rng, F, r))
+                restricted = _restricted_to_ker_psi(a)
+                assert tuple(horizontal_sections(restricted)) == \
+                    tuple(horizontal_sections_rp(restricted))
+
+
+def test_horizontal_sections_match_rp_kernel_for_nonzero_psi():
+    # a flat block beside the cyclic block [[0, 1], [x, 0]] (invertible psi),
+    # mixed by a polynomial gauge: ker psi is nontrivial, not full, and not
+    # spanned by standard vectors
+    rng = random.Random(79)
+    for p in (2, 3, 5):
+        F = GF(p)
+        for flat_rank in (1, 2):
+            r = flat_rank + 2
+            zero = RatFunc.zero(F)
+            rows = [[zero] * r for _ in range(r)]
+            rows[flat_rank][flat_rank + 1] = RatFunc.one(F)
+            rows[flat_rank + 1][flat_rank] = RatFunc.x(F)
+            block = gauge_transform(MatRF(F, rows), random_polynomial_gauge(rng, F, r))
+            psi = p_curvature_matrix(block, p)
+            assert len(kernel(psi)) == flat_rank and not psi.is_zero()
+            sols = horizontal_sections(block)
+            assert len(sols) == flat_rank
+            assert tuple(sols) == tuple(horizontal_sections_rp(block))
+
+
+def test_horizontal_sections_match_rp_kernel_with_poles_everywhere():
+    # no F_q point is regular, so the projector expands at 0, where the
+    # images of the e_i are dependent and rounds j >= 1 are needed
+    rng = random.Random(81)
+    F3 = GF(3)
+    f = rf(F3, [0, 1, 0, 0, 0, 2])  # x - x^5 = x * 1 + x^2 * (-x^3)
+    cases = [MatRF(F3, [[f.derivative() / f]])]
+    for q in (2, 3):
+        for r in (2, 3):
+            found = 0
+            while found < 2:
+                a = _frame_with_short_round(rng, GF(q), r)
+                if a is not None:
+                    cases.append(a)
+                    found += 1
+    for a in cases:
+        assert _no_regular_point(a)
+        assert len(kernel(_katz_images_at_zero(a))) > 0
+        sols = horizontal_sections(a)
+        assert len(sols) == a.n
+        assert tuple(sols) == tuple(horizontal_sections_rp(a))
 
 
 def test_matrix_pow():
