@@ -294,19 +294,11 @@ def _column_matrix(field: Field, columns) -> MatRF:
 
 def _apply_t_common_den(bmat, beta: Poly, num: list[Poly], den: Poly):
     """One application of T to v = num/den where A = bmat/beta."""
+    dden = den.derivative()
     bn = [_poly_dot(row, num) for row in bmat]
-    if den.is_one():
-        # polynomial v: T(v) = (beta n' + B n) / beta, no products with den
-        dn = [ni.derivative() for ni in num]
-        if not beta.is_one():
-            dn = [beta * d for d in dn]
-        new_num = [d + bi for d, bi in zip(dn, bn)]
-        new_den = beta
-    else:
-        dden = den.derivative()
-        new_num = [beta * (ni.derivative() * den - ni * dden) + den * bi
-                   for ni, bi in zip(num, bn)]
-        new_den = beta * den * den
+    new_num = [beta * (ni.derivative() * den - ni * dden) + den * bi
+               for ni, bi in zip(num, bn)]
+    new_den = beta * den * den
     if not new_den.is_one():
         g = new_den
         for e in new_num:
