@@ -22,6 +22,8 @@ from .errors import (
 from .fields import Field
 from .matrix import (
     MatRF,
+    _apply_t_common_den,
+    _clear_denominators,
     _rref,
     apply_connection,
     charpoly_berkowitz,
@@ -106,17 +108,23 @@ def p_curvature_chart(c: ChartConn) -> MatRF:
     """The p-curvature matrix T^p on the chart, T(v) = v' + A v.
 
     Linearity over the structure sheaf is re-verified on a sample section
-    before returning; failure indicates an iteration bug, not bad input.
+    before returning: T^p(f v) = f T^p(v) with f = x + 1, and T^p(v) = psi v.
+    T is iterated on each vector over one common denominator, independently
+    of psi.  Failure indicates an iteration bug, not bad input.
     """
     F = c.field
     psi = p_curvature_matrix(c.A, F.p)
     f = RatFunc(Poly(F, (1, 1)))  # x + 1
     v = tuple(RatFunc(Poly.monomial(F, 1, i % 3)) for i in range(c.r))
-    lhs = tuple(f * e for e in v)
-    rhs = v
+    bmat, beta = _clear_denominators(c.A.rows)
+    one = Poly.one(F)
+    lhs = ([f.num * e.num for e in v], one)
+    rhs = ([e.num for e in v], one)
     for _ in range(F.p):
-        lhs = apply_connection(c.A, lhs)
-        rhs = apply_connection(c.A, rhs)
+        lhs = _apply_t_common_den(bmat, beta, *lhs)
+        rhs = _apply_t_common_den(bmat, beta, *rhs)
+    lhs = tuple(RatFunc(e, lhs[1]) for e in lhs[0])
+    rhs = tuple(RatFunc(e, rhs[1]) for e in rhs[0])
     if lhs != tuple(f * e for e in rhs):
         raise InternalInvariantError("p-curvature operator is not O-linear")
     if rhs != psi.matvec(v):

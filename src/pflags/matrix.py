@@ -9,6 +9,11 @@ p-curvature matrix psi), gauge transformation, and the horizontal sections
 applied to ker psi, built from the same iterates T^k e_i as psi; the only
 linear solves are r x r over F_q(x) and s x rp over F_q(x^p), with s the
 number of sections.
+
+The characteristic polynomial and the iterates of T work over one common
+denominator: a matrix m is cleared once to N/delta (``_clear_denominators``),
+the work runs on polynomials, and reduced rational functions are formed only
+for the results.
 """
 
 from __future__ import annotations
@@ -126,32 +131,34 @@ def charpoly_berkowitz(m: MatRF) -> list[RatFunc]:
     """Characteristic polynomial of m, ascending coefficients, leading 1.
 
     Berkowitz's vector recurrence: division-free, so safe in characteristic p.
+    It runs once on polynomials: with m = N/delta, delta the lcm of the entry
+    denominators, det(t - m) = sum_i c_i t^i / delta^(n-i), where the c_i are
+    the coefficients of det(s - N).
     """
     F = m.field
-    one = RatFunc.one(F)
     n = m.n
-    poly = [one, -m.rows[0][0]]  # descending coefficients for the 1x1 corner
+    rows, delta = _clear_denominators(m.rows)
+    one = Poly.one(F)
+    poly = [one, -rows[0][0]]  # descending coefficients for the 1x1 corner
     for i in range(1, n):
-        a = m.rows[i][i]
-        row = m.rows[i][:i]
-        col = tuple(m.rows[t][i] for t in range(i))
-        sub = [m.rows[t][:i] for t in range(i)]
+        row = rows[i][:i]
+        sub = [rows[t][:i] for t in range(i)]
         # first column of the Toeplitz matrix: 1, -a, -row.col, -row.sub.col, ...
-        toeplitz_col = [one, -a]
-        v = col
-        for _ in range(i):
-            toeplitz_col.append(-_dot(row, v))
-            v = tuple(_dot(r, v) for r in sub)
-        new = []
-        for t in range(i + 2):
-            acc = None
-            for b in range(min(t, i) + 1):
-                term = toeplitz_col[t - b] * poly[b]
-                acc = term if acc is None else acc + term
-            new.append(acc)
-        poly = new
-    poly.reverse()
-    return poly
+        toeplitz_col = [one, -rows[i][i]]
+        v = [rows[t][i] for t in range(i)]
+        for k in range(i):
+            if k:
+                v = [_poly_dot(r, v) for r in sub]
+            toeplitz_col.append(-_poly_dot(row, v))
+        poly = [_poly_dot(poly[:min(t, i) + 1], toeplitz_col[t::-1])
+                for t in range(i + 2)]
+    out = []
+    den = one
+    for c in poly:  # c_n, c_(n-1), ..., c_0 over delta^0, delta^1, ..., delta^n
+        out.append(RatFunc(c, den))
+        den = den * delta
+    out.reverse()
+    return out
 
 
 def is_nilpotent(m: MatRF) -> bool:
@@ -267,12 +274,7 @@ def _t_iterates(a: MatRF, p: int) -> list[list[tuple[list[Poly], Poly]]]:
     """
     F = a.field
     n = a.n
-    beta = Poly.one(F)
-    for row in a.rows:
-        for e in row:
-            if not e.den.is_one():
-                beta = beta // poly_gcd(beta, e.den) * e.den
-    bmat = [[e.num * (beta // e.den) for e in row] for row in a.rows]
+    bmat, beta = _clear_denominators(a.rows)
     zero_p, one_p = Poly.zero(F), Poly.one(F)
     iterates = []
     for i in range(n):
@@ -283,6 +285,19 @@ def _t_iterates(a: MatRF, p: int) -> list[list[tuple[list[Poly], Poly]]]:
             its.append(_apply_t_common_den(bmat, beta, *its[-1]))
         iterates.append(its)
     return iterates
+
+
+def _clear_denominators(rows) -> tuple[list[list[Poly]], Poly]:
+    """Write a matrix of reduced rational functions as N/delta: the polynomial
+    rows of N and delta, the monic lcm of the entry denominators."""
+    F = rows[0][0].field
+    delta = Poly.one(F)
+    for row in rows:
+        for e in row:
+            if not e.den.is_one():
+                delta = delta // poly_gcd(delta, e.den) * e.den
+    return [[e.num * (delta if e.den.is_one() else delta // e.den) for e in row]
+            for row in rows], delta
 
 
 def _column_matrix(field: Field, columns) -> MatRF:

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from pflags.errors import PreconditionError
+from pflags import hitchin
+from pflags.errors import InternalInvariantError, PreconditionError
 from pflags.fields import GF
 from pflags.hitchin import (
     ChartConn,
@@ -14,7 +15,15 @@ from pflags.hitchin import (
     no_flag_certificate_rank2,
     p_curvature_chart,
 )
-from pflags.matrix import MatRF, charpoly_berkowitz, gauge_transform, inverse, kernel
+from pflags.matrix import (
+    MatRF,
+    _column_matrix,
+    _t_iterates,
+    charpoly_berkowitz,
+    gauge_transform,
+    inverse,
+    kernel,
+)
 from pflags.poly import Poly
 from pflags.pone import complete_flag, p_curvature, verify_flag
 from pflags.ratfunc import RatFunc, in_frobenius_subfield
@@ -71,6 +80,52 @@ def test_p_curvature_chart_rational_entries():
 
                 lhs = apply_connection(c.A, lhs)
             assert lhs == tuple(x * s for s in psi.matvec(e))
+
+
+def _mutation_charts():
+    """Random charts with A != 0 (for A = 0 every iterate of a constant vector
+    vanishes, so an iteration count that is off by one cannot show)."""
+    rng = random.Random(606)
+    charts = []
+    for p in (2, 3, 5):
+        drawn = 0
+        while drawn < 6:
+            c = random_chart_conn(rng, GF(p), r_max=3)
+            if not c.A.is_zero():
+                charts.append(c)
+                drawn += 1
+    return charts
+
+
+def test_p_curvature_recheck_catches_a_wrong_column(monkeypatch):
+    true_psi = hitchin.p_curvature_matrix
+
+    def wrong_column(a, p):
+        """psi with 1 added down its last column."""
+        one = RatFunc.one(a.field)
+        return MatRF(a.field, [row[:-1] + (row[-1] + one,) for row in true_psi(a, p).rows])
+
+    monkeypatch.setattr(hitchin, "p_curvature_matrix", wrong_column)
+    for c in _mutation_charts():
+        with pytest.raises(InternalInvariantError):
+            p_curvature_chart(c)
+
+
+def test_p_curvature_recheck_catches_an_iteration_off_by_one(monkeypatch):
+    def t_p_minus_1(a, p):
+        return _column_matrix(a.field, [its[p - 1] for its in _t_iterates(a, p)])
+
+    charts = _mutation_charts()
+    psis = [p_curvature_chart(c) for c in charts]
+    monkeypatch.setattr(hitchin, "p_curvature_matrix", t_p_minus_1)
+    caught = 0
+    for c, psi in zip(charts, psis):
+        if t_p_minus_1(c.A, c.field.p) == psi:
+            continue  # T^(p-1) = T^p here (e.g. A = 1 at r = 1): nothing to catch
+        with pytest.raises(InternalInvariantError):
+            p_curvature_chart(c)
+        caught += 1
+    assert caught >= len(charts) - 1
 
 
 # -- characteristic polynomial and descent -----------------------------------------------

@@ -75,6 +75,21 @@ def tpoly_det_cofactor(mat, field):
     return acc
 
 
+def charpoly_cofactor(m):
+    """Oracle: det(t - m) by cofactor expansion, ascending, leading 1."""
+    F = m.field
+    r = m.n
+    tmat = []
+    for i in range(r):
+        row = []
+        for j in range(r):
+            lead = RatFunc.one(F) if i == j else RatFunc.zero(F)
+            row.append([-m.rows[i][j], lead])  # t*delta_ij - m_ij
+        tmat.append(row)
+    oracle = tpoly_det_cofactor(tmat, F)
+    return oracle + [RatFunc.zero(F)] * (r + 1 - len(oracle))
+
+
 def test_charpoly_matches_cofactor_expansion_sampled():
     rng = random.Random(2024)
     F = GF(3)
@@ -82,17 +97,69 @@ def test_charpoly_matches_cofactor_expansion_sampled():
         r = rng.randint(1, 3)
         m = MatRF(F, [[RatFunc(random_poly(rng, F, 2)) for _ in range(r)]
                       for _ in range(r)])
-        tmat = []
-        for i in range(r):
-            row = []
-            for j in range(r):
-                lead = RatFunc.one(F) if i == j else RatFunc.zero(F)
-                row.append([-m.rows[i][j], lead])  # t*delta_ij - m_ij
-            tmat.append(row)
-        oracle = tpoly_det_cofactor(tmat, F)
-        got = charpoly_berkowitz(m)
-        oracle = oracle + [RatFunc.zero(F)] * (len(got) - len(oracle))
-        assert got == oracle
+        assert charpoly_berkowitz(m) == charpoly_cofactor(m)
+
+
+def charpoly_entrywise_ref(m):
+    """Reference: Berkowitz's recurrence run directly on the reduced RatFunc
+    entries, with no common denominator."""
+    F = m.field
+
+    def dot(u, v):
+        acc = RatFunc.zero(F)
+        for a, b in zip(u, v):
+            acc = acc + a * b
+        return acc
+
+    one = RatFunc.one(F)
+    poly = [one, -m.rows[0][0]]
+    for i in range(1, m.n):
+        row = m.rows[i][:i]
+        col = tuple(m.rows[t][i] for t in range(i))
+        sub = [m.rows[t][:i] for t in range(i)]
+        toeplitz_col = [one, -m.rows[i][i]]
+        v = col
+        for _ in range(i):
+            toeplitz_col.append(-dot(row, v))
+            v = tuple(dot(r, v) for r in sub)
+        poly = [dot([toeplitz_col[t - b] for b in range(min(t, i) + 1)],
+                    poly[:min(t, i) + 1]) for t in range(i + 2)]
+    poly.reverse()
+    return poly
+
+
+def _matrix_with_dens(rng, field, n, dens):
+    """A random n x n matrix whose entries have no, one shared, or distinct
+    random denominators."""
+    shared = random_poly(rng, field, 2, nonzero=True)
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            num = random_poly(rng, field, 2)
+            if dens == "none":
+                row.append(RatFunc(num))
+            elif dens == "shared":
+                row.append(RatFunc(num, shared))
+            else:
+                row.append(RatFunc(num, random_poly(rng, field, 2, nonzero=True)))
+        rows.append(row)
+    return MatRF(field, rows)
+
+
+def test_charpoly_matches_entrywise_recurrence_and_cofactor():
+    rng = random.Random(606)
+    fields = [GF(2), GF(3), GF(5), GF(7), GF(2, 2), GF(2, 3), GF(3, 2)]
+    for F in fields:
+        for n in range(1, 5):
+            mats = [MatRF.zeros(F, n)]
+            mats += [_matrix_with_dens(rng, F, n, dens)
+                     for dens in ("none", "shared", "distinct") for _ in range(2)]
+            for m in mats:
+                got = charpoly_berkowitz(m)
+                assert tuple(got) == tuple(charpoly_entrywise_ref(m))
+                if n <= 3:
+                    assert got == charpoly_cofactor(m)
 
 
 # -- elimination ---------------------------------------------------------------------
