@@ -138,6 +138,10 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly(F, ())
+        if a == (1,):
+            return other
+        if b == (1,):
+            return self
         out = [0] * (len(a) + len(b) - 1)
         if F.k == 1:
             p = F.p

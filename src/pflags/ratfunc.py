@@ -3,8 +3,9 @@
 Canonical form: gcd(num, den) = 1 and den monic, so equality is structural
 and serialized values are stable.  The canonical form is restored after every
 arithmetic operation.  The gcd is skipped only where the result is canonical
-by construction: the sum, difference and product of two polynomials
-(denominator 1), the negation of any f, and the derivative of a polynomial.
+by construction: any pair with denominator 1 (among them the sum, difference
+and product of two polynomials), the negation of any f, and the derivative of
+a polynomial.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ class RatFunc:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
             den = Poly.one(num.field)
-        else:
+        elif not den.is_one():
             g = poly_gcd(num, den)
             if g.degree > 0:
                 num, den = num // g, den // g
