@@ -11,8 +11,10 @@ modulus, any integer sequence, unreduced residues) is the same ``Field``
 object and field equality is identity.  The extension modulus defaults to the
 monic irreducible polynomial of degree k over F_p whose little-endian
 coefficient vector encodes the smallest integer in base p, so extension fields
-are reproducible across runs.  Fields with q <= 128 precompute multiplication
-and inverse tables; larger fields fall back to digit arithmetic.
+are reproducible across runs.  Extension fields with q <= 128 precompute
+multiplication and inverse tables, plus addition and negation tables in odd
+characteristic.  In characteristic 2 addition and subtraction are the XOR of
+the encodings, at any q.  Larger fields use digit arithmetic for the rest.
 """
 
 from __future__ import annotations
@@ -112,7 +114,8 @@ def find_irreducible_coeffs(p: int, k: int) -> tuple[int, ...]:
 class Field:
     """The finite field F_{p^k} with element arithmetic on int encodings."""
 
-    __slots__ = ("p", "k", "q", "modulus", "_mul_table", "_inv_table")
+    __slots__ = ("p", "k", "q", "modulus", "_add_table", "_neg_table", "_mul_table",
+                 "_inv_table")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         """Build F_{p^k} on a modulus already reduced mod p.  Call ``GF``
@@ -125,6 +128,8 @@ class Field:
         self.k = k
         self.q = p**k
         self.modulus = modulus
+        self._add_table = None
+        self._neg_table = None
         self._mul_table = None
         self._inv_table = None
         if k > 1 and self.q <= _TABLE_MAX:
@@ -170,6 +175,10 @@ class Field:
     def add(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a + b) % self.p
+        if self.p == 2:
+            return a ^ b
+        if self._add_table is not None:
+            return self._add_table[a][b]
         p = self.p
         da, db = _digits(a, p, self.k), _digits(b, p, self.k)
         return _undigits([(x + y) % p for x, y in zip(da, db)], p)
@@ -177,6 +186,10 @@ class Field:
     def sub(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a - b) % self.p
+        if self.p == 2:
+            return a ^ b
+        if self._add_table is not None:
+            return self._add_table[a][self._neg_table[b]]
         p = self.p
         da, db = _digits(a, p, self.k), _digits(b, p, self.k)
         return _undigits([(x - y) % p for x, y in zip(da, db)], p)
@@ -184,6 +197,10 @@ class Field:
     def neg(self, a: int) -> int:
         if self.k == 1:
             return -a % self.p
+        if self.p == 2:
+            return a
+        if self._neg_table is not None:
+            return self._neg_table[a]
         p = self.p
         return _undigits([-x % p for x in _digits(a, p, self.k)], p)
 
@@ -261,6 +278,12 @@ class Field:
 
     def _build_tables(self):
         q = self.q
+        p, k = self.p, self.k
+        if p != 2:
+            digits = [_digits(a, p, k) for a in range(q)]
+            self._add_table = [[_undigits([(x + y) % p for x, y in zip(da, db)], p)
+                                for db in digits] for da in digits]
+            self._neg_table = [_undigits([-x % p for x in da], p) for da in digits]
         self._mul_table = [[self._mul_digits(a, b) for b in range(q)] for a in range(q)]
         inv = [0] * q
         for a in range(1, q):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -98,6 +99,38 @@ def test_distributivity_exhaustive(field):
     els = list(field.elements())
     for a, b, c in itertools.product(els, repeat=3):
         assert field.mul(a, field.add(b, c)) == field.add(field.mul(a, b), field.mul(a, c))
+
+
+def _digit_add_sub_neg(field, a, b):
+    """Oracle: coordinate-wise arithmetic on the base-p digits."""
+    p = field.p
+    da, db = field.coeffs(a), field.coeffs(b)
+    return (field.from_coeffs([x + y for x, y in zip(da, db)]),
+            field.from_coeffs([x - y for x, y in zip(da, db)]),
+            field.from_coeffs([-x % p for x in da]))
+
+
+TABLE_FIELDS = [GF(p, k) for p, k in [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7),
+                                      (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2),
+                                      (11, 2)]]
+
+
+@pytest.mark.parametrize("field", TABLE_FIELDS, ids=repr)
+def test_add_sub_neg_match_digits_on_table_fields(field):
+    assert field.q <= 128
+    for a in field.elements():
+        for b in field.elements():
+            got = (field.add(a, b), field.sub(a, b), field.neg(a))
+            assert got == _digit_add_sub_neg(field, a, b)
+
+
+@pytest.mark.parametrize("field", [GF(2, 8), GF(3, 5)], ids=repr)
+def test_add_sub_neg_match_digits_on_sampled_pairs(field):
+    rng = random.Random(field.q)
+    for _ in range(3000):
+        a, b = rng.randrange(field.q), rng.randrange(field.q)
+        got = (field.add(a, b), field.sub(a, b), field.neg(a))
+        assert got == _digit_add_sub_neg(field, a, b)
 
 
 @given(st.data())
