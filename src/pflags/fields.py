@@ -231,6 +231,8 @@ class Field:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero field element")
+        if a == 1:
+            return 1
         if self.k == 1:
             return pow(a, self.p - 2, self.p)
         if self._inv_table is not None:

@@ -13,26 +13,18 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import (
-    InternalInvariantError,
-    NeedsExtensionError,
-    PflagsError,
-    PreconditionError,
-)
+from .errors import InternalInvariantError, PflagsError, PreconditionError
 from .fields import Field
 from .matrix import (
     MatRF,
     _apply_t_common_den,
     _clear_denominators,
     _rref,
-    apply_connection,
     charpoly_berkowitz,
     gauge_transform,
     horizontal_sections,
     is_nilpotent,
-    kernel,
     p_curvature_matrix,
-    solve,
 )
 from .poly import Poly
 from .ratfunc import RatFunc, in_frobenius_subfield, sqrt_ratfunc
@@ -199,16 +191,15 @@ def nilpotent_flag_chart(c: ChartConn) -> NilpotentFlag:
     """Triangularize a connection whose p-curvature is nilpotent.
 
     Recursively: the kernel of psi is stable under T (psi is T^p, which
-    commutes with T) and carries vanishing p-curvature, so it contains a
-    horizontal vector over F_q(x); that line starts the flag, and the quotient
-    inherits nilpotent p-curvature.  The returned gauge G makes
-    G^{-1} A G + G^{-1} G' upper triangular, which is re-verified.
+    commutes with T) and carries vanishing p-curvature, so T has a horizontal
+    vector over F_q(x); the first vector of ``horizontal_sections`` starts the
+    flag, and the quotient inherits nilpotent p-curvature.  The returned gauge
+    G makes G^{-1} A G + G^{-1} G' upper triangular, which is re-verified.
     """
-    F = c.field
     psi = p_curvature_chart(c)
     if not is_nilpotent(psi):
         raise PreconditionError("p-curvature is not nilpotent; no flag this way")
-    gauge = _triangularize(F, c.A, psi)
+    gauge = _triangularize(c.A)
     transformed = gauge_transform(c.A, gauge)
     for i in range(c.r):
         for j in range(i):
@@ -217,55 +208,34 @@ def nilpotent_flag_chart(c: ChartConn) -> NilpotentFlag:
     return NilpotentFlag(gauge, tuple(range(c.r)))
 
 
-def _triangularize(field: Field, a: MatRF, psi: MatRF | None = None) -> MatRF:
-    """A gauge triangularizing T(v) = v' + a v; psi is the p-curvature of a,
-    computed here when not given."""
+def _triangularize(a: MatRF) -> MatRF:
+    """A gauge triangularizing T(v) = v' + a v, for nilpotent p-curvature:
+    its first column is the first horizontal section of a."""
+    field = a.field
     r = a.n
     if r == 1:
         return MatRF.identity(field, 1)
-    ker = kernel(psi if psi is not None else p_curvature_matrix(a, field.p))
-    if not ker:
+    # A horizontal v lies in ker psi.  Each rref kernel vector of psi has its
+    # last nonzero entry, a 1, at its free column, so v's entries at the free
+    # columns are its coordinates in that basis and its last nonzero entry is
+    # one of them.  The last-first echelon basis is therefore the one T
+    # restricted to ker psi would give, mapped back, and sols[0] is that v0.
+    sols = horizontal_sections(a)
+    if not sols:
         raise PreconditionError("p-curvature has trivial kernel; not nilpotent")
-    v0 = _horizontal_in_subspace(field, a, ker)
-    g1_cols = _extend_to_basis(field, v0, r)
+    g1_cols = _extend_to_basis(field, sols[0], r)
     g1 = MatRF(field, [[g1_cols[j][i] for j in range(r)] for i in range(r)])
     b = gauge_transform(a, g1)
     for i in range(r):
         if not b.rows[i][0].is_zero():
             raise InternalInvariantError("horizontal column did not produce a zero column")
     sub = MatRF(field, [row[1:] for row in b.rows[1:]])
-    g_sub = _triangularize(field, sub)
+    g_sub = _triangularize(sub)
     zero, one = RatFunc.zero(field), RatFunc.one(field)
     block = [[one] + [zero] * (r - 1)]
     for i in range(r - 1):
         block.append([zero] + list(g_sub.rows[i]))
     return g1 * MatRF(field, block)
-
-
-def _horizontal_in_subspace(field: Field, a: MatRF, basis: list) -> tuple:
-    """A nonzero T-horizontal vector inside the T-stable span of basis."""
-    k = len(basis)
-    images = [apply_connection(a, v) for v in basis]
-    cols = []
-    for img in images:
-        x = solve(basis, img, field)
-        if x is None:
-            raise InternalInvariantError("kernel of psi is not stable under T")
-        cols.append(x)
-    restricted = MatRF(field, [[cols[j][i] for j in range(k)] for i in range(k)])
-    sols = horizontal_sections(restricted)
-    if not sols:
-        raise NeedsExtensionError("no horizontal vector over the ground field")
-    w = sols[0]
-    v = [RatFunc.zero(field)] * a.n
-    for coef, bv in zip(w, basis):
-        if coef.is_zero():
-            continue
-        v = [acc + coef * e for acc, e in zip(v, bv)]
-    v = tuple(v)
-    if any(not e.is_zero() for e in apply_connection(a, v)):
-        raise InternalInvariantError("restricted horizontal vector fails in the ambient space")
-    return v
 
 
 def _extend_to_basis(field: Field, v0, r: int) -> list:

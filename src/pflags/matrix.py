@@ -229,21 +229,6 @@ def inverse(m: MatRF) -> MatRF:
     return MatRF(F, [row[n:] for row in rows])
 
 
-def solve(m_cols: list[Vec], target: Vec, field: Field) -> Vec | None:
-    """Solve sum_j x_j * m_cols[j] = target; None when inconsistent."""
-    ncols = len(m_cols)
-    nrows = len(target)
-    aug = [[m_cols[j][i] for j in range(ncols)] + [target[i]] for i in range(nrows)]
-    rows, pivots = _rref(aug)
-    if ncols in pivots:
-        return None
-    zero = RatFunc.zero(field)
-    x = [zero] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = rows[r][ncols]
-    return tuple(x)
-
-
 # -- connection operator and p-curvature ---------------------------------------
 
 

@@ -133,6 +133,16 @@ def test_add_sub_neg_match_digits_on_sampled_pairs(field):
         assert got == _digit_add_sub_neg(field, a, b)
 
 
+@pytest.mark.parametrize("field", [GF(2, 8), GF(3, 5)], ids=repr)
+def test_inverse_without_table(field):
+    """q > 128 has no inverse table; 1 and sampled elements against a^(q-2)."""
+    rng = random.Random(field.q)
+    for a in [1] + [rng.randrange(1, field.q) for _ in range(50)]:
+        inv = field.inv(a)
+        assert inv == field.pow(a, field.q - 2)
+        assert field.mul(a, inv) == 1
+
+
 @given(st.data())
 @settings(max_examples=60)
 def test_frobenius_and_pth_root(data):

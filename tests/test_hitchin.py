@@ -18,11 +18,15 @@ from pflags.hitchin import (
 from pflags.matrix import (
     MatRF,
     _column_matrix,
+    _rref,
     _t_iterates,
+    apply_connection,
     charpoly_berkowitz,
     gauge_transform,
+    horizontal_sections,
     inverse,
     kernel,
+    p_curvature_matrix,
 )
 from pflags.poly import Poly
 from pflags.pone import complete_flag, p_curvature, verify_flag
@@ -276,3 +280,60 @@ def test_nilpotent_flag_randomized_conjugates():
             for _ in range(field.p - 1):
                 scalar = scalar.derivative()
             assert (scalar + diag**field.p).is_zero()
+
+
+# Reference: the first flag vector found by restricting T to ker psi, solving
+# for the horizontal sections of the restriction and mapping the first one
+# back.  The flag takes sols[0] of the ambient sections instead; the two agree.
+
+
+def _solve_ref(m_cols, target):
+    ncols = len(m_cols)
+    rows, pivots = _rref([[col[i] for col in m_cols] + [target[i]]
+                          for i in range(len(target))])
+    assert ncols not in pivots, "kernel of psi is not stable under T"
+    x = [RatFunc.zero(target[0].field)] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = rows[r][ncols]
+    return x
+
+
+def _horizontal_in_ker_psi_ref(a):
+    field = a.field
+    basis = kernel(p_curvature_matrix(a, field.p))
+    k = len(basis)
+    cols = [_solve_ref(basis, apply_connection(a, b)) for b in basis]
+    w = horizontal_sections(MatRF(field, [[cols[j][i] for j in range(k)] for i in range(k)]))[0]
+    v = [RatFunc.zero(field)] * a.n
+    for coef, b in zip(w, basis):
+        v = [acc + coef * e for acc, e in zip(v, b)]
+    return tuple(v)
+
+
+def test_first_section_matches_restriction_to_ker_psi():
+    rng = random.Random(56)
+    for field in (F2, F3, F5, GF(2, 2)):
+        for r in (2, 3, 4):
+            a = gauge_transform(random_strict_upper(rng, field, r),
+                                random_polynomial_gauge(rng, field, r))
+            v0 = _horizontal_in_ker_psi_ref(a)
+            assert horizontal_sections(a)[0] == v0
+            gauge = nilpotent_flag_chart(ChartConn(field, r, a)).gauge
+            assert tuple(row[0] for row in gauge.rows) == v0
+
+
+def test_first_section_matches_restriction_beside_a_cyclic_block():
+    # a flat block beside [[0, 1], [x, 0]] (invertible psi), mixed by a
+    # polynomial gauge: ker psi is not spanned by standard vectors
+    rng = random.Random(57)
+    for field in (F2, F3, F5):
+        for flat_rank in (1, 2):
+            r = flat_rank + 2
+            zero = RatFunc.zero(field)
+            rows = [[zero] * r for _ in range(r)]
+            rows[flat_rank][flat_rank + 1] = RatFunc.one(field)
+            rows[flat_rank + 1][flat_rank] = RatFunc.x(field)
+            a = gauge_transform(MatRF(field, rows), random_polynomial_gauge(rng, field, r))
+            psi = p_curvature_matrix(a, field.p)
+            assert len(kernel(psi)) == flat_rank and not psi.is_zero()
+            assert horizontal_sections(a)[0] == _horizontal_in_ker_psi_ref(a)

@@ -4,6 +4,7 @@ from pflags.errors import PflagsError
 from pflags.fields import GF
 from pflags.matrix import (
     MatRF,
+    _rref,
     apply_connection,
     charpoly_berkowitz,
     gauge_transform,
@@ -12,7 +13,6 @@ from pflags.matrix import (
     is_nilpotent,
     kernel,
     p_curvature_matrix,
-    solve,
 )
 from pflags.poly import Poly
 from pflags.ratfunc import RatFunc
@@ -200,14 +200,6 @@ def test_kernel_of_zero_matrix_is_standard_basis():
         assert [e.is_one() for e in v] == [j == i for j in range(3)]
 
 
-def test_solve_consistent_and_inconsistent():
-    F = GF(5)
-    one, zero, x = RatFunc.one(F), RatFunc.zero(F), RatFunc.x(F)
-    cols = [(one, zero), (x, zero)]
-    assert solve(cols, (x, zero), F) is not None
-    assert solve(cols, (zero, one), F) is None
-
-
 # -- connection operator ---------------------------------------------------------------
 
 
@@ -380,12 +372,26 @@ def horizontal_sections_rp(a):
     return sols
 
 
+def solve_ref(m_cols, target, field):
+    """Solve sum_j x_j m_cols[j] = target by reduced row echelon form of the
+    augmented matrix; None when inconsistent."""
+    ncols = len(m_cols)
+    aug = [[col[i] for col in m_cols] + [target[i]] for i in range(len(target))]
+    rows, pivots = _rref(aug)
+    if ncols in pivots:
+        return None
+    x = [RatFunc.zero(field)] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = rows[r][ncols]
+    return tuple(x)
+
+
 def _restricted_to_ker_psi(a):
     """T restricted to the span of the kernel basis of psi, as in the
     nilpotent flag construction."""
     F = a.field
     basis = kernel(p_curvature_matrix(a, F.p))
-    cols = [solve(basis, apply_connection(a, v), F) for v in basis]
+    cols = [solve_ref(basis, apply_connection(a, v), F) for v in basis]
     k = len(basis)
     return MatRF(F, [[cols[j][i] for j in range(k)] for i in range(k)])
 
