@@ -13,6 +13,7 @@ or usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from importlib import resources
@@ -86,6 +87,9 @@ def _error_status(exc: PflagsError) -> tuple[str, int]:
     return next(ERROR_STATUS[cls] for cls in type(exc).__mro__ if cls in ERROR_STATUS)
 
 
+# built once per process: it depends only on SUBCOMMANDS and FLAG_HELP, each parse_args
+# returns a fresh Namespace, and argparse reads the streams and terminal width at print time
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pflags",
@@ -113,7 +117,7 @@ def _load_payload(args) -> Any:
     if args.input:
         try:
             text = Path(args.input).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read {args.input}: {exc}") from exc
     elif args.inline:
         text = args.inline
@@ -123,6 +127,8 @@ def _load_payload(args) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON input: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("malformed JSON input: nested too deeply") from exc
 
 
 def _assemble(row: Subcommand, args, payload: Any) -> dict:
@@ -189,13 +195,15 @@ def _run_subcommand(name: str, args) -> int:
 
 
 def _load_fixtures(corpus: str | None) -> list[dict]:
-    if corpus:
-        items: list[dict] = []
-        for path in sorted(Path(corpus).glob("*.json")):
-            items.extend(json.loads(path.read_text()))
-        return items
-    text = resources.files("pflags").joinpath("fixtures/fixtures.json").read_text()
-    return json.loads(text)
+    paths = (sorted(Path(corpus).glob("*.json")) if corpus
+             else [resources.files("pflags").joinpath("fixtures/fixtures.json")])
+    items: list[dict] = []
+    for path in paths:
+        loaded = json.loads(path.read_text())
+        if not isinstance(loaded, list) or not all(isinstance(item, dict) for item in loaded):
+            raise ValueError(f"{path.name} is not a JSON array of objects")
+        items.extend(loaded)
+    return items
 
 
 def _run_fixture(item: dict) -> tuple[bool, str]:
@@ -227,7 +235,7 @@ def _run_fixture(item: dict) -> tuple[bool, str]:
 def _run_selftest(args) -> int:
     try:
         fixtures = _load_fixtures(args.corpus)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, RecursionError, ValueError) as exc:
         _emit(_report("selftest", None, None, [], "parse-error", EXIT_PARSE,
                       f"cannot load fixture corpus: {exc}"), args.json)
         return EXIT_PARSE

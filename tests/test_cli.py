@@ -1,6 +1,9 @@
 import json
 from pathlib import Path
 
+import pytest
+
+from pflags import cli
 from pflags.cli import SUBCOMMANDS, main
 from pflags.ops import OP_TABLE
 
@@ -269,3 +272,76 @@ def test_selftest_reports_library_errors(tmp_path, capsys):
     code, out = run(capsys, "selftest", "--corpus", str(corpus), "--filter", "bad-field")
     assert code == 1
     assert "FAIL bad-field/find_irreducible (precondition-error: 4 is not prime)" in out
+
+
+PULLBACK_CONN = json.dumps({"field": {"p": 2, "k": 1}, "level": 0, "twist_degrees": [2, 0],
+                            "A": [[[], [1]], [[], []]]})
+
+# help, usage errors, --json on and off, a flag given and then left at its default
+REUSE_ARGVS = [
+    ["--help"],
+    ["ell-profile", "--r", "x"],
+    ["ell-profile", "--r", "5", "--d", "3", "--json"],
+    ["ell-profile", "--r", "5", "--d", "3"],
+    ["no-such-subcommand"],
+    [],
+    ["pone-pullback", "--help"],
+    ["pone-pullback", "--inline", PULLBACK_CONN, "--s", "2", "--json"],
+    ["pone-pullback", "--inline", PULLBACK_CONN, "--json"],
+    ["hit-dims", "--g", "2", "--r", "2"],
+    ["hit-dims", "--g", "2"],
+    ["selftest", "--filter", "hitchin/dims", "--json"],
+    ["--help"],
+]
+
+
+def _run_all(capsys, fresh: bool) -> list[tuple[int, str, str]]:
+    seen = []
+    for argv in REUSE_ARGVS:
+        if fresh:
+            cli._build_parser.cache_clear()
+        code = main(argv)
+        captured = capsys.readouterr()
+        seen.append((code, captured.out, captured.err))
+    return seen
+
+
+def test_parser_reuse_matches_fresh_parsers(capsys):
+    cached = _run_all(capsys, fresh=False)
+    assert cached == _run_all(capsys, fresh=True)
+    assert [code for code, _, _ in cached] == [0, 3, 0, 0, 3, 3, 0, 0, 0, 0, 3, 0, 0]
+    assert json.loads(cached[7][1])["result"]["connection"]["level"] == 2
+    assert json.loads(cached[8][1])["result"]["connection"]["level"] == 1
+
+
+def _assert_parse_error(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert code == 3 and report["status"] == "parse-error"
+    assert "Traceback" not in captured.out + captured.err
+    return report["error"]
+
+
+def test_non_utf8_input_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "payload.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    error = _assert_parse_error(capsys, "pone-check", "--input", str(path), "--json")
+    assert error.startswith(f"cannot read {path}: ")
+
+
+def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys):
+    deep = "[" * 100000
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    for source in (["--inline", deep], ["--input", str(path)]):
+        error = _assert_parse_error(capsys, "ell-profile", *source, "--json")
+        assert error == "malformed JSON input: nested too deeply"
+
+
+@pytest.mark.parametrize("content", [b'{"a":1}', b'[1, "s"]', b"\xff\xfe\x00",
+                                     b"[" * 100000])
+def test_malformed_corpus_file_is_a_parse_error(tmp_path, capsys, content):
+    (tmp_path / "items.json").write_bytes(content)
+    error = _assert_parse_error(capsys, "selftest", "--corpus", str(tmp_path), "--json")
+    assert error.startswith("cannot load fixture corpus: ")
