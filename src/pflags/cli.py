@@ -116,7 +116,7 @@ def _load_payload(args) -> Any:
         raise ParseError("give either --input or --inline, not both")
     if args.input:
         try:
-            text = Path(args.input).read_text()
+            text = Path(args.input).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read {args.input}: {exc}") from exc
     elif args.inline:
@@ -199,7 +199,10 @@ def _load_fixtures(corpus: str | None) -> list[dict]:
              else [resources.files("pflags").joinpath("fixtures/fixtures.json")])
     items: list[dict] = []
     for path in paths:
-        loaded = json.loads(path.read_text())
+        try:
+            loaded = json.loads(path.read_text(encoding="utf-8"))
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{path.name}: {exc}") from exc
         if not isinstance(loaded, list) or not all(isinstance(item, dict) for item in loaded):
             raise ValueError(f"{path.name} is not a JSON array of objects")
         items.extend(loaded)
@@ -235,7 +238,7 @@ def _run_fixture(item: dict) -> tuple[bool, str]:
 def _run_selftest(args) -> int:
     try:
         fixtures = _load_fixtures(args.corpus)
-    except (OSError, RecursionError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         _emit(_report("selftest", None, None, [], "parse-error", EXIT_PARSE,
                       f"cannot load fixture corpus: {exc}"), args.json)
         return EXIT_PARSE

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -344,4 +347,25 @@ def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys):
 def test_malformed_corpus_file_is_a_parse_error(tmp_path, capsys, content):
     (tmp_path / "items.json").write_bytes(content)
     error = _assert_parse_error(capsys, "selftest", "--corpus", str(tmp_path), "--json")
-    assert error.startswith("cannot load fixture corpus: ")
+    assert error.startswith("cannot load fixture corpus: items.json")
+
+
+def test_files_are_read_as_utf8_whatever_the_locale(tmp_path):
+    # an ASCII locale with Python's UTF-8 mode and locale coercion off: a
+    # locale-decoded read of the non-ASCII bytes below would fail
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    (tmp_path / "payload.json").write_text('{"r": 2, "d": 1, "note": "\u00e9"}',
+                                           encoding="utf-8")
+    item = {"name": "locale/find-irreducible", "note": "\u00e9", "op": "find_irreducible",
+            "input": {"k": 1, "p": 3}, "expect": {"value": [0, 1]}}
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "items.json").write_text(json.dumps([item], ensure_ascii=False),
+                                       encoding="utf-8")
+    for argv in (["ell-profile", "--input", str(tmp_path / "payload.json")],
+                 ["selftest", "--corpus", str(corpus), "--filter", "locale/"]):
+        done = subprocess.run([sys.executable, "-m", "pflags.cli", *argv, "--json"],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert json.loads(done.stdout)["status"] == "ok"
