@@ -17,8 +17,9 @@ from .errors import InternalInvariantError, PflagsError, PreconditionError
 from .fields import Field
 from .matrix import (
     MatRF,
-    _apply_t_common_den,
+    _apply_t,
     _clear_denominators,
+    _poly_dot,
     _rref,
     charpoly_berkowitz,
     gauge_transform,
@@ -99,27 +100,30 @@ class NilpotentFlag:
 def p_curvature_chart(c: ChartConn) -> MatRF:
     """The p-curvature matrix T^p on the chart, T(v) = v' + A v.
 
-    Linearity over the structure sheaf is re-verified on a sample section
-    before returning: T^p(f v) = f T^p(v) with f = x + 1, and T^p(v) = psi v.
-    T is iterated on each vector over one common denominator, independently
-    of psi.  Failure indicates an iteration bug, not bad input.
+    Linearity over the structure sheaf is re-verified on a sample polynomial
+    section v before returning: T^p(f v) = f T^p(v) with f = x + 1, and
+    T^p(v) = psi v.  T is iterated over beta^k, A = B/beta, independently of
+    psi, and both identities are compared on numerators: T^p(f v) and T^p(v)
+    share beta^p, and with psi = N/delta, T^p(v) = n/beta^p the second reads
+    (N v) beta^p = n delta.  Failure indicates an iteration bug, not bad input.
     """
     F = c.field
-    psi = p_curvature_matrix(c.A, F.p)
-    f = RatFunc(Poly(F, (1, 1)))  # x + 1
-    v = tuple(RatFunc(Poly.monomial(F, 1, i % 3)) for i in range(c.r))
+    p = F.p
+    psi = p_curvature_matrix(c.A, p)
+    f = Poly(F, (1, 1))  # x + 1
+    v = [Poly.monomial(F, 1, i % 3) for i in range(c.r)]
     bmat, beta = _clear_denominators(c.A.rows)
-    one = Poly.one(F)
-    lhs = ([f.num * e.num for e in v], one)
-    rhs = ([e.num for e in v], one)
-    for _ in range(F.p):
-        lhs = _apply_t_common_den(bmat, beta, *lhs)
-        rhs = _apply_t_common_den(bmat, beta, *rhs)
-    lhs = tuple(RatFunc(e, lhs[1]) for e in lhs[0])
-    rhs = tuple(RatFunc(e, rhs[1]) for e in rhs[0])
-    if lhs != tuple(f * e for e in rhs):
+    dbeta = beta.derivative()
+    lhs = [f * e for e in v]
+    rhs = v
+    for k in range(p):
+        lhs = _apply_t(bmat, beta, dbeta, lhs, k)
+        rhs = _apply_t(bmat, beta, dbeta, rhs, k)
+    if lhs != [f * e for e in rhs]:
         raise InternalInvariantError("p-curvature operator is not O-linear")
-    if rhs != psi.matvec(v):
+    nmat, delta = _clear_denominators(psi.rows)
+    beta_p = beta**p
+    if any(_poly_dot(row, v) * beta_p != e * delta for row, e in zip(nmat, rhs)):
         raise InternalInvariantError("p-curvature matrix disagrees with iterated T")
     return psi
 

@@ -10,10 +10,12 @@ applied to ker psi, built from the same iterates T^k e_i as psi; the only
 linear solves are r x r over F_q(x) and s x rp over F_q(x^p), with s the
 number of sections.
 
-The characteristic polynomial and the iterates of T work over one common
-denominator: a matrix m is cleared once to N/delta (``_clear_denominators``),
-the work runs on polynomials, and reduced rational functions are formed only
-for the results.
+The characteristic polynomial and the iterates of T work on polynomials: a
+matrix m is cleared once to N/delta (``_clear_denominators``).  With
+A = B/beta, T^k e_i has the fixed denominator beta^k, and its numerators follow
+the classical p-curvature recurrence (Katz), with no gcd in the loop.  Reduced
+rational functions are formed only for the results: the columns of psi and the
+projected sections.
 """
 
 from __future__ import annotations
@@ -250,25 +252,22 @@ def p_curvature_matrix(a: MatRF, p: int) -> MatRF:
 
 
 def _t_iterates(a: MatRF, p: int) -> list[list[tuple[list[Poly], Poly]]]:
-    """The iterates T^k e_i for k = 0..p, one list per i, each as
-    (numerators, common denominator).
-
-    With A = B/beta and v = n/delta, T(v) = (beta(n' delta - n delta') +
-    delta B n) / (beta delta^2), reducing by the gcd each step to keep degrees
-    at their true size.
-    """
+    """The iterates T^k e_i for k = 0..p, one list per i, each as the
+    unreduced pair (numerators, beta^k) with A = B/beta; see ``_apply_t``."""
     F = a.field
     n = a.n
     bmat, beta = _clear_denominators(a.rows)
+    dbeta = beta.derivative()
     zero_p, one_p = Poly.zero(F), Poly.one(F)
+    dens = [beta**k for k in range(p + 1)]
     iterates = []
     for i in range(n):
         num = [zero_p] * n
         num[i] = one_p
-        its = [(num, one_p)]
-        for _ in range(p):
-            its.append(_apply_t_common_den(bmat, beta, *its[-1]))
-        iterates.append(its)
+        nums = [num]
+        for k in range(p):
+            nums.append(_apply_t(bmat, beta, dbeta, nums[-1], k))
+        iterates.append(list(zip(nums, dens)))
     return iterates
 
 
@@ -292,28 +291,17 @@ def _column_matrix(field: Field, columns) -> MatRF:
                          for i in range(n)])
 
 
-def _apply_t_common_den(bmat, beta: Poly, num: list[Poly], den: Poly):
-    """One application of T to v = num/den where A = bmat/beta."""
-    dden = den.derivative()
-    bn = [_poly_dot(row, num) for row in bmat]
-    new_num = [beta * (ni.derivative() * den - ni * dden) + den * bi
-               for ni, bi in zip(num, bn)]
-    new_den = beta * den * den
-    if not new_den.is_one():
-        g = new_den
-        for e in new_num:
-            g = poly_gcd(g, e)
-            if g.degree <= 0:
-                break
-        if g.degree > 0:
-            new_num = [e // g for e in new_num]
-            new_den = new_den // g
-        c = new_den.lc()
-        if c != 1:
-            inv = new_den.field.inv(c)
-            new_den = new_den.scale(inv)
-            new_num = [e.scale(inv) for e in new_num]
-    return new_num, new_den
+def _apply_t(bmat, beta: Poly, dbeta: Poly, num: list[Poly], k: int) -> list[Poly]:
+    """The numerators of T^(k+1) v over beta^(k+1), from T^k v = num/beta^k,
+    where A = bmat/beta and dbeta = beta'.
+
+    (num/beta^k)' + (bmat/beta)(num/beta^k) = (beta num' - k beta' num +
+    bmat num)/beta^(k+1): the classical p-curvature recurrence, with no gcd or
+    division.  The exponent k enters through its image in F_p.
+    """
+    kdb = dbeta.scale(beta.field.scalar(k))
+    return [beta * ni.derivative() - kdb * ni + _poly_dot(row, num)
+            for ni, row in zip(num, bmat)]
 
 
 def _poly_dot(row, vec) -> Poly:

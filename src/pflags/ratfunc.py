@@ -4,8 +4,11 @@ Canonical form: gcd(num, den) = 1 and den monic, so equality is structural
 and serialized values are stable.  The canonical form is restored after every
 arithmetic operation.  The gcd is skipped only where the result is canonical
 by construction: any pair with denominator 1 (among them the sum, difference
-and product of two polynomials), the negation of any f, and the derivative of
-a polynomial.
+and product of two polynomials), the negation of any f, the derivative of a
+polynomial, the inverse (only made monic), f^n for n >= 0, x -> x^n and the
+p-th root of an f in F_q(x^p): a Bezout identity a num + b den = 1 survives
+powers and x -> x^n, a common factor h of p-th roots puts h^p in num and den,
+and monic stays monic.
 """
 
 from __future__ import annotations
@@ -124,12 +127,13 @@ class RatFunc:
     def inv(self) -> "RatFunc":
         if self.is_zero():
             raise ZeroDivisionError("inverse of the zero rational function")
-        return RatFunc(self.den, self.num)
+        c = self.field.inv(self.num.lc())
+        return RatFunc._canonical(self.den.scale(c), self.num.scale(c))
 
     def __pow__(self, n: int) -> "RatFunc":
         if n < 0:
             return self.inv() ** (-n)
-        return RatFunc(self.num**n, self.den**n)
+        return RatFunc._canonical(self.num**n, self.den**n)
 
     # -- calculus and substitution ----------------------------------------------
 
@@ -141,7 +145,7 @@ class RatFunc:
 
     def compose_xpow(self, n: int) -> "RatFunc":
         """Substitute x -> x^n."""
-        return RatFunc(self.num.compose_xpow(n), self.den.compose_xpow(n))
+        return RatFunc._canonical(self.num.compose_xpow(n), self.den.compose_xpow(n))
 
     def evaluate(self, a: int):
         dv = self.den.evaluate(a)
@@ -206,5 +210,5 @@ def in_frobenius_subfield(f: RatFunc, s: int) -> bool:
         if not g.derivative().is_zero():
             return False
         # gcd(num, den) = 1 forces num' = den' = 0 separately
-        g = RatFunc(g.num.pth_root(), g.den.pth_root())
+        g = RatFunc._canonical(g.num.pth_root(), g.den.pth_root())
     return True

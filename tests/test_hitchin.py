@@ -115,6 +115,21 @@ def test_p_curvature_recheck_catches_a_wrong_column(monkeypatch):
             p_curvature_chart(c)
 
 
+def test_p_curvature_recheck_catches_a_changed_denominator(monkeypatch):
+    true_psi = hitchin.p_curvature_matrix
+
+    def last_column_over_x(a, p):
+        """psi with its last column divided by x, so its common denominator
+        changes."""
+        inv_x = RatFunc(Poly.one(a.field), Poly.x(a.field))
+        return MatRF(a.field, [row[:-1] + (row[-1] * inv_x,) for row in true_psi(a, p).rows])
+
+    monkeypatch.setattr(hitchin, "p_curvature_matrix", last_column_over_x)
+    for c in _mutation_charts():
+        with pytest.raises(InternalInvariantError):
+            p_curvature_chart(c)
+
+
 def test_p_curvature_recheck_catches_an_iteration_off_by_one(monkeypatch):
     def t_p_minus_1(a, p):
         return _column_matrix(a.field, [its[p - 1] for its in _t_iterates(a, p)])

@@ -2,9 +2,14 @@ import random
 
 from pflags.errors import PflagsError
 from pflags.fields import GF
+from pflags.hitchin import ChartConn, char_poly_psi
 from pflags.matrix import (
     MatRF,
+    _apply_t,
+    _clear_denominators,
+    _column_matrix,
     _rref,
+    _t_iterates,
     apply_connection,
     charpoly_berkowitz,
     gauge_transform,
@@ -14,7 +19,7 @@ from pflags.matrix import (
     kernel,
     p_curvature_matrix,
 )
-from pflags.poly import Poly
+from pflags.poly import Poly, poly_gcd
 from pflags.ratfunc import RatFunc
 from pflags.sampling import (
     random_flat_conn0,
@@ -226,6 +231,113 @@ def test_p_curvature_matches_naive_iteration():
             a = MatRF(F, [[random_ratfunc(rng, F, 2, 1) for _ in range(r)]
                           for _ in range(r)])
             assert p_curvature_matrix(a, p) == naive_p_curvature(a, p)
+
+
+# -- fixed-denominator iteration against the gcd-per-step reference -----------------
+
+POLE_FIELDS = [GF(2), GF(3), GF(5), GF(7), GF(2, 2), GF(3, 2)]
+
+
+def reference_apply_t(bmat, beta, num, den):
+    """T(num/den) with A = bmat/beta as (beta(num' den - num den') + den bmat num)
+    / (beta den^2), reduced by the gcd of every entry and made monic."""
+    field = beta.field
+    bn = []
+    for row in bmat:
+        acc = Poly.zero(field)
+        for b, e in zip(row, num):
+            acc = acc + b * e
+        bn.append(acc)
+    dden = den.derivative()
+    new_num = [beta * (e.derivative() * den - e * dden) + den * b for e, b in zip(num, bn)]
+    new_den = beta * den * den
+    g = new_den
+    for e in new_num:
+        g = poly_gcd(g, e)
+    new_num = [e // g for e in new_num]
+    new_den = new_den // g
+    c = field.inv(new_den.lc())
+    return [e.scale(c) for e in new_num], new_den.scale(c)
+
+
+def reference_iterates(a, steps):
+    """T^k e_i for k = 0..steps by ``reference_apply_t``, one list per i."""
+    field = a.field
+    bmat, beta = _clear_denominators(a.rows)
+    out = []
+    for i in range(a.n):
+        its = [([Poly.one(field) if t == i else Poly.zero(field) for t in range(a.n)],
+                Poly.one(field))]
+        for _ in range(steps):
+            its.append(reference_apply_t(bmat, beta, *its[-1]))
+        out.append(its)
+    return out
+
+
+def pole_chart(rng, field, r, poles):
+    """A random r x r matrix whose entry denominators are 1 ("none"), one
+    shared quadratic ("shared"), a linear factor per entry ("distinct") or a
+    square or cube of one ("repeated")."""
+    def linear():
+        return Poly(field, [rng.randrange(field.q), 1])
+
+    shared = linear() * linear()
+    den = {"none": lambda: Poly.one(field), "shared": lambda: shared,
+           "distinct": linear, "repeated": lambda: linear() ** rng.randint(2, 3)}[poles]
+    return MatRF(field, [[RatFunc(random_poly(rng, field, 2), den()) for _ in range(r)]
+                         for _ in range(r)])
+
+
+def pole_charts():
+    rng = random.Random(2014)
+    return [pole_chart(rng, field, r, poles) for field in POLE_FIELDS
+            for poles in ("none", "shared", "distinct", "repeated") for r in range(1, 5)]
+
+
+def test_t_iterates_match_gcd_per_step_reference():
+    for a in pole_charts():
+        p = a.field.p
+        ref = reference_iterates(a, 2 * p)
+        new = _t_iterates(a, p)
+        for its, ref_its in zip(new, ref):
+            for (num, den), (ref_num, ref_den) in zip(its, ref_its):
+                assert [RatFunc(e, den) for e in num] == [RatFunc(e, ref_den) for e in ref_num]
+        assert p_curvature_matrix(a, p) == _column_matrix(a.field, [its[p] for its in ref])
+        if a.n > 2:
+            continue
+        # past T^p the step's k >= p must enter as k mod p (over GF(4) and GF(9)
+        # the integer k itself would be another field element)
+        bmat, beta = _clear_denominators(a.rows)
+        for its, ref_its in zip(new, ref):
+            num = its[p][0]
+            for k in range(p, 2 * p):
+                num = _apply_t(bmat, beta, beta.derivative(), num, k)
+                ref_num, ref_den = ref_its[k + 1]
+                assert ([RatFunc(e, beta ** (k + 1)) for e in num]
+                        == [RatFunc(e, ref_den) for e in ref_num])
+
+
+def p31_chart():
+    """A rank-2 chart at p = 31 whose det psi is not zero."""
+    return pole_chart(random.Random(31), GF(31), 2, "shared")
+
+
+def test_t_iterate_degrees_grow_at_most_linearly():
+    for a in pole_charts() + [p31_chart()]:
+        bmat, beta = _clear_denominators(a.rows)
+        step = max(beta.degree - 1, max(e.degree for row in bmat for e in row))
+        for its in _t_iterates(a, a.field.p):
+            for k, (num, den) in enumerate(its):
+                assert den == beta**k
+                assert all(e.degree <= k * step for e in num if not e.is_zero())
+
+
+def test_char_poly_psi_at_p_31_matches_reference():
+    a = p31_chart()
+    psi = _column_matrix(a.field, [its[31] for its in reference_iterates(a, 31)])
+    coeffs = list(char_poly_psi(ChartConn(a.field, 2, a)).coeffs)
+    assert not coeffs[0].is_zero()
+    assert coeffs == charpoly_berkowitz(psi)[:-1]
 
 
 def test_scalar_jacobson_formula():

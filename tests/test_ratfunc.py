@@ -1,7 +1,7 @@
 import operator
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pflags.errors import PflagsError
@@ -160,3 +160,57 @@ def test_membership_over_extension_field_uses_coefficient_roots():
     f = RatFunc(Poly(F, (0, 0, g)))  # g * x^2 = (sqrt(g) x)^2 in char 2
     assert in_frobenius_subfield(f, 1)
     assert not in_frobenius_subfield(RatFunc(Poly(F, (0, g))), 1)
+
+
+# -- gcd-free results against the plain constructor -------------------------------------
+
+GCD_FREE_FIELDS = [GF(2), GF(3), GF(5), GF(2, 2), GF(3, 2)]
+
+
+def shared_factor_ratfuncs(field):
+    """f = (a s)/(b s) for random a, b and a random nonzero common factor s, so
+    that the constructor has a factor to cancel."""
+    coeff = st.integers(0, field.q - 1)
+    poly = st.lists(coeff, max_size=4).map(lambda cs: Poly(field, cs))
+    nonzero = st.lists(coeff, min_size=1, max_size=4).filter(any).map(
+        lambda cs: Poly(field, cs))
+    return st.tuples(poly, nonzero, nonzero).map(lambda t: RatFunc(t[0] * t[2], t[1] * t[2]))
+
+
+def field_and_shared_factor_ratfunc():
+    return st.sampled_from(GCD_FREE_FIELDS).flatmap(
+        lambda f: st.tuples(st.just(f), shared_factor_ratfuncs(f)))
+
+
+@pytest.fixture
+def checked_canonical(monkeypatch):
+    """Make every gcd-free result check itself against RatFunc(num, den)."""
+    fast = RatFunc._canonical
+
+    def checked(num, den):
+        plain = RatFunc(num, den)
+        assert (plain.num, plain.den) == (num, den)
+        return fast(num, den)
+
+    monkeypatch.setattr(RatFunc, "_canonical", checked)
+
+
+@given(field_and_shared_factor_ratfunc(), st.integers(0, 3), st.integers(1, 4))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_gcd_free_paths_match_the_plain_constructor(checked_canonical, fr, n, m):
+    _, f = fr
+    assert f**n == RatFunc(f.num**n, f.den**n)
+    assert f.compose_xpow(m) == RatFunc(f.num.compose_xpow(m), f.den.compose_xpow(m))
+    if not f.is_zero():
+        assert f.inv() == RatFunc(f.den, f.num)
+        assert f ** -n == RatFunc(f.den**n, f.num**n)
+
+
+@given(field_and_shared_factor_ratfunc(), st.integers(1, 2))
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_pth_root_step_matches_the_plain_constructor(checked_canonical, fr, s):
+    field, f = fr
+    # builds each x^(p^s) substitution and p-th root through the checked path
+    assert in_frobenius_subfield(f.compose_xpow(field.p**s), s)
