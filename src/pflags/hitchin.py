@@ -18,14 +18,15 @@ from .fields import Field
 from .matrix import (
     MatRF,
     _apply_t,
+    _charpoly_cleared,
     _clear_denominators,
+    _horizontal_sections,
     _poly_dot,
-    _rref,
-    charpoly_berkowitz,
+    _psi,
+    _t_iterates,
     gauge_transform,
     horizontal_sections,
     is_nilpotent,
-    p_curvature_matrix,
 )
 from .poly import Poly
 from .ratfunc import RatFunc, in_frobenius_subfield, sqrt_ratfunc
@@ -107,12 +108,20 @@ def p_curvature_chart(c: ChartConn) -> MatRF:
     share beta^p, and with psi = N/delta, T^p(v) = n/beta^p the second reads
     (N v) beta^p = n delta.  Failure indicates an iteration bug, not bad input.
     """
+    return _checked_p_curvature(c)[0]
+
+
+def _checked_p_curvature(c: ChartConn):
+    """``p_curvature_chart`` with what it built on the way: (psi, the
+    ``_t_iterates`` of A, N, delta) with psi = N/delta.  A and psi are each
+    cleared of denominators once."""
     F = c.field
     p = F.p
-    psi = p_curvature_matrix(c.A, p)
+    bmat, beta = _clear_denominators(c.A.rows)
+    iterates = _t_iterates(bmat, beta, p)
+    psi = _psi(F, iterates)
     f = Poly(F, (1, 1))  # x + 1
     v = [Poly.monomial(F, 1, i % 3) for i in range(c.r)]
-    bmat, beta = _clear_denominators(c.A.rows)
     dbeta = beta.derivative()
     lhs = [f * e for e in v]
     rhs = v
@@ -125,13 +134,14 @@ def p_curvature_chart(c: ChartConn) -> MatRF:
     beta_p = beta**p
     if any(_poly_dot(row, v) * beta_p != e * delta for row, e in zip(nmat, rhs)):
         raise InternalInvariantError("p-curvature matrix disagrees with iterated T")
-    return psi
+    return psi, iterates, nmat, delta
 
 
 def char_poly_psi(c: ChartConn) -> CharPolyP:
     """det(t - psi) by the division-free recurrence; each coefficient is
     tested for membership in the twist function field F_q(x^p)."""
-    cp = charpoly_berkowitz(p_curvature_chart(c))
+    _, _, nmat, delta = _checked_p_curvature(c)
+    cp = _charpoly_cleared(nmat, delta)
     coeffs = tuple(cp[:-1])
     descent_ok = all(in_frobenius_subfield(a, 1) for a in coeffs if not a.is_zero())
     return CharPolyP(coeffs, descent_ok)
@@ -200,10 +210,10 @@ def nilpotent_flag_chart(c: ChartConn) -> NilpotentFlag:
     flag, and the quotient inherits nilpotent p-curvature.  The returned gauge
     G makes G^{-1} A G + G^{-1} G' upper triangular, which is re-verified.
     """
-    psi = p_curvature_chart(c)
+    psi, iterates, _, _ = _checked_p_curvature(c)
     if not is_nilpotent(psi):
         raise PreconditionError("p-curvature is not nilpotent; no flag this way")
-    gauge = _triangularize(c.A)
+    gauge = _triangularize(c.A, (iterates, psi))
     transformed = gauge_transform(c.A, gauge)
     for i in range(c.r):
         for j in range(i):
@@ -212,9 +222,11 @@ def nilpotent_flag_chart(c: ChartConn) -> NilpotentFlag:
     return NilpotentFlag(gauge, tuple(range(c.r)))
 
 
-def _triangularize(a: MatRF) -> MatRF:
+def _triangularize(a: MatRF, verified=None) -> MatRF:
     """A gauge triangularizing T(v) = v' + a v, for nilpotent p-curvature:
-    its first column is the first horizontal section of a."""
+    its first column is the first horizontal section of a.  ``verified`` is
+    the pair (iterates, psi) of a when the caller has built and re-checked
+    them."""
     field = a.field
     r = a.n
     if r == 1:
@@ -224,12 +236,11 @@ def _triangularize(a: MatRF) -> MatRF:
     # columns are its coordinates in that basis and its last nonzero entry is
     # one of them.  The last-first echelon basis is therefore the one T
     # restricted to ker psi would give, mapped back, and sols[0] is that v0.
-    sols = horizontal_sections(a)
+    sols = horizontal_sections(a) if verified is None else _horizontal_sections(a, *verified)
     if not sols:
         raise PreconditionError("p-curvature has trivial kernel; not nilpotent")
-    g1_cols = _extend_to_basis(field, sols[0], r)
-    g1 = MatRF(field, [[g1_cols[j][i] for j in range(r)] for i in range(r)])
-    b = gauge_transform(a, g1)
+    g1, g1_inv = _extend_to_basis(field, sols[0], r)
+    b = g1_inv * (a * g1 + g1.derivative())
     for i in range(r):
         if not b.rows[i][0].is_zero():
             raise InternalInvariantError("horizontal column did not produce a zero column")
@@ -242,13 +253,22 @@ def _triangularize(a: MatRF) -> MatRF:
     return g1 * MatRF(field, block)
 
 
-def _extend_to_basis(field: Field, v0, r: int) -> list:
-    """Columns [v0, standard vectors] greedily completed to an invertible set:
-    the pivot columns of the reduced row echelon form of [v0 | I]."""
+def _extend_to_basis(field: Field, v0, r: int) -> tuple[MatRF, MatRF]:
+    """The gauge g = [v0 | e_s1 ... e_s(r-1)] and its inverse, where
+    s1 < ... < s(r-1) are the indices other than m, the last index with
+    v0[m] != 0.  These are the standard columns that complete v0 greedily
+    to a basis (the pivot columns of the echelon form of [v0 | I]).
+
+    The inverse is closed-form: g^-1 e_sk = e_k, and as
+    e_m = (v0 - sum_k v0[sk] e_sk) / v0[m], g^-1 e_m = (e_0 - sum_k v0[sk] e_k)
+    / v0[m].
+    """
     zero, one = RatFunc.zero(field), RatFunc.one(field)
-    rows = [[v0[t]] + [one if j == t else zero for j in range(r)] for t in range(r)]
-    _, pivots = _rref(rows)
-    if len(pivots) != r or pivots[0] != 0:
-        raise InternalInvariantError("failed to extend a vector to a basis")
-    return [tuple(v0)] + [tuple(one if t == c - 1 else zero for t in range(r))
-                          for c in pivots[1:]]
+    m = max(i for i in range(r) if not v0[i].is_zero())
+    others = [i for i in range(r) if i != m]
+    g = MatRF(field, [[v0[i]] + [one if i == s else zero for s in others] for i in range(r)])
+    inv_vm = v0[m].inv()
+    inv = [[inv_vm if j == m else zero for j in range(r)]]
+    for s in others:
+        inv.append([one if j == s else -v0[s] * inv_vm if j == m else zero for j in range(r)])
+    return g, MatRF(field, inv)

@@ -15,7 +15,11 @@ matrix m is cleared once to N/delta (``_clear_denominators``).  With
 A = B/beta, T^k e_i has the fixed denominator beta^k, and its numerators follow
 the classical p-curvature recurrence (Katz), with no gcd in the loop.  Reduced
 rational functions are formed only for the results: the columns of psi and the
-projected sections.
+projected sections.  The private helpers take the cleared forms, so a caller
+that needs several results of one connection (``hitchin``: psi, its
+re-check, its characteristic polynomial, the horizontal sections) clears A
+once and psi once: (B, beta) feeds ``_t_iterates`` and the re-check, and
+(N, delta) of psi feeds the re-check and ``_charpoly_cleared``.
 """
 
 from __future__ import annotations
@@ -137,10 +141,13 @@ def charpoly_berkowitz(m: MatRF) -> list[RatFunc]:
     denominators, det(t - m) = sum_i c_i t^i / delta^(n-i), where the c_i are
     the coefficients of det(s - N).
     """
-    F = m.field
-    n = m.n
-    rows, delta = _clear_denominators(m.rows)
-    one = Poly.one(F)
+    return _charpoly_cleared(*_clear_denominators(m.rows))
+
+
+def _charpoly_cleared(rows, delta: Poly) -> list[RatFunc]:
+    """``charpoly_berkowitz`` of N/delta, from the polynomial rows of N."""
+    n = len(rows)
+    one = Poly.one(delta.field)
     poly = [one, -rows[0][0]]  # descending coefficients for the 1x1 corner
     for i in range(1, n):
         row = rows[i][:i]
@@ -248,15 +255,14 @@ def gauge_transform(a: MatRF, g: MatRF) -> MatRF:
 
 def p_curvature_matrix(a: MatRF, p: int) -> MatRF:
     """The matrix of T^p, T(v) = v' + A v; O_X-linear by Jacobson's theorem."""
-    return _column_matrix(a.field, [its[p] for its in _t_iterates(a, p)])
+    return _psi(a.field, _t_iterates(*_clear_denominators(a.rows), p))
 
 
-def _t_iterates(a: MatRF, p: int) -> list[list[tuple[list[Poly], Poly]]]:
+def _t_iterates(bmat, beta: Poly, p: int) -> list[list[tuple[list[Poly], Poly]]]:
     """The iterates T^k e_i for k = 0..p, one list per i, each as the
-    unreduced pair (numerators, beta^k) with A = B/beta; see ``_apply_t``."""
-    F = a.field
-    n = a.n
-    bmat, beta = _clear_denominators(a.rows)
+    unreduced pair (numerators, beta^k) with A = bmat/beta; see ``_apply_t``."""
+    F = beta.field
+    n = len(bmat)
     dbeta = beta.derivative()
     zero_p, one_p = Poly.zero(F), Poly.one(F)
     dens = [beta**k for k in range(p + 1)]
@@ -289,6 +295,11 @@ def _column_matrix(field: Field, columns) -> MatRF:
     n = len(columns)
     return MatRF(field, [[RatFunc(columns[j][0][i], columns[j][1]) for j in range(n)]
                          for i in range(n)])
+
+
+def _psi(field: Field, iterates) -> MatRF:
+    """psi from ``_t_iterates``: column i is the last iterate of e_i."""
+    return _column_matrix(field, [its[-1] for its in iterates])
 
 
 def _apply_t(bmat, beta: Poly, dbeta: Poly, num: list[Poly], k: int) -> list[Poly]:
@@ -361,11 +372,16 @@ def horizontal_sections(a: MatRF) -> list[Vec]:
     kernel basis Gaussian elimination of the rp x rp matrix of T would give.
     Every returned vector is re-verified to be horizontal.
     """
+    iterates = _t_iterates(*_clear_denominators(a.rows), a.field.p)
+    return _horizontal_sections(a, iterates, _psi(a.field, iterates))
+
+
+def _horizontal_sections(a: MatRF, iterates, psi: MatRF) -> list[Vec]:
+    """``horizontal_sections`` of a from its ``_t_iterates`` and psi."""
     F = a.field
     p = F.p
     r = a.n
-    iterates = _t_iterates(a, p)
-    ker = kernel(_column_matrix(F, [its[p] for its in iterates]))
+    ker = kernel(psi)
     if not ker:
         return []
     s = len(ker)

@@ -9,6 +9,7 @@ from pflags.hitchin import (
     ChartConn,
     HitchinDims,
     Verdict,
+    _extend_to_basis,
     char_poly_psi,
     hitchin_dims,
     nilpotent_flag_chart,
@@ -17,7 +18,8 @@ from pflags.hitchin import (
 )
 from pflags.matrix import (
     MatRF,
-    _column_matrix,
+    _clear_denominators,
+    _psi,
     _rref,
     _t_iterates,
     apply_connection,
@@ -35,6 +37,7 @@ from pflags.sampling import (
     random_chart_conn,
     random_conn0,
     random_polynomial_gauge,
+    random_ratfunc,
     random_strict_upper,
 )
 
@@ -101,50 +104,79 @@ def _mutation_charts():
     return charts
 
 
+def _iterates_through(monkeypatch, mutate):
+    """Make the chart operations build psi from mutate(iterates).  The
+    re-check iterates T on its own sample vector, not through
+    ``_t_iterates``, so it must catch every mutation that changes psi."""
+    true_iterates = hitchin._t_iterates
+    monkeypatch.setattr(hitchin, "_t_iterates",
+                        lambda bmat, beta, p: mutate(true_iterates(bmat, beta, p)))
+
+
+def _mutated_psi(c, mutate):
+    return _psi(c.field, mutate(_t_iterates(*_clear_denominators(c.A.rows), c.field.p)))
+
+
+def wrong_column(iterates):
+    """psi with 1 added down its last column: its T^p numerators n over
+    beta^p become n + beta^p."""
+    nums, den = iterates[-1][-1]
+    return iterates[:-1] + [iterates[-1][:-1] + [([e + den for e in nums], den)]]
+
+
+def last_column_over_x(iterates):
+    """psi with its last column divided by x, so its common denominator
+    changes."""
+    nums, den = iterates[-1][-1]
+    return iterates[:-1] + [iterates[-1][:-1] + [(nums, den * Poly.x(den.field))]]
+
+
+def t_p_minus_1(iterates):
+    """T^(p-1) in place of T^p."""
+    return [its[:-1] + [its[-2]] for its in iterates]
+
+
 def test_p_curvature_recheck_catches_a_wrong_column(monkeypatch):
-    true_psi = hitchin.p_curvature_matrix
-
-    def wrong_column(a, p):
-        """psi with 1 added down its last column."""
-        one = RatFunc.one(a.field)
-        return MatRF(a.field, [row[:-1] + (row[-1] + one,) for row in true_psi(a, p).rows])
-
-    monkeypatch.setattr(hitchin, "p_curvature_matrix", wrong_column)
-    for c in _mutation_charts():
+    charts = _mutation_charts()
+    _iterates_through(monkeypatch, wrong_column)
+    for c in charts:
         with pytest.raises(InternalInvariantError):
             p_curvature_chart(c)
+        with pytest.raises(InternalInvariantError):
+            char_poly_psi(c)
 
 
 def test_p_curvature_recheck_catches_a_changed_denominator(monkeypatch):
-    true_psi = hitchin.p_curvature_matrix
-
-    def last_column_over_x(a, p):
-        """psi with its last column divided by x, so its common denominator
-        changes."""
-        inv_x = RatFunc(Poly.one(a.field), Poly.x(a.field))
-        return MatRF(a.field, [row[:-1] + (row[-1] * inv_x,) for row in true_psi(a, p).rows])
-
-    monkeypatch.setattr(hitchin, "p_curvature_matrix", last_column_over_x)
-    for c in _mutation_charts():
+    charts = _mutation_charts()
+    _iterates_through(monkeypatch, last_column_over_x)
+    for c in charts:
         with pytest.raises(InternalInvariantError):
             p_curvature_chart(c)
+        with pytest.raises(InternalInvariantError):
+            char_poly_psi(c)
 
 
 def test_p_curvature_recheck_catches_an_iteration_off_by_one(monkeypatch):
-    def t_p_minus_1(a, p):
-        return _column_matrix(a.field, [its[p - 1] for its in _t_iterates(a, p)])
-
     charts = _mutation_charts()
     psis = [p_curvature_chart(c) for c in charts]
-    monkeypatch.setattr(hitchin, "p_curvature_matrix", t_p_minus_1)
+    _iterates_through(monkeypatch, t_p_minus_1)
     caught = 0
     for c, psi in zip(charts, psis):
-        if t_p_minus_1(c.A, c.field.p) == psi:
+        if _mutated_psi(c, t_p_minus_1) == psi:
             continue  # T^(p-1) = T^p here (e.g. A = 1 at r = 1): nothing to catch
         with pytest.raises(InternalInvariantError):
             p_curvature_chart(c)
+        with pytest.raises(InternalInvariantError):
+            char_poly_psi(c)
         caught += 1
     assert caught >= len(charts) - 1
+
+
+def test_char_poly_psi_is_berkowitz_of_the_chart_psi():
+    p31 = random_chart_conn(random.Random(36), GF(31), r=2)
+    assert not char_poly_psi(p31).coeffs[0].is_zero()
+    for c in _mutation_charts() + [p31]:
+        assert char_poly_psi(c).coeffs == tuple(charpoly_berkowitz(p_curvature_chart(c))[:-1])
 
 
 # -- characteristic polynomial and descent -----------------------------------------------
@@ -352,3 +384,29 @@ def test_first_section_matches_restriction_beside_a_cyclic_block():
             psi = p_curvature_matrix(a, field.p)
             assert len(kernel(psi)) == flat_rank and not psi.is_zero()
             assert horizontal_sections(a)[0] == _horizontal_in_ker_psi_ref(a)
+
+
+def _extend_to_basis_ref(field, v0, r):
+    """[v0 | standard columns] completed greedily: the pivot columns of the
+    reduced row echelon form of [v0 | I]."""
+    zero, one = RatFunc.zero(field), RatFunc.one(field)
+    _, pivots = _rref([[v0[t]] + [one if j == t else zero for j in range(r)]
+                       for t in range(r)])
+    assert len(pivots) == r and pivots[0] == 0
+    cols = [tuple(v0)] + [tuple(one if t == c - 1 else zero for t in range(r))
+                          for c in pivots[1:]]
+    return MatRF(field, [[cols[j][i] for j in range(r)] for i in range(r)])
+
+
+def test_extend_to_basis_closed_form_inverse():
+    rng = random.Random(58)
+    for field in (F2, F3, F5, GF(2, 2)):
+        for r in (1, 2, 3, 4):
+            for _ in range(6):
+                v0 = [random_ratfunc(rng, field, 2, 1) if rng.random() < 0.6
+                      else RatFunc.zero(field) for _ in range(r)]
+                if all(e.is_zero() for e in v0):
+                    v0[rng.randrange(r)] = RatFunc.one(field)
+                g, g_inv = _extend_to_basis(field, v0, r)
+                assert g == _extend_to_basis_ref(field, v0, r)
+                assert g_inv == inverse(g)

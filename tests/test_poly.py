@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pflags.errors import PflagsError
-from pflags.fields import GF
+from pflags.fields import GF, Field
 from pflags.poly import Poly, find_irreducible, poly_gcd, roots_in_field
 
 FIELDS = [GF(2), GF(3), GF(5), GF(7), GF(31), GF(2, 2), GF(3, 2)]
@@ -171,6 +171,87 @@ def test_prime_field_kernel_matches_field_loops(operands):
         else:
             q, r = divmod(x, y)
             assert (q.coeffs, r.coeffs) == ref_divmod(F, x.coeffs, y.coeffs)
+
+
+# -- Kronecker products over F_p against the schoolbook loop
+
+P61 = 2**61 - 1
+KRONECKER_FIELDS = {p: GF(p) for p in (2, 3, 5, 7, 31, 65521, 2**31 - 1)}
+# GF proves primality by trial division, which is too slow at 2^61 - 1; a
+# prime field's element arithmetic does not depend on its modulus, so the
+# Field constructor is called directly
+KRONECKER_FIELDS[P61] = Field(P61, 1, (0, 1))
+
+
+def schoolbook(a, b, p) -> tuple:
+    """The product of two ascending coefficient sequences mod p."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return _trim(out)
+
+
+@st.composite
+def kronecker_operands(draw):
+    """A prime field and two coefficient lists of length 0..80, often with
+    zeros at the low end and (stripped by Poly) at the high end, or 1."""
+    F = KRONECKER_FIELDS[draw(st.sampled_from(sorted(KRONECKER_FIELDS)))]
+    p = F.p
+    coeff = st.one_of(st.just(0), st.just(p - 1), st.integers(0, p - 1))
+
+    def operand():
+        if draw(st.integers(0, 9)) == 0:
+            return [1]
+        body = draw(st.lists(coeff, max_size=80))
+        low = draw(st.integers(0, 80 - len(body)))
+        high = draw(st.integers(0, 80 - len(body) - low))
+        return [0] * low + body + [0] * high
+
+    return F, operand(), operand()
+
+
+@given(kronecker_operands())
+@settings(max_examples=300, deadline=None)
+def test_prime_field_product_matches_schoolbook(operands):
+    F, a, b = operands
+    f, g = Poly(F, a), Poly(F, b)
+    assert (f * g).coeffs == schoolbook(f.coeffs, g.coeffs, F.p)
+    assert (g * f).coeffs == (f * g).coeffs
+
+
+def _slot_boundaries():
+    """(p, n) with n (p - 1)^2 just below and just above 2^8, 2^16, 2^32 and
+    2^64, for 1 <= n <= 80."""
+    out = set()
+    for p in KRONECKER_FIELDS:
+        for bits in (8, 16, 32, 64):
+            below = (2**bits - 1) // (p - 1) ** 2  # largest n with n (p-1)^2 < 2^bits
+            out.update((p, n) for n in (below, below + 1) if 1 <= n <= 80)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("p,n", _slot_boundaries())
+def test_prime_field_product_at_slot_boundaries(p, n):
+    # with every coefficient p - 1 the middle coefficient of the integer
+    # product is n (p - 1)^2, the most a slot has to hold
+    F = KRONECKER_FIELDS[p]
+    short = Poly(F, [p - 1] * n)
+    for long_len in (n, n + 1, 80):
+        long = Poly(F, [p - 1] * long_len)
+        expected = schoolbook(short.coeffs, long.coeffs, p)
+        assert (short * long).coeffs == expected
+        assert (long * short).coeffs == expected
+
+
+def test_prime_field_product_unit_short_circuits():
+    for F in KRONECKER_FIELDS.values():
+        f = Poly(F, [0, F.p - 1, 1])
+        one = Poly.one(F)
+        assert f * one is f and one * f is f
+        assert (f * Poly.zero(F)).is_zero() and (Poly.zero(F) * f).is_zero()
 
 
 @pytest.mark.parametrize("F,G", [(GF(5), GF(7)), (GF(7), GF(5)), (GF(3), GF(3, 2)), (GF(3, 2), GF(3))])
