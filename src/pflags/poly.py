@@ -8,8 +8,15 @@ coordinate x and, after a Frobenius rewrite, in the twist coordinate.
 
 Over a prime field (k = 1) the ring operations, division with remainder and
 ``poly_gcd`` work on the coefficients as plain ints mod p, reducing through
-``fields._reduce_mod_p``; over an extension field they go through the
-``Field`` element methods.
+``fields._reduce_mod_p``.  Over an extension field with log tables (q up to
+the cap in ``fields``) the product and the reduction behind division and
+``poly_gcd`` read ``_exp``, ``_log`` and ``_zech`` directly: the logs of the
+fixed operand (the second factor, the divisor) are taken once per call, and
+each inner step of ``_add_multiples_log`` is one ``_exp`` lookup plus an XOR
+(p = 2) or a Zech step (odd p), with no ``Field`` method call.  In division
+the log of each quotient coefficient is reduced mod q - 1 before a divisor
+log is added, so the index stays inside the doubled ``_exp``.  Above the
+cap, and for the other operations, the ``Field`` element methods are used.
 
 A product over a prime field is one big-integer product (Kronecker
 substitution, ``_mul_mod_p``).  Each coefficient tuple is packed into an int,
@@ -160,7 +167,14 @@ class Poly:
             return self
         if F.k == 1:
             return Poly(F, _mul_mod_p(a, b, F.p))
+        log = F._log
         out = [0] * (len(a) + len(b) - 1)
+        if log is not None:
+            lb = [(j, log[y]) for j, y in enumerate(b) if y]  # once per call
+            for i, x in enumerate(a):
+                if x:
+                    _add_multiples_log(out, i, log[x], lb, F)
+            return Poly(F, out)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
@@ -201,16 +215,7 @@ class Poly:
         if self.degree < db:
             return Poly(F, ()), self
         quo = [0] * (self.degree - db + 1)
-        if F.k == 1:
-            _reduce_mod_p(rem, other.coeffs, F.p, quo)
-        else:
-            inv_lead = F.inv(other.lc())
-            for shift in range(self.degree - db, -1, -1):
-                c = F.mul(rem[shift + db], inv_lead)
-                if c:
-                    quo[shift] = c
-                    for i, bc in enumerate(other.coeffs):
-                        rem[shift + i] = F.sub(rem[shift + i], F.mul(c, bc))
+        _reduce(rem, other.coeffs, F, quo)
         return Poly(F, quo), Poly(F, rem)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
@@ -325,23 +330,72 @@ def _mul_mod_p(a, b, p: int) -> list[int]:
     return [int.from_bytes(data[i:i + width], "little") % p for i in range(0, m * width, width)]
 
 
+def _add_multiples_log(out: list[int], base: int, lc: int, pairs, F: Field):
+    """out[base + i] += g^(lc + l) for each (i, l) in ``pairs``, over an
+    extension field with log tables, g its primitive element and lc, l in
+    [0, q - 1): each step is one ``_exp`` lookup and an XOR (p = 2) or a
+    Zech step (odd p), see ``fields``."""
+    exp, log, zech = F._exp, F._log, F._zech
+    if zech is None:
+        for i, l in pairs:
+            out[base + i] ^= exp[lc + l]
+        return
+    for i, l in pairs:
+        t, s = lc + l, out[base + i]
+        if s:
+            u = log[s]
+            out[base + i] = exp[u + zech[t - u]]
+        else:
+            out[base + i] = exp[t]
+
+
+def _reduce(rem: list[int], div, F: Field, quo: list[int] | None = None):
+    """Reduce ``rem`` modulo the nonzero ``div`` over F in place, leaving
+    zeros from index deg(div) up; the quotient goes into ``quo`` when given.
+    Over an extension field with log tables the logs of ``div`` are taken
+    once per call."""
+    if F.k == 1:
+        _reduce_mod_p(rem, div, F.p, quo)
+        return
+    db = len(div) - 1
+    exp, log = F._exp, F._log
+    if exp is None:
+        inv_lead = F.inv(div[-1])
+        for shift in range(len(rem) - 1 - db, -1, -1):
+            c = F.mul(rem[shift + db], inv_lead)
+            if c:
+                if quo is not None:
+                    quo[shift] = c
+                for i, bc in enumerate(div):
+                    rem[shift + i] = F.sub(rem[shift + i], F.mul(c, bc))
+        return
+    n = F.q - 1
+    half = 0 if F.p == 2 else n // 2  # the log of -1
+    lead = log[div[-1]] + half
+    ldiv = [(i, log[c]) for i, c in enumerate(div[:-1]) if c]
+    for shift in range(len(rem) - 1 - db, -1, -1):
+        c = rem[shift + db]
+        if c:
+            rem[shift + db] = 0
+            # the log of -c / lead, reduced so that adding a log stays below 2n
+            lc = (log[c] - lead) % n
+            if quo is not None:
+                quo[shift] = exp[lc + half]
+            _add_multiples_log(rem, shift, lc, ldiv, F)
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor."""
     a._same_field(b)
     F = a.field
-    if F.k == 1:
-        # Euclid's remainder sequence in place on coefficient lists
-        p = F.p
-        r0, r1 = list(a.coeffs), list(b.coeffs)
-        while r1:
-            _reduce_mod_p(r0, r1, p)
-            while r0 and r0[-1] == 0:
-                r0.pop()
-            r0, r1 = r1, r0
-        return Poly(F, r0).monic()
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    # Euclid's remainder sequence in place on coefficient lists
+    r0, r1 = list(a.coeffs), list(b.coeffs)
+    while r1:
+        _reduce(r0, r1, F)
+        while r0 and r0[-1] == 0:
+            r0.pop()
+        r0, r1 = r1, r0
+    return Poly(F, r0).monic()
 
 
 def find_irreducible(p: int, k: int) -> Poly:

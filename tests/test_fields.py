@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from pflags import jsonio
 from pflags.errors import InvalidFieldError
-from pflags.fields import GF, Field, find_irreducible_coeffs, is_prime
+from pflags.fields import GF, PRIME_BOUND, Field, find_irreducible_coeffs, is_prime
 
 SMALL_FIELDS = [GF(2), GF(3), GF(5), GF(7), GF(2, 2), GF(2, 3), GF(3, 2)]
 
@@ -75,6 +75,32 @@ def test_non_prime_rejected():
     assert is_prime(2) and is_prime(97) and not is_prime(91)
 
 
+def trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(10**5) if is_prime(n)] == \
+        [n for n in range(10**5) if trial_division_is_prime(n)]
+
+
+def test_is_prime_on_strong_pseudoprimes_and_mersenne_primes():
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to every prime base up to 37
+    for n in (3215031751, 3825123056546413051):
+        assert not is_prime(n)
+    assert is_prime(2**31 - 1) and is_prime(2**61 - 1)
+    assert not is_prime((2**31 - 1) ** 2) and not is_prime((2**31 - 1) * 65521)
+
+
+def test_primality_bound():
+    with pytest.raises(ValueError, match=str(PRIME_BOUND)):
+        is_prime(PRIME_BOUND)
+    for p in (PRIME_BOUND, 2**89 - 1):
+        with pytest.raises(InvalidFieldError, match=str(PRIME_BOUND)):
+            GF(p)
+    assert GF(2**61 - 1).p == 2**61 - 1
+
+
 def test_reducible_modulus_rejected():
     with pytest.raises(InvalidFieldError):
         GF(2, 2, (1, 0, 1))  # x^2 + 1 = (x + 1)^2 over F_2
@@ -124,7 +150,11 @@ def test_add_sub_neg_match_digits_on_table_fields(field):
             assert got == _digit_add_sub_neg(field, a, b)
 
 
-@pytest.mark.parametrize("field", [GF(2, 8), GF(3, 5)], ids=repr)
+# sampled log-table fields; GF(2^12) is at the table cap
+LARGE_TABLE_FIELDS = [GF(2, 8), GF(3, 5), GF(5, 5), GF(2, 12)]
+
+
+@pytest.mark.parametrize("field", LARGE_TABLE_FIELDS, ids=repr)
 def test_add_sub_neg_match_digits_on_sampled_pairs(field):
     rng = random.Random(field.q)
     for _ in range(3000):
@@ -133,9 +163,67 @@ def test_add_sub_neg_match_digits_on_sampled_pairs(field):
         assert got == _digit_add_sub_neg(field, a, b)
 
 
-@pytest.mark.parametrize("field", [GF(2, 8), GF(3, 5)], ids=repr)
+def _digit_pow(field, a, n):
+    """Oracle: a^n for n >= 0 by square-and-multiply on ``_mul_digits``."""
+    result = 1
+    for bit in bin(n)[2:]:
+        result = field._mul_digits(result, result)
+        if bit == "1":
+            result = field._mul_digits(result, a)
+    return result
+
+
+def _smallest_roots(field):
+    """Oracle: the smallest square root of every square, by a scan."""
+    return {field._mul_digits(b, b): b for b in reversed(field.elements())}
+
+
+def _check_element_ops(field, a, roots):
+    """neg, pow, frobenius, pth_root, inv and sqrt of one element against
+    the digit oracles."""
+    p, q = field.p, field.q
+    assert field.neg(a) == _digit_add_sub_neg(field, a, 0)[2]
+    for n in (0, 1, 2, p, q - 2, q + 5):
+        assert field.pow(a, n) == _digit_pow(field, a, n)
+    assert field.frobenius(a) == _digit_pow(field, a, p)
+    assert _digit_pow(field, field.pth_root(a), p) == a
+    assert field.sqrt(a) == roots.get(a)
+    if a:
+        inv = field.inv(a)
+        assert field._mul_digits(a, inv) == 1
+        assert field.pow(a, -3) == _digit_pow(field, inv, 3)
+
+
+@pytest.mark.parametrize("field", TABLE_FIELDS, ids=repr)
+def test_log_tables_match_digits_exhaustive(field):
+    assert field._exp is not None
+    roots = _smallest_roots(field)
+    for a in field.elements():
+        _check_element_ops(field, a, roots)
+        for b in field.elements():
+            assert field.mul(a, b) == field._mul_digits(a, b)
+
+
+@pytest.mark.parametrize("field", LARGE_TABLE_FIELDS, ids=repr)
+def test_log_tables_match_digits_on_sampled_pairs(field):
+    assert field._exp is not None
+    rng = random.Random(field.q)
+    roots = _smallest_roots(field)
+    for _ in range(3000):
+        a, b = rng.randrange(field.q), rng.randrange(field.q)
+        assert field.mul(a, b) == field._mul_digits(a, b)
+    for a in [0, 1, field.q - 1] + [rng.randrange(field.q) for _ in range(200)]:
+        _check_element_ops(field, a, roots)
+
+
+# above the table cap
+DIGIT_FIELDS = [GF(2, 13), GF(3, 8)]
+
+
+@pytest.mark.parametrize("field", DIGIT_FIELDS, ids=repr)
 def test_inverse_without_table(field):
-    """q > 128 has no inverse table; 1 and sampled elements against a^(q-2)."""
+    """q > 4096 has no log tables; 1 and sampled elements against a^(q-2)."""
+    assert field._exp is None
     rng = random.Random(field.q)
     for a in [1] + [rng.randrange(1, field.q) for _ in range(50)]:
         inv = field.inv(a)
@@ -162,6 +250,23 @@ def test_sqrt_against_exhaustive_squares(field):
             assert root is not None and field.mul(root, root) == a
         else:
             assert root is None
+
+
+@pytest.mark.parametrize("field", [GF(65521), DIGIT_FIELDS[1]], ids=repr)
+def test_tonelli_shanks_matches_scan(field):
+    roots = _smallest_roots(field)
+    rng = random.Random(field.q)
+    samples = [rng.randrange(field.q) for _ in range(300)]
+    samples += [field._mul_digits(b, b) for b in samples[:100]]  # and 100 known squares
+    for a in samples:
+        assert field.sqrt(a) == roots.get(a)
+
+
+def test_tonelli_shanks_on_a_large_prime_field():
+    p = 2**31 - 1
+    b = 2**30 + 12345
+    assert GF(p).sqrt(b * b % p) == min(b, p - b)
+    assert GF(p).sqrt(GF(p).mul(7, b * b % p)) is None  # 7 is a non-residue mod 2^31 - 1
 
 
 def test_element_codec_roundtrip():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pflags.errors import PflagsError
-from pflags.fields import GF, Field
+from pflags.fields import GF
 from pflags.poly import Poly, find_irreducible, poly_gcd, roots_in_field
 
 FIELDS = [GF(2), GF(3), GF(5), GF(7), GF(31), GF(2, 2), GF(3, 2)]
@@ -176,11 +176,7 @@ def test_prime_field_kernel_matches_field_loops(operands):
 # -- Kronecker products over F_p against the schoolbook loop
 
 P61 = 2**61 - 1
-KRONECKER_FIELDS = {p: GF(p) for p in (2, 3, 5, 7, 31, 65521, 2**31 - 1)}
-# GF proves primality by trial division, which is too slow at 2^61 - 1; a
-# prime field's element arithmetic does not depend on its modulus, so the
-# Field constructor is called directly
-KRONECKER_FIELDS[P61] = Field(P61, 1, (0, 1))
+KRONECKER_FIELDS = {p: GF(p) for p in (2, 3, 5, 7, 31, 65521, 2**31 - 1, P61)}
 
 
 def schoolbook(a, b, p) -> tuple:
@@ -252,6 +248,109 @@ def test_prime_field_product_unit_short_circuits():
         one = Poly.one(F)
         assert f * one is f and one * f is f
         assert (f * Poly.zero(F)).is_zero() and (Poly.zero(F) * f).is_zero()
+
+
+# -- the log-table kernels over extension fields against schoolbook loops on
+#    the field's digit arithmetic
+
+LOG_TABLE_FIELDS = [GF(2, 2), GF(3, 2), GF(2, 8), GF(3, 5)]
+
+
+def digit_ops(F):
+    """Element add, neg, mul and inverse of F on base-p digits, bypassing
+    the log tables."""
+    assert F._exp is not None
+
+    def add(a, b):
+        return F.from_coeffs([x + y for x, y in zip(F.coeffs(a), F.coeffs(b))])
+
+    def neg(a):
+        return F.from_coeffs([-x for x in F.coeffs(a)])
+
+    def inv(a):
+        result, base, n = 1, a, F.q - 2
+        while n:
+            if n & 1:
+                result = F._mul_digits(result, base)
+            base, n = F._mul_digits(base, base), n >> 1
+        return result
+
+    return add, neg, F._mul_digits, inv
+
+
+def digit_schoolbook_mul(F, a, b):
+    add, _, mul, _ = digit_ops(F)
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = add(out[i + j], mul(x, y))
+    return _trim(out)
+
+
+def digit_schoolbook_divmod(F, a, b):
+    add, neg, mul, inv = digit_ops(F)
+    db = len(b) - 1
+    if len(a) - 1 < db:
+        return (), _trim(a)
+    rem, quo = list(a), [0] * (len(a) - db)
+    inv_lead = inv(b[-1])
+    for shift in range(len(a) - 1 - db, -1, -1):
+        c = quo[shift] = mul(rem[shift + db], inv_lead)
+        for i, bc in enumerate(b):
+            rem[shift + i] = add(rem[shift + i], neg(mul(c, bc)))
+    return _trim(quo), _trim(rem)
+
+
+def digit_schoolbook_gcd(F, a, b):
+    _, _, mul, inv = digit_ops(F)
+    while b:
+        a, b = b, digit_schoolbook_divmod(F, a, b)[1]
+    return _trim(mul(inv(a[-1]), c) for c in a) if a else ()
+
+
+@st.composite
+def log_table_operands(draw):
+    """A log-table field and two polynomials of degree <= 10; the second is
+    drawn freely, or shares a factor with the first."""
+    F = draw(st.sampled_from(LOG_TABLE_FIELDS))
+    coeff = st.one_of(st.just(0), st.just(1), st.integers(0, F.q - 1))
+    f = Poly(F, draw(st.lists(coeff, max_size=11)))
+    g = Poly(F, draw(st.lists(coeff, max_size=11)))
+    if draw(st.booleans()):
+        h = Poly(F, draw(st.lists(coeff, max_size=4)) + [draw(st.integers(1, F.q - 1))])
+        f, g = f * h, g * h
+    return F, f, g
+
+
+@given(log_table_operands())
+@settings(max_examples=200, deadline=None)
+def test_log_table_kernels_match_digit_schoolbook(operands):
+    F, f, g = operands
+    a, b = f.coeffs, g.coeffs
+    assert (f * g).coeffs == digit_schoolbook_mul(F, a, b)
+    assert (g * f).coeffs == digit_schoolbook_mul(F, b, a)
+    if a or b:
+        assert poly_gcd(f, g).coeffs == digit_schoolbook_gcd(F, a, b)
+    for x, y in ((f, g), (g, f)):
+        if not y.is_zero():
+            q, r = divmod(x, y)
+            assert (q.coeffs, r.coeffs) == digit_schoolbook_divmod(F, x.coeffs, y.coeffs)
+
+
+@pytest.mark.parametrize("F", LOG_TABLE_FIELDS, ids=repr)
+def test_log_table_divmod_wraps_the_quotient_log(F):
+    # every quotient coefficient of (x^n - 1) / (lead x - c) has a log near
+    # q - 2, so an unreduced quotient log plus a divisor log would overrun
+    # the doubled exp table
+    top = F.q - 1
+    for lead, c in ((top, top), (top, 1), (2, top)):
+        num = Poly(F, [F.neg(1)] + [0] * 6 + [1])
+        den = Poly(F, (c, lead))
+        q, r = divmod(num, den)
+        assert (q.coeffs, r.coeffs) == digit_schoolbook_divmod(F, num.coeffs, den.coeffs)
+        assert q * den + r == num
 
 
 @pytest.mark.parametrize("F,G", [(GF(5), GF(7)), (GF(7), GF(5)), (GF(3), GF(3, 2)), (GF(3, 2), GF(3))])
