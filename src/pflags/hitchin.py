@@ -17,18 +17,14 @@ from .errors import InternalInvariantError, PflagsError, PreconditionError
 from .fields import Field
 from .matrix import (
     MatRF,
-    _apply_t,
     _charpoly_cleared,
-    _clear_denominators,
     _horizontal_sections,
-    _poly_dot,
-    _psi,
-    _t_iterates,
+    _p_curvature,
     gauge_transform,
     horizontal_sections,
     is_nilpotent,
+    p_curvature_matrix,
 )
-from .poly import Poly
 from .ratfunc import RatFunc, in_frobenius_subfield, sqrt_ratfunc
 
 
@@ -99,48 +95,16 @@ class NilpotentFlag:
 
 
 def p_curvature_chart(c: ChartConn) -> MatRF:
-    """The p-curvature matrix T^p on the chart, T(v) = v' + A v.
-
-    Linearity over the structure sheaf is re-verified on a sample polynomial
-    section v before returning: T^p(f v) = f T^p(v) with f = x + 1, and
-    T^p(v) = psi v.  T is iterated over beta^k, A = B/beta, independently of
-    psi, and both identities are compared on numerators: T^p(f v) and T^p(v)
-    share beta^p, and with psi = N/delta, T^p(v) = n/beta^p the second reads
-    (N v) beta^p = n delta.  Failure indicates an iteration bug, not bad input.
-    """
-    return _checked_p_curvature(c)[0]
-
-
-def _checked_p_curvature(c: ChartConn):
-    """``p_curvature_chart`` with what it built on the way: (psi, the
-    ``_t_iterates`` of A, N, delta) with psi = N/delta.  A and psi are each
-    cleared of denominators once."""
-    F = c.field
-    p = F.p
-    bmat, beta = _clear_denominators(c.A.rows)
-    iterates = _t_iterates(bmat, beta, p)
-    psi = _psi(F, iterates)
-    f = Poly(F, (1, 1))  # x + 1
-    v = [Poly.monomial(F, 1, i % 3) for i in range(c.r)]
-    dbeta = beta.derivative()
-    lhs = [f * e for e in v]
-    rhs = v
-    for k in range(p):
-        lhs = _apply_t(bmat, beta, dbeta, lhs, k)
-        rhs = _apply_t(bmat, beta, dbeta, rhs, k)
-    if lhs != [f * e for e in rhs]:
-        raise InternalInvariantError("p-curvature operator is not O-linear")
-    nmat, delta = _clear_denominators(psi.rows)
-    beta_p = beta**p
-    if any(_poly_dot(row, v) * beta_p != e * delta for row, e in zip(nmat, rhs)):
-        raise InternalInvariantError("p-curvature matrix disagrees with iterated T")
-    return psi, iterates, nmat, delta
+    """The p-curvature matrix T^p on the chart, T(v) = v' + A v; like every
+    psi ``matrix`` returns, it is re-verified there (O-linearity and
+    T^p(v) = psi v on a sample section) before it is returned."""
+    return p_curvature_matrix(c.A)
 
 
 def char_poly_psi(c: ChartConn) -> CharPolyP:
     """det(t - psi) by the division-free recurrence; each coefficient is
     tested for membership in the twist function field F_q(x^p)."""
-    _, _, nmat, delta = _checked_p_curvature(c)
+    _, _, nmat, delta = _p_curvature(c.A)
     cp = _charpoly_cleared(nmat, delta)
     coeffs = tuple(cp[:-1])
     descent_ok = all(in_frobenius_subfield(a, 1) for a in coeffs if not a.is_zero())
@@ -210,7 +174,7 @@ def nilpotent_flag_chart(c: ChartConn) -> NilpotentFlag:
     flag, and the quotient inherits nilpotent p-curvature.  The returned gauge
     G makes G^{-1} A G + G^{-1} G' upper triangular, which is re-verified.
     """
-    psi, iterates, _, _ = _checked_p_curvature(c)
+    psi, iterates, _, _ = _p_curvature(c.A)
     if not is_nilpotent(psi):
         raise PreconditionError("p-curvature is not nilpotent; no flag this way")
     gauge = _triangularize(c.A, (iterates, psi))

@@ -15,17 +15,18 @@ matrix m is cleared once to N/delta (``_clear_denominators``).  With
 A = B/beta, T^k e_i has the fixed denominator beta^k, and its numerators follow
 the classical p-curvature recurrence (Katz), with no gcd in the loop.  Reduced
 rational functions are formed only for the results: the columns of psi and the
-projected sections.  The private helpers take the cleared forms, so a caller
-that needs several results of one connection (``hitchin``: psi, its
-re-check, its characteristic polynomial, the horizontal sections) clears A
-once and psi once: (B, beta) feeds ``_t_iterates`` and the re-check, and
-(N, delta) of psi feeds the re-check and ``_charpoly_cleared``.
+projected sections.  Every psi returned, to ``pone`` and ``hitchin`` alike,
+is built and re-verified by ``_p_curvature``, which also returns the cleared
+forms, so ``hitchin`` clears A once and psi once: (B, beta) feeds
+``_t_iterates`` and the re-check, and (N, delta) of psi feeds the re-check
+and ``_charpoly_cleared``.  ``horizontal_sections`` re-verifies every section
+it returns, so it builds its psi without that re-check.
 """
 
 from __future__ import annotations
 
 from .errors import InternalInvariantError, PflagsError
-from .fields import Field
+from .fields import Field, _power
 from .poly import Poly, poly_gcd
 from .ratfunc import RatFunc
 
@@ -112,14 +113,7 @@ class MatRF:
     def pow(self, e: int) -> "MatRF":
         if e < 0:
             raise PflagsError("negative matrix power")
-        result = MatRF.identity(self.field, self.n)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, MatRF.identity(self.field, self.n), MatRF.__mul__)
 
 
 def _dot(u, v) -> RatFunc:
@@ -253,9 +247,43 @@ def gauge_transform(a: MatRF, g: MatRF) -> MatRF:
     return inverse(g) * (a * g + g.derivative())
 
 
-def p_curvature_matrix(a: MatRF, p: int) -> MatRF:
-    """The matrix of T^p, T(v) = v' + A v; O_X-linear by Jacobson's theorem."""
-    return _psi(a.field, _t_iterates(*_clear_denominators(a.rows), p))
+def p_curvature_matrix(a: MatRF) -> MatRF:
+    """The matrix of T^p, T(v) = v' + A v; O_X-linear by Jacobson's theorem.
+    Re-verified before it is returned, see ``_p_curvature``."""
+    return _p_curvature(a)[0]
+
+
+def _p_curvature(a: MatRF):
+    """(psi, the ``_t_iterates`` of A, N, delta) with psi = N/delta, A and
+    psi each cleared once; the one builder of a returned psi.
+
+    Linearity over the structure sheaf is re-verified on a sample polynomial
+    section v: T^p(f v) = f T^p(v) with f = x + 1, and T^p(v) = psi v.  T is
+    iterated over beta^k, A = B/beta, independently of the iterates, and both
+    identities are compared on numerators: T^p(f v) and T^p(v) = n/beta^p
+    share beta^p, and the second reads (N v) beta^p = n delta.  Failure
+    indicates an iteration bug, not bad input.
+    """
+    F = a.field
+    p = F.p
+    bmat, beta = _clear_denominators(a.rows)
+    iterates = _t_iterates(bmat, beta, p)
+    psi = _psi(F, iterates)
+    f = Poly(F, (1, 1))  # x + 1
+    v = [Poly.monomial(F, 1, i % 3) for i in range(a.n)]
+    dbeta = beta.derivative()
+    lhs = [f * e for e in v]
+    rhs = v
+    for k in range(p):
+        lhs = _apply_t(bmat, beta, dbeta, lhs, k)
+        rhs = _apply_t(bmat, beta, dbeta, rhs, k)
+    if lhs != [f * e for e in rhs]:
+        raise InternalInvariantError("p-curvature operator is not O-linear")
+    nmat, delta = _clear_denominators(psi.rows)
+    beta_p = beta**p
+    if any(_poly_dot(row, v) * beta_p != e * delta for row, e in zip(nmat, rhs)):
+        raise InternalInvariantError("p-curvature matrix disagrees with iterated T")
+    return psi, iterates, nmat, delta
 
 
 def _t_iterates(bmat, beta: Poly, p: int) -> list[list[tuple[list[Poly], Poly]]]:

@@ -7,38 +7,24 @@ indeterminate is positional: the same class serves polynomials in the chart
 coordinate x and, after a Frobenius rewrite, in the twist coordinate.
 
 Over a prime field (k = 1) the ring operations, division with remainder and
-``poly_gcd`` work on the coefficients as plain ints mod p, reducing through
-``fields._reduce_mod_p``.  Over an extension field with log tables (q up to
-the cap in ``fields``) the product and the reduction behind division and
-``poly_gcd`` read ``_exp``, ``_log`` and ``_zech`` directly: the logs of the
-fixed operand (the second factor, the divisor) are taken once per call, and
-each inner step of ``_add_multiples_log`` is one ``_exp`` lookup plus an XOR
-(p = 2) or a Zech step (odd p), with no ``Field`` method call.  In division
-the log of each quotient coefficient is reduced mod q - 1 before a divisor
-log is added, so the index stays inside the doubled ``_exp``.  Above the
-cap, and for the other operations, the ``Field`` element methods are used.
-
-A product over a prime field is one big-integer product (Kronecker
-substitution, ``_mul_mod_p``).  Each coefficient tuple is packed into an int,
-one fixed-width slot per coefficient, constant term in the lowest slot.  A
-coefficient of the integer product is a sum of at most n = min(len a, len b)
-terms, each at most (p - 1)^2, so a slot of w bytes with
-n (p - 1)^2 < 2^(8 w) holds it with no carry into the next slot; the
-product's slots are read back and reduced mod p.  One-byte slots are packed
-with ``bytes``; widths of 2 to 8 bytes are rounded up to 2, 4 or 8, the sizes
-of the ``struct`` codes H, I and Q; wider slots, needed from p near 2^31 up,
-are packed one ``int.to_bytes`` per coefficient.  Every packing names
-little-endian order (``int.to_bytes``/``from_bytes`` with "little",
-``struct`` formats with "<"), so the result does not depend on
-``sys.byteorder``.
+``poly_gcd`` work on the coefficients as plain ints mod p: a product is
+``fields._mul_mod_p`` (Kronecker substitution), and the reduction behind
+division and ``poly_gcd`` is ``fields._reduce_mod_p``.  Over an extension
+field with log tables (q up to the cap in ``fields``) the product and the
+reduction behind division and ``poly_gcd`` read ``_exp``, ``_log`` and
+``_zech`` directly: the logs of the fixed operand (the second factor, the
+divisor) are taken once per call, and each inner step of
+``_add_multiples_log`` is one ``_exp`` lookup plus an XOR (p = 2) or a Zech
+step (odd p), with no ``Field`` method call.  In division the log of each
+quotient coefficient is reduced mod q - 1 before a divisor log is added, so
+the index stays inside the doubled ``_exp``.  Above the cap, and for the
+other operations, the ``Field`` element methods are used.
 """
 
 from __future__ import annotations
 
-import struct
-
 from .errors import PflagsError
-from .fields import Field, GF, _reduce_mod_p, find_irreducible_coeffs
+from .fields import Field, GF, _mul_mod_p, _power, _reduce_mod_p, find_irreducible_coeffs
 
 
 class Poly:
@@ -196,14 +182,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise PflagsError("negative polynomial power")
-        result = Poly.one(self.field)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, Poly.one(self.field), Poly.__mul__)
 
     def __divmod__(self, other: "Poly"):
         self._same_field(other)
@@ -301,33 +280,6 @@ class Poly:
                 out.append((g, e * self.field.p))
         out.sort(key=lambda ge: ge[1])
         return out
-
-
-# struct codes, standard sizes under "<", for the slot widths 2..8 rounded up
-_SLOT_CODES = {2: (2, "H"), 3: (4, "I"), 4: (4, "I"), 5: (8, "Q"), 6: (8, "Q"),
-               7: (8, "Q"), 8: (8, "Q")}
-
-
-def _mul_mod_p(a, b, p: int) -> list[int]:
-    """The coefficients of a b mod p for nonempty coefficient sequences a, b
-    over F_p, by one integer product; the slot bound is in the module
-    docstring."""
-    la, lb = len(a), len(b)
-    bound = (la if la < lb else lb) * (p - 1) ** 2  # no product coefficient exceeds it
-    m = la + lb - 1
-    if bound < 256:
-        prod = int.from_bytes(bytes(a), "little") * int.from_bytes(bytes(b), "little")
-        return [c % p for c in prod.to_bytes(m, "little")]
-    width = (bound.bit_length() + 7) >> 3  # bytes per slot
-    if width <= 8:
-        width, code = _SLOT_CODES[width]
-        prod = (int.from_bytes(struct.pack(f"<{la}{code}", *a), "little")
-                * int.from_bytes(struct.pack(f"<{lb}{code}", *b), "little"))
-        return [c % p for c in struct.unpack(f"<{m}{code}", prod.to_bytes(m * width, "little"))]
-    prod = (int.from_bytes(b"".join(c.to_bytes(width, "little") for c in a), "little")
-            * int.from_bytes(b"".join(c.to_bytes(width, "little") for c in b), "little"))
-    data = prod.to_bytes(m * width, "little")
-    return [int.from_bytes(data[i:i + width], "little") % p for i in range(0, m * width, width)]
 
 
 def _add_multiples_log(out: list[int], base: int, lc: int, pairs, F: Field):

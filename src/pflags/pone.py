@@ -277,7 +277,7 @@ def p_curvature(c: Conn0) -> MatRF:
     """Matrix of the p-th iterate of T(v) = v' + A v; on the standard chart
     the p-th symbol term vanishes, so this is the full obstruction."""
     ensure_valid(c)
-    return p_curvature_matrix(c.matrix(), c.field.p)
+    return p_curvature_matrix(c.matrix())
 
 
 def pm1_curvature(d: DmBundle) -> MatRF:

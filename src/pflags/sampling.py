@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 
 from .elliptic import AtiyahAtom, Pic0Group
+from .errors import PflagsError
 from .fields import Field
 from .hitchin import ChartConn
 from .matrix import MatRF, gauge_transform, inverse
@@ -82,7 +83,7 @@ def random_bundle_automorphism(rng: random.Random, field: Field, degrees) -> Mat
         try:
             inverse(g)
             return g
-        except Exception:
+        except PflagsError:  # singular: draw again
             continue
 
 

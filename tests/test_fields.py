@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pflags import jsonio
+from pflags import fields, jsonio
 from pflags.errors import InvalidFieldError
 from pflags.fields import GF, PRIME_BOUND, Field, find_irreducible_coeffs, is_prime
+from pflags.poly import Poly
 
 SMALL_FIELDS = [GF(2), GF(3), GF(5), GF(7), GF(2, 2), GF(2, 3), GF(3, 2)]
 
@@ -229,6 +230,56 @@ def test_inverse_without_table(field):
         inv = field.inv(a)
         assert inv == field.pow(a, field.q - 2)
         assert field.mul(a, inv) == 1
+
+
+def _schoolbook_fold_mul(field, a, b):
+    """Oracle: the digit product by schoolbook multiplication, then folding
+    x^k = -(m_0 + ... + m_(k-1) x^(k-1)) from the top down."""
+    p, k = field.p, field.k
+    da, db = field.coeffs(a), field.coeffs(b)
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] += x * y
+    for i in range(2 * k - 2, k - 1, -1):
+        c = prod[i] % p
+        for j in range(k):
+            prod[i - k + j] -= c * field.modulus[j]
+        prod[i] = 0
+    return field.from_coeffs(prod[:k])
+
+
+@pytest.mark.parametrize("field", [GF(2, 8), GF(3, 5)] + DIGIT_FIELDS + [GF(5, 6)], ids=repr)
+def test_mul_digits_matches_schoolbook_fold(field):
+    rng = random.Random(field.q)
+    pairs = [(0, 1), (1, field.q - 1), (field.q - 1, field.q - 1)]
+    pairs += [(rng.randrange(field.q), rng.randrange(field.q)) for _ in range(500)]
+    for a, b in pairs:
+        assert field._mul_digits(a, b) == _schoolbook_fold_mul(field, a, b)
+        if field._exp is None:
+            assert field.mul(a, b) == _schoolbook_fold_mul(field, a, b)
+
+
+def test_default_modulus_is_proven_irreducible_once(monkeypatch):
+    proofs = []
+    true_proof = fields._is_irreducible_digits
+
+    def counted(coeffs, p):
+        proofs.append(tuple(coeffs))
+        return true_proof(coeffs, p)
+
+    monkeypatch.setattr(fields, "_FIELDS", {})
+    monkeypatch.setattr(fields, "_is_irreducible_digits", counted)
+    field = GF(3, 4)
+    assert proofs.count(field.modulus) == 1
+    assert GF(3, 4, field.modulus) is field and proofs.count(field.modulus) == 1
+
+
+@pytest.mark.parametrize("field", [GF(5), GF(2, 3), GF(3, 2), DIGIT_FIELDS[0]], ids=repr)
+def test_power_zero_is_one(field):
+    for a in (0, 1, field.q - 1):
+        assert field.pow(a, 0) == 1
+    assert Poly(field, (field.q - 1, 1))**0 == Poly.one(field)  # MatRF: test_matrix_pow
 
 
 @given(st.data())

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from pflags import hitchin
+from pflags import matrix
 from pflags.errors import InternalInvariantError, PreconditionError
 from pflags.fields import GF
 from pflags.hitchin import (
@@ -104,12 +104,27 @@ def _mutation_charts():
     return charts
 
 
+def _mutation_conns():
+    """Split connections on P^1 whose psi has a nonzero last column, so that
+    each mutation below changes psi (psi is often 0 on P^1)."""
+    rng = random.Random(707)
+    conns = []
+    for p in (2, 3, 5):
+        drawn = 0
+        while drawn < 2:
+            c = random_conn0(rng, GF(p), r=3)
+            if any(not row[-1].is_zero() for row in p_curvature(c).rows):
+                conns.append(c)
+                drawn += 1
+    return conns
+
+
 def _iterates_through(monkeypatch, mutate):
-    """Make the chart operations build psi from mutate(iterates).  The
+    """Make every psi ``matrix`` returns be built from mutate(iterates).  The
     re-check iterates T on its own sample vector, not through
     ``_t_iterates``, so it must catch every mutation that changes psi."""
-    true_iterates = hitchin._t_iterates
-    monkeypatch.setattr(hitchin, "_t_iterates",
+    true_iterates = matrix._t_iterates
+    monkeypatch.setattr(matrix, "_t_iterates",
                         lambda bmat, beta, p: mutate(true_iterates(bmat, beta, p)))
 
 
@@ -137,28 +152,35 @@ def t_p_minus_1(iterates):
 
 
 def test_p_curvature_recheck_catches_a_wrong_column(monkeypatch):
-    charts = _mutation_charts()
+    charts, conns = _mutation_charts(), _mutation_conns()
     _iterates_through(monkeypatch, wrong_column)
     for c in charts:
         with pytest.raises(InternalInvariantError):
             p_curvature_chart(c)
         with pytest.raises(InternalInvariantError):
             char_poly_psi(c)
+    for c in conns:
+        with pytest.raises(InternalInvariantError):
+            p_curvature(c)
 
 
 def test_p_curvature_recheck_catches_a_changed_denominator(monkeypatch):
-    charts = _mutation_charts()
+    charts, conns = _mutation_charts(), _mutation_conns()
     _iterates_through(monkeypatch, last_column_over_x)
     for c in charts:
         with pytest.raises(InternalInvariantError):
             p_curvature_chart(c)
         with pytest.raises(InternalInvariantError):
             char_poly_psi(c)
+    for c in conns:
+        with pytest.raises(InternalInvariantError):
+            p_curvature(c)
 
 
 def test_p_curvature_recheck_catches_an_iteration_off_by_one(monkeypatch):
-    charts = _mutation_charts()
+    charts, conns = _mutation_charts(), _mutation_conns()
     psis = [p_curvature_chart(c) for c in charts]
+    conn_psis = [p_curvature(c) for c in conns]
     _iterates_through(monkeypatch, t_p_minus_1)
     caught = 0
     for c, psi in zip(charts, psis):
@@ -170,6 +192,10 @@ def test_p_curvature_recheck_catches_an_iteration_off_by_one(monkeypatch):
             char_poly_psi(c)
         caught += 1
     assert caught >= len(charts) - 1
+    for c, psi in zip(conns, conn_psis):
+        assert _mutated_psi(ChartConn.from_conn0(c), t_p_minus_1) != psi
+        with pytest.raises(InternalInvariantError):
+            p_curvature(c)
 
 
 def test_char_poly_psi_is_berkowitz_of_the_chart_psi():
@@ -347,7 +373,7 @@ def _solve_ref(m_cols, target):
 
 def _horizontal_in_ker_psi_ref(a):
     field = a.field
-    basis = kernel(p_curvature_matrix(a, field.p))
+    basis = kernel(p_curvature_matrix(a))
     k = len(basis)
     cols = [_solve_ref(basis, apply_connection(a, b)) for b in basis]
     w = horizontal_sections(MatRF(field, [[cols[j][i] for j in range(k)] for i in range(k)]))[0]
@@ -381,7 +407,7 @@ def test_first_section_matches_restriction_beside_a_cyclic_block():
             rows[flat_rank][flat_rank + 1] = RatFunc.one(field)
             rows[flat_rank + 1][flat_rank] = RatFunc.x(field)
             a = gauge_transform(MatRF(field, rows), random_polynomial_gauge(rng, field, r))
-            psi = p_curvature_matrix(a, field.p)
+            psi = p_curvature_matrix(a)
             assert len(kernel(psi)) == flat_rank and not psi.is_zero()
             assert horizontal_sections(a)[0] == _horizontal_in_ker_psi_ref(a)
 

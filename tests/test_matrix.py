@@ -230,7 +230,7 @@ def test_p_curvature_matches_naive_iteration():
             r = rng.randint(1, 3)
             a = MatRF(F, [[random_ratfunc(rng, F, 2, 1) for _ in range(r)]
                           for _ in range(r)])
-            assert p_curvature_matrix(a, p) == naive_p_curvature(a, p)
+            assert p_curvature_matrix(a) == naive_p_curvature(a, p)
 
 
 # -- fixed-denominator iteration against the gcd-per-step reference -----------------
@@ -302,7 +302,7 @@ def test_t_iterates_match_gcd_per_step_reference():
         for its, ref_its in zip(new, ref):
             for (num, den), (ref_num, ref_den) in zip(its, ref_its):
                 assert [RatFunc(e, den) for e in num] == [RatFunc(e, ref_den) for e in ref_num]
-        assert p_curvature_matrix(a, p) == _column_matrix(a.field, [its[p] for its in ref])
+        assert p_curvature_matrix(a) == _column_matrix(a.field, [its[p] for its in ref])
         if a.n > 2:
             continue
         # past T^p the step's k >= p must enter as k mod p (over GF(4) and GF(9)
@@ -351,7 +351,7 @@ def test_scalar_jacobson_formula():
             for _ in range(p - 1):
                 expected = expected.derivative()
             expected = expected + a**p
-            got = p_curvature_matrix(MatRF(F, [[a]]), p)
+            got = p_curvature_matrix(MatRF(F, [[a]]))
             assert got.rows[0][0] == expected
 
 
@@ -502,7 +502,7 @@ def _restricted_to_ker_psi(a):
     """T restricted to the span of the kernel basis of psi, as in the
     nilpotent flag construction."""
     F = a.field
-    basis = kernel(p_curvature_matrix(a, F.p))
+    basis = kernel(p_curvature_matrix(a))
     cols = [solve_ref(basis, apply_connection(a, v), F) for v in basis]
     k = len(basis)
     return MatRF(F, [[cols[j][i] for j in range(k)] for i in range(k)])
@@ -590,7 +590,7 @@ def test_horizontal_sections_match_rp_kernel_for_nonzero_psi():
             rows[flat_rank][flat_rank + 1] = RatFunc.one(F)
             rows[flat_rank + 1][flat_rank] = RatFunc.x(F)
             block = gauge_transform(MatRF(F, rows), random_polynomial_gauge(rng, F, r))
-            psi = p_curvature_matrix(block, p)
+            psi = p_curvature_matrix(block)
             assert len(kernel(psi)) == flat_rank and not psi.is_zero()
             sols = horizontal_sections(block)
             assert len(sols) == flat_rank

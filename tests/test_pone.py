@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from pflags import sampling
 from pflags.errors import PflagsError, PreconditionError
 from pflags.fields import GF
 from pflags.matrix import MatRF, gauge_transform, inverse, is_nilpotent
@@ -281,3 +282,27 @@ def test_operations_reject_invalid_connections():
     for fn in (p_curvature, complete_flag, cartier_descent):
         with pytest.raises(PreconditionError):
             fn(bad)
+
+
+def test_bundle_automorphism_retries_only_singular_draws(monkeypatch):
+    """A singular draw (``PflagsError`` from ``inverse``) is drawn again; any
+    other error from ``inverse`` is a bug and propagates."""
+    def failing_once(error):
+        calls = []
+
+        def stub(g):
+            calls.append(g)
+            if len(calls) == 1:
+                raise error
+            return inverse(g)
+
+        monkeypatch.setattr(sampling, "inverse", stub)
+        return calls
+
+    calls = failing_once(PflagsError("matrix is singular"))
+    g = sampling.random_bundle_automorphism(random.Random(5), GF(3), (3, 0))
+    assert len(calls) == 2 and g is calls[1]
+    calls = failing_once(TypeError("bug inside inverse"))
+    with pytest.raises(TypeError, match="bug inside inverse"):
+        sampling.random_bundle_automorphism(random.Random(5), GF(3), (3, 0))
+    assert len(calls) == 1
