@@ -209,7 +209,7 @@ def find_irreducible_coeffs(p: int, k: int) -> tuple[int, ...]:
 class Field:
     """The finite field F_{p^k} with element arithmetic on int encodings."""
 
-    __slots__ = ("p", "k", "q", "modulus", "_exp", "_log", "_zech")
+    __slots__ = ("p", "k", "q", "modulus", "_exp", "_log", "_zech", "_nonresidue")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         """Build F_{p^k} on a monic irreducible modulus of degree k, reduced
@@ -219,7 +219,7 @@ class Field:
         self.k = k
         self.q = p**k
         self.modulus = modulus
-        self._exp = self._log = self._zech = None
+        self._exp = self._log = self._zech = self._nonresidue = None
         if k > 1 and self.q <= _TABLE_MAX:
             self._build_log_tables()
 
@@ -326,6 +326,8 @@ class Field:
             return self._exp[self._log[a] * n % (self.q - 1)]
         if n < 0:
             return self.pow(self.inv(a), -n)
+        if self.k == 1:
+            return pow(a, n, self.p)
         return _power(a, n, 1, self.mul)
 
     def frobenius(self, a: int) -> int:
@@ -342,7 +344,8 @@ class Field:
 
     def sqrt(self, a: int) -> int | None:
         """A square root of a, or None; the smaller encoding of the two
-        roots b and -b is returned."""
+        roots b and -b is returned.  Tonelli-Shanks runs on z, the smallest
+        non-residue, found on the first call and kept by the field."""
         if a == 0:
             return 0
         if self.p == 2:
@@ -352,7 +355,9 @@ class Field:
         odd, s = self.q - 1, 0  # Tonelli-Shanks
         while odd % 2 == 0:
             odd, s = odd // 2, s + 1
-        z = next(c for c in range(2, self.q) if not self.is_square(c))
+        z = self._nonresidue
+        if z is None:
+            z = self._nonresidue = next(c for c in range(2, self.q) if not self.is_square(c))
         m, c = s, self.pow(z, odd)
         t, b = self.pow(a, odd), self.pow(a, (odd + 1) // 2)
         while t != 1:

@@ -104,8 +104,7 @@ def p_curvature_chart(c: ChartConn) -> MatRF:
 def char_poly_psi(c: ChartConn) -> CharPolyP:
     """det(t - psi) by the division-free recurrence; each coefficient is
     tested for membership in the twist function field F_q(x^p)."""
-    _, _, nmat, delta = _p_curvature(c.A)
-    cp = _charpoly_cleared(nmat, delta)
+    cp = _charpoly_cleared(*_p_curvature(c.A)[1:])
     coeffs = tuple(cp[:-1])
     descent_ok = all(in_frobenius_subfield(a, 1) for a in coeffs if not a.is_zero())
     return CharPolyP(coeffs, descent_ok)
@@ -174,10 +173,11 @@ def nilpotent_flag_chart(c: ChartConn) -> NilpotentFlag:
     flag, and the quotient inherits nilpotent p-curvature.  The returned gauge
     G makes G^{-1} A G + G^{-1} G' upper triangular, which is re-verified.
     """
-    psi, iterates, _, _ = _p_curvature(c.A)
-    if not is_nilpotent(psi):
+    iterates, rows, _ = _p_curvature(c.A)
+    nmat = MatRF.from_polys(c.field, rows)  # psi = N/delta
+    if not is_nilpotent(nmat):  # N^r = delta^r psi^r
         raise PreconditionError("p-curvature is not nilpotent; no flag this way")
-    gauge = _triangularize(c.A, (iterates, psi))
+    gauge = _triangularize(c.A, (iterates, nmat))
     transformed = gauge_transform(c.A, gauge)
     for i in range(c.r):
         for j in range(i):
@@ -189,13 +189,13 @@ def nilpotent_flag_chart(c: ChartConn) -> NilpotentFlag:
 def _triangularize(a: MatRF, verified=None) -> MatRF:
     """A gauge triangularizing T(v) = v' + a v, for nilpotent p-curvature:
     its first column is the first horizontal section of a.  ``verified`` is
-    the pair (iterates, psi) of a when the caller has built and re-checked
-    them."""
+    the pair (iterates, N) of a, psi = N/delta, when the caller has built and
+    re-checked them; the recursion on the quotient passes none."""
     field = a.field
     r = a.n
     if r == 1:
         return MatRF.identity(field, 1)
-    # A horizontal v lies in ker psi.  Each rref kernel vector of psi has its
+    # A horizontal v lies in ker psi = ker N.  Each rref kernel vector has its
     # last nonzero entry, a 1, at its free column, so v's entries at the free
     # columns are its coordinates in that basis and its last nonzero entry is
     # one of them.  The last-first echelon basis is therefore the one T

@@ -13,14 +13,14 @@ number of sections.
 The characteristic polynomial and the iterates of T work on polynomials: a
 matrix m is cleared once to N/delta (``_clear_denominators``).  With
 A = B/beta, T^k e_i has the fixed denominator beta^k, and its numerators follow
-the classical p-curvature recurrence (Katz), with no gcd in the loop.  Reduced
-rational functions are formed only for the results: the columns of psi and the
-projected sections.  Every psi returned, to ``pone`` and ``hitchin`` alike,
-is built and re-verified by ``_p_curvature``, which also returns the cleared
-forms, so ``hitchin`` clears A once and psi once: (B, beta) feeds
-``_t_iterates`` and the re-check, and (N, delta) of psi feeds the re-check
-and ``_charpoly_cleared``.  ``horizontal_sections`` re-verifies every section
-it returns, so it builds its psi without that re-check.
+the classical p-curvature recurrence (Katz), with no gcd in the loop.  Here
+and in ``hitchin`` psi has one form, the pair (N, delta) read off the
+iterates by ``_cleared_psi``, delta = beta^p; ``_p_curvature`` builds and
+re-verifies it.  The re-check, ``_charpoly_cleared``, the nilpotency test
+(N^r = delta^r psi^r) and the kernel (ker N = ker psi) read N.  Rational
+functions are reduced only in results: the psi ``p_curvature_matrix``
+returns and the projected sections.  ``horizontal_sections`` re-verifies
+every section it returns, so it builds its N without the re-check.
 """
 
 from __future__ import annotations
@@ -93,10 +93,8 @@ class MatRF:
         return MatRF(self.field, [[-a for a in row] for row in self.rows])
 
     def __mul__(self, other: "MatRF") -> "MatRF":
-        n = self.n
         cols = list(zip(*other.rows))
-        return MatRF(self.field, [[_dot(self.rows[i], cols[j]) for j in range(n)]
-                                  for i in range(n)])
+        return MatRF(self.field, [[_dot(row, col) for col in cols] for row in self.rows])
 
     def scale(self, c: RatFunc) -> "MatRF":
         return MatRF(self.field, [[c * a for a in row] for row in self.rows])
@@ -116,15 +114,14 @@ class MatRF:
         return _power(self, e, MatRF.identity(self.field, self.n), MatRF.__mul__)
 
 
-def _dot(u, v) -> RatFunc:
-    it = iter(zip(u, v))
-    a, b = next(it)
-    acc = a * b
-    for a, b in it:
+def _dot(u, v):
+    """sum_i u_i v_i over Poly or RatFunc entries, skipping zero products."""
+    acc = None
+    for a, b in zip(u, v):
         if a.is_zero() or b.is_zero():
             continue
-        acc = acc + a * b
-    return acc
+        acc = a * b if acc is None else acc + a * b
+    return u[0] * v[0] if acc is None else acc  # a zero of the entries' type
 
 
 def charpoly_berkowitz(m: MatRF) -> list[RatFunc]:
@@ -151,9 +148,9 @@ def _charpoly_cleared(rows, delta: Poly) -> list[RatFunc]:
         v = [rows[t][i] for t in range(i)]
         for k in range(i):
             if k:
-                v = [_poly_dot(r, v) for r in sub]
-            toeplitz_col.append(-_poly_dot(row, v))
-        poly = [_poly_dot(poly[:min(t, i) + 1], toeplitz_col[t::-1])
+                v = [_dot(r, v) for r in sub]
+            toeplitz_col.append(-_dot(row, v))
+        poly = [_dot(poly[:min(t, i) + 1], toeplitz_col[t::-1])
                 for t in range(i + 2)]
     out = []
     den = one
@@ -249,13 +246,15 @@ def gauge_transform(a: MatRF, g: MatRF) -> MatRF:
 
 def p_curvature_matrix(a: MatRF) -> MatRF:
     """The matrix of T^p, T(v) = v' + A v; O_X-linear by Jacobson's theorem.
-    Re-verified before it is returned, see ``_p_curvature``."""
-    return _p_curvature(a)[0]
+    Re-verified (see ``_p_curvature``), then reduced entrywise: the one place
+    psi is formed as rational functions."""
+    _, nmat, delta = _p_curvature(a)
+    return MatRF(a.field, [[RatFunc(e, delta) for e in row] for row in nmat])
 
 
 def _p_curvature(a: MatRF):
-    """(psi, the ``_t_iterates`` of A, N, delta) with psi = N/delta, A and
-    psi each cleared once; the one builder of a returned psi.
+    """(the ``_t_iterates`` of A, N, delta) with psi = N/delta; A is cleared
+    once, psi not at all.  The one builder of a psi that leaves this module.
 
     Linearity over the structure sheaf is re-verified on a sample polynomial
     section v: T^p(f v) = f T^p(v) with f = x + 1, and T^p(v) = psi v.  T is
@@ -268,7 +267,7 @@ def _p_curvature(a: MatRF):
     p = F.p
     bmat, beta = _clear_denominators(a.rows)
     iterates = _t_iterates(bmat, beta, p)
-    psi = _psi(F, iterates)
+    nmat, delta = _cleared_psi(iterates)
     f = Poly(F, (1, 1))  # x + 1
     v = [Poly.monomial(F, 1, i % 3) for i in range(a.n)]
     dbeta = beta.derivative()
@@ -279,11 +278,10 @@ def _p_curvature(a: MatRF):
         rhs = _apply_t(bmat, beta, dbeta, rhs, k)
     if lhs != [f * e for e in rhs]:
         raise InternalInvariantError("p-curvature operator is not O-linear")
-    nmat, delta = _clear_denominators(psi.rows)
     beta_p = beta**p
-    if any(_poly_dot(row, v) * beta_p != e * delta for row, e in zip(nmat, rhs)):
+    if any(_dot(row, v) * beta_p != e * delta for row, e in zip(nmat, rhs)):
         raise InternalInvariantError("p-curvature matrix disagrees with iterated T")
-    return psi, iterates, nmat, delta
+    return iterates, nmat, delta
 
 
 def _t_iterates(bmat, beta: Poly, p: int) -> list[list[tuple[list[Poly], Poly]]]:
@@ -305,29 +303,30 @@ def _t_iterates(bmat, beta: Poly, p: int) -> list[list[tuple[list[Poly], Poly]]]
     return iterates
 
 
+def _cleared_psi(iterates) -> tuple[list[tuple[Poly, ...]], Poly]:
+    """psi = N/delta from ``_t_iterates``: column i of N is the last iterate
+    of e_i brought to delta, the monic lcm of the column denominators
+    (beta^p unless a column differs)."""
+    cols = [its[-1] for its in iterates]
+    delta = _lcm((d for _, d in cols[1:]), cols[0][1])
+    cols = [nums if d == delta else [e * (delta // d) for e in nums] for nums, d in cols]
+    return list(zip(*cols)), delta
+
+
 def _clear_denominators(rows) -> tuple[list[list[Poly]], Poly]:
     """Write a matrix of reduced rational functions as N/delta: the polynomial
     rows of N and delta, the monic lcm of the entry denominators."""
-    F = rows[0][0].field
-    delta = Poly.one(F)
-    for row in rows:
-        for e in row:
-            if not e.den.is_one():
-                delta = delta // poly_gcd(delta, e.den) * e.den
+    delta = _lcm((e.den for row in rows for e in row), Poly.one(rows[0][0].field))
     return [[e.num * (delta if e.den.is_one() else delta // e.den) for e in row]
             for row in rows], delta
 
 
-def _column_matrix(field: Field, columns) -> MatRF:
-    """The matrix whose j-th column is the vector numerators/denominator."""
-    n = len(columns)
-    return MatRF(field, [[RatFunc(columns[j][0][i], columns[j][1]) for j in range(n)]
-                         for i in range(n)])
-
-
-def _psi(field: Field, iterates) -> MatRF:
-    """psi from ``_t_iterates``: column i is the last iterate of e_i."""
-    return _column_matrix(field, [its[-1] for its in iterates])
+def _lcm(dens, out: Poly) -> Poly:
+    """The monic lcm of out and dens, all monic polynomials."""
+    for d in dens:
+        if not (d.is_one() or d == out):
+            out = d if out.is_one() else out // poly_gcd(out, d) * d
+    return out
 
 
 def _apply_t(bmat, beta: Poly, dbeta: Poly, num: list[Poly], k: int) -> list[Poly]:
@@ -339,20 +338,8 @@ def _apply_t(bmat, beta: Poly, dbeta: Poly, num: list[Poly], k: int) -> list[Pol
     division.  The exponent k enters through its image in F_p.
     """
     kdb = dbeta.scale(beta.field.scalar(k))
-    return [beta * ni.derivative() - kdb * ni + _poly_dot(row, num)
+    return [beta * ni.derivative() - kdb * ni + _dot(row, num)
             for ni, row in zip(num, bmat)]
-
-
-def _poly_dot(row, vec) -> Poly:
-    acc = None
-    for a, b in zip(row, vec):
-        if a.is_zero() or b.is_zero():
-            continue
-        term = a * b
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return Poly.zero(row[0].field)
-    return acc
 
 
 # -- horizontal sections: Katz's projector ------------------------------------------
@@ -401,15 +388,17 @@ def horizontal_sections(a: MatRF) -> list[Vec]:
     Every returned vector is re-verified to be horizontal.
     """
     iterates = _t_iterates(*_clear_denominators(a.rows), a.field.p)
-    return _horizontal_sections(a, iterates, _psi(a.field, iterates))
+    nmat = MatRF.from_polys(a.field, _cleared_psi(iterates)[0])
+    return _horizontal_sections(a, iterates, nmat)
 
 
-def _horizontal_sections(a: MatRF, iterates, psi: MatRF) -> list[Vec]:
-    """``horizontal_sections`` of a from its ``_t_iterates`` and psi."""
+def _horizontal_sections(a: MatRF, iterates, nmat: MatRF) -> list[Vec]:
+    """``horizontal_sections`` of a from its ``_t_iterates`` and N, psi =
+    N/delta; ker N = ker psi, and its rref basis is the same."""
     F = a.field
     p = F.p
     r = a.n
-    ker = kernel(psi)
+    ker = kernel(nmat)
     if not ker:
         return []
     s = len(ker)
@@ -477,10 +466,7 @@ def _project(iterates, weights: list[RatFunc], g: Vec) -> Vec:
             if not w.is_zero() and any(not e.is_zero() for e in tn):
                 terms.append((w.num, w.den * d, tn))
     F = g[0].field
-    den = Poly.one(F)
-    for _, wd, _ in terms:
-        if not wd.is_one():
-            den = den // poly_gcd(den, wd) * wd
+    den = _lcm((wd for _, wd, _ in terms), Poly.one(F))
     nums = [Poly.zero(F)] * len(g)
     for wn, wd, tn in terms:
         factor = wn * (den // wd if not wd.is_one() else den)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -150,6 +151,24 @@ def test_selftest_corrupted_corpus_named(tmp_path, capsys):
     assert code == 1
     assert corrupted_name in out
     assert "FAIL" in out
+
+
+# sha256 of the `pflags selftest --json --seed <n>` report.  Any change to a
+# canonical output changes it.  Re-record a digest only when an output is
+# meant to change, and say so in CHANGES.md.
+SELFTEST_DIGESTS = {
+    0: "87f8ed9b849ddd84fa933e6aa5d6a491e1faf11652654249fe0cb2cf44651824",
+    7: "d0b5ccd34d71c1d6c057545de781805000fb72c101a67276d87b94013aa4ca5d",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SELFTEST_DIGESTS))
+def test_selftest_json_report_is_pinned(capsys, seed):
+    """The selftest report is byte-identical to the recorded one: a change
+    meant to keep every output must keep these digests."""
+    code, out = run(capsys, "selftest", "--json", "--seed", str(seed))
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SELFTEST_DIGESTS[seed]
 
 
 def test_selftest_json_report(capsys):

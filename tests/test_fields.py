@@ -313,6 +313,20 @@ def test_tonelli_shanks_matches_scan(field):
         assert field.sqrt(a) == roots.get(a)
 
 
+@pytest.mark.parametrize("field", [GF(65521), GF(7, 4), GF(3, 5)], ids=repr)
+def test_sqrt_finds_the_nonresidue_once(field, monkeypatch):
+    """Tonelli-Shanks' z depends only on the field: after the first sqrt,
+    each sqrt tests only its argument for squareness."""
+    field.sqrt(1)
+    calls = []
+    true_is_square = Field.is_square
+    monkeypatch.setattr(Field, "is_square", lambda f, a: calls.append(a) or true_is_square(f, a))
+    squares = [field.mul(b, b) for b in range(2, 40)]
+    for a in squares:
+        assert field.mul(field.sqrt(a), field.sqrt(a)) == a
+    assert len(calls) == 2 * len(squares)
+
+
 def test_tonelli_shanks_on_a_large_prime_field():
     p = 2**31 - 1
     b = 2**30 + 12345

@@ -19,7 +19,7 @@ from pflags.hitchin import (
 from pflags.matrix import (
     MatRF,
     _clear_denominators,
-    _psi,
+    _cleared_psi,
     _rref,
     _t_iterates,
     apply_connection,
@@ -129,7 +129,10 @@ def _iterates_through(monkeypatch, mutate):
 
 
 def _mutated_psi(c, mutate):
-    return _psi(c.field, mutate(_t_iterates(*_clear_denominators(c.A.rows), c.field.p)))
+    """psi as the pair (N, delta) of the mutated iterates would give it."""
+    iterates = mutate(_t_iterates(*_clear_denominators(c.A.rows), c.field.p))
+    nmat, delta = _cleared_psi(iterates)
+    return MatRF(c.field, [[RatFunc(e, delta) for e in row] for row in nmat])
 
 
 def wrong_column(iterates):
@@ -196,6 +199,19 @@ def test_p_curvature_recheck_catches_an_iteration_off_by_one(monkeypatch):
         assert _mutated_psi(ChartConn.from_conn0(c), t_p_minus_1) != psi
         with pytest.raises(InternalInvariantError):
             p_curvature(c)
+
+
+def test_char_poly_psi_builds_no_matrix(monkeypatch):
+    """char_poly_psi reads psi as the cleared pair (N, delta) alone: it forms
+    no MatRF, so no entry of psi is reduced."""
+    charts = _mutation_charts()
+    built = []
+    true_init = MatRF.__init__
+    monkeypatch.setattr(MatRF, "__init__",
+                        lambda m, field, rows: built.append(1) or true_init(m, field, rows))
+    for c in charts:
+        char_poly_psi(c)
+    assert built == []
 
 
 def test_char_poly_psi_is_berkowitz_of_the_chart_psi():

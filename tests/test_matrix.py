@@ -7,7 +7,6 @@ from pflags.matrix import (
     MatRF,
     _apply_t,
     _clear_denominators,
-    _column_matrix,
     _rref,
     _t_iterates,
     apply_connection,
@@ -260,6 +259,14 @@ def reference_apply_t(bmat, beta, num, den):
     return [e.scale(c) for e in new_num], new_den.scale(c)
 
 
+def column_matrix(field, columns):
+    """Oracle: the matrix whose j-th column is the vector numerators/denominator,
+    reduced entry by entry."""
+    n = len(columns)
+    return MatRF(field, [[RatFunc(columns[j][0][i], columns[j][1]) for j in range(n)]
+                         for i in range(n)])
+
+
 def reference_iterates(a, steps):
     """T^k e_i for k = 0..steps by ``reference_apply_t``, one list per i."""
     field = a.field
@@ -302,7 +309,7 @@ def test_t_iterates_match_gcd_per_step_reference():
         for its, ref_its in zip(new, ref):
             for (num, den), (ref_num, ref_den) in zip(its, ref_its):
                 assert [RatFunc(e, den) for e in num] == [RatFunc(e, ref_den) for e in ref_num]
-        assert p_curvature_matrix(a) == _column_matrix(a.field, [its[p] for its in ref])
+        assert p_curvature_matrix(a) == column_matrix(a.field, [its[p] for its in ref])
         if a.n > 2:
             continue
         # past T^p the step's k >= p must enter as k mod p (over GF(4) and GF(9)
@@ -334,7 +341,7 @@ def test_t_iterate_degrees_grow_at_most_linearly():
 
 def test_char_poly_psi_at_p_31_matches_reference():
     a = p31_chart()
-    psi = _column_matrix(a.field, [its[31] for its in reference_iterates(a, 31)])
+    psi = column_matrix(a.field, [its[31] for its in reference_iterates(a, 31)])
     coeffs = list(char_poly_psi(ChartConn(a.field, 2, a)).coeffs)
     assert not coeffs[0].is_zero()
     assert coeffs == charpoly_berkowitz(psi)[:-1]
