@@ -205,6 +205,11 @@ def _load_fixtures(corpus: str | None) -> list[dict]:
             raise ValueError(f"{path.name}: {exc}") from exc
         if not isinstance(loaded, list) or not all(isinstance(item, dict) for item in loaded):
             raise ValueError(f"{path.name} is not a JSON array of objects")
+        for i, item in enumerate(loaded):
+            expect = item.get("expect", {})
+            if not (isinstance(expect, dict) and isinstance(expect.get("value_subset", {}), dict)
+                    and all(isinstance(item.get(key, ""), str) for key in ("name", "op"))):
+                raise ValueError(f"{path.name}: item {i} has a malformed name, op or expect")
         items.extend(loaded)
     return items
 

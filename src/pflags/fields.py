@@ -34,8 +34,8 @@ In characteristic 2 addition and subtraction are the XOR of the encodings, at
 any q.  Above the cap the field works on base-p digits: a product is the F_p
 product of the digit vectors reduced by the modulus.  Square roots in every
 odd characteristic are found by Tonelli-Shanks.  ``GF`` proves a modulus
-irreducible once (the default one is proven by the search that finds it),
-and ``Field`` takes it as proven.
+irreducible once, by Ben-Or's test (the default one is proven by the search
+that finds it), and ``Field`` takes it as proven.
 
 A product of F_p polynomials, in ``poly`` and of digit vectors, is one
 big-integer product (Kronecker substitution, ``_mul_mod_p``).  Each
@@ -167,16 +167,28 @@ def _reduce_mod_p(rem: list[int], div, p: int, quo: list[int] | None = None):
 
 
 def _is_irreducible_digits(coeffs, p: int) -> bool:
-    """Exhaustive trial division by every monic divisor of degree <= k/2."""
+    """Ben-Or's test: f of degree k over F_p is irreducible iff gcd(f,
+    x^(p^d) - x), the product of its irreducible factors of degree dividing
+    d, is 1 for d = 1..k/2.  Euclid runs on ``_reduce_mod_p``."""
     k = len(coeffs) - 1
-    if coeffs[-1] != 1:
-        return False
-    for d in range(1, k // 2 + 1):
-        for n in range(p**d):
-            rem = list(coeffs)
-            _reduce_mod_p(rem, _digits(n, p, d) + [1], p)
-            if not any(rem):
-                return False
+
+    def mul_mod(u, v):
+        prod = _mul_mod_p(u, v, p)
+        _reduce_mod_p(prod, coeffs, p)
+        return prod[:k]
+
+    h = [0, 1]  # x^(p^d) mod f, by d p-th powers
+    for _ in range(k // 2):
+        h = _power(h, p, [1], mul_mod)
+        r0, r1 = list(h), list(coeffs)  # h keeps at least the two entries of x
+        r0[1] = (r0[1] - 1) % p  # x^(p^d) - x mod f
+        while r1:  # Euclid's remainder sequence, as in ``poly.poly_gcd``
+            _reduce_mod_p(r0, r1, p)
+            while r0 and r0[-1] == 0:
+                r0.pop()
+            r0, r1 = r1, r0
+        if len(r0) > 1:
+            return False
     return True
 
 

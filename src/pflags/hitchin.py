@@ -187,52 +187,36 @@ def nilpotent_flag_chart(c: ChartConn) -> NilpotentFlag:
 
 
 def _triangularize(a: MatRF, verified=None) -> MatRF:
-    """A gauge triangularizing T(v) = v' + a v, for nilpotent p-curvature:
-    its first column is the first horizontal section of a.  ``verified`` is
-    the pair (iterates, N) of a, psi = N/delta, when the caller has built and
-    re-checked them; the recursion on the quotient passes none."""
+    """A gauge triangularizing T(v) = v' + a v, for nilpotent p-curvature.
+    ``verified`` is the pair (iterates, N) of a, psi = N/delta, when the
+    caller has built and re-checked them; the recursion passes none.
+
+    With v0 the first horizontal section, m its last nonzero index and
+    s1 < ... < s(r-1) the others, the level gauge g1 = [v0 | e_s1 ...] is
+    never formed: row k >= 1 of g1^-1 is e_sk - (v0[sk]/v0[m]) e_m and column
+    l >= 1 of a g1 + g1' is column sl of a, so the quotient connection is
+    a[sk][sl] - (v0[sk]/v0[m]) a[m][sl], and g1 diag(1, g_sub) is v0 in
+    column 0, row k of the quotient's gauge in row sk and zeros in row m.
+    """
     field = a.field
     r = a.n
     if r == 1:
         return MatRF.identity(field, 1)
-    # A horizontal v lies in ker psi = ker N.  Each rref kernel vector has its
-    # last nonzero entry, a 1, at its free column, so v's entries at the free
-    # columns are its coordinates in that basis and its last nonzero entry is
-    # one of them.  The last-first echelon basis is therefore the one T
-    # restricted to ker psi would give, mapped back, and sols[0] is that v0.
+    # A horizontal v lies in ker psi = ker N.  Its entries at the rref basis's
+    # free columns are its coordinates in that basis, and its last nonzero
+    # entry is one of them; so the last-first echelon sols[0] is the v0 that T
+    # restricted to ker psi would give, mapped back.
     sols = horizontal_sections(a) if verified is None else _horizontal_sections(a, *verified)
     if not sols:
         raise PreconditionError("p-curvature has trivial kernel; not nilpotent")
-    g1, g1_inv = _extend_to_basis(field, sols[0], r)
-    b = g1_inv * (a * g1 + g1.derivative())
-    for i in range(r):
-        if not b.rows[i][0].is_zero():
-            raise InternalInvariantError("horizontal column did not produce a zero column")
-    sub = MatRF(field, [row[1:] for row in b.rows[1:]])
-    g_sub = _triangularize(sub)
-    zero, one = RatFunc.zero(field), RatFunc.one(field)
-    block = [[one] + [zero] * (r - 1)]
-    for i in range(r - 1):
-        block.append([zero] + list(g_sub.rows[i]))
-    return g1 * MatRF(field, block)
-
-
-def _extend_to_basis(field: Field, v0, r: int) -> tuple[MatRF, MatRF]:
-    """The gauge g = [v0 | e_s1 ... e_s(r-1)] and its inverse, where
-    s1 < ... < s(r-1) are the indices other than m, the last index with
-    v0[m] != 0.  These are the standard columns that complete v0 greedily
-    to a basis (the pivot columns of the echelon form of [v0 | I]).
-
-    The inverse is closed-form: g^-1 e_sk = e_k, and as
-    e_m = (v0 - sum_k v0[sk] e_sk) / v0[m], g^-1 e_m = (e_0 - sum_k v0[sk] e_k)
-    / v0[m].
-    """
-    zero, one = RatFunc.zero(field), RatFunc.one(field)
+    v0 = sols[0]
     m = max(i for i in range(r) if not v0[i].is_zero())
     others = [i for i in range(r) if i != m]
-    g = MatRF(field, [[v0[i]] + [one if i == s else zero for s in others] for i in range(r)])
-    inv_vm = v0[m].inv()
-    inv = [[inv_vm if j == m else zero for j in range(r)]]
-    for s in others:
-        inv.append([one if j == s else -v0[s] * inv_vm if j == m else zero for j in range(r)])
-    return g, MatRF(field, inv)
+    am, sub = a.rows[m], []
+    for k in others:
+        ak, c = a.rows[k], v0[k] / v0[m]
+        sub.append([ak[s] if c.is_zero() or am[s].is_zero() else ak[s] - c * am[s]
+                    for s in others])
+    g_sub = iter(_triangularize(MatRF(field, sub)).rows)
+    zeros = [RatFunc.zero(field)] * (r - 1)
+    return MatRF(field, [[v0[i], *(zeros if i == m else next(g_sub))] for i in range(r)])

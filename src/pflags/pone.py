@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import InternalInvariantError, NeedsExtensionError, PreconditionError, PflagsError
 from .fields import Field
-from .matrix import MatRF, horizontal_sections, inverse, p_curvature_matrix
+from .matrix import MatRF, horizontal_sections, kernel, p_curvature_matrix
 from .poly import Poly
 from .ratfunc import RatFunc
 
@@ -373,10 +373,8 @@ def cartier_descent(c: Conn0) -> tuple[BundleP1, MatRF]:
     if len(sols) != r:
         raise PreconditionError("p-curvature does not vanish; nothing descends")
     frame = MatRF(c.field, [[sols[j][i] for j in range(r)] for i in range(r)])
-    try:
-        inverse(frame)
-    except PflagsError as exc:
-        raise NeedsExtensionError("horizontal sections do not form a frame") from exc
+    if kernel(frame):
+        raise NeedsExtensionError("horizontal sections do not form a frame")
     descended = BundleP1(d // c.field.p for d in c.degrees)
     return descended, frame
 

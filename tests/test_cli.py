@@ -369,6 +369,22 @@ def test_malformed_corpus_file_is_a_parse_error(tmp_path, capsys, content):
     assert error.startswith("cannot load fixture corpus: items.json")
 
 
+@pytest.mark.parametrize("bad", [{"expect": []}, {"expect": {"value_subset": [1]}},
+                                 {"op": []}, {"name": 5}],
+                         ids=["expect-array", "value-subset-array", "op-array", "name-int"])
+def test_malformed_corpus_item_is_a_parse_error(tmp_path, capsys, bad):
+    item = {"name": "bad-item", "op": "find_irreducible", "input": {"k": 1, "p": 3},
+            "expect": {"value": [0, 1]}, **bad}
+    (tmp_path / "items.json").write_text(json.dumps([item]))
+    for mode in (["--json"], []):
+        code = main(["selftest", "--corpus", str(tmp_path), "--filter", "bad", *mode])
+        captured = capsys.readouterr()
+        assert code == 3 and "Traceback" not in captured.out + captured.err
+    error = _assert_parse_error(capsys, "selftest", "--corpus", str(tmp_path), "--json")
+    assert error == ("cannot load fixture corpus: items.json: "
+                     "item 0 has a malformed name, op or expect")
+
+
 def test_files_are_read_as_utf8_whatever_the_locale(tmp_path):
     # an ASCII locale with Python's UTF-8 mode and locale coercion off: a
     # locale-decoded read of the non-ASCII bytes below would fail

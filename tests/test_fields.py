@@ -107,6 +107,45 @@ def test_reducible_modulus_rejected():
         GF(2, 2, (1, 0, 1))  # x^2 + 1 = (x + 1)^2 over F_2
 
 
+def trial_division_irreducible(coeffs, p):
+    """Oracle: trial division of a monic polynomial by every monic divisor
+    of degree <= k/2, the test the library ran before Ben-Or's."""
+    k = len(coeffs) - 1
+    for d in range(1, k // 2 + 1):
+        for n in range(p**d):
+            rem = list(coeffs)
+            fields._reduce_mod_p(rem, fields._digits(n, p, d) + [1], p)
+            if not any(rem):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("p,k_max", [(2, 10), (3, 6), (5, 4), (7, 3)])
+def test_irreducibility_matches_trial_division_exhaustive(p, k_max):
+    for k in range(1, k_max + 1):
+        for n in range(p**k):
+            cand = fields._digits(n, p, k) + [1]
+            assert fields._is_irreducible_digits(cand, p) == trial_division_irreducible(cand, p)
+
+
+@pytest.mark.parametrize("p,k,modulus", [
+    (2, 2, (1, 1, 1)), (2, 3, (1, 1, 0, 1)), (2, 4, (1, 1, 0, 0, 1)),
+    (2, 6, (1, 1, 0, 0, 0, 0, 1)), (2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1)),
+    (3, 2, (1, 0, 1)), (3, 3, (1, 2, 0, 1)), (3, 4, (2, 1, 0, 0, 1)),
+    (3, 5, (1, 2, 0, 0, 0, 1)), (5, 2, (2, 0, 1)), (5, 3, (1, 1, 0, 1)), (7, 2, (1, 0, 1))])
+def test_default_moduli_are_pinned(p, k, modulus):
+    assert find_irreducible_coeffs(p, k) == modulus and GF(p, k).modulus == modulus
+
+
+def test_large_characteristic_extensions_build():
+    p = 2**61 - 1  # p = 3 mod 4, so x^2 + 1 is irreducible
+    assert GF(p, 2).modulus == (1, 0, 1) and GF(p, 3).modulus == (5, 0, 0, 1)
+    for reducible in ((0, 0, 1), (p - 1, 0, 1)):  # x^2 and (x - 1)(x + 1)
+        with pytest.raises(InvalidFieldError):
+            GF(p, 2, reducible)
+    assert GF(2, 32).modulus == tuple(int(i in (0, 2, 3, 7, 32)) for i in range(33))
+
+
 @pytest.mark.parametrize("field", SMALL_FIELDS, ids=repr)
 def test_field_axioms_exhaustive(field):
     els = list(field.elements())

@@ -9,7 +9,7 @@ from pflags.hitchin import (
     ChartConn,
     HitchinDims,
     Verdict,
-    _extend_to_basis,
+    _triangularize,
     char_poly_psi,
     hitchin_dims,
     nilpotent_flag_chart,
@@ -37,7 +37,6 @@ from pflags.sampling import (
     random_chart_conn,
     random_conn0,
     random_polynomial_gauge,
-    random_ratfunc,
     random_strict_upper,
 )
 
@@ -440,15 +439,43 @@ def _extend_to_basis_ref(field, v0, r):
     return MatRF(field, [[cols[j][i] for j in range(r)] for i in range(r)])
 
 
-def test_extend_to_basis_closed_form_inverse():
+# Oracle: the triangularization by matrix products, g1^-1 (a g1 + g1') for the
+# level gauge g1 = [v0 | e_s1 ... e_s(r-1)] and the gauge g1 diag(1, g_sub).
+
+
+def _extend_to_basis_oracle(field, v0, r):
+    zero, one = RatFunc.zero(field), RatFunc.one(field)
+    m = max(i for i in range(r) if not v0[i].is_zero())
+    others = [i for i in range(r) if i != m]
+    g = MatRF(field, [[v0[i]] + [one if i == s else zero for s in others] for i in range(r)])
+    inv_vm = v0[m].inv()
+    inv = [[inv_vm if j == m else zero for j in range(r)]]
+    for s in others:
+        inv.append([one if j == s else -v0[s] * inv_vm if j == m else zero for j in range(r)])
+    return g, MatRF(field, inv)
+
+
+def _triangularize_oracle(a):
+    field = a.field
+    r = a.n
+    if r == 1:
+        return MatRF.identity(field, 1)
+    v0 = horizontal_sections(a)[0]
+    g1, g1_inv = _extend_to_basis_oracle(field, v0, r)
+    assert g1 == _extend_to_basis_ref(field, v0, r) and g1_inv == inverse(g1)
+    b = g1_inv * (a * g1 + g1.derivative())
+    assert all(b.rows[i][0].is_zero() for i in range(r))
+    g_sub = _triangularize_oracle(MatRF(field, [row[1:] for row in b.rows[1:]]))
+    zero, one = RatFunc.zero(field), RatFunc.one(field)
+    block = [[one] + [zero] * (r - 1)] + [[zero] + list(row) for row in g_sub.rows]
+    return g1 * MatRF(field, block)
+
+
+def test_triangularize_matches_the_product_oracle():
     rng = random.Random(58)
     for field in (F2, F3, F5, GF(2, 2)):
-        for r in (1, 2, 3, 4):
-            for _ in range(6):
-                v0 = [random_ratfunc(rng, field, 2, 1) if rng.random() < 0.6
-                      else RatFunc.zero(field) for _ in range(r)]
-                if all(e.is_zero() for e in v0):
-                    v0[rng.randrange(r)] = RatFunc.one(field)
-                g, g_inv = _extend_to_basis(field, v0, r)
-                assert g == _extend_to_basis_ref(field, v0, r)
-                assert g_inv == inverse(g)
+        for r in (2, 3, 4):
+            for _ in range(2):
+                a = gauge_transform(random_strict_upper(rng, field, r),
+                                    random_polynomial_gauge(rng, field, r))
+                assert _triangularize(a) == _triangularize_oracle(a)
