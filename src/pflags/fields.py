@@ -37,16 +37,17 @@ odd characteristic are found by Tonelli-Shanks.  ``GF`` proves a modulus
 irreducible once, by Ben-Or's test (the default one is proven by the search
 that finds it), and ``Field`` takes it as proven.
 
-A product of F_p polynomials, in ``poly`` and of digit vectors, is one
-big-integer product (Kronecker substitution, ``_mul_mod_p``).  Each
-coefficient tuple is packed into an int, one fixed-width slot per coefficient,
-constant term in the lowest slot.  A coefficient of the integer product is a
-sum of at most n = min(len a, len b) terms, each at most (p - 1)^2, so a slot
-of w bytes with n (p - 1)^2 < 2^(8 w) holds it with no carry into the next
-slot; the product's slots are read back and reduced mod p.  One-byte slots are
-packed with ``bytes``; widths of 2 to 8 bytes are rounded up to 2, 4 or 8, the
-sizes of the ``struct`` codes H, I and Q; wider slots, needed from p near 2^31
-up, are packed one ``int.to_bytes`` per coefficient.  Every packing names
+A sum of products a_1 b_1 + ... + a_t b_t of F_p polynomials, in ``poly``
+and of digit vectors, is one sum of big-integer products, unpacked once
+(Kronecker substitution, ``_dot_mod_p``).  Each coefficient tuple is packed
+into an int, one fixed-width slot per coefficient, constant term lowest.  A
+coefficient of a_s b_s is a sum of at most n_s = min(len a_s, len b_s) terms,
+each at most (p - 1)^2, so a slot of w bytes with (n_1 + ... + n_t) (p - 1)^2
+< 2^(8 w) holds a coefficient of the sum with no carry into the next slot;
+the sum's slots are read back and reduced mod p.  One-byte slots are packed
+with ``bytes``; widths of 2 to 8 bytes are rounded up to 2, 4 or 8, the sizes
+of the ``struct`` codes H, I and Q; wider slots, needed from p near 2^31 up,
+are packed one ``int.to_bytes`` per coefficient.  Every packing names
 little-endian order (``int.to_bytes``/``from_bytes`` with "little", ``struct``
 formats with "<"), so the result does not depend on ``sys.byteorder``.
 """
@@ -124,25 +125,32 @@ _SLOT_CODES = {2: (2, "H"), 3: (4, "I"), 4: (4, "I"), 5: (8, "Q"), 6: (8, "Q"),
                7: (8, "Q"), 8: (8, "Q")}
 
 
-def _mul_mod_p(a, b, p: int) -> list[int]:
-    """The coefficients of a b mod p for nonempty ascending coefficient
-    sequences a, b over F_p, by one integer product (see the module
-    docstring); the one F_p polynomial product."""
-    la, lb = len(a), len(b)
-    bound = (la if la < lb else lb) * (p - 1) ** 2  # no product coefficient exceeds it
-    m = la + lb - 1
+def _dot_mod_p(pairs, p: int) -> list[int]:
+    """sum a b mod p over the sequence ``pairs`` of nonempty ascending F_p
+    coefficient sequences (a, b), by one integer sum of products (see the
+    module docstring), of length max(len a + len b) - 1 with no trimming."""
+    bound = m = 0
+    for a, b in pairs:
+        la, lb = len(a), len(b)
+        bound += la if la < lb else lb
+        m = la + lb if la + lb > m else m
+    bound *= (p - 1) ** 2  # no coefficient of the integer sum exceeds it
+    m, total = m - 1, 0
     if bound < 256:
-        prod = int.from_bytes(bytes(a), "little") * int.from_bytes(bytes(b), "little")
-        return [c % p for c in prod.to_bytes(m, "little")]
+        for a, b in pairs:
+            total += int.from_bytes(bytes(a), "little") * int.from_bytes(bytes(b), "little")
+        return [c % p for c in total.to_bytes(m, "little")]
     width = (bound.bit_length() + 7) >> 3  # bytes per slot
     if width <= 8:
         width, code = _SLOT_CODES[width]
-        prod = (int.from_bytes(struct.pack(f"<{la}{code}", *a), "little")
-                * int.from_bytes(struct.pack(f"<{lb}{code}", *b), "little"))
-        return [c % p for c in struct.unpack(f"<{m}{code}", prod.to_bytes(m * width, "little"))]
-    prod = (int.from_bytes(b"".join(c.to_bytes(width, "little") for c in a), "little")
-            * int.from_bytes(b"".join(c.to_bytes(width, "little") for c in b), "little"))
-    data = prod.to_bytes(m * width, "little")
+        for a, b in pairs:
+            total += (int.from_bytes(struct.pack(f"<{len(a)}{code}", *a), "little")
+                      * int.from_bytes(struct.pack(f"<{len(b)}{code}", *b), "little"))
+        return [c % p for c in struct.unpack(f"<{m}{code}", total.to_bytes(m * width, "little"))]
+    for a, b in pairs:
+        total += (int.from_bytes(b"".join(c.to_bytes(width, "little") for c in a), "little")
+                  * int.from_bytes(b"".join(c.to_bytes(width, "little") for c in b), "little"))
+    data = total.to_bytes(m * width, "little")
     return [int.from_bytes(data[i:i + width], "little") % p for i in range(0, m * width, width)]
 
 
@@ -173,7 +181,7 @@ def _is_irreducible_digits(coeffs, p: int) -> bool:
     k = len(coeffs) - 1
 
     def mul_mod(u, v):
-        prod = _mul_mod_p(u, v, p)
+        prod = _dot_mod_p(((u, v),), p)
         _reduce_mod_p(prod, coeffs, p)
         return prod[:k]
 
@@ -317,7 +325,7 @@ class Field:
     def _mul_digits(self, a: int, b: int) -> int:
         """The product of the digit vectors, reduced by the modulus (k > 1)."""
         p, k = self.p, self.k
-        prod = _mul_mod_p(_digits(a, p, k), _digits(b, p, k), p)
+        prod = _dot_mod_p(((_digits(a, p, k), _digits(b, p, k)),), p)
         _reduce_mod_p(prod, self.modulus, p)
         return _undigits(prod[:k], p)
 

@@ -21,7 +21,7 @@ from .fields import Field, GF
 from .hitchin import ChartConn, CharPolyP, NoFlagCertificate
 from .matrix import MatRF
 from .poly import Poly
-from .pone import BundleP1, Conn0, DmBundle, FlagP1
+from .pone import BundleP1, Conn0, DmBundle, FlagP1, _level_fits
 from .ratfunc import RatFunc
 
 
@@ -142,6 +142,7 @@ def connection_from_json(obj: Any, where: str = "connection") -> DmBundle:
     field = field_from_json(obj.get("field"), f"{where}.field")
     level = obj.get("level", 0)
     _expect(type(level) is int and level >= 0, where, "level must be a nonnegative integer")
+    _expect(_level_fits(field.p, level), where, "level must have p^level <= 2^16")
     degs = obj.get("twist_degrees")
     _expect(isinstance(degs, list) and degs and all(type(x) is int for x in degs),
             where, "twist_degrees must be a nonempty integer array")

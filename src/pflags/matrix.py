@@ -13,21 +13,23 @@ number of sections.
 The characteristic polynomial and the iterates of T work on polynomials: a
 matrix m is cleared once to N/delta (``_clear_denominators``).  With
 A = B/beta, T^k e_i has the fixed denominator beta^k, and its numerators follow
-the classical p-curvature recurrence (Katz), with no gcd in the loop.  Here
-and in ``hitchin`` psi has one form, the pair (N, delta) read off the
-iterates by ``_cleared_psi``, delta = beta^p; ``_p_curvature`` builds and
-re-verifies it.  The re-check, ``_charpoly_cleared``, the nilpotency test
-(N^r = delta^r psi^r) and the kernel (ker N = ker psi) read N.  Rational
-functions are reduced only in results: the psi ``p_curvature_matrix``
-returns and the projected sections.  ``horizontal_sections`` re-verifies
-every section it returns, so it builds its N without the re-check.
+the classical p-curvature recurrence (Katz), with no gcd in the loop.  A T
+step, Berkowitz on N, the re-check and the projector take one ``poly_dot``
+per entry.  Here and in ``hitchin`` psi has one form, the pair (N, delta)
+read off the iterates by ``_cleared_psi``, delta = beta^p; ``_p_curvature``
+builds and re-verifies it.  The re-check, ``_charpoly_cleared``, the
+nilpotency test (N^r = delta^r psi^r) and the kernel (ker N = ker psi) read
+N.  Rational functions are reduced only in results: the psi
+``p_curvature_matrix`` returns and the projected sections.
+``horizontal_sections`` re-verifies every section it returns, so it builds
+its N without the re-check.
 """
 
 from __future__ import annotations
 
 from .errors import InternalInvariantError, PflagsError
 from .fields import Field, _power
-from .poly import Poly, poly_gcd
+from .poly import Poly, poly_dot, poly_gcd
 from .ratfunc import RatFunc
 
 Vec = tuple[RatFunc, ...]
@@ -115,7 +117,9 @@ class MatRF:
 
 
 def _dot(u, v):
-    """sum_i u_i v_i over Poly or RatFunc entries, skipping zero products."""
+    """sum_i u_i v_i over Poly (one ``poly_dot``) or RatFunc entries, skipping zero products."""
+    if isinstance(u[0], Poly):
+        return poly_dot(zip(u, v), u[0].field)
     acc = None
     for a, b in zip(u, v):
         if a.is_zero() or b.is_zero():
@@ -291,7 +295,9 @@ def _t_iterates(bmat, beta: Poly, p: int) -> list[list[tuple[list[Poly], Poly]]]
     n = len(bmat)
     dbeta = beta.derivative()
     zero_p, one_p = Poly.zero(F), Poly.one(F)
-    dens = [beta**k for k in range(p + 1)]
+    dens = [one_p]
+    for _ in range(p):
+        dens.append(poly_dot(((dens[-1], beta),), F))
     iterates = []
     for i in range(n):
         num = [zero_p] * n
@@ -337,8 +343,8 @@ def _apply_t(bmat, beta: Poly, dbeta: Poly, num: list[Poly], k: int) -> list[Pol
     bmat num)/beta^(k+1): the classical p-curvature recurrence, with no gcd or
     division.  The exponent k enters through its image in F_p.
     """
-    kdb = dbeta.scale(beta.field.scalar(k))
-    return [beta * ni.derivative() - kdb * ni + _dot(row, num)
+    neg_kdb = dbeta.scale(beta.field.scalar(-k))
+    return [poly_dot([*zip(row, num), (beta, ni.derivative()), (neg_kdb, ni)], beta.field)
             for ni, row in zip(num, bmat)]
 
 
@@ -447,7 +453,7 @@ def _project(iterates, weights: list[RatFunc], g: Vec) -> Vec:
     By Leibniz, T^k (f e_i) = sum_m C(k, m) f^(k-m) T^m e_i and
     c_k C(k, m) = c_m c_(k-m), so P(g) = sum_i sum_m c_m D_m(g_i) T^m e_i with
     D_m(f) = sum_{l < p-m} c_l f^(l).  The sum is taken over one common
-    denominator.
+    denominator, each coordinate's numerator as one ``poly_dot``.
     """
     p = len(weights)
     terms = []
@@ -467,8 +473,6 @@ def _project(iterates, weights: list[RatFunc], g: Vec) -> Vec:
                 terms.append((w.num, w.den * d, tn))
     F = g[0].field
     den = _lcm((wd for _, wd, _ in terms), Poly.one(F))
-    nums = [Poly.zero(F)] * len(g)
-    for wn, wd, tn in terms:
-        factor = wn * (den // wd if not wd.is_one() else den)
-        nums = [acc if e.is_zero() else acc + factor * e for acc, e in zip(nums, tn)]
-    return tuple(RatFunc(e, den) for e in nums)
+    factors = [wn * (den // wd if not wd.is_one() else den) for wn, wd, _ in terms]
+    return tuple(RatFunc(poly_dot([(f, tn[i]) for f, (_, _, tn) in zip(factors, terms)], F), den)
+                 for i in range(len(g)))

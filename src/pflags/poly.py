@@ -6,14 +6,14 @@ Coefficients are int-encoded field elements (see ``fields``).  The
 indeterminate is positional: the same class serves polynomials in the chart
 coordinate x and, after a Frobenius rewrite, in the twist coordinate.
 
-Over a prime field (k = 1) the ring operations, division with remainder and
-``poly_gcd`` work on the coefficients as plain ints mod p: a product is
-``fields._mul_mod_p`` (Kronecker substitution), and the reduction behind
-division and ``poly_gcd`` is ``fields._reduce_mod_p``.  Over an extension
-field with log tables (q up to the cap in ``fields``) the product and the
-reduction behind division and ``poly_gcd`` read ``_exp``, ``_log`` and
-``_zech`` directly: the logs of the fixed operand (the second factor, the
-divisor) are taken once per call, and each inner step of
+Every product and every sum of products is one ``poly_dot``.  Over a prime
+field (k = 1) that is one ``fields._dot_mod_p`` (Kronecker substitution), and
+the ring operations, division with remainder and ``poly_gcd`` work on the
+coefficients as plain ints mod p, reducing by ``fields._reduce_mod_p``.  Over
+an extension field with log tables (q up to the cap in ``fields``) products
+and the reduction behind division and ``poly_gcd`` read ``_exp``, ``_log``
+and ``_zech`` directly: the logs of the fixed operand (the second factor of
+a pair, the divisor) are taken once per pair or call, and each inner step of
 ``_add_multiples_log`` is one ``_exp`` lookup plus an XOR (p = 2) or a Zech
 step (odd p), with no ``Field`` method call.  In division the log of each
 quotient coefficient is reduced mod q - 1 before a divisor log is added, so
@@ -24,7 +24,7 @@ other operations, the ``Field`` element methods are used.
 from __future__ import annotations
 
 from .errors import PflagsError
-from .fields import Field, GF, _mul_mod_p, _power, _reduce_mod_p, find_irreducible_coeffs
+from .fields import Field, GF, _dot_mod_p, _power, _reduce_mod_p, find_irreducible_coeffs
 
 
 class Poly:
@@ -151,22 +151,7 @@ class Poly:
             return other
         if b == (1,):
             return self
-        if F.k == 1:
-            return Poly(F, _mul_mod_p(a, b, F.p))
-        log = F._log
-        out = [0] * (len(a) + len(b) - 1)
-        if log is not None:
-            lb = [(j, log[y]) for j, y in enumerate(b) if y]  # once per call
-            for i, x in enumerate(a):
-                if x:
-                    _add_multiples_log(out, i, log[x], lb, F)
-            return Poly(F, out)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] = F.add(out[i + j], F.mul(x, y))
-        return Poly(F, out)
+        return poly_dot(((self, other),), F)
 
     def scale(self, c: int) -> "Poly":
         F = self.field
@@ -280,6 +265,30 @@ class Poly:
                 out.append((g, e * self.field.p))
         out.sort(key=lambda ge: ge[1])
         return out
+
+
+def poly_dot(pairs, F: Field) -> Poly:
+    """sum f g over the pairs (f, g) of polynomials over F, skipping zero
+    factors: the one polynomial product (see the module docstring)."""
+    cs = [(f.coeffs, g.coeffs) for f, g in pairs if f.coeffs and g.coeffs]
+    if F.k == 1:
+        return Poly(F, _dot_mod_p(cs, F.p) if cs else ())
+    out = [0] * (max([len(a) + len(b) for a, b in cs], default=1) - 1)
+    log = F._log
+    if log is not None:
+        for a, b in cs:
+            lb = [(j, log[y]) for j, y in enumerate(b) if y]  # once per pair
+            for i, x in enumerate(a):
+                if x:
+                    _add_multiples_log(out, i, log[x], lb, F)
+        return Poly(F, out)
+    for a, b in cs:
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        out[i + j] = F.add(out[i + j], F.mul(x, y))
+    return Poly(F, out)
 
 
 def _add_multiples_log(out: list[int], base: int, lc: int, pairs, F: Field):

@@ -25,6 +25,15 @@ from .ratfunc import RatFunc
 
 PolyMat = tuple[tuple[Poly, ...], ...]
 
+def _level_fits(p: int, m: int) -> bool:
+    """Whether m >= 0 and p^m <= 2^16 (docs/formats.md); p^m is formed only for m <= 16."""
+    return 0 <= m <= 16 and p**m <= 2**16
+
+
+def _check_level(p: int, m: int):
+    if not _level_fits(p, m):
+        raise PreconditionError(f"level must be >= 0 with p^level <= 2^16, got {m} at p = {p}")
+
 
 class BundleP1:
     """A direct sum of line bundles, stored as descending degrees."""
@@ -123,8 +132,7 @@ class DmBundle:
     __slots__ = ("m", "base")
 
     def __init__(self, m: int, base: Conn0):
-        if m < 0:
-            raise PreconditionError(f"level must be >= 0, got {m}")
+        _check_level(base.field.p, m)
         self.m = m
         self.base = base
 
@@ -173,8 +181,7 @@ def admits_level(b: BundleP1, p: int, m: int) -> bool:
     degree must be divisible by p^{m+1}."""
     if p < 2:
         raise PreconditionError(f"characteristic must be >= 2, got {p}")
-    if m < 0:
-        raise PreconditionError(f"level must be >= 0, got {m}")
+    _check_level(p, m)
     q = p ** (m + 1)
     return all(d % q == 0 for d in b.degrees)
 
@@ -183,6 +190,7 @@ def canonical_connection(b: BundleP1, field: Field, m: int) -> DmBundle:
     """The canonical level-m structure on a bundle with p^{m+1} | degrees:
     base degrees d_i / p^m on the twist, base matrix zero."""
     p = field.p
+    _check_level(p, m)
     q = p ** (m + 1)
     for d in b.degrees:
         if d % q:

@@ -215,6 +215,9 @@ def test_malformed_payloads_exit_3(capsys):
         ("hit-charpoly", '{"field":{"p":true,"k":1},"A":[[[1]]]}'),
         ("hit-charpoly", '{"field":{"p":2,"k":2,"modulus":[true,true,true]},"A":[[[1]]]}'),
         ("pone-pcurv", '{"field":{"p":2,"k":1},"level":true,"twist_degrees":[0],"A":[[[]]]}'),
+        # p^level above 2^16
+        ("pone-pcurv", '{"field":{"p":2,"k":1},"level":17,"twist_degrees":[0],"A":[[[]]]}'),
+        ("pone-pcurv", '{"field":{"p":257,"k":1},"level":2,"twist_degrees":[0],"A":[[[]]]}'),
         ("pone-pcurv", '{"field":{"p":2,"k":1},"level":0,"twist_degrees":[true],"A":[[[]]]}'),
         ("pone-pcurv", '{"field":{"p":2,"k":1},"level":0,"twist_degrees":[0],"A":[[[true]]]}'),
         ("ell-skeleton", '{"group":{"factors":[true]},"atoms":[{"r":1,"d":0,"lam":[0]}]}',
@@ -238,6 +241,14 @@ def test_domain_violations_exit_2(capsys):
     cases = [
         ("pone-pullback", "--inline",
          '{"field":{"p":2,"k":1},"level":0,"twist_degrees":[0],"A":[[[]]]}', "--s", "-1"),
+        # the pulled-back level has p^level above 2^16
+        ("pone-pullback", "--inline",
+         '{"field":{"p":2,"k":1},"level":1,"twist_degrees":[0],"A":[[[]]]}', "--s", "16"),
+        ("pone-pullback", "--inline",
+         '{"field":{"p":2,"k":1},"level":0,"twist_degrees":[2],"A":[[[]]]}', "--s", "20000"),
+        ("pone-pullback", "--inline",
+         '{"field":{"p":2,"k":1},"level":0,"twist_degrees":[2],"A":[[[]]]}',
+         "--s", "2147483648"),
         ("ell-profile", "--r", "0", "--d", "3"),
         ("hit-cert", "--inline", '{"field":{"p":3,"k":1},"r":1,"A":[[[0,1]]]}'),
         ("ell-admits", "--inline", bundle, "--p", "0"),  # characteristic below 2

@@ -347,6 +347,33 @@ def test_char_poly_psi_at_p_31_matches_reference():
     assert coeffs == charpoly_berkowitz(psi)[:-1]
 
 
+def test_char_poly_psi_above_the_table_cap_matches_reference():
+    # GF(2^13) has no log tables: the T step runs poly_dot's digit branch
+    F = GF(2, 13)
+    assert F._exp is None
+    rng = random.Random(8192)
+    for r in (2, 3):
+        a = pole_chart(rng, F, r, "shared")
+        psi = column_matrix(F, [its[2] for its in reference_iterates(a, 2)])
+        assert not psi.is_zero()
+        coeffs = list(char_poly_psi(ChartConn(F, r, a)).coeffs)
+        assert coeffs == charpoly_berkowitz(psi)[:-1]
+
+
+def test_t_iterates_call_no_poly_operator(monkeypatch):
+    cleared = [_clear_denominators(a.rows) for a in pole_charts() + [p31_chart()]]
+    calls = []
+    for name in ("__add__", "__sub__", "__mul__", "__neg__"):
+        def counted(*args, _name=name, _original=getattr(Poly, name)):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(Poly, name, counted)
+    for bmat, beta in cleared:
+        _t_iterates(bmat, beta, beta.field.p)
+    assert calls == []
+    assert Poly.one(GF(3)) * Poly.x(GF(3)) == Poly.x(GF(3)) and calls == ["__mul__"]
+
+
 def test_scalar_jacobson_formula():
     # rank 1 oracle: psi = a^{(p-1)} + a^p
     rng = random.Random(10)

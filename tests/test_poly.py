@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pflags.errors import PflagsError
-from pflags.fields import GF
-from pflags.poly import Poly, find_irreducible, poly_gcd, roots_in_field
+from pflags.fields import GF, _dot_mod_p
+from pflags.poly import Poly, find_irreducible, poly_dot, poly_gcd, roots_in_field
 
 FIELDS = [GF(2), GF(3), GF(5), GF(7), GF(31), GF(2, 2), GF(3, 2)]
 PRIME_FIELDS = [F for F in FIELDS if F.k == 1]
@@ -248,6 +248,89 @@ def test_prime_field_product_unit_short_circuits():
         one = Poly.one(F)
         assert f * one is f and one * f is f
         assert (f * Poly.zero(F)).is_zero() and (Poly.zero(F) * f).is_zero()
+
+
+# -- dot products: one integer sum of packed products, unpacked once
+
+
+def schoolbook_dot(pairs, p) -> tuple:
+    """sum a b mod p over the coefficient pairs, by ``schoolbook``."""
+    out = []
+    for a, b in pairs:
+        prod = schoolbook(a, b, p)
+        out += [0] * (len(prod) - len(out))
+        for i, c in enumerate(prod):
+            out[i] = (out[i] + c) % p
+    return _trim(out)
+
+
+@st.composite
+def dot_operands(draw):
+    """A prime and 1-6 pairs of coefficient lists of length 1-12, often
+    with the extreme coefficients 0 and p - 1."""
+    p = draw(st.sampled_from(sorted(KRONECKER_FIELDS)))
+    coeff = st.one_of(st.just(0), st.just(p - 1), st.integers(0, p - 1))
+    operand = st.lists(coeff, min_size=1, max_size=12)
+    return p, draw(st.lists(st.tuples(operand, operand), min_size=1, max_size=6))
+
+
+@given(dot_operands())
+@settings(max_examples=300, deadline=None)
+def test_dot_mod_p_matches_sum_of_schoolbook_products(operands):
+    p, pairs = operands
+    out = _dot_mod_p(pairs, p)
+    assert len(out) == max(len(a) + len(b) for a, b in pairs) - 1
+    assert _trim(out) == schoolbook_dot(pairs, p)
+
+
+def _summed_slot_crossings():
+    """(p, n, t): t pairs of length n whose products each fit a slot below
+    2^8, 2^16, 2^32 or 2^64, while their sum needs a wider one."""
+    out = set()
+    for p in KRONECKER_FIELDS:
+        for bits in (8, 16, 32, 64):
+            n = (2**bits - 1) // (p - 1) ** 2  # largest n with n (p-1)^2 < 2^bits
+            if 1 <= n <= 80:
+                out.add((p, n, -(-2**bits // (n * (p - 1) ** 2))))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("p,n,t", _summed_slot_crossings())
+def test_dot_mod_p_where_only_the_sum_crosses_a_slot(p, n, t):
+    single, total = n * (p - 1) ** 2, t * n * (p - 1) ** 2
+    assert any(single < 2**bits <= total for bits in (8, 16, 32, 64))
+    # with every coefficient p - 1 the middle slot of the sum holds the bound
+    pairs = [([p - 1] * n, [p - 1] * (n + s)) for s in range(t)]
+    assert _trim(_dot_mod_p(pairs, p)) == schoolbook_dot(pairs, p)
+
+
+DOT_FIELDS = [GF(2, 2), GF(3, 2), GF(2, 13), GF(3, 8)]  # log tables, then digits
+
+
+@st.composite
+def poly_dot_operands(draw):
+    """An extension field, on either side of the log-table cap, and 0-4
+    pairs of polynomials of degree <= 5, some of them zero."""
+    F = draw(st.sampled_from(DOT_FIELDS))
+    coeff = st.one_of(st.just(0), st.just(1), st.integers(0, F.q - 1))
+    poly = st.lists(coeff, max_size=6).map(lambda cs: Poly(F, cs))
+    return F, draw(st.lists(st.tuples(poly, poly), max_size=4))
+
+
+@given(poly_dot_operands())
+@settings(max_examples=100, deadline=None)
+def test_poly_dot_matches_sum_of_products(operands):
+    F, pairs = operands
+    ref = [0]
+    for f, g in pairs:  # element schoolbook on the Field methods
+        for i, x in enumerate(f.coeffs):
+            for j, y in enumerate(g.coeffs):
+                ref += [0] * (i + j + 1 - len(ref))
+                ref[i + j] = F.add(ref[i + j], F.mul(x, y))
+    total = Poly.zero(F)
+    for f, g in pairs:
+        total = total + f * g
+    assert poly_dot(pairs, F).coeffs == total.coeffs == _trim(ref)
 
 
 # -- the log-table kernels over extension fields against schoolbook loops on

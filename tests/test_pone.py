@@ -71,6 +71,26 @@ def test_admits_level_rejects_characteristic_below_2(p):
         admits_level(BundleP1([2, 0]), p, 0)
 
 
+@pytest.mark.parametrize("p,top", [(2, 16), (3, 10), (251, 2), (65537, 0)])
+def test_levels_stop_where_p_to_the_m_passes_2_to_the_16(p, top):
+    field = GF(p)
+    base = Conn0(field, BundleP1([0]), [[Poly.zero(field)]])
+    bundle = BundleP1([0])
+    assert DmBundle(top, base).underlying_degrees() == (0,)
+    assert frobenius_pullback(DmBundle(0, base), top).m == top
+    assert admits_level(bundle, p, top)
+    assert canonical_connection(bundle, field, top).m == top
+    for m in (top + 1, 20000, 2**31):
+        with pytest.raises(PreconditionError):
+            DmBundle(m, base)
+        with pytest.raises(PreconditionError):
+            frobenius_pullback(DmBundle(top, base), m - top)
+        with pytest.raises(PreconditionError):
+            admits_level(bundle, p, m)
+        with pytest.raises(PreconditionError):
+            canonical_connection(bundle, field, m)
+
+
 def test_canonical_connection_examples():
     d = canonical_connection(BundleP1([4, 2]), F2, 0)
     assert d.m == 0 and d.base.degrees == (4, 2)
