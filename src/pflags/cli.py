@@ -195,8 +195,14 @@ def _run_subcommand(name: str, args) -> int:
 
 
 def _load_fixtures(corpus: str | None) -> list[dict]:
-    paths = (sorted(Path(corpus).glob("*.json")) if corpus
-             else [resources.files("pflags").joinpath("fixtures/fixtures.json")])
+    if corpus:
+        if not Path(corpus).is_dir():
+            raise ValueError(f"{corpus} is not a directory")
+        paths = sorted(Path(corpus).glob("*.json"))
+        if not paths:
+            raise ValueError(f"{corpus} holds no *.json file")
+    else:
+        paths = [resources.files("pflags").joinpath("fixtures/fixtures.json")]
     items: list[dict] = []
     for path in paths:
         try:

@@ -39,7 +39,9 @@ that finds it), and ``Field`` takes it as proven.
 
 A sum of products a_1 b_1 + ... + a_t b_t of F_p polynomials, in ``poly``
 and of digit vectors, is one sum of big-integer products, unpacked once
-(Kronecker substitution, ``_dot_mod_p``).  Each coefficient tuple is packed
+(Kronecker substitution, ``_dot_mod_p``).  ``_slot_codec`` is the one packer
+and unpacker, shared by ``_dot_mod_p`` and the T step of ``matrix``, which
+packs its fixed operands once per chart.  Each coefficient tuple is packed
 into an int, one fixed-width slot per coefficient, constant term lowest.  A
 coefficient of a_s b_s is a sum of at most n_s = min(len a_s, len b_s) terms,
 each at most (p - 1)^2, so a slot of w bytes with (n_1 + ... + n_t) (p - 1)^2
@@ -120,9 +122,50 @@ def _power(x, n: int, one, mul):
     return result
 
 
-# struct codes, standard sizes under "<", for the slot widths 2..8 rounded up
-_SLOT_CODES = {2: (2, "H"), 3: (4, "I"), 4: (4, "I"), 5: (8, "Q"), 6: (8, "Q"),
-               7: (8, "Q"), 8: (8, "Q")}
+def _byte_codec():
+    def pack(cs):
+        return int.from_bytes(bytes(cs), "little")
+
+    def unpack(total, m, p):
+        return [c % p for c in total.to_bytes(m, "little")]
+    return 8, pack, unpack
+
+
+def _struct_codec(width: int, code: str):
+    def pack(cs):
+        return int.from_bytes(struct.pack(f"<{len(cs)}{code}", *cs), "little")
+
+    def unpack(total, m, p):
+        return [c % p for c in struct.unpack(f"<{m}{code}", total.to_bytes(m * width, "little"))]
+    return 8 * width, pack, unpack
+
+
+def _wide_codec(width: int):
+    def pack(cs):
+        return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in cs), "little")
+
+    def unpack(total, m, p):
+        data = total.to_bytes(m * width, "little")
+        return [int.from_bytes(data[i:i + width], "little") % p
+                for i in range(0, m * width, width)]
+    return 8 * width, pack, unpack
+
+
+# slot widths of 2..8 bytes rounded up to the standard sizes of the struct
+# codes H, I and Q under "<"
+_CODECS = {1: _byte_codec(), 2: _struct_codec(2, "H")}
+_CODECS[3] = _CODECS[4] = _struct_codec(4, "I")
+_CODECS.update(dict.fromkeys(range(5, 9), _struct_codec(8, "Q")))
+
+
+def _slot_codec(bound: int):
+    """The Kronecker codec (bits, pack, unpack) for slots that hold every
+    integer in [0, bound], bound >= 1 (see the module docstring): a slot is
+    ``bits`` wide, pack(cs) is the int with the nonnegative ints cs in
+    consecutive slots, constant term lowest, and unpack(total, m, p) the
+    lowest m slots of total, each reduced mod p."""
+    width = (bound.bit_length() + 7) >> 3  # bytes per slot
+    return _CODECS[width] if width <= 8 else _wide_codec(width)
 
 
 def _dot_mod_p(pairs, p: int) -> list[int]:
@@ -134,24 +177,11 @@ def _dot_mod_p(pairs, p: int) -> list[int]:
         la, lb = len(a), len(b)
         bound += la if la < lb else lb
         m = la + lb if la + lb > m else m
-    bound *= (p - 1) ** 2  # no coefficient of the integer sum exceeds it
-    m, total = m - 1, 0
-    if bound < 256:
-        for a, b in pairs:
-            total += int.from_bytes(bytes(a), "little") * int.from_bytes(bytes(b), "little")
-        return [c % p for c in total.to_bytes(m, "little")]
-    width = (bound.bit_length() + 7) >> 3  # bytes per slot
-    if width <= 8:
-        width, code = _SLOT_CODES[width]
-        for a, b in pairs:
-            total += (int.from_bytes(struct.pack(f"<{len(a)}{code}", *a), "little")
-                      * int.from_bytes(struct.pack(f"<{len(b)}{code}", *b), "little"))
-        return [c % p for c in struct.unpack(f"<{m}{code}", total.to_bytes(m * width, "little"))]
+    _, pack, unpack = _slot_codec(bound * (p - 1) ** 2)  # no coefficient of the sum exceeds it
+    total = 0
     for a, b in pairs:
-        total += (int.from_bytes(b"".join(c.to_bytes(width, "little") for c in a), "little")
-                  * int.from_bytes(b"".join(c.to_bytes(width, "little") for c in b), "little"))
-    data = total.to_bytes(m * width, "little")
-    return [int.from_bytes(data[i:i + width], "little") % p for i in range(0, m * width, width)]
+        total += pack(a) * pack(b)
+    return unpack(total, m - 1, p)
 
 
 def _reduce_mod_p(rem: list[int], div, p: int, quo: list[int] | None = None):

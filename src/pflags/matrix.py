@@ -14,21 +14,25 @@ The characteristic polynomial and the iterates of T work on polynomials: a
 matrix m is cleared once to N/delta (``_clear_denominators``).  With
 A = B/beta, T^k e_i has the fixed denominator beta^k, and its numerators follow
 the classical p-curvature recurrence (Katz), with no gcd in the loop.  A T
-step, Berkowitz on N, the re-check and the projector take one ``poly_dot``
-per entry.  Here and in ``hitchin`` psi has one form, the pair (N, delta)
-read off the iterates by ``_cleared_psi``, delta = beta^p; ``_p_curvature``
-builds and re-verifies it.  The re-check, ``_charpoly_cleared``, the
-nilpotency test (N^r = delta^r psi^r) and the kernel (ker N = ker psi) read
-N.  Rational functions are reduced only in results: the psi
-``p_curvature_matrix`` returns and the projected sections.
+step comes from ``_t_step``, built per chart, which over F_p packs the fixed
+operands B and beta once rather than once per entry and step; the build of
+psi and its re-check both use it.  Berkowitz on N, the re-check's psi v and
+the projector take one ``poly_dot`` per entry.  Here and in ``hitchin`` psi
+has one form, the pair (N, delta) read off the iterates by ``_cleared_psi``,
+delta = beta^p; ``_p_curvature`` builds and re-verifies it.  The re-check,
+``_charpoly_cleared``, the nilpotency test (N^r = delta^r psi^r) and the
+kernel (ker N = ker psi) read N.  Rational functions are reduced only in
+results: the psi ``p_curvature_matrix`` returns and the projected sections.
 ``horizontal_sections`` re-verifies every section it returns, so it builds
 its N without the re-check.
 """
 
 from __future__ import annotations
 
+from operator import mul
+
 from .errors import InternalInvariantError, PflagsError
-from .fields import Field, _power
+from .fields import Field, _power, _slot_codec
 from .poly import Poly, poly_dot, poly_gcd
 from .ratfunc import RatFunc
 
@@ -264,8 +268,9 @@ def _p_curvature(a: MatRF):
     section v: T^p(f v) = f T^p(v) with f = x + 1, and T^p(v) = psi v.  T is
     iterated over beta^k, A = B/beta, independently of the iterates, and both
     identities are compared on numerators: T^p(f v) and T^p(v) = n/beta^p
-    share beta^p, and the second reads (N v) beta^p = n delta.  Failure
-    indicates an iteration bug, not bad input.
+    share beta^p, and the second reads (N v) beta^p = n delta.  The build
+    and this iteration share one ``_t_step``, so a wrong step is caught by
+    the first identity.  Failure indicates an iteration bug, not bad input.
     """
     F = a.field
     p = F.p
@@ -274,12 +279,12 @@ def _p_curvature(a: MatRF):
     nmat, delta = _cleared_psi(iterates)
     f = Poly(F, (1, 1))  # x + 1
     v = [Poly.monomial(F, 1, i % 3) for i in range(a.n)]
-    dbeta = beta.derivative()
+    step = _t_step(bmat, beta)
     lhs = [f * e for e in v]
     rhs = v
     for k in range(p):
-        lhs = _apply_t(bmat, beta, dbeta, lhs, k)
-        rhs = _apply_t(bmat, beta, dbeta, rhs, k)
+        lhs = step(lhs, k)
+        rhs = step(rhs, k)
     if lhs != [f * e for e in rhs]:
         raise InternalInvariantError("p-curvature operator is not O-linear")
     beta_p = beta**p
@@ -290,10 +295,10 @@ def _p_curvature(a: MatRF):
 
 def _t_iterates(bmat, beta: Poly, p: int) -> list[list[tuple[list[Poly], Poly]]]:
     """The iterates T^k e_i for k = 0..p, one list per i, each as the
-    unreduced pair (numerators, beta^k) with A = bmat/beta; see ``_apply_t``."""
+    unreduced pair (numerators, beta^k) with A = bmat/beta; see ``_t_step``."""
     F = beta.field
     n = len(bmat)
-    dbeta = beta.derivative()
+    step = _t_step(bmat, beta)
     zero_p, one_p = Poly.zero(F), Poly.one(F)
     dens = [one_p]
     for _ in range(p):
@@ -304,7 +309,7 @@ def _t_iterates(bmat, beta: Poly, p: int) -> list[list[tuple[list[Poly], Poly]]]
         num[i] = one_p
         nums = [num]
         for k in range(p):
-            nums.append(_apply_t(bmat, beta, dbeta, nums[-1], k))
+            nums.append(step(nums[-1], k))
         iterates.append(list(zip(nums, dens)))
     return iterates
 
@@ -321,10 +326,13 @@ def _cleared_psi(iterates) -> tuple[list[tuple[Poly, ...]], Poly]:
 
 def _clear_denominators(rows) -> tuple[list[list[Poly]], Poly]:
     """Write a matrix of reduced rational functions as N/delta: the polynomial
-    rows of N and delta, the monic lcm of the entry denominators."""
-    delta = _lcm((e.den for row in rows for e in row), Poly.one(rows[0][0].field))
-    return [[e.num * (delta if e.den.is_one() else delta // e.den) for e in row]
-            for row in rows], delta
+    rows of N and delta, the monic lcm of the entry denominators.  Each
+    distinct denominator takes one lcm step and one exact division."""
+    dens = dict.fromkeys(e.den for row in rows for e in row)
+    delta = _lcm(dens, Poly.one(rows[0][0].field))
+    for d in dens:
+        dens[d] = delta if d.is_one() else delta // d
+    return [[e.num * dens[e.den] for e in row] for row in rows], delta
 
 
 def _lcm(dens, out: Poly) -> Poly:
@@ -335,17 +343,51 @@ def _lcm(dens, out: Poly) -> Poly:
     return out
 
 
-def _apply_t(bmat, beta: Poly, dbeta: Poly, num: list[Poly], k: int) -> list[Poly]:
-    """The numerators of T^(k+1) v over beta^(k+1), from T^k v = num/beta^k,
-    where A = bmat/beta and dbeta = beta'.
+def _t_step(bmat, beta: Poly):
+    """The T step of A = bmat/beta: step(num, k) is the list of numerators of
+    T^(k+1) v over beta^(k+1), from T^k v = num/beta^k.
 
     (num/beta^k)' + (bmat/beta)(num/beta^k) = (beta num' - k beta' num +
     bmat num)/beta^(k+1): the classical p-curvature recurrence, with no gcd or
-    division.  The exponent k enters through its image in F_p.
+    division.  The exponent k enters through its image in F_p.  Over an
+    extension field each entry is one ``poly_dot``.  Over F_p it is the same
+    sum of products on ``fields._slot_codec``'s ints: bmat_ij and beta are
+    packed once here, -k beta' and each n_j and n_j' once per step.  One slot
+    width serves every step, since a pair's coefficient sums at most
+    len(fixed operand) terms.  The sum's highest nonzero slot is the top of
+    its longest product with no zero factor, so each entry is unpacked from
+    the slots ``_dot_mod_p`` would use.
     """
-    neg_kdb = dbeta.scale(beta.field.scalar(-k))
-    return [poly_dot([*zip(row, num), (beta, ni.derivative()), (neg_kdb, ni)], beta.field)
-            for ni, row in zip(num, bmat)]
+    F = beta.field
+    dbeta = beta.derivative()
+    if F.k > 1:
+        def step(num, k):
+            neg_kdb = dbeta.scale(F.scalar(-k))
+            return [poly_dot([*zip(row, num), (beta, ni.derivative()), (neg_kdb, ni)], F)
+                    for ni, row in zip(num, bmat)]
+        return step
+    p = F.p
+    db = dbeta.coeffs
+    bits, pack, unpack = _slot_codec(
+        (max(sum(len(e.coeffs) for e in row) for row in bmat) + len(beta.coeffs) + len(db))
+        * (p - 1) ** 2)
+    rows = [[pack(e.coeffs) for e in row] for row in bmat]
+    pbeta = pack(beta.coeffs)
+
+    def step(num, k):
+        neg_k = -k % p
+        pdb = pack([neg_k * c % p for c in db])
+        cs = [n.coeffs for n in num]
+        pnum = list(map(pack, cs))
+        out = []
+        for n, pn, row in zip(cs, pnum, rows):
+            terms = enumerate(n)
+            next(terms, None)  # n' as in ``Poly.derivative``
+            total = (sum(map(mul, row, pnum)) + pbeta * pack([c * i % p for i, c in terms])
+                     + pdb * pn)
+            out.append(Poly(F, unpack(total, -(-total.bit_length() // bits), p)))
+        return out
+    return step
 
 
 # -- horizontal sections: Katz's projector ------------------------------------------

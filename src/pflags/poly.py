@@ -6,7 +6,9 @@ Coefficients are int-encoded field elements (see ``fields``).  The
 indeterminate is positional: the same class serves polynomials in the chart
 coordinate x and, after a Frobenius rewrite, in the twist coordinate.
 
-Every product and every sum of products is one ``poly_dot``.  Over a prime
+Every product and every sum of products is one ``poly_dot``, except the T
+step of ``matrix._t_step`` over F_p, which packs its fixed operands once per
+chart with the same codec, ``fields._slot_codec``.  Over a prime
 field (k = 1) that is one ``fields._dot_mod_p`` (Kronecker substitution), and
 the ring operations, division with remainder and ``poly_gcd`` work on the
 coefficients as plain ints mod p, reducing by ``fields._reduce_mod_p``.  Over
@@ -197,12 +199,12 @@ class Poly:
 
     def derivative(self) -> "Poly":
         F = self.field
+        terms = enumerate(self.coeffs)
+        next(terms, None)  # the constant term contributes nothing
         if F.k == 1:
             p = F.p
-            out = [c * i % p for i, c in enumerate(self.coeffs)][1:]
-        else:
-            out = [F.mul(c, F.scalar(i)) for i, c in enumerate(self.coeffs)][1:]
-        return Poly(F, out)
+            return Poly(F, [c * i % p for i, c in terms])
+        return Poly(F, [F.mul(c, F.scalar(i)) for i, c in terms])
 
     def evaluate(self, a: int) -> int:
         F = self.field

@@ -380,6 +380,19 @@ def test_malformed_corpus_file_is_a_parse_error(tmp_path, capsys, content):
     assert error.startswith("cannot load fixture corpus: items.json")
 
 
+@pytest.mark.parametrize("kind", ["missing", "file", "empty-dir"])
+def test_corpus_without_fixture_files_is_a_parse_error(tmp_path, capsys, kind):
+    corpus = tmp_path / "corpus"
+    if kind == "file":
+        corpus.write_text("[]")
+    elif kind == "empty-dir":
+        corpus.mkdir()
+        (corpus / "notes.txt").write_text("[]")
+    error = _assert_parse_error(capsys, "selftest", "--corpus", str(corpus), "--json")
+    reason = "holds no *.json file" if kind == "empty-dir" else "is not a directory"
+    assert error == f"cannot load fixture corpus: {corpus} {reason}"
+
+
 @pytest.mark.parametrize("bad", [{"expect": []}, {"expect": {"value_subset": [1]}},
                                  {"op": []}, {"name": 5}],
                          ids=["expect-array", "value-subset-array", "op-array", "name-int"])

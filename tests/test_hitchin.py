@@ -200,6 +200,28 @@ def test_p_curvature_recheck_catches_an_iteration_off_by_one(monkeypatch):
             p_curvature(c)
 
 
+def test_p_curvature_recheck_catches_a_step_without_the_beta_prime_term(monkeypatch):
+    """A T step that drops -k beta' n_i is shared by the build of psi and by
+    the re-check, so psi v agrees with the iterated sample section and only
+    the O-linearity identity can catch it."""
+    charts = _mutation_charts()
+    psis = [p_curvature_chart(c) for c in charts]
+    true_step = matrix._t_step
+    monkeypatch.setattr(matrix, "_t_step",
+                        lambda bmat, beta: lambda num, k, step=true_step(bmat, beta):
+                        step(num, 0))
+    caught = 0
+    for c, psi in zip(charts, psis):
+        if _mutated_psi(c, lambda iterates: iterates) == psi:
+            continue  # beta' = 0, or the term cancels in psi: nothing to catch
+        with pytest.raises(InternalInvariantError):
+            p_curvature_chart(c)
+        with pytest.raises(InternalInvariantError):
+            char_poly_psi(c)
+        caught += 1
+    assert caught >= len(charts) // 2
+
+
 def test_char_poly_psi_builds_no_matrix(monkeypatch):
     """char_poly_psi reads psi as the cleared pair (N, delta) alone: it forms
     no MatRF, so no entry of psi is reduced."""

@@ -5,10 +5,10 @@ from pflags.fields import GF
 from pflags.hitchin import ChartConn, char_poly_psi
 from pflags.matrix import (
     MatRF,
-    _apply_t,
     _clear_denominators,
     _rref,
     _t_iterates,
+    _t_step,
     apply_connection,
     charpoly_berkowitz,
     gauge_transform,
@@ -18,7 +18,7 @@ from pflags.matrix import (
     kernel,
     p_curvature_matrix,
 )
-from pflags.poly import Poly, poly_gcd
+from pflags.poly import Poly, poly_dot, poly_gcd
 from pflags.ratfunc import RatFunc
 from pflags.sampling import (
     random_flat_conn0,
@@ -315,13 +315,59 @@ def test_t_iterates_match_gcd_per_step_reference():
         # past T^p the step's k >= p must enter as k mod p (over GF(4) and GF(9)
         # the integer k itself would be another field element)
         bmat, beta = _clear_denominators(a.rows)
+        step = _t_step(bmat, beta)
         for its, ref_its in zip(new, ref):
             num = its[p][0]
             for k in range(p, 2 * p):
-                num = _apply_t(bmat, beta, beta.derivative(), num, k)
+                num = step(num, k)
                 ref_num, ref_den = ref_its[k + 1]
                 assert ([RatFunc(e, beta ** (k + 1)) for e in num]
                         == [RatFunc(e, ref_den) for e in ref_num])
+
+
+def apply_t_oracle(bmat, beta, num, k):
+    """Oracle: one T step as one ``poly_dot`` per entry, over (bmat_ij, n_j),
+    (beta, n_i') and (-k beta', n_i)."""
+    field = beta.field
+    neg_kdb = beta.derivative().scale(field.scalar(-k))
+    return [poly_dot([*zip(row, num), (beta, ni.derivative()), (neg_kdb, ni)], field)
+            for ni, row in zip(num, bmat)]
+
+
+# 1-byte slots at p <= 7, then H, I, Q and slots wider than 8 bytes
+STEP_PRIMES = (2, 3, 7, 31, 251, 65521, 2**31 - 1, 2**61 - 1)
+
+
+def step_cases(field, rng):
+    """(bmat, beta, num) on pole charts of rank 1-3 over field, num a random
+    numerator vector with a zero entry, a constant and a p-th power among
+    its entries, so that pairs are skipped and derivatives vanish; last, a
+    rank-1 step whose coefficients are all p - 1, -beta' included, so that
+    its integer sums need the beta and beta' terms of the slot bound."""
+    p = field.p
+    for r in (1, 2, 3):
+        for poles in ("none", "shared", "distinct", "repeated"):
+            bmat, beta = _clear_denominators(pole_chart(rng, field, r, poles).rows)
+            num = [random_poly(rng, field, rng.randint(0, 6)) for _ in range(r)]
+            num[rng.randrange(r)] = rng.choice(
+                [Poly.zero(field), Poly.one(field), Poly.monomial(field, 1, p) if p < 99
+                 else Poly.x(field)])
+            yield bmat, beta, num
+    top = p - 1
+    beta = Poly(field, [1] + [field.div(top, field.scalar(-i)) if i % p else 1
+                              for i in range(1, 6)])
+    yield [[Poly(field, [top])]], beta, [Poly(field, [top] * 5)]
+
+
+def test_t_step_matches_the_per_entry_oracle():
+    # GF(4), GF(9) and GF(2^13) take the extension-field branch
+    rng = random.Random(16)
+    for field in [GF(p) for p in STEP_PRIMES] + [GF(2, 2), GF(3, 2), GF(2, 13)]:
+        p = field.p
+        for bmat, beta, num in step_cases(field, rng):
+            step = _t_step(bmat, beta)
+            for k in (0, 1, p - 1, p, 2 * p + 1):
+                assert step(num, k) == apply_t_oracle(bmat, beta, num, k)
 
 
 def p31_chart():
