@@ -125,7 +125,7 @@ def _load_payload(args) -> Any:
         return None
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past CPython's digit limit
         raise ParseError(f"malformed JSON input: {exc}") from exc
     except RecursionError as exc:
         raise ParseError("malformed JSON input: nested too deeply") from exc

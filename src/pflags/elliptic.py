@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import PflagsError, PreconditionError
 
@@ -113,6 +113,7 @@ class AtiyahProfile:
         return self.pairs[0][1]
 
 
+@dataclass(frozen=True)
 class FlagSkeleton:
     """The multiset of graded line classes of a complete flag refining the
     canonical filtrations, as (class, multiplicity) pairs.
@@ -122,17 +123,17 @@ class FlagSkeleton:
     (degree descending, torsion lexicographic) for determinism.
     """
 
-    __slots__ = ("entries",)
+    entries: tuple[tuple[PicClass, int], ...]
 
-    def __init__(self, entries: Iterable[tuple[PicClass, int]]):
+    def __post_init__(self):
         merged: dict[PicClass, int] = {}
-        for cls, mult in entries:
+        for cls, mult in self.entries:
             if mult < 1:
                 raise PflagsError("skeleton multiplicities must be >= 1")
             merged[cls] = merged.get(cls, 0) + mult
-        self.entries = tuple(
+        object.__setattr__(self, "entries", tuple(
             sorted(merged.items(), key=lambda cm: (-cm[0].degree, cm[0].tor))
-        )
+        ))
 
     @property
     def total_rank(self) -> int:
@@ -141,9 +142,6 @@ class FlagSkeleton:
     @property
     def total_degree(self) -> int:
         return sum(cls.degree * m for cls, m in self.entries)
-
-    def __eq__(self, other):
-        return isinstance(other, FlagSkeleton) and self.entries == other.entries
 
     def __repr__(self):
         return "{" + ", ".join(f"{cls}x{m}" for cls, m in self.entries) + "}"
@@ -165,10 +163,13 @@ def atiyah_profile(r: int, d: int) -> AtiyahProfile:
 
     Each step peels H^0(L_j^v tensor quotient) copies of L_j with
     deg L_j = floor(d_{j-1}/r_{j-1}); it stops at the first r_m | d_m, after
-    which r_m line steps of the terminal degree d_m / r_m remain.
+    which r_m line steps of the terminal degree d_m / r_m remain.  deg_l has
+    up to r entries, so r is capped at 2^16 (docs/formats.md).
     """
     if r < 1:
         raise PreconditionError(f"rank must be >= 1, got {r}")
+    if r > 2**16:
+        raise PreconditionError(f"rank must be <= 2^16 = 65536, got {r}")
     pairs = [(r, d)]
     deg_l: list[int] = []
     gr_ranks: list[int] = []

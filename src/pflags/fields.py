@@ -204,28 +204,36 @@ def _reduce_mod_p(rem: list[int], div, p: int, quo: list[int] | None = None):
     rem[:] = [c % p for c in rem]
 
 
+def _mul_mod_p(u, v, mod, p: int) -> list[int]:
+    """u v mod ``mod`` over F_p as deg(mod) entries, for nonempty ascending
+    u and v: the one F_p product mod a polynomial."""
+    prod = _dot_mod_p(((u, v),), p)
+    _reduce_mod_p(prod, mod, p)
+    return prod[:len(mod) - 1]
+
+
+def _euclid(r0: list, r1: list, reduce, ring) -> list:
+    """The gcd, not made monic, of the ascending lists r0 and r1, which it
+    consumes: the one Euclid remainder loop, reducing by ``reduce(rem, div,
+    ring)`` (``_reduce_mod_p`` with p, or ``poly._reduce`` with a ``Field``)."""
+    while r1:
+        reduce(r0, r1, ring)
+        while r0 and r0[-1] == 0:
+            r0.pop()
+        r0, r1 = r1, r0
+    return r0
+
+
 def _is_irreducible_digits(coeffs, p: int) -> bool:
     """Ben-Or's test: f of degree k over F_p is irreducible iff gcd(f,
     x^(p^d) - x), the product of its irreducible factors of degree dividing
-    d, is 1 for d = 1..k/2.  Euclid runs on ``_reduce_mod_p``."""
-    k = len(coeffs) - 1
-
-    def mul_mod(u, v):
-        prod = _dot_mod_p(((u, v),), p)
-        _reduce_mod_p(prod, coeffs, p)
-        return prod[:k]
-
+    d, is 1 for d = 1..k/2."""
     h = [0, 1]  # x^(p^d) mod f, by d p-th powers
-    for _ in range(k // 2):
-        h = _power(h, p, [1], mul_mod)
-        r0, r1 = list(h), list(coeffs)  # h keeps at least the two entries of x
+    for _ in range((len(coeffs) - 1) // 2):
+        h = _power(h, p, [1], lambda u, v: _mul_mod_p(u, v, coeffs, p))
+        r0 = list(h)  # h keeps at least the two entries of x
         r0[1] = (r0[1] - 1) % p  # x^(p^d) - x mod f
-        while r1:  # Euclid's remainder sequence, as in ``poly.poly_gcd``
-            _reduce_mod_p(r0, r1, p)
-            while r0 and r0[-1] == 0:
-                r0.pop()
-            r0, r1 = r1, r0
-        if len(r0) > 1:
+        if len(_euclid(r0, list(coeffs), _reduce_mod_p, p)) > 1:
             return False
     return True
 
@@ -355,9 +363,7 @@ class Field:
     def _mul_digits(self, a: int, b: int) -> int:
         """The product of the digit vectors, reduced by the modulus (k > 1)."""
         p, k = self.p, self.k
-        prod = _dot_mod_p(((_digits(a, p, k), _digits(b, p, k)),), p)
-        _reduce_mod_p(prod, self.modulus, p)
-        return _undigits(prod[:k], p)
+        return _undigits(_mul_mod_p(_digits(a, p, k), _digits(b, p, k), self.modulus, p), p)
 
     def inv(self, a: int) -> int:
         if a == 0:

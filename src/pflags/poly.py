@@ -26,18 +26,22 @@ other operations, the ``Field`` element methods are used.
 from __future__ import annotations
 
 from .errors import PflagsError
-from .fields import Field, GF, _dot_mod_p, _power, _reduce_mod_p, find_irreducible_coeffs
+from .fields import (Field, GF, _dot_mod_p, _euclid, _power, _reduce_mod_p,
+                     find_irreducible_coeffs)
 
 
 class Poly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: Field, coeffs=()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
+        cs = tuple(coeffs)  # the same object when coeffs is a tuple
+        if cs and cs[-1] == 0:
+            n = len(cs) - 1
+            while n and cs[n - 1] == 0:
+                n -= 1
+            cs = cs[:n]
         self.field = field
-        self.coeffs = tuple(cs)
+        self.coeffs = cs
 
     # -- constructors -------------------------------------------------------
 
@@ -351,14 +355,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor."""
     a._same_field(b)
     F = a.field
-    # Euclid's remainder sequence in place on coefficient lists
-    r0, r1 = list(a.coeffs), list(b.coeffs)
-    while r1:
-        _reduce(r0, r1, F)
-        while r0 and r0[-1] == 0:
-            r0.pop()
-        r0, r1 = r1, r0
-    return Poly(F, r0).monic()
+    return Poly(F, _euclid(list(a.coeffs), list(b.coeffs), _reduce, F)).monic()
 
 
 def find_irreducible(p: int, k: int) -> Poly:

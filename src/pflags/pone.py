@@ -11,6 +11,8 @@ Validity of a chart matrix is decided by computing the actual infinity-chart
 matrix and checking regularity at y = 0, which makes the entry-bound shape of
 valid matrices (zero diagonal, A_{ji} != 0 only for d_j >= d_i + 2 with
 deg A_{ji} <= d_j - d_i - 2) a testable consequence rather than an assumption.
+The records are frozen dataclasses and carry no derived state: ``validate``
+recomputes the infinity-chart matrix on every call.
 """
 
 from __future__ import annotations
@@ -35,16 +37,17 @@ def _check_level(p: int, m: int):
         raise PreconditionError(f"level must be >= 0 with p^level <= 2^16, got {m} at p = {p}")
 
 
+@dataclass(frozen=True)
 class BundleP1:
     """A direct sum of line bundles, stored as descending degrees."""
 
-    __slots__ = ("degrees",)
+    degrees: tuple[int, ...]
 
-    def __init__(self, degrees):
-        ds = tuple(sorted((int(d) for d in degrees), reverse=True))
+    def __post_init__(self):
+        ds = tuple(sorted((int(d) for d in self.degrees), reverse=True))
         if not ds:
             raise PflagsError("bundle must have positive rank")
-        self.degrees = ds
+        object.__setattr__(self, "degrees", ds)
 
     @property
     def rank(self) -> int:
@@ -53,12 +56,6 @@ class BundleP1:
     @property
     def degree(self) -> int:
         return sum(self.degrees)
-
-    def __eq__(self, other):
-        return isinstance(other, BundleP1) and self.degrees == other.degrees
-
-    def __hash__(self):
-        return hash(self.degrees)
 
     def __repr__(self):
         return f"O{self.degrees}"
@@ -76,24 +73,24 @@ class Violation:
         return f"entry ({self.row + 1},{self.col + 1}) has a pole of order {self.order} at infinity"
 
 
+@dataclass(frozen=True)
 class Conn0:
     """A connection d + A dx on a split bundle, A an r x r matrix of polynomials."""
 
-    __slots__ = ("field", "bundle", "A", "_violations")
+    field: Field
+    bundle: BundleP1
+    A: PolyMat
 
-    def __init__(self, field: Field, bundle: BundleP1, A):
-        rows = tuple(tuple(e for e in row) for row in A)
-        r = bundle.rank
+    def __post_init__(self):
+        rows = tuple(tuple(row) for row in self.A)
+        r = self.bundle.rank
         if len(rows) != r or any(len(row) != r for row in rows):
             raise PflagsError(f"matrix must be {r}x{r} to match the bundle rank")
         for row in rows:
             for e in row:
-                if not isinstance(e, Poly) or e.field is not field:
+                if not isinstance(e, Poly) or e.field is not self.field:
                     raise PflagsError("entries must be polynomials over the connection field")
-        self.field = field
-        self.bundle = bundle
-        self.A = rows
-        self._violations: list[Violation] | None = None
+        object.__setattr__(self, "A", rows)
 
     @property
     def rank(self) -> int:
@@ -106,21 +103,11 @@ class Conn0:
     def matrix(self) -> MatRF:
         return MatRF.from_polys(self.field, self.A)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Conn0)
-            and self.field is other.field
-            and self.bundle == other.bundle
-            and self.A == other.A
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.bundle, self.A))
-
     def __repr__(self):
         return f"Conn0({self.field!r}, {self.bundle!r})"
 
 
+@dataclass(frozen=True)
 class DmBundle:
     """A level-m object stored as a level-0 connection on the m-th twist.
 
@@ -129,12 +116,11 @@ class DmBundle:
     connection plus the substitution x -> x^{p^m}.
     """
 
-    __slots__ = ("m", "base")
+    m: int
+    base: Conn0
 
-    def __init__(self, m: int, base: Conn0):
-        _check_level(base.field.p, m)
-        self.m = m
-        self.base = base
+    def __post_init__(self):
+        _check_level(self.base.field.p, self.m)
 
     @property
     def field(self) -> Field:
@@ -144,30 +130,22 @@ class DmBundle:
         scale = self.field.p**self.m
         return tuple(d * scale for d in self.base.degrees)
 
-    def __eq__(self, other):
-        return isinstance(other, DmBundle) and self.m == other.m and self.base == other.base
 
-    def __repr__(self):
-        return f"DmBundle(m={self.m}, base={self.base!r})"
-
-
+@dataclass(frozen=True)
 class FlagP1:
     """A complete coordinate flag: step j is the span of the first j permuted
     basis vectors."""
 
-    __slots__ = ("perm",)
+    perm: tuple[int, ...]
 
-    def __init__(self, perm):
-        perm = tuple(int(i) for i in perm)
+    def __post_init__(self):
+        perm = tuple(int(i) for i in self.perm)
         if sorted(perm) != list(range(len(perm))):
             raise PflagsError(f"{perm} is not a permutation of 0..{len(perm) - 1}")
-        self.perm = perm
+        object.__setattr__(self, "perm", perm)
 
     def steps(self):
         return [tuple(self.perm[:j]) for j in range(1, len(self.perm) + 1)]
-
-    def __eq__(self, other):
-        return isinstance(other, FlagP1) and self.perm == other.perm
 
     def __repr__(self):
         return f"FlagP1{self.perm}"
@@ -239,16 +217,14 @@ def infinity_chart_matrix(c: Conn0) -> MatRF:
 def validate(c: Conn0) -> list[Violation]:
     """All infinity-chart poles of the connection; empty exactly when c is a
     genuine connection on the split bundle."""
-    if c._violations is None:
-        inf = infinity_chart_matrix(c)
-        out = []
-        for j in range(c.rank):
-            for i in range(c.rank):
-                order = inf.rows[j][i].pole_order_at_zero()
-                if order > 0:
-                    out.append(Violation(j, i, order))
-        c._violations = out
-    return list(c._violations)
+    inf = infinity_chart_matrix(c)
+    out = []
+    for j in range(c.rank):
+        for i in range(c.rank):
+            order = inf.rows[j][i].pole_order_at_zero()
+            if order > 0:
+                out.append(Violation(j, i, order))
+    return out
 
 
 def structural_violations(c: Conn0) -> list[tuple[int, int]]:

@@ -5,10 +5,9 @@ and serialized values are stable.  The canonical form is restored after every
 arithmetic operation.  The gcd is skipped only where the result is canonical
 by construction: any pair with denominator 1 (among them the sum, difference
 and product of two polynomials), the negation of any f, the derivative of a
-polynomial, the inverse (only made monic), f^n for n >= 0, x -> x^n and the
-p-th root of an f in F_q(x^p): a Bezout identity a num + b den = 1 survives
-powers and x -> x^n, a common factor h of p-th roots puts h^p in num and den,
-and monic stays monic.
+polynomial, the inverse (only made monic), f^n for n >= 0 and x -> x^n: a
+Bezout identity a num + b den = 1 survives powers and x -> x^n, and monic
+stays monic.
 """
 
 from __future__ import annotations
@@ -199,16 +198,19 @@ def sqrt_ratfunc(f: RatFunc) -> RatFunc | None:
 def in_frobenius_subfield(f: RatFunc, s: int) -> bool:
     """Whether f lies in F_q(x^{p^s}).
 
-    Over a perfect coefficient field, f is in F_q(x^p) exactly when df/dx = 0;
-    the test iterates s times, rewriting x^p -> x (taking p-th roots of the
-    coefficients) between iterations.
+    The canonical form of an element of F_q(x^N) has num and den in
+    F_q[x^N] (coprimality and a monic den survive x -> x^N), so f is in it
+    exactly when every exponent of a nonzero coefficient of num and den is
+    divisible by N = p^s.  Once a power of p exceeds the larger degree, only
+    the exponent 0 is divisible by it or by any higher power, so the powers
+    are formed only that far, whatever s is.
     """
     if s < 1:
         raise PflagsError("Frobenius level must be >= 1")
-    g = f
-    for _ in range(s):
-        if not g.derivative().is_zero():
-            return False
-        # gcd(num, den) = 1 forces num' = den' = 0 separately
-        g = RatFunc._canonical(g.num.pth_root(), g.den.pth_root())
-    return True
+    top = max(f.num.degree, f.den.degree)
+    p = n = f.field.p
+    for _ in range(s - 1):
+        if n > top:
+            break
+        n *= p
+    return all(i % n == 0 for g in (f.num, f.den) for i, c in enumerate(g.coeffs) if c)

@@ -372,6 +372,29 @@ def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys):
         assert error == "malformed JSON input: nested too deeply"
 
 
+@pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+                    reason="needs CPython's limit on the digits of an int read from text")
+def test_oversized_json_integer_is_a_parse_error(tmp_path, capsys):
+    big = '{"r":1,"d":' + "7" * 5000 + "}"
+    path = tmp_path / "big.json"
+    path.write_text(big)
+    for source in (["--inline", big], ["--input", str(path)]):
+        error = _assert_parse_error(capsys, "ell-profile", *source, "--json")
+        assert error.startswith("malformed JSON input: ")
+
+
+def test_rank_above_the_cap_is_a_precondition_error(capsys):
+    atoms = '{"group":{"factors":[]},"atoms":[{"r":2147483648,"d":3,"lam":[]}]}'
+    for argv in (["ell-profile", "--r", "2147483648", "--d", "3"],
+                 ["ell-skeleton", "--inline", atoms, "--p", "3"]):
+        code = main([*argv, "--json"])
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert code == 2 and report["status"] == "precondition-error", argv
+        assert report["error"] == "rank must be <= 2^16 = 65536, got 2147483648"
+        assert "Traceback" not in captured.out + captured.err
+
+
 @pytest.mark.parametrize("content", [b'{"a":1}', b'[1, "s"]', b"\xff\xfe\x00",
                                      b"[" * 100000])
 def test_malformed_corpus_file_is_a_parse_error(tmp_path, capsys, content):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -57,6 +58,13 @@ def test_profile_3_2():
 def test_profile_rejects_bad_rank():
     with pytest.raises(PreconditionError):
         atiyah_profile(0, 3)
+
+
+def test_profile_caps_the_rank():
+    assert atiyah_profile(2**16, 1).ell == 2**16
+    for r in (2**16 + 1, 2**31):
+        with pytest.raises(PreconditionError, match="<= 2\\^16"):
+            atiyah_profile(r, 3)
 
 
 @given(st.integers(1, 40), st.integers(-60, 60))
@@ -147,6 +155,18 @@ def test_flag_skeleton_conservation_randomized():
 def test_flag_skeleton_merges_equal_classes():
     sk = FlagSkeleton([(PicClass(G2, 0, (0,)), 1), (PicClass(G2, 0, (0,)), 2)])
     assert sk.entries == ((PicClass(G2, 0, (0,)), 3),)
+
+
+def test_flag_skeleton_is_a_frozen_record():
+    sk = flag_skeleton([AtiyahAtom(G2, 3, 2, LAM)], 2)
+    same = FlagSkeleton([(PicClass(G2, 0, (0,)), 2), (PicClass(G2, 2, LAM), 1)])
+    assert sk is not same and sk == same and hash(sk) == hash(same)
+    assert sk != FlagSkeleton([(PicClass(G2, 2, LAM), 1)])
+    assert repr(sk) == "{(2, [1])x1, (0, [0])x2}"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sk.entries = ()
+    with pytest.raises(PflagsError):
+        FlagSkeleton([(PicClass(G2, 0, (0,)), 0)])
 
 
 # -- hom constraints ------------------------------------------------------------------------

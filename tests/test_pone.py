@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -40,6 +41,53 @@ def conn(field, degrees, rows):
 
 CEX = conn(F2, [2, 0], [[[], [1]], [[], []]])
 CEX40 = conn(F2, [4, 0], [[[], [1, 1, 1]], [[], []]])
+
+
+# -- records ----------------------------------------------------------------------
+
+
+def _equal_pairs():
+    """Two equal, separately built instances of each record."""
+    base = conn(F2, [2, 0], [[[], [1]], [[], []]])
+    return [
+        (BundleP1([0, 2]), BundleP1((2, 0))),
+        (base, CEX),
+        (DmBundle(2, base), DmBundle(2, CEX)),
+        (FlagP1([1, 0, 2]), FlagP1((1, 0, 2))),
+    ]
+
+
+@pytest.mark.parametrize("a,b", _equal_pairs(), ids=lambda r: type(r).__name__)
+def test_records_are_frozen_and_hash_by_value(a, b):
+    assert a is not b and a == b and hash(a) == hash(b)
+    for f in dataclasses.fields(a):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(a, f.name, getattr(b, f.name))
+
+
+def test_records_differ_on_any_field():
+    assert BundleP1([0, 2]) != BundleP1([0, 1])
+    assert CEX != conn(F2, [2, 0], [[[], [1, 1]], [[], []]])
+    assert CEX != conn(F3, [2, 0], [[[], [1]], [[], []]])
+    assert DmBundle(1, CEX) != DmBundle(2, CEX)
+    assert FlagP1((1, 0, 2)) != FlagP1((0, 1, 2))
+    assert BundleP1([0]) != (0,) and FlagP1((0,)) != (0,)
+
+
+def test_record_reprs_are_pinned():
+    assert repr(BundleP1([0, 2])) == "O(2, 0)"
+    assert repr(FlagP1([1, 0, 2])) == "FlagP1(1, 0, 2)"
+    assert repr(CEX) == "Conn0(GF(2), O(2, 0))"
+    assert repr(DmBundle(2, CEX)) == "DmBundle(m=2, base=Conn0(GF(2), O(2, 0)))"
+
+
+def test_validate_recomputes_on_equal_connections():
+    bad = conn(F2, [2, 0], [[[], []], [[1], []]])
+    again = conn(F2, [2, 0], [[[], []], [[1], []]])
+    first = validate(bad)
+    assert first and first == validate(again)
+    first.clear()  # the caller owns the list; nothing is kept on the connection
+    assert validate(bad) == validate(again) != []
 
 
 # -- bundles and levels -----------------------------------------------------------

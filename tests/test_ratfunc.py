@@ -1,4 +1,5 @@
 import operator
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -8,6 +9,7 @@ from pflags.errors import PflagsError
 from pflags.fields import GF
 from pflags.poly import Poly, poly_gcd
 from pflags.ratfunc import RatFunc, in_frobenius_subfield, sqrt_ratfunc
+from pflags.sampling import random_ratfunc
 
 FIELDS = [GF(2), GF(3), GF(5), GF(7), GF(2, 2)]
 
@@ -162,6 +164,42 @@ def test_membership_over_extension_field_uses_coefficient_roots():
     assert not in_frobenius_subfield(RatFunc(Poly(F, (0, g))), 1)
 
 
+def _in_frobenius_subfield_by_derivatives(f, s):
+    """Oracle: s rounds of f' = 0, each followed by the p-th roots of the
+    coefficients of num and den (x^p -> x)."""
+    g = f
+    for _ in range(s):
+        if not g.derivative().is_zero():
+            return False
+        g = RatFunc(g.num.pth_root(), g.den.pth_root())
+    return True
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(2, 2), GF(3, 2)])
+def test_membership_matches_the_derivative_loop(field):
+    rng = random.Random(field.q)
+    p = field.p
+    for _ in range(40):
+        f, h = random_ratfunc(rng, field), random_ratfunc(rng, field)
+        cases = [f.compose_xpow(p**t) for t in range(4)]
+        cases.append(f.compose_xpow(p * p) + h.compose_xpow(p))  # in F_q(x^p) only
+        for g in cases:
+            for s in (1, 2, 3):
+                assert in_frobenius_subfield(g, s) == _in_frobenius_subfield_by_derivatives(g, s)
+
+
+def test_membership_at_a_huge_level_returns_at_once():
+    F = GF(2)
+    assert in_frobenius_subfield(RatFunc.one(F), 10**9)
+    assert in_frobenius_subfield(RatFunc.zero(F), 10**9)
+    x8 = RatFunc(Poly.monomial(F, 1, 8))
+    assert in_frobenius_subfield(x8, 3)
+    assert not in_frobenius_subfield(x8, 4)
+    assert not in_frobenius_subfield(x8, 10**9)
+    with pytest.raises(PflagsError):
+        in_frobenius_subfield(x8, 0)
+
+
 # -- gcd-free results against the plain constructor -------------------------------------
 
 GCD_FREE_FIELDS = [GF(2), GF(3), GF(5), GF(2, 2), GF(3, 2)]
@@ -212,5 +250,5 @@ def test_gcd_free_paths_match_the_plain_constructor(checked_canonical, fr, n, m)
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_pth_root_step_matches_the_plain_constructor(checked_canonical, fr, s):
     field, f = fr
-    # builds each x^(p^s) substitution and p-th root through the checked path
+    # builds each x^(p^s) substitution through the checked path
     assert in_frobenius_subfield(f.compose_xpow(field.p**s), s)
