@@ -168,8 +168,7 @@ def atiyah_profile(r: int, d: int) -> AtiyahProfile:
     """
     if r < 1:
         raise PreconditionError(f"rank must be >= 1, got {r}")
-    if r > 2**16:
-        raise PreconditionError(f"rank must be <= 2^16 = 65536, got {r}")
+    _check_rank_cap(r)
     pairs = [(r, d)]
     deg_l: list[int] = []
     gr_ranks: list[int] = []
@@ -190,6 +189,18 @@ def atiyah_profile(r: int, d: int) -> AtiyahProfile:
     profile = AtiyahProfile(tuple(pairs), tuple(deg_l), tuple(gr_ranks), m, ell, h)
     _check_profile(profile)
     return profile
+
+
+def _check_rank_cap(r: int, what: str = "rank"):
+    if r > 2**16:
+        raise PreconditionError(f"{what} must be <= 2^16 = 65536, got {r}")
+
+
+def _check_total_rank(bundle: Sequence[AtiyahAtom]):
+    """The caps on each rank and on their sum, before any profile is built."""
+    for atom in bundle:
+        _check_rank_cap(atom.r)
+    _check_rank_cap(sum(atom.r for atom in bundle), "total rank")
 
 
 def _check_profile(pr: AtiyahProfile):
@@ -232,6 +243,7 @@ def admits_connection(x: AtiyahAtom | Sequence[AtiyahAtom], p: int) -> bool:
     _require_characteristic(p)
     if isinstance(x, AtiyahAtom):
         return all(deg % p == 0 for deg in atiyah_profile(x.r, x.d).deg_l)
+    _check_total_rank(x)
     return all(admits_connection(atom, p) for atom in x)
 
 
@@ -239,6 +251,7 @@ def flag_skeleton(bundle: Sequence[AtiyahAtom], p: int) -> FlagSkeleton:
     """Graded line classes (with multiplicity) of any complete flag refining
     the canonical filtrations of a connection-admitting direct sum."""
     _require_characteristic(p)
+    _check_total_rank(bundle)
     entries: list[tuple[PicClass, int]] = []
     for atom in bundle:
         pr = atiyah_profile(atom.r, atom.d)
@@ -276,5 +289,6 @@ def peel_order(bundle: Sequence[AtiyahAtom]) -> list[PicClass]:
     """Distinct first-line classes in peeling order: degree descending, the
     zero-torsion class first among equals, remaining ties by torsion-vector
     lexicographic order."""
+    _check_total_rank(bundle)
     distinct = {first_line_class(atom) for atom in bundle}
     return sorted(distinct, key=lambda cls: (-cls.degree, cls.tor))

@@ -186,30 +186,24 @@ def canonical_connection(b: BundleP1, field: Field, m: int) -> DmBundle:
 
 
 def infinity_chart_matrix(c: Conn0) -> MatRF:
-    """The connection matrix on the chart at infinity, as functions of y = 1/x:
-    -y^{-2} (diag(d_i x^{-1}) + G^{-1} A G) at x = 1/y, G = diag(x^{d_i})."""
+    """The connection matrix on the chart at infinity, in y = 1/x: -y^{-2}
+    (diag(d_i x^{-1}) + G^{-1} A G) at x = 1/y, G = diag(x^{d_i}), whose entry
+    (j, i) is -(y^{d_j - d_i} A_{ji}(1/y) + [i = j] d_i y) / y^2.  A_{ji}(1/y) is
+    rev(A_{ji}) y^{-deg}, so an entry is one numerator over one power of y,
+    reduced once; a zero entry forms no power of y."""
     F = c.field
     degs = c.degrees
-    y = RatFunc.x(F)
-    inv_y2 = RatFunc(Poly.one(F), Poly.monomial(F, 1, 2))
     rows = []
     for j in range(c.rank):
         row = []
         for i in range(c.rank):
             a = c.A[j][i]
-            if a.is_zero():
-                entry = RatFunc.zero(F)
-            else:
-                # a(1/y) = reversed(a) / y^deg
-                rev = RatFunc(Poly(F, tuple(reversed(a.coeffs))), Poly.monomial(F, 1, a.degree))
-                shift = degs[j] - degs[i]
-                power = RatFunc(Poly.monomial(F, 1, shift)) if shift >= 0 else RatFunc(
-                    Poly.one(F), Poly.monomial(F, 1, -shift)
-                )
-                entry = power * rev
-            if i == j:
-                entry = entry + RatFunc.constant(F, F.scalar(degs[i])) * y
-            row.append(-inv_y2 * entry)
+            terms = [] if a.is_zero() else [(degs[j] - degs[i] - a.degree, a.coeffs[::-1])]
+            if i == j and degs[i] % F.p:
+                terms.append((1, (F.scalar(degs[i]),)))
+            low = min([e - 2 for e, _ in terms] + [0])  # the denominator is y^-low
+            num = sum((Poly(F, (0,) * (e - 2 - low) + cs) for e, cs in terms), Poly.zero(F))
+            row.append(RatFunc(-num, Poly.monomial(F, 1, -low)))
         rows.append(row)
     return MatRF(F, rows)
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -393,6 +394,31 @@ def test_rank_above_the_cap_is_a_precondition_error(capsys):
         assert code == 2 and report["status"] == "precondition-error", argv
         assert report["error"] == "rank must be <= 2^16 = 65536, got 2147483648"
         assert "Traceback" not in captured.out + captured.err
+
+
+def test_total_rank_cap_on_bundles(capsys):
+    def bundle(*ranks):
+        atoms = [{"r": 65535, "d": 2, "lam": []}] + [{"r": r, "d": 0, "lam": []} for r in ranks]
+        return json.dumps({"group": {"factors": []}, "atoms": atoms, "p": 2})
+
+    for sub in ("ell-admits", "ell-skeleton", "ell-peel"):
+        code, out = run(capsys, sub, "--inline", bundle(1), "--json")
+        assert code == 0 and json.loads(out)["status"] == "ok", sub
+        code = main([sub, "--inline", bundle(2), "--json"])
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert code == 2 and report["status"] == "precondition-error", sub
+        assert report["error"] == "total rank must be <= 2^16 = 65536, got 65537"
+        assert "Traceback" not in captured.out + captured.err
+
+
+def test_zero_connection_with_a_huge_degree_gap_ends_at_once(capsys):
+    conn = '{"field":{"p":2,"k":1},"level":0,"twist_degrees":[1000000000,0],"A":[[[],[]],[[],[]]]}'
+    for sub in ("pone-check", "pone-flag"):
+        start = time.perf_counter()
+        code, out = run(capsys, sub, "--inline", conn, "--json")
+        assert time.perf_counter() - start < 1.0, sub
+        assert code == 0 and json.loads(out)["status"] == "ok", sub
 
 
 @pytest.mark.parametrize("content", [b'{"a":1}', b'[1, "s"]', b"\xff\xfe\x00",

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pflags import elliptic
 from pflags.elliptic import (
     AtiyahAtom,
     FlagSkeleton,
@@ -224,6 +225,29 @@ def test_peel_order_deterministic_and_sorted():
             zero_tor = [c for c in block if c.is_multiple_of_origin()]
             if zero_tor:
                 assert block[0] == zero_tor[0]
+
+
+# every atom is within the per-atom cap; only the sum of the ranks differs
+AT_CAP = [AtiyahAtom(TRIVIAL, 2**16 - 1, 2), AtiyahAtom(TRIVIAL, 1, 0)]
+ABOVE_CAP = [AtiyahAtom(TRIVIAL, 2**16 - 1, 2), AtiyahAtom(TRIVIAL, 2, 0)]
+
+
+def test_bundle_operations_accept_the_total_rank_cap():
+    assert admits_connection(AT_CAP, 2)
+    assert flag_skeleton(AT_CAP, 2).total_rank == 2**16
+    assert [c.degree for c in peel_order(AT_CAP)] == [0]
+
+
+def test_bundle_operations_refuse_above_the_total_rank_cap(monkeypatch):
+    def no_profile(r, d):
+        raise AssertionError("profile built before the total-rank cap was checked")
+
+    monkeypatch.setattr(elliptic, "atiyah_profile", no_profile)
+    message = "total rank must be <= 2\\^16 = 65536, got 65537"
+    for call in (lambda: admits_connection(ABOVE_CAP, 2), lambda: flag_skeleton(ABOVE_CAP, 2),
+                 lambda: peel_order(ABOVE_CAP)):
+        with pytest.raises(PreconditionError, match=message):
+            call()
 
 
 def test_group_arithmetic():

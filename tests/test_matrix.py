@@ -1,5 +1,6 @@
 import random
 
+from pflags import properties
 from pflags.errors import PflagsError
 from pflags.fields import GF
 from pflags.hitchin import ChartConn, char_poly_psi
@@ -54,54 +55,8 @@ def test_charpoly_f3_mixed():
     assert charpoly_berkowitz(m) == [rf(F, [2, 0, 0, 2]), rf(F, []), rf(F, [1])]
 
 
-def tpoly_mul(a, b, field):
-    out = [RatFunc.zero(field)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return out
-
-
-def tpoly_det_cofactor(mat, field):
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    acc = [RatFunc.zero(field)]
-    for j in range(n):
-        minor = [[row[c] for c in range(n) if c != j] for row in mat[1:]]
-        term = tpoly_mul(mat[0][j], tpoly_det_cofactor(minor, field), field)
-        if j % 2:
-            term = [-c for c in term]
-        if len(acc) < len(term):
-            acc = acc + [RatFunc.zero(field)] * (len(term) - len(acc))
-        for i, c in enumerate(term):
-            acc[i] = acc[i] + c
-    return acc
-
-
-def charpoly_cofactor(m):
-    """Oracle: det(t - m) by cofactor expansion, ascending, leading 1."""
-    F = m.field
-    r = m.n
-    tmat = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            lead = RatFunc.one(F) if i == j else RatFunc.zero(F)
-            row.append([-m.rows[i][j], lead])  # t*delta_ij - m_ij
-        tmat.append(row)
-    oracle = tpoly_det_cofactor(tmat, F)
-    return oracle + [RatFunc.zero(F)] * (r + 1 - len(oracle))
-
-
 def test_charpoly_matches_cofactor_expansion_sampled():
-    rng = random.Random(2024)
-    F = GF(3)
-    for _ in range(100):
-        r = rng.randint(1, 3)
-        m = MatRF(F, [[RatFunc(random_poly(rng, F, 2)) for _ in range(r)]
-                      for _ in range(r)])
-        assert charpoly_berkowitz(m) == charpoly_cofactor(m)
+    assert properties.check_berkowitz_vs_cofactor(seed=2024, n=100).passed
 
 
 def charpoly_entrywise_ref(m):
@@ -163,7 +118,7 @@ def test_charpoly_matches_entrywise_recurrence_and_cofactor():
                 got = charpoly_berkowitz(m)
                 assert tuple(got) == tuple(charpoly_entrywise_ref(m))
                 if n <= 3:
-                    assert got == charpoly_cofactor(m)
+                    assert got == properties.charpoly_cofactor(m)
 
 
 # -- elimination ---------------------------------------------------------------------

@@ -172,6 +172,57 @@ def test_infinity_chart_of_canonical_is_zero_matrix():
     assert infinity_chart_matrix(c).is_zero()
 
 
+def _infinity_chart_by_products(c):
+    """Oracle: the infinity-chart matrix as a chain of reduced products,
+    -y^{-2} (y^{d_j - d_i} a(1/y) + [i = j] d_i y) with a(1/y) = rev(a) / y^deg."""
+    F = c.field
+    degs = c.degrees
+    y = RatFunc.x(F)
+    inv_y2 = RatFunc(Poly.one(F), Poly.monomial(F, 1, 2))
+    rows = []
+    for j in range(c.rank):
+        row = []
+        for i in range(c.rank):
+            a = c.A[j][i]
+            if a.is_zero():
+                entry = RatFunc.zero(F)
+            else:
+                rev = RatFunc(Poly(F, tuple(reversed(a.coeffs))), Poly.monomial(F, 1, a.degree))
+                shift = degs[j] - degs[i]
+                power = RatFunc(Poly.monomial(F, 1, shift)) if shift >= 0 else RatFunc(
+                    Poly.one(F), Poly.monomial(F, 1, -shift)
+                )
+                entry = power * rev
+            if i == j:
+                entry = entry + RatFunc.constant(F, F.scalar(degs[i])) * y
+            row.append(-inv_y2 * entry)
+        rows.append(row)
+    return MatRF(F, rows)
+
+
+def test_infinity_chart_matches_the_product_chain():
+    rng = random.Random(34)
+    fields = [GF(2), GF(3), GF(5), GF(2, 2), GF(3, 2)]
+    seen = dict.fromkeys(["zero", "p | d_i", "negative shift", "valid", "invalid"], 0)
+    for t in range(2000):
+        field = fields[t % len(fields)]
+        r = rng.randint(1, 4)
+        # degrees mix multiples of p with arbitrary ones, so diagonal terms vanish or not
+        degs = [rng.choice([field.p * rng.randint(-2, 2), rng.randint(-6, 6)]) for _ in range(r)]
+        rows = [[random_poly(rng, field, rng.randint(-1, 5)) for _ in range(r)] for _ in range(r)]
+        c = Conn0(field, BundleP1(degs), rows)
+        if rng.random() < 0.3:
+            c = random_conn0(rng, field, r_max=4)
+        assert infinity_chart_matrix(c) == _infinity_chart_by_products(c), (t, c.degrees, c.A)
+        entries = [(j, i) for j in range(c.rank) for i in range(c.rank)]
+        seen["zero"] += any(c.A[j][i].is_zero() for j, i in entries)
+        seen["p | d_i"] += any(d % field.p == 0 and d != 0 for d in c.degrees)
+        seen["negative shift"] += any(c.degrees[j] < c.degrees[i] and not c.A[j][i].is_zero()
+                                      for j, i in entries)
+        seen["valid" if not validate(c) else "invalid"] += 1
+    assert min(seen.values()) >= 200, seen
+
+
 def test_validator_equivalence_sampled():
     # two independent validity implementations agree on 500 random matrices
     rng = random.Random(31)
