@@ -202,10 +202,13 @@ def _triangularize(a: MatRF, verified=None) -> MatRF:
     r = a.n
     if r == 1:
         return MatRF.identity(field, 1)
-    # A horizontal v lies in ker psi = ker N.  Its entries at the rref basis's
-    # free columns are its coordinates in that basis, and its last nonzero
-    # entry is one of them; so the last-first echelon sols[0] is the v0 that T
-    # restricted to ker psi would give, mapped back.
+    # A horizontal v lies in ker psi = ker N.  Its entries at the free columns
+    # of the rref of N are its coordinates in the rref kernel basis, and its
+    # last nonzero entry is one of them; so the last-first echelon sols[0] is
+    # the v0 that T restricted to ker psi would give, mapped back.  Only the
+    # solution space fixes sols, so it does not matter that the projector
+    # takes that basis cleared to polynomials, or that the elimination is
+    # fraction-free.
     sols = horizontal_sections(a) if verified is None else _horizontal_sections(a, *verified)
     if not sols:
         raise PreconditionError("p-curvature has trivial kernel; not nilpotent")

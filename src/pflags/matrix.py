@@ -2,13 +2,18 @@
 
 Besides ring operations this module provides: a division-free characteristic
 polynomial (classical recurrences divide by integers that vanish mod p),
-kernel and inverse by Gaussian elimination over the rational function field,
-the action of a connection operator T(v) = v' + A v, its p-th iterate (the
-p-curvature matrix psi), gauge transformation, and the horizontal sections
-(T(v) = 0) as an F_q(x^p)-basis.  The sections come from Katz's projector
-applied to ker psi, built from the same iterates T^k e_i as psi; the only
-linear solves are r x r over F_q(x) and s x rp over F_q(x^p), with s the
-number of sections.
+kernel and inverse, the action of a connection operator T(v) = v' + A v, its
+p-th iterate (the p-curvature matrix psi), gauge transformation, and the
+horizontal sections (T(v) = 0) as an F_q(x^p)-basis.  The sections come from
+Katz's projector applied to ker psi, built from the same iterates T^k e_i as
+psi; the only linear solves are r x r over F_q(x) and s x rp over F_q(x^p),
+with s the number of sections.
+
+Every solve is one elimination routine, ``_echelon``: Gauss-Jordan on rows
+of polynomials by cross-multiplication, each new row divided by the gcd of
+its entries.  Rows of rational functions are first cleared to polynomials
+row by row, a row scaling that changes neither the row space nor the reduced
+echelon form, and rational functions are formed only from the result.
 
 The characteristic polynomial and the iterates of T work on polynomials: a
 matrix m is cleared once to N/delta (``_clear_denominators``).  With
@@ -22,7 +27,9 @@ has one form, the pair (N, delta) read off the iterates by ``_cleared_psi``,
 delta = beta^p; ``_p_curvature`` builds and re-verifies it.  The re-check,
 ``_charpoly_cleared``, the nilpotency test (N^r = delta^r psi^r) and the
 kernel (ker N = ker psi) read N.  Rational functions are reduced only in
-results: the psi ``p_curvature_matrix`` returns and the projected sections.
+results: the psi ``p_curvature_matrix`` returns, the reduced echelon rows
+of ``_rref`` and the sections; from the kernel of N to the sections, the
+projector's images stay polynomial.
 ``horizontal_sections`` re-verifies every section it returns, so it builds
 its N without the re-check.
 """
@@ -173,36 +180,56 @@ def is_nilpotent(m: MatRF) -> bool:
     return m.pow(m.n).is_zero()
 
 
-# -- Gaussian elimination over F_q(x) --------------------------------------------
+# -- elimination: fraction-free, on polynomial rows -----------------------------------
 
 
 def _rref(rows: list[list[RatFunc]]) -> tuple[list[list[RatFunc]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
+    """Reduced row echelon form; returns (rows, pivot column indices).  The
+    rows are cleared to polynomials one by one and reduced by ``_echelon``;
+    each entry of the result is reduced once, over its row's pivot entry."""
+    prows = [_clear_denominators([row])[0][0] for row in rows]
+    pivots = _echelon(prows)
+    zero, one = RatFunc.zero(rows[0][0].field), RatFunc.one(rows[0][0].field)
+    out = [[one if e is row[c] else RatFunc(e, row[c]) for e in row]
+           for row, c in zip(prows, pivots)]
+    return out + [[zero] * len(rows[0]) for _ in rows[len(pivots):]], pivots
+
+
+def _echelon(rows: list[list[Poly]]) -> list[int]:
+    """Gauss-Jordan on polynomial rows in place, with no division; returns
+    the pivot columns.  Row k over its entry P_k at pivots[k] is row k of the
+    reduced echelon form, and the rows past the pivots are zero."""
     pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if not rows[i][c].is_zero():
-                pivot = i
-                break
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inv()
-        rows[r] = [inv * e for e in rows[r]]
-        for i in range(nrows):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                rows[i] = _eliminate(row, rows[r], c)
         pivots.append(c)
-        r += 1
-        if r == nrows:
+        if r + 1 == len(rows):
             break
-    return rows, pivots
+    return pivots
+
+
+def _eliminate(row: list[Poly], prow: list[Poly], c: int) -> list[Poly]:
+    """P row - f prow (P = prow[c], f = row[c]) over the gcd of its entries."""
+    P, neg_f = prow[c], -row[c]
+    return _primitive([poly_dot(((P, a), (neg_f, b)), P.field) for a, b in zip(row, prow)])
+
+
+def _primitive(row: list[Poly]) -> list[Poly]:
+    """The row divided by the monic gcd of its entries."""
+    g = None
+    for e in row:
+        if e:
+            g = e if g is None else poly_gcd(g, e)
+            if g.degree == 0:
+                return row
+    return row if g is None else [e // g for e in row]
 
 
 def kernel(m: MatRF) -> list[Vec]:
@@ -211,30 +238,25 @@ def kernel(m: MatRF) -> list[Vec]:
     Each basis vector has a 1 at its free column and free columns are taken in
     increasing index order, so the result is deterministic.
     """
-    rows, pivots = _rref([list(r) for r in m.rows])
-    F = m.field
-    zero, one = RatFunc.zero(F), RatFunc.one(F)
-    free = [c for c in range(m.n) if c not in pivots]
+    rows, pivots = _rref(m.rows)
+    zero, one = RatFunc.zero(m.field), RatFunc.one(m.field)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(m.n) if c not in pivots):
         v = [zero] * m.n
         v[fc] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[fc]
         basis.append(tuple(v))
     return basis
 
 
 def inverse(m: MatRF) -> MatRF:
-    """Matrix inverse by Gauss-Jordan; raises on singular input."""
-    F = m.field
+    """Matrix inverse by Gauss-Jordan on [m | I]; raises on singular input."""
     n = m.n
-    ident = MatRF.identity(F, n)
-    aug = [list(m.rows[i]) + list(ident.rows[i]) for i in range(n)]
-    rows, pivots = _rref(aug)
+    rows, pivots = _rref([[*row, *e] for row, e in zip(m.rows, MatRF.identity(m.field, n).rows)])
     if pivots != list(range(n)):
         raise PflagsError("matrix is singular")
-    return MatRF(F, [row[n:] for row in rows])
+    return MatRF(m.field, [row[n:] for row in rows])
 
 
 # -- connection operator and p-curvature ---------------------------------------
@@ -393,28 +415,6 @@ def _t_step(bmat, beta: Poly):
 # -- horizontal sections: Katz's projector ------------------------------------------
 
 
-def _frobenius_parts(f: RatFunc, p: int) -> list[RatFunc]:
-    """Write f = sum_{j<p} c_j(x^p) x^j; returns the c_j as functions of y.
-
-    Uses f = n d^{p-1} / d^p and d^p = D(x^p) with D the coefficient-wise
-    Frobenius of d, then groups numerator monomials by exponent mod p.
-    """
-    F = f.field
-    if f.is_zero():
-        return [RatFunc.zero(F)] * p
-    d = f.den
-    if d.is_one():
-        big = f.num
-        den_y = Poly.one(F)
-    else:
-        big = f.num * d ** (p - 1)
-        den_y = Poly(F, [F.frobenius(c) for c in d.coeffs])
-    parts = []
-    for j in range(p):
-        parts.append(RatFunc(Poly(F, big.coeffs[j::p]), den_y))
-    return parts
-
-
 def horizontal_sections(a: MatRF) -> list[Vec]:
     """A basis of { v in F_q(x)^r : v' + A v = 0 } over F_q(x^p).
 
@@ -423,17 +423,23 @@ def horizontal_sections(a: MatRF) -> list[Vec]:
     subspace ker psi).  Katz's projector P(v) = sum_{k<p} (-t)^k/k! T^k v,
     t = x - a0, is F_q(x^p)-linear, fixes horizontal vectors and maps ker psi
     onto them (T P(v) = (-t)^{p-1}/(p-1)! psi(v)).  The images P(x^j b) of the
-    kernel basis b of psi are taken round by round, j = 0, 1, ..., until they
-    have rank s; at a point a0 where A and the b are regular, P(b) = b mod t,
-    so round 0 already does.
+    kernel basis b of psi, cleared to polynomials, are taken round by round,
+    j = 0, 1, ..., until they have rank s; at a point a0 where A and the b are
+    regular, P(b) = b mod t, so round 0 already does.
 
-    The result is the reduced echelon basis of the solutions written in the
-    F_q(x^p)-basis x^j e_i (coordinate i p + j), with the coordinates taken
-    last-first: each vector has a 1 at its last nonzero coordinate and 0 at
-    the last nonzero coordinates of the others, listed in increasing order of
-    that coordinate.  The solution space alone fixes this basis; it is the
-    kernel basis Gaussian elimination of the rp x rp matrix of T would give.
-    Every returned vector is re-verified to be horizontal.
+    The rest is polynomial.  An image is n/beta^p (``_project``), and beta^p
+    is a polynomial in y = x^p, so n split by exponent mod p gives the image's
+    coordinates in the F_q(x^p)-basis x^j e_i (coordinate i p + j), in y, up
+    to a row scaling.  ``_echelon`` reduces these rows; a row with pivot entry
+    P gives the section (sum_j e_ij(x^p) x^j)/P(x^p), reduced once.
+
+    The result is the reduced echelon basis of the solutions in that basis,
+    coordinates taken last-first: each vector has a 1 at its last nonzero
+    coordinate and 0 at those of the others, in increasing order of it.  The
+    solution space alone fixes it; it is the kernel basis Gaussian elimination
+    of the rp x rp matrix of T would give.  Each vector is re-verified: with
+    A = B/beta cleared again from A, its numerators w over P(x^p), whose
+    derivative is 0, satisfy beta w' + B w = 0.
     """
     iterates = _t_iterates(*_clear_denominators(a.rows), a.field.p)
     nmat = MatRF.from_polys(a.field, _cleared_psi(iterates)[0])
@@ -449,72 +455,65 @@ def _horizontal_sections(a: MatRF, iterates, nmat: MatRF) -> list[Vec]:
     ker = kernel(nmat)
     if not ker:
         return []
-    s = len(ker)
     a0 = next((c for c in F.elements()
                if all(e.den.evaluate(c) for row in (*a.rows, *ker) for e in row)), 0)
     neg_t = Poly(F, [a0, F.neg(1)])
     weights = [Poly.one(F)]  # (-t)^k / k!
     for k in range(1, p):
         weights.append((weights[-1] * neg_t).scale(F.inv(F.scalar(k))))
-    weights = [RatFunc(w) for w in weights]
-    rows: list[list[RatFunc]] = []
+    outer = [w * d for w, (_, d) in zip(weights, iterates[0][:0:-1])]  # c_m beta^(p-m)
+    ker = [_clear_denominators([b])[0][0] for b in ker]
+    rows: list[list[Poly]] = []
     for j in range(p):
-        xj = RatFunc(Poly.monomial(F, 1, j))
         for b in ker:
-            image = _project(iterates, weights, [xj * e for e in b])
-            rows.append([c for e in image for c in _frobenius_parts(e, p)][::-1])
-        rows, pivots = _rref(rows)
+            image = _project(iterates, weights, outer, [Poly(F, (0,) * j + e.coeffs) for e in b])
+            rows.append([Poly(F, n.coeffs[t::p]) for n in image for t in range(p)][::-1])
+        pivots = _echelon(rows)
         del rows[len(pivots):]
-        if len(pivots) == s:
+        if len(pivots) == len(ker):
             break
     else:
         raise InternalInvariantError(
-            f"projected sections have rank {len(rows)}, ker psi has dimension {s}")
+            f"projected sections have rank {len(rows)}, ker psi has dimension {len(ker)}")
+    bmat, beta = _clear_denominators(a.rows)
     sols = []
-    for row in reversed(rows):
-        kv = row[::-1]
-        v = []
-        for i in range(r):
-            acc = RatFunc.zero(F)
-            for j in range(p):
-                c = kv[i * p + j]
-                if c.is_zero():
-                    continue
-                acc = acc + c.compose_xpow(p) * RatFunc(Poly.monomial(F, 1, j))
-            v.append(acc)
-        v = tuple(v)
-        if any(not e.is_zero() for e in apply_connection(a, v)):
+    for row, c in zip(reversed(rows), reversed(pivots)):
+        kv = row[::-1]  # coefficient t of coordinate i p + j is coefficient t p + j of w_i
+        cs = [[0] * (p * max(len(e.coeffs) for e in kv[i * p:i * p + p])) for i in range(r)]
+        for k, e in enumerate(kv):
+            cs[k // p][k % p:k % p + p * len(e.coeffs):p] = e.coeffs
+        w = [Poly(F, ws) for ws in cs]
+        if any(poly_dot([(beta, wi.derivative()), *zip(brow, w)], F) for wi, brow in zip(w, bmat)):
             raise InternalInvariantError("claimed horizontal section fails T(v) = 0")
-        sols.append(v)
+        den = row[c].compose_xpow(p)
+        sols.append(tuple(RatFunc(wi, den) for wi in w))
     return sols
 
 
-def _project(iterates, weights: list[RatFunc], g: Vec) -> Vec:
-    """P(g) = sum_k c_k T^k g with c_k = weights[k], from the iterates T^m e_i.
+def _project(iterates, weights: list[Poly], outer: list[Poly], g: list[Poly]) -> list[Poly]:
+    """The numerators of P(g) = sum_k c_k T^k g over beta^p, c_k = weights[k],
+    from the iterates T^m e_i = n_(i,m)/beta^m and outer[m] = c_m beta^(p-m).
 
     By Leibniz, T^k (f e_i) = sum_m C(k, m) f^(k-m) T^m e_i and
     c_k C(k, m) = c_m c_(k-m), so P(g) = sum_i sum_m c_m D_m(g_i) T^m e_i with
-    D_m(f) = sum_{l < p-m} c_l f^(l).  The sum is taken over one common
-    denominator, each coordinate's numerator as one ``poly_dot``.
+    D_m(f) = sum_{l < p-m} c_l f^(l).  Over beta^p the term (i, m) has the
+    numerator D_m(g_i) outer[m] n_(i,m), so each coordinate's numerator is
+    one ``poly_dot``.
     """
     p = len(weights)
+    F = weights[0].field
     terms = []
     for f, its in zip(g, iterates):
-        if f.is_zero():
+        if not f:
             continue
         derivs = [f]
         for _ in range(p - 1):
             derivs.append(derivs[-1].derivative())
-        dm = derivs[0]  # D_{p-1}(f) = f
+        dm = f  # D_{p-1}(f)
         for m in range(p - 1, -1, -1):
-            if m < p - 1 and not derivs[p - 1 - m].is_zero():
+            if m < p - 1 and derivs[p - 1 - m]:
                 dm = dm + weights[p - 1 - m] * derivs[p - 1 - m]
-            w = weights[m] * dm
-            tn, d = its[m]
-            if not w.is_zero() and any(not e.is_zero() for e in tn):
-                terms.append((w.num, w.den * d, tn))
-    F = g[0].field
-    den = _lcm((wd for _, wd, _ in terms), Poly.one(F))
-    factors = [wn * (den // wd if not wd.is_one() else den) for wn, wd, _ in terms]
-    return tuple(RatFunc(poly_dot([(f, tn[i]) for f, (_, _, tn) in zip(factors, terms)], F), den)
-                 for i in range(len(g)))
+            tn = its[m][0]
+            if dm and any(tn):
+                terms.append((dm * outer[m], tn))
+    return [poly_dot([(f, tn[i]) for f, tn in terms], F) for i in range(len(g))]

@@ -421,6 +421,16 @@ def test_zero_connection_with_a_huge_degree_gap_ends_at_once(capsys):
         assert code == 0 and json.loads(out)["status"] == "ok", sub
 
 
+def test_nonzero_entry_across_a_huge_degree_gap_checks_at_once(capsys):
+    # validity reads pole orders, so no power of y is formed for the (1, 2) entry
+    conn = '{"field":{"p":2,"k":1},"level":0,"twist_degrees":[1000000000,0],"A":[[[],[1]],[[],[]]]}'
+    for sub in ("pone-check", "pone-flag"):
+        start = time.perf_counter()
+        code, out = run(capsys, sub, "--inline", conn, "--json")
+        assert time.perf_counter() - start < 1.0, sub
+        assert code == 0 and json.loads(out)["status"] == "ok", sub
+
+
 @pytest.mark.parametrize("content", [b'{"a":1}', b'[1, "s"]', b"\xff\xfe\x00",
                                      b"[" * 100000])
 def test_malformed_corpus_file_is_a_parse_error(tmp_path, capsys, content):

@@ -9,6 +9,7 @@ import random
 from pflags.fields import GF
 from pflags.hitchin import Verdict, no_flag_certificate_rank2, p_curvature_chart
 from pflags.matrix import MatRF, charpoly_berkowitz, kernel
+from pflags.poly import Poly
 from pflags.pone import dual, p_curvature, tensor
 from pflags.ratfunc import RatFunc, in_frobenius_subfield
 from pflags.sampling import random_chart_conn, random_conn0, random_ratfunc
@@ -68,11 +69,21 @@ def test_p_curvature_of_dual_is_negative_transpose():
         assert lhs == conjugate_by_perm(neg_t, perm)
 
 
+def _frobenius_parts(f, p):
+    """The c_j(y) with f = sum_{j<p} c_j(x^p) x^j: f = n d^(p-1) / d^p and
+    d^p = D(x^p), D the coefficient-wise Frobenius of d, so the c_j are the
+    numerator's exponents grouped mod p, over D."""
+    F = f.field
+    if f.is_zero():
+        return [RatFunc.zero(F)] * p
+    big = f.num * f.den ** (p - 1)
+    den_y = Poly(F, [F.frobenius(c) for c in f.den.coeffs])
+    return [RatFunc(Poly(F, big.coeffs[j::p]), den_y) for j in range(p)]
+
+
 def test_frobenius_membership_agrees_with_power_decomposition():
     # independent route: f lies in F_q(x^p) iff all components above the
     # 0th vanish in the decomposition f = sum_j c_j(x^p) x^j
-    from pflags.matrix import _frobenius_parts
-
     rng = random.Random(73)
     for _ in range(120):
         field = GF(rng.choice([2, 3, 5]))

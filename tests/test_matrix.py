@@ -1,7 +1,9 @@
 import random
 
-from pflags import properties
-from pflags.errors import PflagsError
+import pytest
+
+from pflags import matrix, properties
+from pflags.errors import InternalInvariantError, PflagsError
 from pflags.fields import GF
 from pflags.hitchin import ChartConn, char_poly_psi
 from pflags.matrix import (
@@ -157,6 +159,89 @@ def test_kernel_of_zero_matrix_is_standard_basis():
     assert len(ker) == 3
     for i, v in enumerate(ker):
         assert [e.is_one() for e in v] == [j == i for j in range(3)]
+
+
+# Oracle: Gauss-Jordan on reduced rational functions, one gcd per operation.
+# ``_rref`` eliminates fraction-free on polynomial rows and must give the same
+# reduced form, which the row space alone fixes.
+
+
+def _rref_ref(rows):
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(len(rows[0])):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c].inv()
+        rows[r] = [inv * e for e in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+ORACLE_FIELDS = [GF(2), GF(3), GF(7), GF(2, 2), GF(3, 2)]
+
+
+def _elimination_cases(rng, field):
+    """Square matrices with sparse entries, non-unit denominators, rank
+    deficiency (a row a multiple of another) and zero rows."""
+    zero = RatFunc.zero(field)
+    cases = []
+    for n in range(1, 5):
+        for _ in range(6):
+            m = [[random_ratfunc(rng, field, 2, 2) if rng.random() < 0.75 else zero
+                  for _ in range(n)] for _ in range(n)]
+            if n > 1 and rng.random() < 0.4:
+                c = random_ratfunc(rng, field, 1, 1)
+                m[-1] = [c * e for e in m[0]]
+            if rng.random() < 0.2:
+                m[rng.randrange(n)] = [zero] * n
+            cases.append(m)
+    return cases
+
+
+def test_rref_kernel_and_inverse_match_the_gauss_jordan_oracle():
+    rng = random.Random(909)
+    seen = dict.fromkeys(["singular", "zero row", "pole", "invertible"], 0)
+    for F in ORACLE_FIELDS:
+        zero, one = RatFunc.zero(F), RatFunc.one(F)
+        for m in _elimination_cases(rng, F):
+            n = len(m)
+            wide = [row + [random_ratfunc(rng, F, 2, 2) for _ in range(2)] for row in m]
+            aug = [row + [one if j == i else zero for j in range(n)] for i, row in enumerate(m)]
+            for rows in (m, wide, aug):
+                assert _rref(rows) == _rref_ref(rows)
+            assert kernel(MatRF(F, m)) == _kernel_ref(m, F)
+            ref_rows, ref_pivots = _rref_ref(aug)
+            if ref_pivots == list(range(n)):
+                assert inverse(MatRF(F, m)) == MatRF(F, [row[n:] for row in ref_rows])
+                seen["invertible"] += 1
+            else:
+                with pytest.raises(PflagsError):
+                    inverse(MatRF(F, m))
+                seen["singular"] += 1
+            seen["zero row"] += any(all(e.is_zero() for e in row) for row in m)
+            seen["pole"] += any(not e.den.is_one() for row in m for e in row)
+    assert min(seen.values()) >= 15, seen
+
+
+def test_echelon_degrees_stay_within_the_cramer_bound():
+    # an entry of a primitive echelon row is a minor up to a common factor,
+    # so n x m polynomial rows of degree <= d give entries of degree <= n d;
+    # without the gcd per step the degrees would double with every pivot
+    rng = random.Random(910)
+    for field in (GF(7), GF(3, 2)):
+        for n, m in ((4, 4), (4, 8), (5, 5)):
+            rows = [[random_poly(rng, field, 3) for _ in range(m)] for _ in range(n)]
+            pivots = matrix._echelon(rows)
+            assert len(pivots) == n
+            assert max(e.degree for row in rows for e in row) <= 3 * n
 
 
 # -- connection operator ---------------------------------------------------------------
@@ -454,24 +539,10 @@ def _frobenius_parts_ref(f, p):
 
 
 def _kernel_ref(rows, field):
-    """Right kernel by Gauss-Jordan: a 1 at each free column, free columns in
-    increasing order."""
-    rows = [list(r) for r in rows]
+    """Right kernel by the Gauss-Jordan oracle: a 1 at each free column, free
+    columns in increasing order."""
+    rows, pivots = _rref_ref(rows)
     ncols = len(rows[0])
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        pivot = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inv()
-        rows[r] = [inv * e for e in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
         v = [RatFunc.zero(field)] * ncols
@@ -653,6 +724,107 @@ def test_horizontal_sections_match_rp_kernel_with_poles_everywhere():
         sols = horizontal_sections(a)
         assert len(sols) == a.n
         assert tuple(sols) == tuple(horizontal_sections_rp(a))
+
+
+def _twisted_pole(a):
+    """Whether some denominator of a has a coefficient outside F_p."""
+    F = a.field
+    return any(F.frobenius(c) != c for row in a.rows for e in row for c in e.den.coeffs)
+
+
+def _extension_pole_cases(rng, field):
+    """Charts with poles over an extension field, each with a denominator
+    coefficient outside F_p: two flat charts A = f^-1 f' (f polynomial), and
+    the flat-beside-cyclic blocks of flat rank 1 and 2 gauged by an invertible
+    g of rational functions (nonzero psi with a kernel)."""
+    cases = []
+    while len(cases) < 2:
+        r = 2 + len(cases)
+        f = MatRF(field, [[RatFunc(random_poly(rng, field, 2)) for _ in range(r)]
+                          for _ in range(r)])
+        try:
+            a = inverse(f) * f.derivative()
+        except PflagsError:
+            continue
+        if _twisted_pole(a):
+            cases.append((a, r))
+    for flat_rank in (1, 2):
+        r = flat_rank + 2
+        zero = RatFunc.zero(field)
+        rows = [[zero] * r for _ in range(r)]
+        rows[flat_rank][flat_rank + 1] = RatFunc.one(field)
+        rows[flat_rank + 1][flat_rank] = RatFunc.x(field)
+        while True:
+            g = MatRF(field, [[random_ratfunc(rng, field, 1, 1) for _ in range(r)]
+                              for _ in range(r)])
+            try:
+                a = gauge_transform(MatRF(field, rows), g)
+            except PflagsError:
+                continue
+            if _twisted_pole(a):
+                cases.append((a, flat_rank))
+                break
+    return cases
+
+
+def test_horizontal_sections_match_rp_kernel_with_poles_over_extension_fields():
+    # the images' common denominator beta^p is dropped as a row factor, where
+    # the reference twists each denominator's coefficients by Frobenius
+    rng = random.Random(82)
+    for field in (GF(2, 2), GF(3, 2)):
+        for a, s in _extension_pole_cases(rng, field):
+            sols = horizontal_sections(a)
+            assert len(sols) == s
+            assert tuple(sols) == tuple(horizontal_sections_rp(a))
+
+
+def _flipped_sign(row, prow, c):
+    P, f = prow[c], row[c]
+    return matrix._primitive([poly_dot(((P, a), (f, b)), P.field) for a, b in zip(row, prow)])
+
+
+def _pivot_dropped(row, prow, c):
+    neg_f = -row[c]
+    return matrix._primitive([a + neg_f * b for a, b in zip(row, prow)])
+
+
+@pytest.mark.parametrize("mutant", [_flipped_sign, _pivot_dropped])
+def test_a_wrong_elimination_step_is_caught(monkeypatch, mutant):
+    # a wrong step still leaves rows in the row space, so the sections stay
+    # horizontal; the reduced form, and with it the basis, is what changes
+    rng = random.Random(83)
+    cases = [a for a, _ in _extension_pole_cases(rng, GF(3, 2))]
+    expected = [tuple(horizontal_sections_rp(a)) for a in cases]
+    monkeypatch.setattr(matrix, "_eliminate", mutant)
+    for a, want in zip(cases, expected):
+        try:
+            got = tuple(horizontal_sections(a))
+        except InternalInvariantError:
+            continue
+        assert got != want
+
+
+def test_horizontality_recheck_catches_a_wrong_projection(monkeypatch):
+    # the first coordinate of every image multiplied by x: the rows leave the
+    # solution space, and the re-check on the numerators must notice
+    rng = random.Random(84)
+    cases = []
+    for field in (GF(2), GF(3), GF(5), GF(2, 2), GF(3, 2)):
+        for r in (2, 3):
+            a = random_flat_conn0(rng, field, r=r).matrix()
+            while a.is_zero():
+                a = random_flat_conn0(rng, field, r=r).matrix()
+            cases.append(a)
+    true_project = matrix._project
+
+    def project_times_x(*args):
+        nums = true_project(*args)
+        return [nums[0] * Poly.x(nums[0].field), *nums[1:]]
+
+    monkeypatch.setattr(matrix, "_project", project_times_x)
+    for a in cases:
+        with pytest.raises(InternalInvariantError, match="fails T\\(v\\) = 0"):
+            horizontal_sections(a)
 
 
 def test_matrix_pow():

@@ -200,10 +200,10 @@ def _infinity_chart_by_products(c):
     return MatRF(F, rows)
 
 
-def test_infinity_chart_matches_the_product_chain():
+def _infinity_chart_corpus():
+    """2,000 connections over GF(2), GF(3), GF(5), GF(4), GF(9), r <= 4."""
     rng = random.Random(34)
     fields = [GF(2), GF(3), GF(5), GF(2, 2), GF(3, 2)]
-    seen = dict.fromkeys(["zero", "p | d_i", "negative shift", "valid", "invalid"], 0)
     for t in range(2000):
         field = fields[t % len(fields)]
         r = rng.randint(1, 4)
@@ -213,6 +213,13 @@ def test_infinity_chart_matches_the_product_chain():
         c = Conn0(field, BundleP1(degs), rows)
         if rng.random() < 0.3:
             c = random_conn0(rng, field, r_max=4)
+        yield c
+
+
+def test_infinity_chart_matches_the_product_chain():
+    seen = dict.fromkeys(["zero", "p | d_i", "negative shift", "valid", "invalid"], 0)
+    for t, c in enumerate(_infinity_chart_corpus()):
+        field = c.field
         assert infinity_chart_matrix(c) == _infinity_chart_by_products(c), (t, c.degrees, c.A)
         entries = [(j, i) for j in range(c.rank) for i in range(c.rank)]
         seen["zero"] += any(c.A[j][i].is_zero() for j, i in entries)
@@ -221,6 +228,16 @@ def test_infinity_chart_matches_the_product_chain():
                                       for j, i in entries)
         seen["valid" if not validate(c) else "invalid"] += 1
     assert min(seen.values()) >= 200, seen
+
+
+def test_validate_orders_are_the_infinity_chart_pole_orders():
+    # validate reads the orders off the entries' terms, without building them
+    for c in _infinity_chart_corpus():
+        inf = infinity_chart_matrix(c)
+        orders = {(j, i): inf.rows[j][i].pole_order_at_zero()
+                  for j in range(c.rank) for i in range(c.rank)}
+        assert {(v.row, v.col): v.order for v in validate(c)} == \
+            {ji: order for ji, order in orders.items() if order > 0}
 
 
 def test_validator_equivalence_sampled():
