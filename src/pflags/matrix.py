@@ -13,7 +13,8 @@ Every solve is one elimination routine, ``_echelon``: Gauss-Jordan on rows
 of polynomials by cross-multiplication, each new row divided by the gcd of
 its entries.  Rows of rational functions are first cleared to polynomials
 row by row, a row scaling that changes neither the row space nor the reduced
-echelon form, and rational functions are formed only from the result.
+echelon form, and a caller forms rational functions only from the entries it
+reads, each over its row's pivot entry.
 
 The characteristic polynomial and the iterates of T work on polynomials: a
 matrix m is cleared once to N/delta (``_clear_denominators``).  With
@@ -27,8 +28,8 @@ has one form, the pair (N, delta) read off the iterates by ``_cleared_psi``,
 delta = beta^p; ``_p_curvature`` builds and re-verifies it.  The re-check,
 ``_charpoly_cleared``, the nilpotency test (N^r = delta^r psi^r) and the
 kernel (ker N = ker psi) read N.  Rational functions are reduced only in
-results: the psi ``p_curvature_matrix`` returns, the reduced echelon rows
-of ``_rref`` and the sections; from the kernel of N to the sections, the
+results: the psi ``p_curvature_matrix`` returns, the kernel vectors, the
+inverse and the sections; from the kernel of N to the sections, the
 projector's images stay polynomial.
 ``horizontal_sections`` re-verifies every section it returns, so it builds
 its N without the re-check.
@@ -183,18 +184,6 @@ def is_nilpotent(m: MatRF) -> bool:
 # -- elimination: fraction-free, on polynomial rows -----------------------------------
 
 
-def _rref(rows: list[list[RatFunc]]) -> tuple[list[list[RatFunc]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices).  The
-    rows are cleared to polynomials one by one and reduced by ``_echelon``;
-    each entry of the result is reduced once, over its row's pivot entry."""
-    prows = [_clear_denominators([row])[0][0] for row in rows]
-    pivots = _echelon(prows)
-    zero, one = RatFunc.zero(rows[0][0].field), RatFunc.one(rows[0][0].field)
-    out = [[one if e is row[c] else RatFunc(e, row[c]) for e in row]
-           for row, c in zip(prows, pivots)]
-    return out + [[zero] * len(rows[0]) for _ in rows[len(pivots):]], pivots
-
-
 def _echelon(rows: list[list[Poly]]) -> list[int]:
     """Gauss-Jordan on polynomial rows in place, with no division; returns
     the pivot columns.  Row k over its entry P_k at pivots[k] is row k of the
@@ -236,16 +225,18 @@ def kernel(m: MatRF) -> list[Vec]:
     """A basis of the right kernel.
 
     Each basis vector has a 1 at its free column and free columns are taken in
-    increasing index order, so the result is deterministic.
+    increasing index order, so the result is deterministic.  Fractions are
+    formed only at the pivot columns, from ``_echelon``'s rows.
     """
-    rows, pivots = _rref(m.rows)
+    rows = [_clear_denominators([row])[0][0] for row in m.rows]
+    pivots = _echelon(rows)
     zero, one = RatFunc.zero(m.field), RatFunc.one(m.field)
     basis = []
     for fc in (c for c in range(m.n) if c not in pivots):
         v = [zero] * m.n
         v[fc] = one
         for row, pc in zip(rows, pivots):
-            v[pc] = -row[fc]
+            v[pc] = RatFunc(-row[fc], row[pc])
         basis.append(tuple(v))
     return basis
 
@@ -253,10 +244,11 @@ def kernel(m: MatRF) -> list[Vec]:
 def inverse(m: MatRF) -> MatRF:
     """Matrix inverse by Gauss-Jordan on [m | I]; raises on singular input."""
     n = m.n
-    rows, pivots = _rref([[*row, *e] for row, e in zip(m.rows, MatRF.identity(m.field, n).rows)])
-    if pivots != list(range(n)):
+    rows = [_clear_denominators([[*row, *e]])[0][0]
+            for row, e in zip(m.rows, MatRF.identity(m.field, n).rows)]
+    if _echelon(rows) != list(range(n)):
         raise PflagsError("matrix is singular")
-    return MatRF(m.field, [row[n:] for row in rows])
+    return MatRF(m.field, [[RatFunc(e, row[k]) for e in row[n:]] for k, row in enumerate(rows)])
 
 
 # -- connection operator and p-curvature ---------------------------------------
@@ -315,9 +307,10 @@ def _p_curvature(a: MatRF):
     return iterates, nmat, delta
 
 
-def _t_iterates(bmat, beta: Poly, p: int) -> list[list[tuple[list[Poly], Poly]]]:
-    """The iterates T^k e_i for k = 0..p, one list per i, each as the
-    unreduced pair (numerators, beta^k) with A = bmat/beta; see ``_t_step``."""
+def _t_iterates(bmat, beta: Poly, p: int) -> tuple[list[list[list[Poly]]], list[Poly]]:
+    """The iterates T^k e_i for k = 0..p with A = bmat/beta, unreduced, as
+    (nums, dens): nums[i][k] holds the numerators of T^k e_i over dens[k] =
+    beta^k, the one denominator of every column; see ``_t_step``."""
     F = beta.field
     n = len(bmat)
     step = _t_step(bmat, beta)
@@ -325,25 +318,22 @@ def _t_iterates(bmat, beta: Poly, p: int) -> list[list[tuple[list[Poly], Poly]]]
     dens = [one_p]
     for _ in range(p):
         dens.append(poly_dot(((dens[-1], beta),), F))
-    iterates = []
+    nums = []
     for i in range(n):
         num = [zero_p] * n
         num[i] = one_p
-        nums = [num]
+        its = [num]
         for k in range(p):
-            nums.append(step(nums[-1], k))
-        iterates.append(list(zip(nums, dens)))
-    return iterates
+            its.append(step(its[-1], k))
+        nums.append(its)
+    return nums, dens
 
 
 def _cleared_psi(iterates) -> tuple[list[tuple[Poly, ...]], Poly]:
-    """psi = N/delta from ``_t_iterates``: column i of N is the last iterate
-    of e_i brought to delta, the monic lcm of the column denominators
-    (beta^p unless a column differs)."""
-    cols = [its[-1] for its in iterates]
-    delta = _lcm((d for _, d in cols[1:]), cols[0][1])
-    cols = [nums if d == delta else [e * (delta // d) for e in nums] for nums, d in cols]
-    return list(zip(*cols)), delta
+    """psi = N/delta from ``_t_iterates``: column i of N holds the numerators
+    of T^p e_i, and delta = beta^p is their denominator."""
+    nums, dens = iterates
+    return list(zip(*(its[-1] for its in nums))), dens[-1]
 
 
 def _clear_denominators(rows) -> tuple[list[list[Poly]], Poly]:
@@ -351,18 +341,13 @@ def _clear_denominators(rows) -> tuple[list[list[Poly]], Poly]:
     rows of N and delta, the monic lcm of the entry denominators.  Each
     distinct denominator takes one lcm step and one exact division."""
     dens = dict.fromkeys(e.den for row in rows for e in row)
-    delta = _lcm(dens, Poly.one(rows[0][0].field))
+    delta = Poly.one(rows[0][0].field)
+    for d in dens:
+        if not (d.is_one() or d == delta):
+            delta = d if delta.is_one() else delta // poly_gcd(delta, d) * d
     for d in dens:
         dens[d] = delta if d.is_one() else delta // d
     return [[e.num * dens[e.den] for e in row] for row in rows], delta
-
-
-def _lcm(dens, out: Poly) -> Poly:
-    """The monic lcm of out and dens, all monic polynomials."""
-    for d in dens:
-        if not (d.is_one() or d == out):
-            out = d if out.is_one() else out // poly_gcd(out, d) * d
-    return out
 
 
 def _t_step(bmat, beta: Poly):
@@ -461,12 +446,13 @@ def _horizontal_sections(a: MatRF, iterates, nmat: MatRF) -> list[Vec]:
     weights = [Poly.one(F)]  # (-t)^k / k!
     for k in range(1, p):
         weights.append((weights[-1] * neg_t).scale(F.inv(F.scalar(k))))
-    outer = [w * d for w, (_, d) in zip(weights, iterates[0][:0:-1])]  # c_m beta^(p-m)
+    nums, dens = iterates
+    outer = [w * d for w, d in zip(weights, dens[:0:-1])]  # c_m beta^(p-m)
     ker = [_clear_denominators([b])[0][0] for b in ker]
     rows: list[list[Poly]] = []
     for j in range(p):
         for b in ker:
-            image = _project(iterates, weights, outer, [Poly(F, (0,) * j + e.coeffs) for e in b])
+            image = _project(nums, weights, outer, [Poly(F, (0,) * j + e.coeffs) for e in b])
             rows.append([Poly(F, n.coeffs[t::p]) for n in image for t in range(p)][::-1])
         pivots = _echelon(rows)
         del rows[len(pivots):]
@@ -490,20 +476,20 @@ def _horizontal_sections(a: MatRF, iterates, nmat: MatRF) -> list[Vec]:
     return sols
 
 
-def _project(iterates, weights: list[Poly], outer: list[Poly], g: list[Poly]) -> list[Poly]:
+def _project(nums, weights: list[Poly], outer: list[Poly], g: list[Poly]) -> list[Poly]:
     """The numerators of P(g) = sum_k c_k T^k g over beta^p, c_k = weights[k],
-    from the iterates T^m e_i = n_(i,m)/beta^m and outer[m] = c_m beta^(p-m).
+    from T^m e_i = nums[i][m]/beta^m and outer[m] = c_m beta^(p-m).
 
     By Leibniz, T^k (f e_i) = sum_m C(k, m) f^(k-m) T^m e_i and
     c_k C(k, m) = c_m c_(k-m), so P(g) = sum_i sum_m c_m D_m(g_i) T^m e_i with
     D_m(f) = sum_{l < p-m} c_l f^(l).  Over beta^p the term (i, m) has the
-    numerator D_m(g_i) outer[m] n_(i,m), so each coordinate's numerator is
+    numerator D_m(g_i) outer[m] nums[i][m], so each coordinate's numerator is
     one ``poly_dot``.
     """
     p = len(weights)
     F = weights[0].field
     terms = []
-    for f, its in zip(g, iterates):
+    for f, its in zip(g, nums):
         if not f:
             continue
         derivs = [f]
@@ -513,7 +499,7 @@ def _project(iterates, weights: list[Poly], outer: list[Poly], g: list[Poly]) ->
         for m in range(p - 1, -1, -1):
             if m < p - 1 and derivs[p - 1 - m]:
                 dm = dm + weights[p - 1 - m] * derivs[p - 1 - m]
-            tn = its[m][0]
+            tn = its[m]
             if dm and any(tn):
                 terms.append((dm * outer[m], tn))
     return [poly_dot([(f, tn[i]) for f, tn in terms], F) for i in range(len(g))]

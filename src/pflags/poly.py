@@ -77,9 +77,6 @@ class Poly:
     def is_one(self) -> bool:
         return self.coeffs == (1,)
 
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
     def lc(self) -> int:
         if not self.coeffs:
             return 0

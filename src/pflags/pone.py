@@ -298,15 +298,18 @@ def tensor(a: Conn0, b: Conn0) -> tuple[Conn0, tuple[int, ...]]:
 
     Returns the connection on the re-sorted degree multiset and the
     permutation used: position n of the output is pair index perm[n] in the
-    lexicographic (i, k) enumeration of summand pairs.
+    lexicographic (i, k) enumeration of summand pairs.  The rank ra rb is
+    capped at 2^10, since the n x n matrix is built whole (docs/formats.md).
     """
     if a.field is not b.field:
         raise PflagsError("tensor of connections over different fields")
     F = a.field
     ra, rb = a.rank, b.rank
+    n = ra * rb
+    if n > 2**10:
+        raise PreconditionError(f"tensor rank must be <= 2^10 = 1024, got {n}")
     pair_degrees = [a.degrees[i] + b.degrees[k] for i in range(ra) for k in range(rb)]
     zero = Poly.zero(F)
-    n = ra * rb
     big = [[zero] * n for _ in range(n)]
     for j in range(ra):
         for i in range(ra):

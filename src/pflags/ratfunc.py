@@ -77,9 +77,6 @@ class RatFunc:
     def is_one(self) -> bool:
         return self.num.is_one() and self.den.is_one()
 
-    def is_constant(self) -> bool:
-        return self.num.is_constant() and self.den.is_one()
-
     def __bool__(self):
         return not self.is_zero()
 

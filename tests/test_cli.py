@@ -308,6 +308,18 @@ def test_selftest_reports_library_errors(tmp_path, capsys):
     assert "FAIL bad-field/find_irreducible (precondition-error: 4 is not prime)" in out
 
 
+def test_selftest_refuses_a_tensor_above_the_rank_cap(tmp_path, capsys):
+    # two rank-33/32 zero connections: their tensor would be 1056 x 1056
+    a, b = ({"A": [[[]] * r] * r, "field": {"k": 1, "p": 2}, "level": 0,
+             "twist_degrees": [0] * r} for r in (33, 32))
+    items = [{"name": "tensor/above-cap", "op": "tensor", "input": {"a": a, "b": b},
+              "expect": {"error": "precondition"}}]
+    (tmp_path / "items.json").write_text(json.dumps(items))
+    code, out = run(capsys, "selftest", "--corpus", str(tmp_path), "--filter", "tensor/above")
+    assert code == 0
+    assert "PASS tensor/above-cap" in out
+
+
 PULLBACK_CONN = json.dumps({"field": {"p": 2, "k": 1}, "level": 0, "twist_degrees": [2, 0],
                             "A": [[[], [1]], [[], []]]})
 

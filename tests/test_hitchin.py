@@ -20,7 +20,6 @@ from pflags.matrix import (
     MatRF,
     _clear_denominators,
     _cleared_psi,
-    _rref,
     _t_iterates,
     apply_connection,
     charpoly_berkowitz,
@@ -39,6 +38,8 @@ from pflags.sampling import (
     random_polynomial_gauge,
     random_strict_upper,
 )
+
+from test_matrix import _rref_ref
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
 
@@ -137,20 +138,20 @@ def _mutated_psi(c, mutate):
 def wrong_column(iterates):
     """psi with 1 added down its last column: its T^p numerators n over
     beta^p become n + beta^p."""
-    nums, den = iterates[-1][-1]
-    return iterates[:-1] + [iterates[-1][:-1] + [([e + den for e in nums], den)]]
+    nums, dens = iterates
+    return nums[:-1] + [nums[-1][:-1] + [[e + dens[-1] for e in nums[-1][-1]]]], dens
 
 
-def last_column_over_x(iterates):
-    """psi with its last column divided by x, so its common denominator
-    changes."""
-    nums, den = iterates[-1][-1]
-    return iterates[:-1] + [iterates[-1][:-1] + [(nums, den * Poly.x(den.field))]]
+def psi_over_x(iterates):
+    """psi divided by x: its denominator beta^p becomes x beta^p."""
+    nums, dens = iterates
+    return nums, dens[:-1] + [dens[-1] * Poly.x(dens[-1].field)]
 
 
 def t_p_minus_1(iterates):
     """T^(p-1) in place of T^p."""
-    return [its[:-1] + [its[-2]] for its in iterates]
+    nums, dens = iterates
+    return [its[:-1] + [its[-2]] for its in nums], dens[:-1] + [dens[-2]]
 
 
 def test_p_curvature_recheck_catches_a_wrong_column(monkeypatch):
@@ -168,7 +169,7 @@ def test_p_curvature_recheck_catches_a_wrong_column(monkeypatch):
 
 def test_p_curvature_recheck_catches_a_changed_denominator(monkeypatch):
     charts, conns = _mutation_charts(), _mutation_conns()
-    _iterates_through(monkeypatch, last_column_over_x)
+    _iterates_through(monkeypatch, psi_over_x)
     for c in charts:
         with pytest.raises(InternalInvariantError):
             p_curvature_chart(c)
@@ -399,8 +400,8 @@ def test_nilpotent_flag_randomized_conjugates():
 
 def _solve_ref(m_cols, target):
     ncols = len(m_cols)
-    rows, pivots = _rref([[col[i] for col in m_cols] + [target[i]]
-                          for i in range(len(target))])
+    rows, pivots = _rref_ref([[col[i] for col in m_cols] + [target[i]]
+                              for i in range(len(target))])
     assert ncols not in pivots, "kernel of psi is not stable under T"
     x = [RatFunc.zero(target[0].field)] * ncols
     for r, pc in enumerate(pivots):
@@ -453,8 +454,8 @@ def _extend_to_basis_ref(field, v0, r):
     """[v0 | standard columns] completed greedily: the pivot columns of the
     reduced row echelon form of [v0 | I]."""
     zero, one = RatFunc.zero(field), RatFunc.one(field)
-    _, pivots = _rref([[v0[t]] + [one if j == t else zero for j in range(r)]
-                       for t in range(r)])
+    _, pivots = _rref_ref([[v0[t]] + [one if j == t else zero for j in range(r)]
+                           for t in range(r)])
     assert len(pivots) == r and pivots[0] == 0
     cols = [tuple(v0)] + [tuple(one if t == c - 1 else zero for t in range(r))
                           for c in pivots[1:]]

@@ -9,7 +9,7 @@ from pflags.hitchin import ChartConn, char_poly_psi
 from pflags.matrix import (
     MatRF,
     _clear_denominators,
-    _rref,
+    _echelon,
     _t_iterates,
     _t_step,
     apply_connection,
@@ -162,8 +162,9 @@ def test_kernel_of_zero_matrix_is_standard_basis():
 
 
 # Oracle: Gauss-Jordan on reduced rational functions, one gcd per operation.
-# ``_rref`` eliminates fraction-free on polynomial rows and must give the same
-# reduced form, which the row space alone fixes.
+# ``_echelon`` eliminates fraction-free on polynomial rows; its rows over their
+# pivot entries must give the same reduced form, which the row space alone
+# fixes.
 
 
 def _rref_ref(rows):
@@ -183,6 +184,16 @@ def _rref_ref(rows):
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
     return rows, pivots
+
+
+def _echelon_as_fractions(rows):
+    """``_echelon`` on the rows cleared one by one, read out as rational
+    functions over each row's pivot entry, zero rows last."""
+    prows = [_clear_denominators([row])[0][0] for row in rows]
+    pivots = _echelon(prows)
+    zero = RatFunc.zero(rows[0][0].field)
+    out = [[RatFunc(e, row[c]) for e in row] for row, c in zip(prows, pivots)]
+    return out + [[zero] * len(rows[0]) for _ in rows[len(pivots):]], pivots
 
 
 ORACLE_FIELDS = [GF(2), GF(3), GF(7), GF(2, 2), GF(3, 2)]
@@ -216,7 +227,7 @@ def test_rref_kernel_and_inverse_match_the_gauss_jordan_oracle():
             wide = [row + [random_ratfunc(rng, F, 2, 2) for _ in range(2)] for row in m]
             aug = [row + [one if j == i else zero for j in range(n)] for i, row in enumerate(m)]
             for rows in (m, wide, aug):
-                assert _rref(rows) == _rref_ref(rows)
+                assert _echelon_as_fractions(rows) == _rref_ref(rows)
             assert kernel(MatRF(F, m)) == _kernel_ref(m, F)
             ref_rows, ref_pivots = _rref_ref(aug)
             if ref_pivots == list(range(n)):
@@ -345,9 +356,9 @@ def test_t_iterates_match_gcd_per_step_reference():
     for a in pole_charts():
         p = a.field.p
         ref = reference_iterates(a, 2 * p)
-        new = _t_iterates(*_clear_denominators(a.rows), p)
-        for its, ref_its in zip(new, ref):
-            for (num, den), (ref_num, ref_den) in zip(its, ref_its):
+        nums, dens = _t_iterates(*_clear_denominators(a.rows), p)
+        for its, ref_its in zip(nums, ref):
+            for num, den, (ref_num, ref_den) in zip(its, dens, ref_its):
                 assert [RatFunc(e, den) for e in num] == [RatFunc(e, ref_den) for e in ref_num]
         assert p_curvature_matrix(a) == column_matrix(a.field, [its[p] for its in ref])
         if a.n > 2:
@@ -356,8 +367,8 @@ def test_t_iterates_match_gcd_per_step_reference():
         # the integer k itself would be another field element)
         bmat, beta = _clear_denominators(a.rows)
         step = _t_step(bmat, beta)
-        for its, ref_its in zip(new, ref):
-            num = its[p][0]
+        for its, ref_its in zip(nums, ref):
+            num = its[p]
             for k in range(p, 2 * p):
                 num = step(num, k)
                 ref_num, ref_den = ref_its[k + 1]
@@ -419,9 +430,10 @@ def test_t_iterate_degrees_grow_at_most_linearly():
     for a in pole_charts() + [p31_chart()]:
         bmat, beta = _clear_denominators(a.rows)
         step = max(beta.degree - 1, max(e.degree for row in bmat for e in row))
-        for its in _t_iterates(bmat, beta, a.field.p):
-            for k, (num, den) in enumerate(its):
-                assert den == beta**k
+        nums, dens = _t_iterates(bmat, beta, a.field.p)
+        assert dens == [beta**k for k in range(a.field.p + 1)]
+        for its in nums:
+            for k, num in enumerate(its):
                 assert all(e.degree <= k * step for e in num if not e.is_zero())
 
 
@@ -595,7 +607,7 @@ def solve_ref(m_cols, target, field):
     augmented matrix; None when inconsistent."""
     ncols = len(m_cols)
     aug = [[col[i] for col in m_cols] + [target[i]] for i in range(len(target))]
-    rows, pivots = _rref(aug)
+    rows, pivots = _rref_ref(aug)
     if ncols in pivots:
         return None
     x = [RatFunc.zero(field)] * ncols

@@ -348,6 +348,16 @@ def test_tensor_dual_random_validity_and_involution():
         assert dda == a
 
 
+def test_tensor_rank_above_the_cap_is_refused():
+    # 25 * 41 = 1025 is the smallest rank past 2^10; 33 * 32 = 1056 is one rank
+    # past 32 * 32, the largest square product at the cap
+    for ra, rb in ((25, 41), (33, 32)):
+        a, b = (conn(F2, [0] * r, [[[]] * r] * r) for r in (ra, rb))
+        with pytest.raises(PreconditionError,
+                           match=rf"^tensor rank must be <= 2\^10 = 1024, got {ra * rb}$"):
+            tensor(a, b)
+
+
 # -- Cartier descent ----------------------------------------------------------------------
 
 
