@@ -16,7 +16,6 @@ import argparse
 import functools
 import json
 import sys
-from importlib import resources
 from pathlib import Path
 from typing import Any, NamedTuple
 
@@ -202,6 +201,7 @@ def _load_fixtures(corpus: str | None) -> list[dict]:
         if not paths:
             raise ValueError(f"{corpus} holds no *.json file")
     else:
+        from importlib import resources  # only the default corpus needs it
         paths = [resources.files("pflags").joinpath("fixtures/fixtures.json")]
     items: list[dict] = []
     for path in paths:

@@ -18,13 +18,13 @@ from .fields import Field
 from .matrix import (
     MatRF,
     _charpoly_cleared,
+    _clear_denominators,
     _horizontal_sections,
+    _is_nilpotent_cleared,
     _p_curvature,
-    gauge_transform,
-    horizontal_sections,
-    is_nilpotent,
     p_curvature_matrix,
 )
+from .poly import Poly, poly_dot
 from .ratfunc import RatFunc, in_frobenius_subfield, sqrt_ratfunc
 
 
@@ -104,7 +104,7 @@ def p_curvature_chart(c: ChartConn) -> MatRF:
 def char_poly_psi(c: ChartConn) -> CharPolyP:
     """det(t - psi) by the division-free recurrence; each coefficient is
     tested for membership in the twist function field F_q(x^p)."""
-    cp = _charpoly_cleared(*_p_curvature(c.A)[1:])
+    cp = _charpoly_cleared(*_p_curvature(c.A)[3:])
     coeffs = tuple(cp[:-1])
     descent_ok = all(in_frobenius_subfield(a, 1) for a in coeffs if not a.is_zero())
     return CharPolyP(coeffs, descent_ok)
@@ -171,25 +171,23 @@ def nilpotent_flag_chart(c: ChartConn) -> NilpotentFlag:
     commutes with T) and carries vanishing p-curvature, so T has a horizontal
     vector over F_q(x); the first vector of ``horizontal_sections`` starts the
     flag, and the quotient inherits nilpotent p-curvature.  The returned gauge
-    G makes G^{-1} A G + G^{-1} G' upper triangular, which is re-verified.
+    G makes G^{-1} A G + G^{-1} G' upper triangular, which is re-verified by
+    ``_check_triangular`` without forming G^{-1}.
     """
-    iterates, rows, _ = _p_curvature(c.A)
-    nmat = MatRF.from_polys(c.field, rows)  # psi = N/delta
-    if not is_nilpotent(nmat):  # N^r = delta^r psi^r
+    bmat, beta, iterates, nrows, _ = _p_curvature(c.A)
+    if not _is_nilpotent_cleared(nrows):  # N^r = delta^r psi^r
         raise PreconditionError("p-curvature is not nilpotent; no flag this way")
-    gauge = _triangularize(c.A, (iterates, nmat))
-    transformed = gauge_transform(c.A, gauge)
-    for i in range(c.r):
-        for j in range(i):
-            if not transformed.rows[i][j].is_zero():
-                raise InternalInvariantError("gauge failed to triangularize the connection")
+    gauge, order = _triangularize(c.A, (bmat, beta, iterates))
+    _check_triangular(bmat, beta, gauge, order)
     return NilpotentFlag(gauge, tuple(range(c.r)))
 
 
-def _triangularize(a: MatRF, verified=None) -> MatRF:
-    """A gauge triangularizing T(v) = v' + a v, for nilpotent p-curvature.
-    ``verified`` is the pair (iterates, N) of a, psi = N/delta, when the
-    caller has built and re-checked them; the recursion passes none.
+def _triangularize(a: MatRF, cleared=None) -> tuple[MatRF, list[int]]:
+    """A gauge G triangularizing T(v) = v' + a v, for nilpotent p-curvature,
+    and its row order: the rows order[0], order[1], ... of G form a lower
+    triangular matrix with a nonzero diagonal.  ``cleared`` is (B, beta,
+    iterates) of a = B/beta when the caller has built and re-checked them;
+    the recursion passes none.
 
     With v0 the first horizontal section, m its last nonzero index and
     s1 < ... < s(r-1) the others, the level gauge g1 = [v0 | e_s1 ...] is
@@ -197,19 +195,20 @@ def _triangularize(a: MatRF, verified=None) -> MatRF:
     l >= 1 of a g1 + g1' is column sl of a, so the quotient connection is
     a[sk][sl] - (v0[sk]/v0[m]) a[m][sl], and g1 diag(1, g_sub) is v0 in
     column 0, row k of the quotient's gauge in row sk and zeros in row m.
+    So order[0] = m, and the quotient's order follows, mapped back to the sk.
     """
     field = a.field
     r = a.n
     if r == 1:
-        return MatRF.identity(field, 1)
+        return MatRF.identity(field, 1), [0]
     # A horizontal v lies in ker psi = ker N.  Its entries at the free columns
     # of the rref of N are its coordinates in the rref kernel basis, and its
     # last nonzero entry is one of them; so the last-first echelon sols[0] is
     # the v0 that T restricted to ker psi would give, mapped back.  Only the
     # solution space fixes sols, so it does not matter that the projector
-    # takes that basis cleared to polynomials, or that the elimination is
-    # fraction-free.
-    sols = horizontal_sections(a) if verified is None else _horizontal_sections(a, *verified)
+    # takes that basis as primitive polynomial vectors (``_kernel_core``), or
+    # that the elimination is fraction-free.
+    sols = _horizontal_sections(*(cleared or _clear_denominators(a.rows)))
     if not sols:
         raise PreconditionError("p-curvature has trivial kernel; not nilpotent")
     v0 = sols[0]
@@ -220,6 +219,43 @@ def _triangularize(a: MatRF, verified=None) -> MatRF:
         ak, c = a.rows[k], v0[k] / v0[m]
         sub.append([ak[s] if c.is_zero() or am[s].is_zero() else ak[s] - c * am[s]
                     for s in others])
-    g_sub = iter(_triangularize(MatRF(field, sub)).rows)
+    g_sub, sub_order = _triangularize(MatRF(field, sub))
+    rows = iter(g_sub.rows)
     zeros = [RatFunc.zero(field)] * (r - 1)
-    return MatRF(field, [[v0[i], *(zeros if i == m else next(g_sub))] for i in range(r)])
+    gauge = MatRF(field, [[v0[i], *(zeros if i == m else next(rows))] for i in range(r)])
+    return gauge, [m, *(others[k] for k in sub_order)]
+
+
+def _check_triangular(bmat, beta: Poly, gauge: MatRF, order) -> None:
+    """Raise unless G^-1 (A G + G') is upper triangular, A = bmat/beta.
+
+    First the structure: order is a permutation, and G's rows in that order
+    form a lower triangular L with a nonzero diagonal.  The columns of G are
+    then cleared to polynomials, G D for a diagonal D, which keeps the claim:
+    (G D)^-1 (A G D + (G D)') = D^-1 (G^-1 (A G + G')) D + D^-1 D'.  With X =
+    B G + beta G' = beta (A G + G'), G u = X_j is L u = X_j in that order,
+    and column j passes when forward substitution gives u_k = 0 for k > j.
+    """
+    r = len(bmat)
+    if sorted(order) != list(range(r)):
+        raise InternalInvariantError("gauge row order is not a permutation")
+    cols = [_clear_denominators([col])[0][0] for col in zip(*gauge.rows)]
+    low = [[col[i] for col in cols] for i in order]
+    if any(not row[k] or any(row[k + 1:]) for k, row in enumerate(low)):
+        raise InternalInvariantError("gauge is not lower triangular with a nonzero diagonal")
+    for j, g in enumerate(cols):
+        x = [poly_dot([(beta, g[i].derivative()), *zip(bmat[i], g)], beta.field) for i in order]
+        if any(_forward_solve(low, x)[j + 1:]):
+            raise InternalInvariantError("gauge failed to triangularize the connection")
+
+
+def _forward_solve(low, x) -> list[Poly]:
+    """u D for the solution u of low u = x, with low lower triangular over
+    polynomials and D the product of its diagonal; no division.  Step k holds
+    D_k = low[0][0] ... low[k][k] and the u_i D_k, i <= k."""
+    den, lifted = Poly.one(x[0].field), []
+    for k, row in enumerate(low):
+        n = poly_dot([(x[k], den), *zip(map(Poly.__neg__, row), lifted)], den.field)
+        lifted = [e * row[k] for e in lifted] + [n]
+        den = den * row[k]
+    return lifted

@@ -13,8 +13,9 @@ Every solve is one elimination routine, ``_echelon``: Gauss-Jordan on rows
 of polynomials by cross-multiplication, each new row divided by the gcd of
 its entries.  Rows of rational functions are first cleared to polynomials
 row by row, a row scaling that changes neither the row space nor the reduced
-echelon form, and a caller forms rational functions only from the entries it
-reads, each over its row's pivot entry.
+echelon form.  The kernel's one algorithm, ``_kernel_core``, returns a
+primitive polynomial vector per free column; ``kernel`` and ``inverse`` form
+rational functions only from the entries they return.
 
 The characteristic polynomial and the iterates of T work on polynomials: a
 matrix m is cleared once to N/delta (``_clear_denominators``).  With
@@ -25,12 +26,12 @@ operands B and beta once rather than once per entry and step; the build of
 psi and its re-check both use it.  Berkowitz on N, the re-check's psi v and
 the projector take one ``poly_dot`` per entry.  Here and in ``hitchin`` psi
 has one form, the pair (N, delta) read off the iterates by ``_cleared_psi``,
-delta = beta^p; ``_p_curvature`` builds and re-verifies it.  The re-check,
-``_charpoly_cleared``, the nilpotency test (N^r = delta^r psi^r) and the
-kernel (ker N = ker psi) read N.  Rational functions are reduced only in
-results: the psi ``p_curvature_matrix`` returns, the kernel vectors, the
-inverse and the sections; from the kernel of N to the sections, the
-projector's images stay polynomial.
+delta = beta^p; ``_p_curvature`` builds and re-verifies it and hands on
+A = B/beta too.  The re-check, ``_charpoly_cleared``, the nilpotency test
+(N^r = delta^r psi^r) and the kernel (ker N = ker psi) read N's rows.
+Rational functions are reduced only in results: the psi
+``p_curvature_matrix`` returns, ``kernel``'s vectors, the inverse and the
+sections.  From (B, beta) and N to the sections nothing is a ``MatRF``.
 ``horizontal_sections`` re-verifies every section it returns, so it builds
 its N without the re-check.
 """
@@ -74,10 +75,6 @@ class MatRF:
     def zeros(cls, field: Field, n: int) -> "MatRF":
         zero = RatFunc.zero(field)
         return cls(field, [[zero] * n for _ in range(n)])
-
-    @classmethod
-    def from_polys(cls, field: Field, rows) -> "MatRF":
-        return cls(field, [[RatFunc(e) for e in row] for row in rows])
 
     def __getitem__(self, i: int):
         return self.rows[i]
@@ -178,7 +175,15 @@ def _charpoly_cleared(rows, delta: Poly) -> list[RatFunc]:
 
 
 def is_nilpotent(m: MatRF) -> bool:
-    return m.pow(m.n).is_zero()
+    return _is_nilpotent_cleared(_clear_denominators(m.rows)[0])
+
+
+def _is_nilpotent_cleared(rows) -> bool:
+    """Whether N^n = 0 for the n polynomial rows of N; m^n = N^n/delta^n."""
+    cols, power = list(zip(*rows)), rows
+    for _ in range(len(rows) - 1):
+        power = [[_dot(row, col) for col in cols] for row in power]
+    return not any(map(any, power))
 
 
 # -- elimination: fraction-free, on polynomial rows -----------------------------------
@@ -225,19 +230,31 @@ def kernel(m: MatRF) -> list[Vec]:
     """A basis of the right kernel.
 
     Each basis vector has a 1 at its free column and free columns are taken in
-    increasing index order, so the result is deterministic.  Fractions are
-    formed only at the pivot columns, from ``_echelon``'s rows.
+    increasing index order, so the result is deterministic.  It is
+    ``_kernel_core``'s w/w[fc]: fractions are formed only at the pivot columns.
     """
-    rows = [_clear_denominators([row])[0][0] for row in m.rows]
-    pivots = _echelon(rows)
     zero, one = RatFunc.zero(m.field), RatFunc.one(m.field)
+    return [tuple(one if c == fc else RatFunc(e, w[fc]) if e else zero for c, e in enumerate(w))
+            for fc, w in _kernel_core([_clear_denominators([row])[0][0] for row in m.rows])]
+
+
+def _kernel_core(rows) -> list[tuple[int, list[Poly]]]:
+    """The right kernel of polynomial rows (the list is not changed), one
+    (fc, w) per free column fc of ``_echelon``, in increasing order: w is the
+    vector with a 1 at fc and -row[fc]/row[pc] at each pivot column pc,
+    scaled to a primitive polynomial vector, so that w[fc] is the lcm of that
+    vector's reduced denominators, up to a unit."""
+    rows, n, F = list(rows), len(rows[0]), rows[0][0].field
+    pivots = _echelon(rows)
     basis = []
-    for fc in (c for c in range(m.n) if c not in pivots):
-        v = [zero] * m.n
-        v[fc] = one
+    for fc in (c for c in range(n) if c not in pivots):
+        w = [Poly.one(F) if c == fc else Poly.zero(F) for c in range(n)]
         for row, pc in zip(rows, pivots):
-            v[pc] = RatFunc(-row[fc], row[pc])
-        basis.append(tuple(v))
+            if row[fc]:
+                d = w[fc]
+                w = [e * row[pc] for e in w]
+                w[pc] = -row[fc] * d
+        basis.append((fc, _primitive(w)))
     return basis
 
 
@@ -270,13 +287,14 @@ def p_curvature_matrix(a: MatRF) -> MatRF:
     """The matrix of T^p, T(v) = v' + A v; O_X-linear by Jacobson's theorem.
     Re-verified (see ``_p_curvature``), then reduced entrywise: the one place
     psi is formed as rational functions."""
-    _, nmat, delta = _p_curvature(a)
+    *_, nmat, delta = _p_curvature(a)
     return MatRF(a.field, [[RatFunc(e, delta) for e in row] for row in nmat])
 
 
 def _p_curvature(a: MatRF):
-    """(the ``_t_iterates`` of A, N, delta) with psi = N/delta; A is cleared
-    once, psi not at all.  The one builder of a psi that leaves this module.
+    """(B, beta, the ``_t_iterates`` of A, N, delta) with A = B/beta and
+    psi = N/delta; A is cleared once, psi not at all.  The one builder of a
+    psi that leaves this module.
 
     Linearity over the structure sheaf is re-verified on a sample polynomial
     section v: T^p(f v) = f T^p(v) with f = x + 1, and T^p(v) = psi v.  T is
@@ -304,7 +322,7 @@ def _p_curvature(a: MatRF):
     beta_p = beta**p
     if any(_dot(row, v) * beta_p != e * delta for row, e in zip(nmat, rhs)):
         raise InternalInvariantError("p-curvature matrix disagrees with iterated T")
-    return iterates, nmat, delta
+    return bmat, beta, iterates, nmat, delta
 
 
 def _t_iterates(bmat, beta: Poly, p: int) -> tuple[list[list[list[Poly]]], list[Poly]]:
@@ -407,52 +425,52 @@ def horizontal_sections(a: MatRF) -> list[Vec]:
     s as the F_q(x)-dimension of ker psi (Cartier, applied to the T-stable
     subspace ker psi).  Katz's projector P(v) = sum_{k<p} (-t)^k/k! T^k v,
     t = x - a0, is F_q(x^p)-linear, fixes horizontal vectors and maps ker psi
-    onto them (T P(v) = (-t)^{p-1}/(p-1)! psi(v)).  The images P(x^j b) of the
-    kernel basis b of psi, cleared to polynomials, are taken round by round,
-    j = 0, 1, ..., until they have rank s; at a point a0 where A and the b are
-    regular, P(b) = b mod t, so round 0 already does.
+    onto them (T P(v) = (-t)^{p-1}/(p-1)! psi(v)).  The images P(x^j w) of
+    ``_kernel_core``'s vectors w for ker N = ker psi are taken round by round,
+    j = 0, 1, ..., until they have rank s; at a0 with beta(a0) and every
+    w[fc](a0) nonzero, P(w) = w mod t, so round 0 already does.
 
-    The rest is polynomial.  An image is n/beta^p (``_project``), and beta^p
-    is a polynomial in y = x^p, so n split by exponent mod p gives the image's
-    coordinates in the F_q(x^p)-basis x^j e_i (coordinate i p + j), in y, up
-    to a row scaling.  ``_echelon`` reduces these rows; a row with pivot entry
-    P gives the section (sum_j e_ij(x^p) x^j)/P(x^p), reduced once.
+    All of it is polynomial, with A cleared once to B/beta.  An image is
+    n/beta^p (``_project``), and beta^p is a polynomial in y = x^p, so n split
+    by exponent mod p gives the image's coordinates in the F_q(x^p)-basis
+    x^j e_i (coordinate i p + j), in y, up to a row scaling.  ``_echelon``
+    reduces these rows; a row with pivot entry P gives the section
+    (sum_j e_ij(x^p) x^j)/P(x^p), reduced once.
 
     The result is the reduced echelon basis of the solutions in that basis,
     coordinates taken last-first: each vector has a 1 at its last nonzero
     coordinate and 0 at those of the others, in increasing order of it.  The
     solution space alone fixes it; it is the kernel basis Gaussian elimination
-    of the rp x rp matrix of T would give.  Each vector is re-verified: with
-    A = B/beta cleared again from A, its numerators w over P(x^p), whose
-    derivative is 0, satisfy beta w' + B w = 0.
+    of the rp x rp matrix of T would give.  Each vector is re-verified: its
+    numerators w over P(x^p), whose derivative is 0, satisfy beta w' + B w = 0.
     """
-    iterates = _t_iterates(*_clear_denominators(a.rows), a.field.p)
-    nmat = MatRF.from_polys(a.field, _cleared_psi(iterates)[0])
-    return _horizontal_sections(a, iterates, nmat)
+    return _horizontal_sections(*_clear_denominators(a.rows))
 
 
-def _horizontal_sections(a: MatRF, iterates, nmat: MatRF) -> list[Vec]:
-    """``horizontal_sections`` of a from its ``_t_iterates`` and N, psi =
-    N/delta; ker N = ker psi, and its rref basis is the same."""
-    F = a.field
+def _horizontal_sections(bmat, beta: Poly, iterates=None) -> list[Vec]:
+    """``horizontal_sections`` of A = bmat/beta, from its ``_t_iterates``
+    when the caller has them; a polynomial A may come as its rows with
+    beta = 1."""
+    F = beta.field
     p = F.p
-    r = a.n
-    ker = kernel(nmat)
+    r = len(bmat)
+    if iterates is None:
+        iterates = _t_iterates(bmat, beta, p)
+    ker = _kernel_core(_cleared_psi(iterates)[0])
     if not ker:
         return []
     a0 = next((c for c in F.elements()
-               if all(e.den.evaluate(c) for row in (*a.rows, *ker) for e in row)), 0)
+               if beta.evaluate(c) and all(w[fc].evaluate(c) for fc, w in ker)), 0)
     neg_t = Poly(F, [a0, F.neg(1)])
     weights = [Poly.one(F)]  # (-t)^k / k!
     for k in range(1, p):
         weights.append((weights[-1] * neg_t).scale(F.inv(F.scalar(k))))
     nums, dens = iterates
     outer = [w * d for w, d in zip(weights, dens[:0:-1])]  # c_m beta^(p-m)
-    ker = [_clear_denominators([b])[0][0] for b in ker]
     rows: list[list[Poly]] = []
     for j in range(p):
-        for b in ker:
-            image = _project(nums, weights, outer, [Poly(F, (0,) * j + e.coeffs) for e in b])
+        for _, w in ker:
+            image = _project(nums, weights, outer, [Poly(F, (0,) * j + e.coeffs) for e in w])
             rows.append([Poly(F, n.coeffs[t::p]) for n in image for t in range(p)][::-1])
         pivots = _echelon(rows)
         del rows[len(pivots):]
@@ -461,7 +479,6 @@ def _horizontal_sections(a: MatRF, iterates, nmat: MatRF) -> list[Vec]:
     else:
         raise InternalInvariantError(
             f"projected sections have rank {len(rows)}, ker psi has dimension {len(ker)}")
-    bmat, beta = _clear_denominators(a.rows)
     sols = []
     for row, c in zip(reversed(rows), reversed(pivots)):
         kv = row[::-1]  # coefficient t of coordinate i p + j is coefficient t p + j of w_i

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import InternalInvariantError, NeedsExtensionError, PreconditionError, PflagsError
 from .fields import Field
-from .matrix import MatRF, horizontal_sections, kernel, p_curvature_matrix
+from .matrix import MatRF, _horizontal_sections, kernel, p_curvature_matrix
 from .poly import Poly
 from .ratfunc import RatFunc
 
@@ -102,7 +102,7 @@ class Conn0:
         return self.bundle.degrees
 
     def matrix(self) -> MatRF:
-        return MatRF.from_polys(self.field, self.A)
+        return MatRF(self.field, [[RatFunc(e) for e in row] for row in self.A])
 
     def __repr__(self):
         return f"Conn0({self.field!r}, {self.bundle!r})"
@@ -356,10 +356,11 @@ def cartier_descent(c: Conn0) -> tuple[BundleP1, MatRF]:
     Returns the descended degrees (d_i / p) and an invertible frame whose
     columns are horizontal; horizontality and invertibility are re-verified.
     The horizontal sections number the rank exactly when the p-curvature
-    vanishes (Cartier), so a short basis means nothing descends.
+    vanishes (Cartier), so a short basis means nothing descends.  A is
+    polynomial, so its rows go to the sections as they are, over beta = 1.
     """
     ensure_valid(c)
-    sols = horizontal_sections(c.matrix())
+    sols = _horizontal_sections(c.A, Poly.one(c.field))
     r = c.rank
     if len(sols) != r:
         raise PreconditionError("p-curvature does not vanish; nothing descends")

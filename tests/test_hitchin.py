@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from pflags import matrix
-from pflags.errors import InternalInvariantError, PreconditionError
+from pflags import hitchin, matrix
+from pflags.errors import InternalInvariantError, PflagsError, PreconditionError
 from pflags.fields import GF
 from pflags.hitchin import (
     ChartConn,
     HitchinDims,
     Verdict,
+    _check_triangular,
     _triangularize,
     char_poly_psi,
     hitchin_dims,
@@ -501,4 +502,116 @@ def test_triangularize_matches_the_product_oracle():
             for _ in range(2):
                 a = gauge_transform(random_strict_upper(rng, field, r),
                                     random_polynomial_gauge(rng, field, r))
-                assert _triangularize(a) == _triangularize_oracle(a)
+                gauge, order = _triangularize(a)
+                assert gauge == _triangularize_oracle(a)
+                assert sorted(order) == list(range(r))
+                for k, i in enumerate(order):
+                    assert not gauge.rows[i][k].is_zero()
+                    assert all(e.is_zero() for e in gauge.rows[i][k + 1:])
+
+
+# The triangularity re-check, structure and then forward substitution, against
+# gauge_transform's verdict G^-1 (A G + G') as the test-local oracle.  Where the
+# structure holds the two decide the same statement, so they must agree.
+
+
+def _triangular_by_products(a, gauge):
+    try:
+        t = gauge_transform(a, gauge)
+    except PflagsError:  # a singular gauge
+        return False
+    return all(t.rows[i][j].is_zero() for i in range(a.n) for j in range(i))
+
+
+def _triangular_by_substitution(a, gauge, order):
+    try:
+        _check_triangular(*_clear_denominators(a.rows), gauge, order)
+    except InternalInvariantError:
+        return False
+    return True
+
+
+def _recheck_cases(seed, ranks=(2, 3), draws=3):
+    """(rng, A, gauge, row order) for nilpotent charts gauged from strictly
+    upper ones, over GF(2), GF(3), GF(5), GF(4) and GF(101)."""
+    rng = random.Random(seed)
+    for field in (F2, F3, F5, GF(2, 2), GF(101)):
+        for r in ranks:
+            for _ in range(draws):
+                a = gauge_transform(random_strict_upper(rng, field, r),
+                                    random_polynomial_gauge(rng, field, r))
+                yield (rng, a, *_triangularize(a))
+
+
+def _with_entry(gauge, i, j, fn):
+    rows = [list(row) for row in gauge.rows]
+    rows[i][j] = fn(rows[i][j])
+    return MatRF(gauge.field, rows)
+
+
+def _perturbed(rng, gauge, order):
+    """x added to column j at row order[k], k > j: below the diagonal in the
+    row order, so the structure holds and only the substitution can object."""
+    j = rng.randrange(gauge.n - 1)
+    k = rng.randrange(j + 1, gauge.n)
+    return _with_entry(gauge, order[k], j, lambda e: e + RatFunc.x(gauge.field))
+
+
+def test_triangularity_recheck_agrees_with_the_product_oracle():
+    verdicts = []
+    for rng, a, gauge, order in _recheck_cases(62):
+        for g in (gauge, _perturbed(rng, gauge, order)):
+            verdict = _triangular_by_products(a, g)
+            assert _triangular_by_substitution(a, g, order) == verdict
+            verdicts.append(verdict)
+    assert verdicts.count(True) == 30 and verdicts.count(False) >= 20, verdicts
+
+
+def test_triangularity_recheck_catches_a_perturbed_column():
+    caught = 0
+    for rng, a, gauge, order in _recheck_cases(63, ranks=(2, 3, 4)):
+        g = _perturbed(rng, gauge, order)
+        if _triangular_by_products(a, g):
+            continue
+        with pytest.raises(InternalInvariantError, match="failed to triangularize"):
+            _check_triangular(*_clear_denominators(a.rows), g, order)
+        caught += 1
+    assert caught >= 35, caught
+
+
+def test_triangularity_recheck_refuses_an_order_that_is_not_a_permutation():
+    for _, a, gauge, order in _recheck_cases(64):
+        for bad in ([*order[:-1], order[0]], [*order[:-1], a.n], order[:-1]):
+            with pytest.raises(InternalInvariantError, match="not a permutation"):
+                _check_triangular(*_clear_denominators(a.rows), gauge, bad)
+
+
+def test_triangularity_recheck_refuses_a_zero_on_the_permuted_diagonal():
+    for rng, a, gauge, order in _recheck_cases(65):
+        k = rng.randrange(a.n)
+        g = _with_entry(gauge, order[k], k, lambda e: RatFunc.zero(a.field))
+        with pytest.raises(InternalInvariantError, match="nonzero diagonal"):
+            _check_triangular(*_clear_denominators(a.rows), g, order)
+
+
+def test_triangularity_recheck_catches_a_dropped_substitution_term(monkeypatch):
+    # drop the term low[-1][0] u_0 from the last row's substitution.  It is
+    # live where G has a nonzero entry there and u_0 = (G^-1 (A G + G'))_0j is
+    # nonzero for some 1 <= j < r - 1; then the last u_k of column j is wrong
+    true_solve = hitchin._forward_solve
+
+    def dropping(low, x):
+        zero = low[0][0] - low[0][0]
+        return true_solve([*low[:-1], [zero, *low[-1][1:]]], x)
+
+    live = []
+    for _, a, gauge, order in _recheck_cases(66, ranks=(3, 4), draws=6):
+        t = gauge_transform(a, gauge)
+        if not gauge.rows[order[-1]][0].is_zero() and \
+                any(not t.rows[0][j].is_zero() for j in range(1, a.n - 1)):
+            live.append(a)
+    assert len(live) >= 10, len(live)
+    monkeypatch.setattr(hitchin, "_forward_solve", dropping)
+    for a in live:
+        with pytest.raises(InternalInvariantError, match="failed to triangularize"):
+            nilpotent_flag_chart(ChartConn(a.field, a.n, a))

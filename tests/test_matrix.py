@@ -10,6 +10,8 @@ from pflags.matrix import (
     MatRF,
     _clear_denominators,
     _echelon,
+    _kernel_core,
+    _primitive,
     _t_iterates,
     _t_step,
     apply_connection,
@@ -240,6 +242,52 @@ def test_rref_kernel_and_inverse_match_the_gauss_jordan_oracle():
             seen["zero row"] += any(all(e.is_zero() for e in row) for row in m)
             seen["pole"] += any(not e.den.is_one() for row in m for e in row)
     assert min(seen.values()) >= 15, seen
+
+
+def test_kernel_core_spans_the_lines_of_kernel_and_the_oracle():
+    # the core's primitive polynomial vector w for free column fc spans the
+    # line of the reduced vector with a 1 at fc: w/w[fc] is that vector
+    rng = random.Random(911)
+    seen = 0
+    for F in ORACLE_FIELDS:
+        for m in _elimination_cases(rng, F):
+            rows = [_clear_denominators([row])[0][0] for row in m]
+            copy = list(rows)
+            core = _kernel_core(rows)
+            assert rows == copy
+            ker = kernel(MatRF(F, m))
+            assert ker == _kernel_ref(m, F)
+            assert len(core) == len(ker)
+            for (fc, w), v in zip(core, ker):
+                assert v[fc].is_one()
+                assert tuple(RatFunc(e, w[fc]) for e in w) == v
+                assert _primitive(w) is w  # the gcd of the entries is a unit
+                assert all(not poly_dot(zip(row, w), F) for row in rows)
+            seen += len(core)
+    assert seen >= 60, seen
+
+
+def test_is_nilpotent_matches_the_power_oracle():
+    # the polynomial-row test N^n = 0 against the power of m over F_q(x), on
+    # conjugates g^-1 U g of strictly upper U with poles, and random matrices
+    rng = random.Random(912)
+    seen = {True: 0, False: 0}
+    for F in ORACLE_FIELDS:
+        zero = RatFunc.zero(F)
+        for n in range(1, 5):
+            for _ in range(6):
+                if rng.random() < 0.5:
+                    u = MatRF(F, [[random_ratfunc(rng, F, 2, 1) if j > i else zero
+                                   for j in range(n)] for i in range(n)])
+                    g = random_polynomial_gauge(rng, F, n)
+                    m = inverse(g) * u * g
+                else:
+                    m = MatRF(F, [[random_ratfunc(rng, F, 2, 1) if rng.random() < 0.6 else zero
+                                   for _ in range(n)] for _ in range(n)])
+                got = is_nilpotent(m)
+                assert got == m.pow(n).is_zero()
+                seen[got] += 1
+    assert min(seen.values()) >= 30, seen
 
 
 def test_echelon_degrees_stay_within_the_cramer_bound():
