@@ -20,15 +20,19 @@ rational functions only from the entries they return.
 The characteristic polynomial and the iterates of T work on polynomials: a
 matrix m is cleared once to N/delta (``_clear_denominators``).  With
 A = B/beta, T^k e_i has the fixed denominator beta^k, and its numerators follow
-the classical p-curvature recurrence (Katz), with no gcd in the loop.  A T
-step comes from ``_t_step``, built per chart, which over F_p packs the fixed
-operands B and beta once rather than once per entry and step; the build of
-psi and its re-check both use it.  Berkowitz on N, the re-check's psi v and
-the projector take one ``poly_dot`` per entry.  Here and in ``hitchin`` psi
-has one form, the pair (N, delta) read off the iterates by ``_cleared_psi``,
-delta = beta^p; ``_p_curvature`` builds and re-verifies it and hands on
-A = B/beta too.  The re-check, ``_charpoly_cleared``, the nilpotency test
-(N^r = delta^r psi^r) and the kernel (ker N = ker psi) read N's rows.
+the classical p-curvature recurrence (Katz), with no gcd in the loop.  T e_i
+is column i of A, so its numerators are column i of B; each later level is a
+T step from ``_t_step``, built once per chart, which over F_p packs the fixed
+operands B and beta once rather than once per entry and step.  The build of
+psi and its re-check share that one step.  Berkowitz on N, the re-check's N v
+and the projector take one ``poly_dot`` per entry.  Here and in ``hitchin``
+psi has one form, the pair (N, delta) read off the iterates by
+``_cleared_psi``, delta = beta^p; ``_p_curvature`` builds and re-verifies it
+(delta against beta^p formed by Frobenius, N v against T^p v iterated apart)
+and hands on A = B/beta too.  ``_charpoly_cleared``, the nilpotency test
+(N^r = delta^r psi^r) and the kernel (ker N = ker psi) read N's rows; the
+characteristic polynomial of psi has its numerators and delta in F_q[x^p], so
+its fractions are reduced in y = x^p.
 Rational functions are reduced only in results: the psi
 ``p_curvature_matrix`` returns, ``kernel``'s vectors, the inverse and the
 sections.  From (B, beta) and N to the sections nothing is a ``MatRF``.
@@ -43,7 +47,7 @@ from operator import mul
 from .errors import InternalInvariantError, PflagsError
 from .fields import Field, _power, _slot_codec
 from .poly import Poly, poly_dot, poly_gcd
-from .ratfunc import RatFunc
+from .ratfunc import RatFunc, in_frobenius_subfield
 
 Vec = tuple[RatFunc, ...]
 
@@ -149,9 +153,33 @@ def charpoly_berkowitz(m: MatRF) -> list[RatFunc]:
 
 
 def _charpoly_cleared(rows, delta: Poly) -> list[RatFunc]:
-    """``charpoly_berkowitz`` of N/delta, from the polynomial rows of N."""
+    """``charpoly_berkowitz`` of N/delta, from the polynomial rows of N.
+
+    Each coefficient is c_i/delta^(n-i), reduced.  When delta and every c_i
+    lie in F_q[x^p], as for psi, the gcd runs in y = x^p, on polynomials of
+    1/p the degree, and the result is mapped back by x -> x^p, which keeps
+    the canonical form (see ``ratfunc``); otherwise it runs in x.
+    """
+    F = delta.field
+    p = F.p
+    nums = _berkowitz(rows)
+    in_y = all(in_frobenius_subfield(RatFunc(c), 1) for c in (delta, *nums))
+    if in_y:
+        nums = [Poly(F, c.coeffs[::p]) for c in nums]
+        delta = Poly(F, delta.coeffs[::p])
+    out = []
+    den = Poly.one(F)
+    for c in nums:  # c_n, c_(n-1), ..., c_0 over delta^0, delta^1, ..., delta^n
+        out.append(RatFunc(c, den).compose_xpow(p) if in_y else RatFunc(c, den))
+        den = den * delta
+    out.reverse()
+    return out
+
+
+def _berkowitz(rows) -> list[Poly]:
+    """The coefficients of det(s - N), descending, for the polynomial rows of N."""
     n = len(rows)
-    one = Poly.one(delta.field)
+    one = Poly.one(rows[0][0].field)
     poly = [one, -rows[0][0]]  # descending coefficients for the 1x1 corner
     for i in range(1, n):
         row = rows[i][:i]
@@ -165,13 +193,7 @@ def _charpoly_cleared(rows, delta: Poly) -> list[RatFunc]:
             toeplitz_col.append(-_dot(row, v))
         poly = [_dot(poly[:min(t, i) + 1], toeplitz_col[t::-1])
                 for t in range(i + 2)]
-    out = []
-    den = one
-    for c in poly:  # c_n, c_(n-1), ..., c_0 over delta^0, delta^1, ..., delta^n
-        out.append(RatFunc(c, den))
-        den = den * delta
-    out.reverse()
-    return out
+    return poly
 
 
 def is_nilpotent(m: MatRF) -> bool:
@@ -296,22 +318,27 @@ def _p_curvature(a: MatRF):
     psi = N/delta; A is cleared once, psi not at all.  The one builder of a
     psi that leaves this module.
 
-    Linearity over the structure sheaf is re-verified on a sample polynomial
-    section v: T^p(f v) = f T^p(v) with f = x + 1, and T^p(v) = psi v.  T is
-    iterated over beta^k, A = B/beta, independently of the iterates, and both
-    identities are compared on numerators: T^p(f v) and T^p(v) = n/beta^p
-    share beta^p, and the second reads (N v) beta^p = n delta.  The build
-    and this iteration share one ``_t_step``, so a wrong step is caught by
-    the first identity.  Failure indicates an iteration bug, not bad input.
+    Re-verified on every call, failure indicating an iteration bug, not bad
+    input.  The denominator: delta, the last of the iterates' beta^k, equals
+    beta^p formed apart from them, as the Frobenius image of beta's
+    coefficients at x^p.  Linearity over the structure sheaf, on a sample
+    polynomial section v: T^p(f v) = f T^p(v) with f = x + 1, and
+    T^p(v) = psi v.  T is iterated over beta^k, A = B/beta, independently of
+    the iterates, so T^p(f v) and T^p(v) = n/beta^p share beta^p, and with
+    delta = beta^p the second reads N v = n.  The build and this iteration
+    share the chart's one ``_t_step``, so a wrong step is caught by the first
+    identity.
     """
     F = a.field
     p = F.p
     bmat, beta = _clear_denominators(a.rows)
-    iterates = _t_iterates(bmat, beta, p)
+    step = _t_step(bmat, beta)
+    iterates = _t_iterates(bmat, beta, p, step)
     nmat, delta = _cleared_psi(iterates)
+    if delta != Poly(F, [F.frobenius(c) for c in beta.coeffs]).compose_xpow(p):
+        raise InternalInvariantError("p-curvature denominator is not beta^p")
     f = Poly(F, (1, 1))  # x + 1
     v = [Poly.monomial(F, 1, i % 3) for i in range(a.n)]
-    step = _t_step(bmat, beta)
     lhs = [f * e for e in v]
     rhs = v
     for k in range(p):
@@ -319,19 +346,21 @@ def _p_curvature(a: MatRF):
         rhs = step(rhs, k)
     if lhs != [f * e for e in rhs]:
         raise InternalInvariantError("p-curvature operator is not O-linear")
-    beta_p = beta**p
-    if any(_dot(row, v) * beta_p != e * delta for row, e in zip(nmat, rhs)):
+    if any(_dot(row, v) != e for row, e in zip(nmat, rhs)):
         raise InternalInvariantError("p-curvature matrix disagrees with iterated T")
     return bmat, beta, iterates, nmat, delta
 
 
-def _t_iterates(bmat, beta: Poly, p: int) -> tuple[list[list[list[Poly]]], list[Poly]]:
+def _t_iterates(bmat, beta: Poly, p: int, step=None) -> tuple[list[list[list[Poly]]], list[Poly]]:
     """The iterates T^k e_i for k = 0..p with A = bmat/beta, unreduced, as
     (nums, dens): nums[i][k] holds the numerators of T^k e_i over dens[k] =
-    beta^k, the one denominator of every column; see ``_t_step``."""
+    beta^k, the one denominator of every column.  T e_i is column i of A, so
+    its numerators are column i of bmat; each later level is one step of
+    ``_t_step`` (``step``, when the caller has built it for the chart)."""
     F = beta.field
     n = len(bmat)
-    step = _t_step(bmat, beta)
+    if step is None:
+        step = _t_step(bmat, beta)
     zero_p, one_p = Poly.zero(F), Poly.one(F)
     dens = [one_p]
     for _ in range(p):
@@ -340,8 +369,8 @@ def _t_iterates(bmat, beta: Poly, p: int) -> tuple[list[list[list[Poly]]], list[
     for i in range(n):
         num = [zero_p] * n
         num[i] = one_p
-        its = [num]
-        for k in range(p):
+        its = [num, [row[i] for row in bmat]]
+        for k in range(1, p):
             its.append(step(its[-1], k))
         nums.append(its)
     return nums, dens
@@ -374,7 +403,10 @@ def _t_step(bmat, beta: Poly):
 
     (num/beta^k)' + (bmat/beta)(num/beta^k) = (beta num' - k beta' num +
     bmat num)/beta^(k+1): the classical p-curvature recurrence, with no gcd or
-    division.  The exponent k enters through its image in F_p.  Over an
+    division.  The exponent k enters through its image in F_p.  One step is
+    built per chart: ``_p_curvature`` hands it to ``_t_iterates``, which
+    needs it from T^2 on (T e_i is column i of bmat), and iterates the
+    re-check's sample sections with it from k = 0.  Over an
     extension field each entry is one ``poly_dot``.  Over F_p it is the same
     sum of products on ``fields._slot_codec``'s ints: bmat_ij and beta are
     packed once here, -k beta' and each n_j and n_j' once per step.  One slot

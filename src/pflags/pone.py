@@ -22,7 +22,13 @@ from dataclasses import dataclass
 
 from .errors import InternalInvariantError, NeedsExtensionError, PreconditionError, PflagsError
 from .fields import Field
-from .matrix import MatRF, _horizontal_sections, kernel, p_curvature_matrix
+from .matrix import (
+    MatRF,
+    _clear_denominators,
+    _horizontal_sections,
+    _kernel_core,
+    p_curvature_matrix,
+)
 from .poly import Poly
 from .ratfunc import RatFunc
 
@@ -364,9 +370,12 @@ def cartier_descent(c: Conn0) -> tuple[BundleP1, MatRF]:
     r = c.rank
     if len(sols) != r:
         raise PreconditionError("p-curvature does not vanish; nothing descends")
-    frame = MatRF(c.field, [[sols[j][i] for j in range(r)] for i in range(r)])
-    if kernel(frame):
+    # the frame is invertible exactly when the matrix of its columns' cleared
+    # numerators is: clearing a column scales it
+    cols = [_clear_denominators([sol])[0][0] for sol in sols]
+    if _kernel_core(list(zip(*cols))):
         raise NeedsExtensionError("horizontal sections do not form a frame")
+    frame = MatRF(c.field, [[sols[j][i] for j in range(r)] for i in range(r)])
     descended = BundleP1(d // c.field.p for d in c.degrees)
     return descended, frame
 

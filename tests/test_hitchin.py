@@ -4,7 +4,7 @@ import pytest
 
 from pflags import hitchin, matrix
 from pflags.errors import InternalInvariantError, PflagsError, PreconditionError
-from pflags.fields import GF
+from pflags.fields import GF, Field
 from pflags.hitchin import (
     ChartConn,
     HitchinDims,
@@ -126,7 +126,7 @@ def _iterates_through(monkeypatch, mutate):
     ``_t_iterates``, so it must catch every mutation that changes psi."""
     true_iterates = matrix._t_iterates
     monkeypatch.setattr(matrix, "_t_iterates",
-                        lambda bmat, beta, p: mutate(true_iterates(bmat, beta, p)))
+                        lambda *args: mutate(true_iterates(*args)))
 
 
 def _mutated_psi(c, mutate):
@@ -222,6 +222,55 @@ def test_p_curvature_recheck_catches_a_step_without_the_beta_prime_term(monkeypa
             char_poly_psi(c)
         caught += 1
     assert caught >= len(charts) // 2
+
+
+def test_p_curvature_recheck_catches_level_one_read_off_the_rows(monkeypatch):
+    """T e_i taken from row i of B in place of column i, the later steps
+    right: psi changes unless B is symmetric, and N v no longer matches the
+    sample section the re-check iterates."""
+    charts = _mutation_charts()
+    psis = [p_curvature_chart(c) for c in charts]
+    true_iterates = matrix._t_iterates
+
+    def from_rows(bmat, beta, p, step=None):
+        return true_iterates([list(col) for col in zip(*bmat)], beta, p,
+                             step or matrix._t_step(bmat, beta))
+
+    monkeypatch.setattr(matrix, "_t_iterates", from_rows)
+    caught = 0
+    for c, psi in zip(charts, psis):
+        nmat, delta = _cleared_psi(from_rows(*_clear_denominators(c.A.rows), c.field.p))
+        if MatRF(c.field, [[RatFunc(e, delta) for e in row] for row in nmat]) == psi:
+            continue  # B symmetric, or the change cancels in psi: nothing to catch
+        with pytest.raises(InternalInvariantError, match="disagrees with iterated T"):
+            p_curvature_chart(c)
+        with pytest.raises(InternalInvariantError, match="disagrees with iterated T"):
+            char_poly_psi(c)
+        caught += 1
+    assert caught >= len(charts) // 2
+
+
+def test_p_curvature_recheck_catches_beta_p_without_frobenius(monkeypatch):
+    """Over GF(4) and GF(9), beta^p is beta's Frobenius image at x^p; with
+    a coefficient of beta outside F_p, beta(x^p) alone differs from delta."""
+    rng = random.Random(4909)
+    charts = []
+    for field in (GF(2, 2), GF(3, 2)):
+        drawn = 0
+        while drawn < 6:
+            c = random_chart_conn(rng, field, r_max=3)
+            beta = _clear_denominators(c.A.rows)[1]
+            if any(field.frobenius(b) != b for b in beta.coeffs):
+                charts.append(c)
+                drawn += 1
+    monkeypatch.setattr(Field, "frobenius", lambda field, a: a)
+    for c in charts:
+        with pytest.raises(InternalInvariantError, match="denominator is not beta\\^p"):
+            p_curvature_chart(c)
+        with pytest.raises(InternalInvariantError, match="denominator is not beta\\^p"):
+            char_poly_psi(c)
+        with pytest.raises(InternalInvariantError, match="denominator is not beta\\^p"):
+            nilpotent_flag_chart(c)
 
 
 def test_char_poly_psi_builds_no_matrix(monkeypatch):

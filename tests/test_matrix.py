@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -24,7 +25,7 @@ from pflags.matrix import (
     p_curvature_matrix,
 )
 from pflags.poly import Poly, poly_dot, poly_gcd
-from pflags.ratfunc import RatFunc
+from pflags.ratfunc import RatFunc, in_frobenius_subfield
 from pflags.sampling import (
     random_flat_conn0,
     random_poly,
@@ -520,6 +521,68 @@ def test_t_iterates_call_no_poly_operator(monkeypatch):
     assert Poly.one(GF(3)) * Poly.x(GF(3)) == Poly.x(GF(3)) and calls == ["__mul__"]
 
 
+def test_t_iterates_level_one_is_the_first_step():
+    # T e_i is read off column i of B, not stepped from e_i
+    for a in pole_charts():
+        F = a.field
+        bmat, beta = _clear_denominators(a.rows)
+        step = _t_step(bmat, beta)
+        nums, _ = _t_iterates(bmat, beta, F.p)
+        for i, its in enumerate(nums):
+            e = [Poly.one(F) if t == i else Poly.zero(F) for t in range(a.n)]
+            assert its[0] == e
+            assert its[1] == step(e, 0)
+
+
+def _charpoly_in_x(rows, delta):
+    """Oracle: each c_i/delta^(n-i) reduced in x, from the numerators of det(s - N)."""
+    nums = matrix._berkowitz(rows)
+    return [RatFunc(c, delta ** (len(rows) - i)) for i, c in enumerate(reversed(nums))]
+
+
+def _count_compose_xpow(monkeypatch):
+    """A list that gets n for every RatFunc.compose_xpow(n) call from now on."""
+    calls = []
+    true_compose = RatFunc.compose_xpow
+    monkeypatch.setattr(RatFunc, "compose_xpow",
+                        lambda f, n: calls.append(n) or true_compose(f, n))
+    return calls
+
+
+def test_charpoly_of_psi_reduces_in_y_as_in_x(monkeypatch):
+    # over GF(2), GF(3), GF(5), GF(7), GF(4) and GF(9): delta = beta^p and every
+    # numerator lie in F_q[x^p], so every coefficient is reduced in y = x^p
+    cases = []
+    for a in pole_charts():
+        *_, nmat, delta = matrix._p_curvature(a)
+        cases.append((nmat, delta, _charpoly_in_x(nmat, delta)))
+    assert sum(delta.degree > 0 for _, delta, _ in cases) >= len(cases) // 2
+    mapped = _count_compose_xpow(monkeypatch)
+    for nmat, delta, want in cases:
+        mapped.clear()
+        assert matrix._charpoly_cleared(nmat, delta) == want
+        assert mapped == [delta.field.p] * (len(nmat) + 1)
+
+
+def test_charpoly_of_a_general_matrix_reduces_in_x(monkeypatch):
+    rng = random.Random(2208)
+    mapped = _count_compose_xpow(monkeypatch)
+    in_x = 0
+    for F in (GF(2), GF(3), GF(5), GF(2, 2), GF(3, 2)):
+        for n in (1, 2, 3):
+            for dens in ("shared", "distinct"):
+                m = _matrix_with_dens(rng, F, n, dens)
+                rows, delta = _clear_denominators(m.rows)
+                want = _charpoly_in_x(rows, delta)
+                assert want == properties.charpoly_cofactor(m)
+                mapped.clear()
+                assert charpoly_berkowitz(m) == want
+                if not in_frobenius_subfield(RatFunc(delta), 1):
+                    assert mapped == []
+                    in_x += 1
+    assert in_x >= 15  # of 30; the others have delta in F_q[x^p] by chance
+
+
 def test_scalar_jacobson_formula():
     # rank 1 oracle: psi = a^{(p-1)} + a^p
     rng = random.Random(10)
@@ -714,6 +777,44 @@ def _no_regular_point(a):
     F = a.field
     return all(any(e.den.evaluate(c) == 0 for row in a.rows for e in row)
                for c in F.elements())
+
+
+def _pole_at_zero_charts(rng, field):
+    """Flat charts with beta(0) = 0: diag(c_i/x), c_i in F_p^*, gauged by a
+    polynomial gauge of constant determinant, at ranks 1-3.  For A = c/x the
+    projector expanded at 0 maps x^j to x^j sum_{k<p} (-1)^k C(j + c, k),
+    which is 0 unless j + c = 0 mod p, so a0 = 0 needs more than one round."""
+    p = field.p
+    x = Poly.x(field)
+    for r in (1, 2, 3):
+        for _ in range(4):
+            diag = MatRF(field, [[RatFunc(Poly.constant(field, rng.randrange(1, p)), x)
+                                  if i == j else RatFunc.zero(field) for j in range(r)]
+                                 for i in range(r)])
+            yield gauge_transform(diag, random_polynomial_gauge(rng, field, r))
+
+
+def test_projector_takes_one_round_at_a_pole_at_zero(monkeypatch):
+    # a0 is chosen where beta does not vanish: with a pole at 0 taken as a0,
+    # the round j = 0 of the projector would fall short of rank s
+    rng = random.Random(2209)
+    true_echelon = matrix._echelon
+    rounds = []
+
+    def counted(rows):
+        if sys._getframe(1).f_code.co_name == "_horizontal_sections":
+            rounds.append(len(rows))
+        return true_echelon(rows)
+
+    monkeypatch.setattr(matrix, "_echelon", counted)
+    for field in (GF(2), GF(3), GF(5), GF(2, 2)):
+        for a in _pole_at_zero_charts(rng, field):
+            bmat, beta = _clear_denominators(a.rows)
+            assert beta.evaluate(0) == 0
+            rounds.clear()
+            sols = horizontal_sections(a)
+            assert len(sols) == a.n  # flat: psi = 0
+            assert len(rounds) == 1
 
 
 def test_horizontal_sections_match_rp_kernel_on_flat_p1():
