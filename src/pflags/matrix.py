@@ -409,21 +409,26 @@ def _t_step(bmat, beta: Poly):
     re-check's sample sections with it from k = 0.  Over an
     extension field each entry is one ``poly_dot``.  Over F_p it is the same
     sum of products on ``fields._slot_codec``'s ints: bmat_ij and beta are
-    packed once here, -k beta' and each n_j and n_j' once per step.  One slot
-    width serves every step, since a pair's coefficient sums at most
-    len(fixed operand) terms.  The sum's highest nonzero slot is the top of
-    its longest product with no zero factor, so each entry is unpacked from
-    the slots ``_dot_mod_p`` would use.
+    packed once here, -k beta' once per k mod p (in both branches), and each
+    n_j and n_j' once per step.  One slot width serves every step, since a
+    pair's coefficient sums at most len(fixed operand) terms.  The sum's
+    highest nonzero slot is the top of its longest product with no zero
+    factor, so each entry is unpacked from the slots ``_dot_mod_p`` would
+    use.
     """
     F = beta.field
+    p = F.p
     dbeta = beta.derivative()
+    neg_kdbs = {}  # -k beta' by -k mod p: a Poly, or packed over F_p
     if F.k > 1:
         def step(num, k):
-            neg_kdb = dbeta.scale(F.scalar(-k))
+            neg_k = -k % p
+            neg_kdb = neg_kdbs.get(neg_k)
+            if neg_kdb is None:
+                neg_kdb = neg_kdbs[neg_k] = dbeta.scale(neg_k)
             return [poly_dot([*zip(row, num), (beta, ni.derivative()), (neg_kdb, ni)], F)
                     for ni, row in zip(num, bmat)]
         return step
-    p = F.p
     db = dbeta.coeffs
     bits, pack, unpack = _slot_codec(
         (max(sum(len(e.coeffs) for e in row) for row in bmat) + len(beta.coeffs) + len(db))
@@ -433,7 +438,9 @@ def _t_step(bmat, beta: Poly):
 
     def step(num, k):
         neg_k = -k % p
-        pdb = pack([neg_k * c % p for c in db])
+        pdb = neg_kdbs.get(neg_k)
+        if pdb is None:
+            pdb = neg_kdbs[neg_k] = pack([neg_k * c % p for c in db])
         cs = [n.coeffs for n in num]
         pnum = list(map(pack, cs))
         out = []

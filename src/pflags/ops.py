@@ -44,7 +44,10 @@ def _ints(payload: dict, key: str) -> list[int]:
 
 def op_find_irreducible(payload: dict) -> Any:
     _require(payload, "p", "k")
-    return jsonio.poly_to_json(find_irreducible(_int(payload, "p"), _int(payload, "k")))
+    p, k = _int(payload, "p"), _int(payload, "k")
+    if k > jsonio.K_MAX:
+        raise ParseError(f"k must be <= {jsonio.K_MAX}")
+    return jsonio.poly_to_json(find_irreducible(p, k))
 
 
 def op_charpoly(payload: dict) -> Any:

@@ -10,6 +10,7 @@ import pytest
 
 from pflags import cli
 from pflags.cli import SUBCOMMANDS, main
+from pflags.errors import ParseError
 from pflags.ops import OP_TABLE
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "pflags" / "fixtures"
@@ -236,6 +237,48 @@ def test_malformed_payloads_exit_3(capsys):
         code, _ = run(capsys, sub, "--inline", inline, *flags)
         assert code == 3, (sub, inline)
 
+
+
+_DEEP_FAULTS = [
+    ("hit-charpoly",
+     {"field": {"p": 3, "k": 2},
+      "A": [[[1], [0], [2]], [[2], {"num": [1, [0, 1]], "den": [1, [2, 1]]}, [0]],
+            [[1], [1], {"num": [[1, 1], [2, 2]], "den": [1, [0, 0, 0]]}]]},
+     '{"error":"chart.A[2][2].den[1]: element needs <= 2 residues, got 3","exit_code":3,'
+     '"inputs_digest":"74234e98afe7498fb5daf1f36ac2d78acc339464f950703b8c019892f982b90b",'
+     '"invariants_checked":[],"result":null,"status":"parse-error",'
+     '"subcommand":"hit-charpoly"}\n'),
+    ("pone-check",
+     {"field": {"p": 5, "k": 1}, "level": 0, "twist_degrees": [2, 1, 0],
+      "A": [[[], [], []], [[1], [], []], [[0, 1], [1, 2, 3, True], []]]},
+     '{"error":"connection.A[2][1][3]: expected an integer or residue array","exit_code":3,'
+     '"inputs_digest":"74234e98afe7498fb5daf1f36ac2d78acc339464f950703b8c019892f982b90b",'
+     '"invariants_checked":[],"result":null,"status":"parse-error",'
+     '"subcommand":"pone-check"}\n'),
+]
+
+
+@pytest.mark.parametrize("sub, payload, report", _DEEP_FAULTS)
+def test_deep_coefficient_fault_report_is_pinned(capsys, sub, payload, report):
+    code, out = run(capsys, sub, "--inline", json.dumps(payload), "--json")
+    assert code == 3
+    assert out == report
+
+
+def test_extension_degree_above_the_cap_is_a_parse_error(capsys):
+    # the default-modulus search for k = 2000 runs past 30 s
+    conn = {"A": [[[]]], "field": {"k": 2000, "p": 2}, "level": 0, "twist_degrees": [0]}
+    chart = {"field": {"p": 2, "k": 33, "modulus": [1] + [0] * 32 + [1]}, "A": [[[1]]]}
+    start = time.perf_counter()
+    for sub, payload, where in (("pone-check", conn, "connection.field"),
+                                ("hit-charpoly", chart, "chart.field")):
+        code, out = run(capsys, sub, "--inline", json.dumps(payload), "--json")
+        assert code == 3
+        assert json.loads(out)["error"] == f"{where}: k must be <= 32"
+    with pytest.raises(ParseError, match="^k must be <= 32$"):
+        OP_TABLE["find_irreducible"]({"p": 2, "k": 2000})
+    assert time.perf_counter() - start < 5
+    assert OP_TABLE["find_irreducible"]({"p": 2, "k": 32})[-1] == 1
 
 def test_domain_violations_exit_2(capsys):
     bundle = '{"group":{"factors":[2]},"atoms":[{"r":3,"d":2,"lam":[1]}]}'

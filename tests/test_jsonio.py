@@ -4,7 +4,7 @@ import pytest
 
 from pflags import jsonio
 from pflags.elliptic import AtiyahAtom, Pic0Group
-from pflags.errors import ParseError
+from pflags.errors import InvalidFieldError, ParseError
 from pflags.fields import GF
 from pflags.matrix import MatRF
 from pflags.poly import Poly
@@ -33,6 +33,15 @@ def test_field_parse_errors():
             jsonio.field_from_json(bad)
 
 
+
+def test_extension_degree_is_capped_at_parse():
+    assert jsonio.field_from_json({"p": 2, "k": jsonio.K_MAX}) is GF(2, 32)
+    for bad in ({"p": 2, "k": 33}, {"p": 3, "k": 2000},
+                {"p": 2, "k": 33, "modulus": [1] + [0] * 32 + [1]}):
+        with pytest.raises(ParseError) as info:
+            jsonio.field_from_json(bad)
+        assert str(info.value) == "field: k must be <= 32"
+
 def test_elem_codec():
     prime = GF(7)
     assert jsonio.elem_to_json(prime, 5) == 5
@@ -57,6 +66,16 @@ def test_poly_and_ratfunc_roundtrip():
             g = random_ratfunc(rng, field)
             assert jsonio.ratfunc_from_json(field, jsonio.ratfunc_to_json(g)) == g
 
+
+
+def test_poly_encoding_is_the_element_encoding_per_coefficient():
+    rng = random.Random(65)
+    for field in (GF(5), GF(2, 2), GF(3, 2), GF(2, 13)):
+        f = Poly(field, [0, 1, field.p - 1, field.p, field.q - 1] +
+                 [rng.randrange(field.q) for _ in range(20)])
+        enc = jsonio.poly_to_json(f)
+        assert enc == [jsonio.elem_to_json(field, c) for c in f.coeffs]
+        assert all(type(c) is int if field.k == 1 else len(c) == field.k for c in enc)
 
 def test_ratfunc_accepts_bare_poly_array():
     F = GF(3)
@@ -126,3 +145,167 @@ def test_canonical_dumps_is_stable():
     payload = {"b": [1, 2], "a": {"y": 1, "x": 2}}
     assert jsonio.canonical_dumps(payload) == '{"a":{"x":2,"y":1},"b":[1,2]}'
     assert jsonio.digest(payload) == jsonio.digest({"a": {"x": 2, "y": 1}, "b": [1, 2]})
+
+
+# Parse errors pinned before the decoders went to one pass per array; each
+# message is the location, then the fault.  A bad coefficient c is placed
+# in every container that holds field elements.
+_IN_CONTAINER = [
+    ("element", lambda fj, c: jsonio.elem_from_json(jsonio.field_from_json(fj), c)),
+    ("poly[2]", lambda fj, c: jsonio.poly_from_json(jsonio.field_from_json(fj), [1, 0, c])),
+    ("ratfunc.num[0]", lambda fj, c: jsonio.ratfunc_from_json(
+        jsonio.field_from_json(fj), {"num": [c], "den": [1]})),
+    ("ratfunc.den[1]", lambda fj, c: jsonio.ratfunc_from_json(
+        jsonio.field_from_json(fj), {"num": [1], "den": [0, c]})),
+    ("matrix[1][1].den[1]", lambda fj, c: jsonio.matrix_from_json(
+        jsonio.field_from_json(fj), [[[1], [0]], [[1], {"num": [1], "den": [1, c]}]])),
+    ("connection.A[1][1][2]", lambda fj, c: jsonio.connection_from_json(
+        {"field": fj, "level": 0, "twist_degrees": [1, 0], "A": [[[], []], [[1], [0, 0, c]]]})),
+    ("chart.A[1][0].num[1]", lambda fj, c: jsonio.chart_from_json(
+        {"field": fj, "A": [[[1], [0]], [{"num": [0, c], "den": [1]}, [1]]]})),
+]
+
+_PINNED_ELEMENT_ERRORS = [
+    ((5, 1), 5, "residue out of range for GF(5)"),
+    ((5, 1), -1, "residue out of range for GF(5)"),
+    ((5, 1), True, "expected an integer or residue array"),
+    ((5, 1), 1.5, "expected an integer or residue array"),
+    ((5, 1), "1", "expected an integer or residue array"),
+    ((5, 1), None, "expected an integer or residue array"),
+    ((5, 1), [[1]], "expected an integer or residue array"),
+    ((5, 1), [1, 2], "element needs <= 1 residues, got 2"),
+    ((5, 1), [7], "residues must be in [0, p)"),
+    ((5, 1), [7, "x"], "expected an integer or residue array"),
+    ((5, 1), [-1], "residues must be in [0, p)"),
+    ((3, 2), 3, "residue out of range for GF(9)"),
+    ((3, 2), -1, "residue out of range for GF(9)"),
+    ((3, 2), False, "expected an integer or residue array"),
+    ((3, 2), 2.0, "expected an integer or residue array"),
+    ((3, 2), "a", "expected an integer or residue array"),
+    ((3, 2), [[0]], "expected an integer or residue array"),
+    ((3, 2), [1, 2, 0], "element needs <= 2 residues, got 3"),
+    ((3, 2), [3, 0], "residues must be in [0, p)"),
+    ((3, 2), [-1], "residues must be in [0, p)"),
+    ((3, 2), [True], "expected an integer or residue array"),
+    ((3, 2), [0, None], "expected an integer or residue array"),
+    ((3, 2), [0, 0, 5], "residues must be in [0, p)"),
+    ((3, 2), [5, "x"], "expected an integer or residue array"),
+    ((2, 13), 2, "residue out of range for GF(8192)"),
+    ((2, 13), [0] * 14, "element needs <= 13 residues, got 14"),
+    ((2, 13), [2], "residues must be in [0, p)"),
+    ((2, 13), [1, 0, "x"], "expected an integer or residue array"),
+    ((2, 13), False, "expected an integer or residue array"),
+    ((2, 13), [0] * 13 + [2], "residues must be in [0, p)"),
+    ((2, 13), None, "expected an integer or residue array"),
+]
+
+
+@pytest.mark.parametrize("pk, bad, msg", _PINNED_ELEMENT_ERRORS)
+def test_bad_coefficient_parse_errors_are_pinned(pk, bad, msg):
+    fj = {"p": pk[0], "k": pk[1]}
+    for where, decode in _IN_CONTAINER:
+        with pytest.raises(ParseError) as info:
+            decode(fj, bad)
+        assert str(info.value) == f"{where}: {msg}"
+
+
+def test_first_bad_coefficient_is_named():
+    F, E = GF(5), GF(3, 2)
+    for field, arr, text in (
+            (F, [1, True, 7], "poly[1]: expected an integer or residue array"),
+            (F, [1, 7, True], "poly[1]: residue out of range for GF(5)"),
+            (E, [[1, 1], [0, 0, 0], [3]], "poly[1]: element needs <= 2 residues, got 3"),
+            (E, [[1, 1], [0, 3, 0], ["x"]], "poly[1]: residues must be in [0, p)"),
+            (F, 5, "poly: expected a coefficient array"),
+            (F, {"num": [1]}, "poly: expected a coefficient array")):
+        with pytest.raises(ParseError) as info:
+            jsonio.poly_from_json(field, arr)
+        assert str(info.value) == text
+    for obj, text in (({"num": [1]}, "ratfunc: expected {num, den}"),
+                      ({"num": [1], "den": []}, "ratfunc: zero denominator"),
+                      ({"num": [1], "den": [0, 0]}, "ratfunc: zero denominator")):
+        with pytest.raises(ParseError) as info:
+            jsonio.ratfunc_from_json(F, obj)
+        assert str(info.value) == text
+    for obj, text in (([], "matrix: expected a nonempty nested array"),
+                      ([[[1]], [[1]]], "matrix: row 0 must have length 2"),
+                      ([[[1], 5], [[1], [1]]], "matrix[0][1]: expected {num, den}")):
+        with pytest.raises(ParseError) as info:
+            jsonio.matrix_from_json(F, obj)
+        assert str(info.value) == text
+
+
+
+# The decoders as they were before the one-pass rewrite, kept here as the
+# reference for the differential test below.
+def _reference_elem_from_json(field, obj, where="element"):
+    if type(obj) is int:
+        if not (0 <= obj < field.q if field.k == 1 else 0 <= obj < field.p):
+            raise ParseError(f"{where}: residue out of range for {field!r}")
+        return obj if field.k == 1 else field.from_coeffs([obj])
+    if not (isinstance(obj, list) and all(type(c) is int for c in obj)):
+        raise ParseError(f"{where}: expected an integer or residue array")
+    if not all(0 <= c < field.p for c in obj):
+        raise ParseError(f"{where}: residues must be in [0, p)")
+    try:
+        return field.from_coeffs(obj)
+    except InvalidFieldError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+
+
+def _reference_poly_from_json(field, obj, where="poly"):
+    if not isinstance(obj, list):
+        raise ParseError(f"{where}: expected a coefficient array")
+    return Poly(field, [_reference_elem_from_json(field, c, f"{where}[{i}]")
+                        for i, c in enumerate(obj)])
+
+
+def _outcome(decode, *args):
+    try:
+        return "value", decode(*args)
+    except ParseError as exc:
+        return "error", str(exc)
+
+
+def _random_json_element(rng, field):
+    """A JSON value meant as an element of ``field``: valid more often than
+    not, otherwise one of the faults a payload can carry."""
+    p, k = field.p, field.k
+
+    def residue():
+        roll = rng.random()
+        if roll < 0.85:
+            return rng.randrange(p)
+        return rng.choice([-1, -p, p, p + 1, 10**30, True, False, 0.0, 1.5, None, "1", [0], []])
+
+    roll = rng.random()
+    if roll < 0.3:
+        return rng.randrange(p)
+    if roll < 0.4:
+        return rng.choice([-1, p, field.q, field.q + 1, -(10**40), 10**40])
+    if roll < 0.5:
+        return rng.choice([True, False, 0.0, 2.0, -1.5, None, "0", "x", {}, {"num": [1]}])
+    length = rng.randint(0, k + 1)
+    if rng.random() < 0.6:
+        return [rng.randrange(p) for _ in range(min(length, k))]
+    return [residue() for _ in range(length)]
+
+
+@pytest.mark.parametrize("pk", [(5, 1), (2, 2), (3, 2), (3, 3), (2, 13)])
+def test_decoders_agree_with_the_reference(pk):
+    field = GF(*pk)
+    rng = random.Random(1000 * pk[0] + pk[1])
+    values = [_random_json_element(rng, field) for _ in range(300)]
+    values += [[0] * n for n in range(field.k + 2)] + [[field.p - 1] * n for n in range(field.k + 2)]
+    for obj in values:
+        assert _outcome(jsonio.elem_from_json, field, obj, "e") == \
+            _outcome(_reference_elem_from_json, field, obj, "e"), obj
+        arr = [rng.randrange(field.p) for _ in range(rng.randint(0, 3))] + [obj]
+        assert _outcome(jsonio.poly_from_json, field, arr, "f") == \
+            _outcome(_reference_poly_from_json, field, arr, "f"), arr
+    for _ in range(200):
+        arr = [_random_json_element(rng, field) if rng.random() < 0.3 else
+               rng.choice([rng.randrange(field.p), field.coeffs(rng.randrange(field.q))])
+               for _ in range(rng.randint(0, 6))]
+        assert _outcome(jsonio.poly_from_json, field, arr, "f") == \
+            _outcome(_reference_poly_from_json, field, arr, "f"), arr

@@ -470,6 +470,41 @@ def test_t_step_matches_the_per_entry_oracle():
                 assert step(num, k) == apply_t_oracle(bmat, beta, num, k)
 
 
+def test_t_step_forms_minus_k_beta_prime_once_per_k_mod_p(monkeypatch):
+    true_codec, true_scale = matrix._slot_codec, Poly.scale
+    packs = scales = 0
+
+    def counting_codec(bound):
+        bits, pack, unpack = true_codec(bound)
+
+        def counted(cs):
+            nonlocal packs
+            packs += 1
+            return pack(cs)
+        return bits, counted, unpack
+
+    def counting_scale(f, c):
+        nonlocal scales
+        scales += 1
+        return true_scale(f, c)
+
+    monkeypatch.setattr(matrix, "_slot_codec", counting_codec)
+    monkeypatch.setattr(Poly, "scale", counting_scale)
+    rng = random.Random(23)
+    for field in (GF(5), GF(7), GF(2, 2), GF(3, 2)):
+        p = field.p
+        for bmat, beta, num in step_cases(field, rng):
+            step = _t_step(bmat, beta)
+            for k in range(p):
+                step(num, k)
+            packs = scales = 0
+            for k in range(p, 3 * p):  # every k mod p has been seen
+                step(num, k)
+            # over F_p only each n_i and n_i' is packed; nothing is scaled
+            assert scales == 0
+            assert packs == (0 if field.k > 1 else 2 * p * 2 * len(num))
+
+
 def p31_chart():
     """A rank-2 chart at p = 31 whose det psi is not zero."""
     return pole_chart(random.Random(31), GF(31), 2, "shared")
