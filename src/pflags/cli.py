@@ -8,6 +8,13 @@ byte-identical across runs.
 Exit codes: 0 success; 1 validation or invariant violations (reported, not
 crashed); 2 precondition, needs-extension and other library errors; 3 parse
 or usage errors.
+
+A command line is parsed once: when its first word names a subcommand, that
+subcommand's own parser reads the remaining words, as the top-level parser
+would hand them on, and words it leaves over are reported through the
+top-level parser.  Any other command line (empty, ``-h``, an unknown name)
+goes through the top-level parser.  The modules behind ``selftest``'s
+property suites are imported only when ``selftest`` runs.
 """
 
 from __future__ import annotations
@@ -16,10 +23,11 @@ import argparse
 import functools
 import json
 import sys
+from gettext import gettext
 from pathlib import Path
 from typing import Any, NamedTuple
 
-from . import ops, properties
+from . import ops
 from .errors import InternalInvariantError, ParseError, PflagsError, PreconditionError
 from .jsonio import canonical_dumps, digest
 
@@ -86,28 +94,32 @@ def _error_status(exc: PflagsError) -> tuple[str, int]:
     return next(ERROR_STATUS[cls] for cls in type(exc).__mro__ if cls in ERROR_STATUS)
 
 
-# built once per process: it depends only on SUBCOMMANDS and FLAG_HELP, each parse_args
-# returns a fresh Namespace, and argparse reads the streams and terminal width at print time
+# built once per process: it depends only on SUBCOMMANDS and FLAG_HELP, each parse
+# returns a fresh Namespace, and argparse reads the streams and terminal width at print
+# time.  Returns the top-level parser and each subcommand's parser by name, as add_parser
+# returned them, so main can hand a command line straight to its subcommand's parser.
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="pflags",
         description="Exact calculations with flags of flat bundles in characteristic p.",
     )
     sub = parser.add_subparsers(dest="subcommand")
+    subparsers = {}
     for name, row in SUBCOMMANDS.items():
-        sp = sub.add_parser(name, help=f"run the {row.op} operation")
+        sp = subparsers[name] = sub.add_parser(name, help=f"run the {row.op} operation")
         sp.add_argument("--input", help="path to the JSON input payload")
         sp.add_argument("--inline", help="inline JSON input payload")
         sp.add_argument("--json", action="store_true", help="emit the full JSON report")
         for flag, default in row.flags.items():
             sp.add_argument(f"--{flag}", type=int, default=default, help=FLAG_HELP[flag])
-    st = sub.add_parser("selftest", help="run the fixture corpus and fast property suites")
+    st = subparsers["selftest"] = sub.add_parser(
+        "selftest", help="run the fixture corpus and fast property suites")
     st.add_argument("--filter", default="", help="only run items whose name contains this")
     st.add_argument("--seed", type=int, default=0, help="seed for the property suites")
     st.add_argument("--corpus", help="override the fixture corpus directory")
     st.add_argument("--json", action="store_true", help="emit the full JSON report")
-    return parser
+    return parser, subparsers
 
 
 def _load_payload(args) -> Any:
@@ -247,6 +259,8 @@ def _run_fixture(item: dict) -> tuple[bool, str]:
 
 
 def _run_selftest(args) -> int:
+    from . import properties  # with sampling, only selftest needs it
+
     try:
         fixtures = _load_fixtures(args.corpus)
     except (OSError, ValueError) as exc:
@@ -287,9 +301,17 @@ def _run_selftest(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, subparsers = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    sub = subparsers.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        if sub is None:
+            args = parser.parse_args(argv)
+        else:  # the words the top-level parser would hand on, parsed once
+            args, extras = sub.parse_known_args(argv[1:])
+            if extras:  # argparse's own message, from the top-level parser
+                parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))
+            args.subcommand = argv[0]
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     if not args.subcommand:

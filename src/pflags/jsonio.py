@@ -12,7 +12,8 @@ A coefficient array is decoded in one pass, residue arrays read as base-p
 digits in the same loop, and a location (``chart.A[1][0].num[2]``) is
 formatted only when a fault is raised: matrix and connection entries are
 decoded at the empty location and their own location is put in front of a
-fault's.  A field's extension degree is capped at ``K_MAX``.
+fault's.  A field's extension degree is capped at ``K_MAX``, and an extension
+field with p >= ``P_SEARCH`` must give its modulus.
 """
 
 from __future__ import annotations
@@ -60,6 +61,13 @@ def field_to_json(field: Field) -> dict:
 # (0.7 s at k = 16), but 7.3 s at k = 64 (p = 31) and 83 s at k = 96 (p = 251).
 K_MAX = 32
 
+# The search steps through the constant term first, so at large p a degree with no
+# irreducible binomial scans about p candidates: on the same machine p = 10,007 at
+# k = 8 took 2.5 s, p = 100,003 at k = 4 took 27 s, and p = 2^61 - 1 at k = 4 did not
+# end in 20 s.  A payload names an extension field with p >= P_SEARCH by its modulus.
+# Below it the slowest (p, k) with k <= K_MAX was p = 79, k = 31: 11.6 s.
+P_SEARCH = 600
+
 
 def field_from_json(obj: Any, where: str = "field") -> Field:
     _expect(isinstance(obj, dict), where, "expected an object")
@@ -71,6 +79,9 @@ def field_from_json(obj: Any, where: str = "field") -> Field:
     if modulus is not None:
         _expect(isinstance(modulus, list) and all(type(c) is int for c in modulus),
                 where, "modulus must be an integer array")
+    else:
+        _expect(k == 1 or obj["p"] < P_SEARCH, where,
+                f"give the modulus: the default is searched for only when p < {P_SEARCH}")
     try:
         return GF(obj["p"], k, modulus)
     except InvalidFieldError as exc:

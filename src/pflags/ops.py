@@ -47,6 +47,9 @@ def op_find_irreducible(payload: dict) -> Any:
     p, k = _int(payload, "p"), _int(payload, "k")
     if k > jsonio.K_MAX:
         raise ParseError(f"k must be <= {jsonio.K_MAX}")
+    if k > 1 and p >= jsonio.P_SEARCH:
+        raise ParseError("an irreducible of degree k > 1 is searched for only when "
+                         f"p < {jsonio.P_SEARCH}")
     return jsonio.poly_to_json(find_irreducible(p, k))
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from pflags import cli
+from pflags import GF, cli, jsonio
 from pflags.cli import SUBCOMMANDS, main
 from pflags.errors import ParseError
 from pflags.ops import OP_TABLE
@@ -182,7 +182,6 @@ def test_selftest_json_report(capsys):
 
 
 def test_emitted_connection_reparses_to_equal_value(capsys):
-    from pflags import jsonio
     from pflags.pone import as_level, frobenius_pullback
 
     conn = {"field": {"p": 2, "k": 1}, "level": 0, "twist_degrees": [2, 0],
@@ -279,6 +278,30 @@ def test_extension_degree_above_the_cap_is_a_parse_error(capsys):
         OP_TABLE["find_irreducible"]({"p": 2, "k": 2000})
     assert time.perf_counter() - start < 5
     assert OP_TABLE["find_irreducible"]({"p": 2, "k": 32})[-1] == 1
+
+
+def test_extension_field_at_large_p_needs_its_modulus(capsys):
+    # the default-modulus search for p = 2^61 - 1, k = 4 runs past 20 s
+    big = 2**61 - 1
+    start = time.perf_counter()
+    for field in ({"p": big, "k": 4}, {"p": 601, "k": 2}):
+        code, out = run(capsys, "hit-charpoly", "--inline",
+                        json.dumps({"field": field, "A": [[[1]]]}), "--json")
+        assert code == 3
+        assert json.loads(out)["error"] == ("chart.field: give the modulus: "
+                                            "the default is searched for only when p < 600")
+    for p in (big, 601):
+        with pytest.raises(ParseError, match="^an irreducible of degree k > 1 is searched "
+                                             "for only when p < 600$"):
+            OP_TABLE["find_irreducible"]({"p": p, "k": 2})
+    assert time.perf_counter() - start < 5
+    # an explicit modulus, k = 1 and p < 600 name their fields as before
+    modulus = [1, 0, 1]  # x^2 + 1, irreducible as p = 3 mod 4
+    assert jsonio.field_from_json({"p": big, "k": 2, "modulus": modulus}) is GF(big, 2, modulus)
+    assert jsonio.field_from_json({"p": big, "k": 1}) is GF(big)
+    assert jsonio.field_from_json({"p": 599, "k": 2}) is GF(599, 2)
+    assert OP_TABLE["find_irreducible"]({"p": big, "k": 1}) == [0, 1]
+    assert OP_TABLE["find_irreducible"]({"p": 599, "k": 2}) == [1, 0, 1]
 
 def test_domain_violations_exit_2(capsys):
     bundle = '{"group":{"factors":[2]},"atoms":[{"r":3,"d":2,"lam":[1]}]}'
@@ -401,6 +424,86 @@ def test_parser_reuse_matches_fresh_parsers(capsys):
     assert [code for code, _, _ in cached] == [0, 3, 0, 0, 3, 3, 0, 0, 0, 0, 3, 0, 0]
     assert json.loads(cached[7][1])["result"]["connection"]["level"] == 2
     assert json.loads(cached[8][1])["result"]["connection"]["level"] == 1
+
+
+def _nested_main(argv=None) -> int:
+    """main as it parsed before the dispatch: the top-level parser's parse_args,
+    which hands the words after a subcommand's name to that subcommand's parser."""
+    parser = cli._build_parser()[0]
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return cli.EXIT_PARSE if exc.code not in (0, None) else cli.EXIT_OK
+    if not args.subcommand:
+        parser.print_usage()
+        return cli.EXIT_PARSE
+    if args.subcommand == "selftest":
+        return cli._run_selftest(args)
+    return cli._run_subcommand(args.subcommand, args)
+
+
+def _fixture_argvs() -> list[list[str]]:
+    """Each fixture item a subcommand runs, as a benchmark command line."""
+    ops = {row.op: name for name, row in SUBCOMMANDS.items()}
+    argvs = []
+    for item in json.loads((FIXTURES / "fixtures.json").read_text()):
+        name = ops.get(item["op"])
+        if name is None:
+            continue
+        row, inp = SUBCOMMANDS[name], item["input"]
+        payload = inp if row.key is None else inp[row.key]
+        flags = [word for flag in row.flags if row.key and flag in inp
+                 for word in (f"--{flag}", str(inp[flag]))]
+        argvs.append([name, "--inline", json.dumps(payload), "--json", *flags])
+    return argvs
+
+
+PARITY_ARGVS = [
+    *_fixture_argvs(),
+    *([name, "--inline", bad, "--json"] for name in SUBCOMMANDS for bad in ('{"r": ', "[3]")),
+    *([name, "--inline", "{}", *(w for flag in row.flags for w in (f"--{flag}", "2"))]
+      for name, row in SUBCOMMANDS.items()),
+    [], ["-h"], ["--help"], ["--he"], ["--json", "hit-dims"], ["no-such-subcommand"],
+    ["no-such", "--g", "2"], ["--", "hit-dims"], ["--hit-dims", "--g", "2", "--r", "2"],
+    ["hit-dims", "-h"], ["hit-dims", "--he"], ["hit-dims", "--g", "2", "-h"],
+    ["hit-dims", "--g", "2", "--r", "2", "--json"], ["hit-dims", "--g=2", "--r=2"],
+    ["hit-dims", "-g", "2"], ["hit-dims", "--j", "--g", "2", "--r", "2"],
+    ["hit-dims", "--g", "2", "--r", "2", "--"], ["hit-dims", "--", "--g", "2"],
+    ["hit-dims", "--g", "2", "--r", "2", "extra", "words"],
+    ["hit-dims", "--g", "2", "--r", "2", "--bogus"], ["hit-dims", "--bogus=1", "-x"],
+    ["hit-dims", "--g", "x"], ["hit-dims", "--g", "2.5"], ["hit-dims", "--g"],
+    ["hit-dims", "--g", "-2", "--r", "2"], ["hit-dims", "--g", "2", "--g", "3", "--r", "2"],
+    ["ell-profile", "--inl", '{"r": 2, "d": 1}'], ["ell-profile", "--in", "x"],
+    ["pone-pullback", "--s", "2", "--s", "1", "--inline", PULLBACK_CONN],
+    ["pone-pullback", "--inline", PULLBACK_CONN, "--inline", "{"],
+    ["selftest", "-h"], ["selftest", "--seed", "x"], ["selftest", "--bogus"],
+    ["selftest", "--filter", "hitchin/dims", "--json"],
+]
+
+
+def test_dispatch_matches_the_nested_parse(capsys, monkeypatch):
+    """The subcommand's parser, called straight, gives every exit code and
+    every stdout and stderr byte that the top-level parser's parse_args gave."""
+    for argv in PARITY_ARGVS:
+        seen = []
+        for run_main in (main, _nested_main):
+            seen.append((run_main(list(argv)), *capsys.readouterr()))
+        assert seen[0] == seen[1], argv
+    for argv in (["hit-dims", "--g", "2", "--r", "2"], ["hit-dims", "--bogus"], ["-h"], []):
+        monkeypatch.setattr(sys, "argv", ["pflags", *argv])
+        assert (main(), *capsys.readouterr()) == (_nested_main(), *capsys.readouterr()), argv
+
+
+def test_cli_import_leaves_out_the_selftest_modules():
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    code = ("import sys, pflags.cli; "
+            "print([m for m in ('pflags.properties', 'pflags.sampling') if m in sys.modules]); "
+            "pflags.cli.main(['selftest', '--json', '--seed', '0'])")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    loaded, report = done.stdout.split("\n", 1)
+    assert loaded == "[]"
+    assert hashlib.sha256(report.encode("utf-8")).hexdigest() == SELFTEST_DIGESTS[0]
 
 
 def _assert_parse_error(capsys, *argv):
