@@ -22,6 +22,7 @@ from .matrix import (
     _horizontal_sections,
     _is_nilpotent_cleared,
     _p_curvature,
+    _primitive,
     p_curvature_matrix,
 )
 from .poly import Poly, poly_dot
@@ -169,38 +170,41 @@ def nilpotent_flag_chart(c: ChartConn) -> NilpotentFlag:
 
     Recursively: the kernel of psi is stable under T (psi is T^p, which
     commutes with T) and carries vanishing p-curvature, so T has a horizontal
-    vector over F_q(x); the first vector of ``horizontal_sections`` starts the
-    flag, and the quotient inherits nilpotent p-curvature.  The returned gauge
-    G makes G^{-1} A G + G^{-1} G' upper triangular, which is re-verified by
-    ``_check_triangular`` without forming G^{-1}.
+    vector over F_q(x); the first horizontal section starts the flag, and the
+    quotient inherits nilpotent p-curvature.  A is cleared once to B/beta,
+    and every level of ``_triangularize`` takes its connection as such a
+    cleared pair.  The returned gauge G makes G^{-1} A G + G^{-1} G' upper
+    triangular, which is re-verified by ``_check_triangular`` without forming
+    G^{-1}.
     """
     bmat, beta, iterates, nrows, _ = _p_curvature(c.A)
     if not _is_nilpotent_cleared(nrows):  # N^r = delta^r psi^r
         raise PreconditionError("p-curvature is not nilpotent; no flag this way")
-    gauge, order = _triangularize(c.A, (bmat, beta, iterates))
+    gauge, order = _triangularize(bmat, beta, iterates)
     _check_triangular(bmat, beta, gauge, order)
     return NilpotentFlag(gauge, tuple(range(c.r)))
 
 
-def _triangularize(a: MatRF, cleared=None) -> tuple[MatRF, list[int]]:
-    """A gauge G triangularizing T(v) = v' + a v, for nilpotent p-curvature,
-    and its row order: the rows order[0], order[1], ... of G form a lower
-    triangular matrix with a nonzero diagonal.  ``cleared`` is (B, beta,
-    iterates) of a = B/beta when the caller has built and re-checked them;
-    the recursion passes none.
+def _triangularize(bmat, beta: Poly, iterates=None) -> tuple[MatRF, list[int]]:
+    """A gauge G triangularizing T(v) = v' + A v, A = bmat/beta, for nilpotent
+    p-curvature, and its row order: the rows order[0], order[1], ... of G form
+    a lower triangular matrix with a nonzero diagonal.  ``iterates`` are the
+    ``_t_iterates`` of A when the caller has built them.
 
-    With v0 the first horizontal section, m its last nonzero index and
-    s1 < ... < s(r-1) the others, the level gauge g1 = [v0 | e_s1 ...] is
+    With v0 = w/P(x^p) the first horizontal section, m its last nonzero index
+    and s1 < ... < s(r-1) the others, the level gauge g1 = [v0 | e_s1 ...] is
     never formed: row k >= 1 of g1^-1 is e_sk - (v0[sk]/v0[m]) e_m and column
-    l >= 1 of a g1 + g1' is column sl of a, so the quotient connection is
-    a[sk][sl] - (v0[sk]/v0[m]) a[m][sl], and g1 diag(1, g_sub) is v0 in
-    column 0, row k of the quotient's gauge in row sk and zeros in row m.
-    So order[0] = m, and the quotient's order follows, mapped back to the sk.
+    l >= 1 of A g1 + g1' is column sl of A, so the quotient connection is
+    A[sk][sl] - (v0[sk]/v0[m]) A[m][sl], the pair ``_quotient`` forms, and
+    g1 diag(1, g_sub) is v0 in column 0, row k of the quotient's gauge in row
+    sk and zeros in row m.  So order[0] = m, and the quotient's order follows,
+    mapped back to the sk.  At r = 2 the quotient is 1 x 1, and its gauge is
+    [1] whatever its entry, so it is not formed.
     """
-    field = a.field
-    r = a.n
+    F = beta.field
+    r = len(bmat)
     if r == 1:
-        return MatRF.identity(field, 1), [0]
+        return MatRF.identity(F, 1), [0]
     # A horizontal v lies in ker psi = ker N.  Its entries at the free columns
     # of the rref of N are its coordinates in the rref kernel basis, and its
     # last nonzero entry is one of them; so the last-first echelon sols[0] is
@@ -208,22 +212,42 @@ def _triangularize(a: MatRF, cleared=None) -> tuple[MatRF, list[int]]:
     # solution space fixes sols, so it does not matter that the projector
     # takes that basis as primitive polynomial vectors (``_kernel_core``), or
     # that the elimination is fraction-free.
-    sols = _horizontal_sections(*(cleared or _clear_denominators(a.rows)))
+    sols = _horizontal_sections(bmat, beta, iterates)
     if not sols:
         raise PreconditionError("p-curvature has trivial kernel; not nilpotent")
-    v0 = sols[0]
-    m = max(i for i in range(r) if not v0[i].is_zero())
+    w, den = sols[0]
+    m = max(i for i in range(r) if w[i])
     others = [i for i in range(r) if i != m]
-    am, sub = a.rows[m], []
-    for k in others:
-        ak, c = a.rows[k], v0[k] / v0[m]
-        sub.append([ak[s] if c.is_zero() or am[s].is_zero() else ak[s] - c * am[s]
-                    for s in others])
-    g_sub, sub_order = _triangularize(MatRF(field, sub))
+    if r == 2:
+        g_sub, sub_order = MatRF.identity(F, 1), [0]
+    else:
+        g_sub, sub_order = _triangularize(*_quotient(bmat, beta, w, m))
     rows = iter(g_sub.rows)
-    zeros = [RatFunc.zero(field)] * (r - 1)
-    gauge = MatRF(field, [[v0[i], *(zeros if i == m else next(rows))] for i in range(r)])
+    zeros = [RatFunc.zero(F)] * (r - 1)
+    gauge = MatRF(F, [[RatFunc(e, den), *(zeros if i == m else next(rows))]
+                      for i, e in enumerate(w)])
     return gauge, [m, *(others[k] for k in sub_order)]
+
+
+def _quotient(bmat, beta: Poly, w, m: int) -> tuple[list[list[Poly]], Poly]:
+    """The quotient connection of ``_triangularize`` as a cleared pair.
+
+    With v0 = w/P(x^p), v0[sk]/v0[m] = w[sk]/w[m], so the entry (k, l) is
+    n_kl/D with n_kl = w[m] B[sk][sl] - w[sk] B[m][sl] and D = w[m] beta.
+    Over g = gcd(D, every n_kl), made monic, this is the pair
+    ``_clear_denominators`` gives for the entries reduced: the lcm over k, l
+    of D/gcd(D, n_kl) is D/g.
+    """
+    F = beta.field
+    others = [i for i in range(len(bmat)) if i != m]
+    wm, bm = w[m], bmat[m]
+    nums = [poly_dot(((wm, bmat[k][l]), (-w[k], bm[l])), F) for k in others for l in others]
+    den, *nums = _primitive([wm * beta, *nums])
+    if not den.is_monic():
+        c = F.inv(den.lc())
+        den, nums = den.scale(c), [e.scale(c) for e in nums]
+    n = len(others)
+    return [nums[k * n:k * n + n] for k in range(n)], den
 
 
 def _check_triangular(bmat, beta: Poly, gauge: MatRF, order) -> None:

@@ -57,8 +57,11 @@ def field_to_json(field: Field) -> dict:
 
 # The largest extension degree a payload may name.  GF searches for the
 # default modulus with Ben-Or's test; on a shared 2-vCPU Intel Xeon with
-# CPython 3.11 that search took at most 2.6 s at k = 32 over every p < 600
-# (0.7 s at k = 16), but 7.3 s at k = 64 (p = 31) and 83 s at k = 96 (p = 251).
+# CPython 3.11 that search took 7.3 s at k = 64 (p = 31) and 83 s at k = 96
+# (p = 251).  The cost is not monotone in k: at k = 32 itself it took at most
+# 2.6 s over every p < 600 (0.7 s at k = 16), but one pass over every p < 600
+# and every k from 2 to 32 found p = 79 at k = 31 taking 11.6-16.4 s, though
+# most (p, k) end in under 2 s (see P_SEARCH).
 K_MAX = 32
 
 # The search steps through the constant term first, so at large p a degree with no

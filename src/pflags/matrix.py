@@ -35,7 +35,11 @@ characteristic polynomial of psi has its numerators and delta in F_q[x^p], so
 its fractions are reduced in y = x^p.
 Rational functions are reduced only in results: the psi
 ``p_curvature_matrix`` returns, ``kernel``'s vectors, the inverse and the
-sections.  From (B, beta) and N to the sections nothing is a ``MatRF``.
+sections.  ``_horizontal_sections`` returns each section as its cleared pair
+(w, P(x^p)), and only the three callers that hand sections out reduce them:
+``horizontal_sections``, ``pone.cartier_descent`` for its frame and
+``hitchin._triangularize`` for its gauge's columns.  From (B, beta) and N to
+the sections nothing is a ``MatRF``.
 ``horizontal_sections`` re-verifies every section it returns, so it builds
 its N without the re-check.
 """
@@ -474,7 +478,7 @@ def horizontal_sections(a: MatRF) -> list[Vec]:
     by exponent mod p gives the image's coordinates in the F_q(x^p)-basis
     x^j e_i (coordinate i p + j), in y, up to a row scaling.  ``_echelon``
     reduces these rows; a row with pivot entry P gives the section
-    (sum_j e_ij(x^p) x^j)/P(x^p), reduced once.
+    w/P(x^p), w_i = sum_j e_ij(x^p) x^j, reduced here and nowhere before.
 
     The result is the reduced echelon basis of the solutions in that basis,
     coordinates taken last-first: each vector has a 1 at its last nonzero
@@ -483,13 +487,15 @@ def horizontal_sections(a: MatRF) -> list[Vec]:
     of the rp x rp matrix of T would give.  Each vector is re-verified: its
     numerators w over P(x^p), whose derivative is 0, satisfy beta w' + B w = 0.
     """
-    return _horizontal_sections(*_clear_denominators(a.rows))
+    return [tuple(RatFunc(e, den) for e in w)
+            for w, den in _horizontal_sections(*_clear_denominators(a.rows))]
 
 
-def _horizontal_sections(bmat, beta: Poly, iterates=None) -> list[Vec]:
-    """``horizontal_sections`` of A = bmat/beta, from its ``_t_iterates``
-    when the caller has them; a polynomial A may come as its rows with
-    beta = 1."""
+def _horizontal_sections(bmat, beta: Poly, iterates=None) -> list[tuple[list[Poly], Poly]]:
+    """``horizontal_sections`` of A = bmat/beta as cleared pairs (w, P(x^p)),
+    the section being w/P(x^p) entrywise and unreduced, from the
+    ``_t_iterates`` of A when the caller has them; a polynomial A may come as
+    its rows with beta = 1."""
     F = beta.field
     p = F.p
     r = len(bmat)
@@ -527,8 +533,7 @@ def _horizontal_sections(bmat, beta: Poly, iterates=None) -> list[Vec]:
         w = [Poly(F, ws) for ws in cs]
         if any(poly_dot([(beta, wi.derivative()), *zip(brow, w)], F) for wi, brow in zip(w, bmat)):
             raise InternalInvariantError("claimed horizontal section fails T(v) = 0")
-        den = row[c].compose_xpow(p)
-        sols.append(tuple(RatFunc(wi, den) for wi in w))
+        sols.append((w, row[c].compose_xpow(p)))
     return sols
 
 

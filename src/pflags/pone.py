@@ -24,7 +24,6 @@ from .errors import InternalInvariantError, NeedsExtensionError, PreconditionErr
 from .fields import Field
 from .matrix import (
     MatRF,
-    _clear_denominators,
     _horizontal_sections,
     _kernel_core,
     p_curvature_matrix,
@@ -364,18 +363,19 @@ def cartier_descent(c: Conn0) -> tuple[BundleP1, MatRF]:
     The horizontal sections number the rank exactly when the p-curvature
     vanishes (Cartier), so a short basis means nothing descends.  A is
     polynomial, so its rows go to the sections as they are, over beta = 1.
+    Each section comes as its cleared pair (w, P(x^p)), and the w columns are
+    the frame's columns scaled by P(x^p): the frame is invertible exactly when
+    they are independent, which ``_kernel_core`` tests on them before any
+    section is reduced.
     """
     ensure_valid(c)
     sols = _horizontal_sections(c.A, Poly.one(c.field))
-    r = c.rank
-    if len(sols) != r:
+    if len(sols) != c.rank:
         raise PreconditionError("p-curvature does not vanish; nothing descends")
-    # the frame is invertible exactly when the matrix of its columns' cleared
-    # numerators is: clearing a column scales it
-    cols = [_clear_denominators([sol])[0][0] for sol in sols]
-    if _kernel_core(list(zip(*cols))):
+    if _kernel_core(list(zip(*(w for w, _ in sols)))):
         raise NeedsExtensionError("horizontal sections do not form a frame")
-    frame = MatRF(c.field, [[sols[j][i] for j in range(r)] for i in range(r)])
+    cols = [[RatFunc(e, den) for e in w] for w, den in sols]
+    frame = MatRF(c.field, zip(*cols))
     descended = BundleP1(d // c.field.p for d in c.degrees)
     return descended, frame
 

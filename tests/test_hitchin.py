@@ -30,7 +30,7 @@ from pflags.matrix import (
     kernel,
     p_curvature_matrix,
 )
-from pflags.poly import Poly
+from pflags.poly import Poly, poly_dot
 from pflags.pone import complete_flag, p_curvature, verify_flag
 from pflags.ratfunc import RatFunc, in_frobenius_subfield
 from pflags.sampling import (
@@ -547,16 +547,139 @@ def _triangularize_oracle(a):
 def test_triangularize_matches_the_product_oracle():
     rng = random.Random(58)
     for field in (F2, F3, F5, GF(2, 2)):
-        for r in (2, 3, 4):
+        for r in (2, 3, 4, 5):
             for _ in range(2):
                 a = gauge_transform(random_strict_upper(rng, field, r),
                                     random_polynomial_gauge(rng, field, r))
-                gauge, order = _triangularize(a)
+                gauge, order = _triangularize(*_clear_denominators(a.rows))
                 assert gauge == _triangularize_oracle(a)
                 assert sorted(order) == list(range(r))
                 for k, i in enumerate(order):
                     assert not gauge.rows[i][k].is_zero()
                     assert all(e.is_zero() for e in gauge.rows[i][k + 1:])
+
+
+# Oracle: each level's quotient formed entrywise as reduced rational functions,
+# a[sk][sl] - (v0[sk]/v0[m]) a[m][sl], then cleared.  _triangularize must hand
+# exactly that (B, beta) to the next level.
+
+
+def _quotient_by_ratfuncs(bmat, beta):
+    field = beta.field
+    a = MatRF(field, [[RatFunc(e, beta) for e in row] for row in bmat])
+    v0 = horizontal_sections(a)[0]
+    m = max(i for i in range(a.n) if not v0[i].is_zero())
+    others = [i for i in range(a.n) if i != m]
+    return _clear_denominators([[a.rows[k][l] - v0[k] / v0[m] * a.rows[m][l] for l in others]
+                                for k in others])
+
+
+def _cleared_level_charts():
+    rng = random.Random(67)
+    for field in (F2, F3, F5, GF(2, 2), GF(3, 2), GF(101)):
+        for r in (3, 4, 5):
+            for _ in range(4 if field.q < 100 else 1):
+                a = gauge_transform(random_strict_upper(rng, field, r),
+                                    random_polynomial_gauge(rng, field, r))
+                yield ChartConn(field, r, a)
+
+
+class _WrongQuotient(Exception):
+    pass
+
+
+def _cleared_quotient_mismatches(monkeypatch, charts):
+    """(charts with a level whose (B, beta) differs from the oracle's or whose
+    run raises, quotients over a g != 1).  Each level is compared as it is
+    entered, before it runs, so a wrong quotient stops its chart at once."""
+    wrong = reduced = 0
+    parents, true_triangularize = [], hitchin._triangularize
+
+    def checked(bmat, beta, iterates=None):
+        nonlocal reduced
+        if parents:
+            pb, pbeta = parents[-1]
+            if ([list(row) for row in bmat], beta) != _quotient_by_ratfuncs(pb, pbeta):
+                raise _WrongQuotient
+            w, _ = matrix._horizontal_sections(pb, pbeta)[0]
+            wm = next(e for e in reversed(w) if e)
+            reduced += beta.degree < wm.degree + pbeta.degree  # D = w_m beta over g
+        parents.append((bmat, beta))
+        return true_triangularize(bmat, beta, iterates)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(hitchin, "_triangularize", checked)
+        for c in charts:
+            parents.clear()
+            try:
+                nilpotent_flag_chart(c)
+            except (_WrongQuotient, PflagsError):
+                wrong += 1
+    return wrong, reduced
+
+
+def test_each_level_hands_on_the_cleared_ratfunc_quotient(monkeypatch):
+    wrong, reduced = _cleared_quotient_mismatches(monkeypatch, _cleared_level_charts())
+    assert wrong == 0
+    assert reduced >= 10, reduced
+
+
+def _quotient_mutant(divide=True, monic=True, swap=False):
+    """hitchin._quotient, optionally without the division by g, without the
+    monic scaling, or with w[m] and w[sk] swapped in n_kl."""
+    def quotient(bmat, beta, w, m):
+        field = beta.field
+        others = [i for i in range(len(bmat)) if i != m]
+        nums = [poly_dot(((w[k] if swap else w[m], bmat[k][l]),
+                          (-(w[m] if swap else w[k]), bmat[m][l])), field)
+                for k in others for l in others]
+        den = w[m] * beta
+        if divide:
+            den, *nums = matrix._primitive([den, *nums])
+        if monic:
+            c = field.inv(den.lc())
+            den, nums = den.scale(c), [e.scale(c) for e in nums]
+        n = len(others)
+        return [nums[k * n:k * n + n] for k in range(n)], den
+    return quotient
+
+
+def test_the_quotient_mutant_builder_is_faithful(monkeypatch):
+    monkeypatch.setattr(hitchin, "_quotient", _quotient_mutant())
+    assert _cleared_quotient_mismatches(monkeypatch, _cleared_level_charts())[0] == 0
+
+
+@pytest.mark.parametrize("mutant", [dict(divide=False), dict(monic=False), dict(swap=True)])
+def test_the_cleared_quotient_oracle_catches_a_mutant(monkeypatch, mutant):
+    monkeypatch.setattr(hitchin, "_quotient", _quotient_mutant(**mutant))
+    assert _cleared_quotient_mismatches(monkeypatch, _cleared_level_charts())[0] > 0
+
+
+def test_a_rank_r_chart_takes_r_minus_1_sections_and_no_1x1_quotient(monkeypatch):
+    calls, sizes = [], []
+    true_sections, true_quotient = hitchin._horizontal_sections, hitchin._quotient
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return true_sections(*args)
+
+    def sized(*args):
+        sub, beta = true_quotient(*args)
+        sizes.append(len(sub))
+        return sub, beta
+
+    monkeypatch.setattr(hitchin, "_horizontal_sections", counted)
+    monkeypatch.setattr(hitchin, "_quotient", sized)
+    rng = random.Random(68)
+    for field in (F2, F3, GF(2, 2)):
+        for r in range(1, 6):
+            a = gauge_transform(random_strict_upper(rng, field, r),
+                                random_polynomial_gauge(rng, field, r))
+            calls.clear()
+            sizes.clear()
+            nilpotent_flag_chart(ChartConn(field, r, a))
+            assert calls == list(range(r, 1, -1))
+            assert sizes == list(range(r - 1, 1, -1))
 
 
 # The triangularity re-check, structure and then forward substitution, against
@@ -589,7 +712,7 @@ def _recheck_cases(seed, ranks=(2, 3), draws=3):
             for _ in range(draws):
                 a = gauge_transform(random_strict_upper(rng, field, r),
                                     random_polynomial_gauge(rng, field, r))
-                yield (rng, a, *_triangularize(a))
+                yield (rng, a, *_triangularize(*_clear_denominators(a.rows)))
 
 
 def _with_entry(gauge, i, j, fn):

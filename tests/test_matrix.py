@@ -11,6 +11,7 @@ from pflags.matrix import (
     MatRF,
     _clear_denominators,
     _echelon,
+    _horizontal_sections,
     _kernel_core,
     _primitive,
     _t_iterates,
@@ -972,6 +973,27 @@ def test_horizontal_sections_match_rp_kernel_with_poles_over_extension_fields():
             sols = horizontal_sections(a)
             assert len(sols) == s
             assert tuple(sols) == tuple(horizontal_sections_rp(a))
+
+
+def test_horizontal_sections_reduce_the_cleared_pairs():
+    # _horizontal_sections hands each section on as (w, P(x^p)); the public
+    # sections are those pairs reduced, and every w solves beta w' + B w = 0
+    rng = random.Random(85)
+    cases = [a for a, _ in _extension_pole_cases(rng, GF(2, 2))]
+    for field in (GF(2), GF(3), GF(5), GF(3, 2)):
+        for r in (2, 3):
+            cases.append(random_flat_conn0(rng, field, r=r).matrix())
+            cases.append(gauge_transform(random_strict_upper(rng, field, r),
+                                         random_polynomial_gauge(rng, field, r)))
+    for a in cases:
+        bmat, beta = _clear_denominators(a.rows)
+        pairs = _horizontal_sections(bmat, beta)
+        assert pairs
+        assert horizontal_sections(a) == [tuple(RatFunc(e, den) for e in w) for w, den in pairs]
+        for w, den in pairs:
+            assert den.derivative().is_zero()
+            assert not any(poly_dot([(beta, wi.derivative()), *zip(brow, w)], a.field)
+                           for wi, brow in zip(w, bmat))
 
 
 def _flipped_sign(row, prow, c):

@@ -6,7 +6,7 @@ import pytest
 from pflags import pone, sampling
 from pflags.errors import NeedsExtensionError, PflagsError, PreconditionError
 from pflags.fields import GF
-from pflags.matrix import MatRF, gauge_transform, horizontal_sections, inverse, is_nilpotent
+from pflags.matrix import MatRF, gauge_transform, inverse, is_nilpotent
 from pflags.poly import Poly
 from pflags.pone import (
     BundleP1,
@@ -378,10 +378,10 @@ def test_cartier_descent_rejects_a_dependent_frame(monkeypatch):
     # sections that are F_q(x^p)-multiples of each other are dependent over
     # F_q(x) too, so the re-check of the frame must refuse them
     c = canonical_connection(BundleP1([4, 2]), F2, 0).base
-    first = horizontal_sections(c.matrix())[0]
-    x2 = RatFunc(Poly(F2, [0, 0, 1]))
+    w, den = pone._horizontal_sections(c.A, Poly.one(F2))[0]
+    x2 = Poly(F2, [0, 0, 1])
     monkeypatch.setattr(pone, "_horizontal_sections",
-                        lambda bmat, beta: [first, tuple(x2 * e for e in first)])
+                        lambda bmat, beta: [(w, den), ([x2 * e for e in w], den)])
     with pytest.raises(NeedsExtensionError, match="horizontal sections do not form a frame"):
         cartier_descent(c)
 
