@@ -17,98 +17,50 @@ Four layers:
   rank-2 no-flag certificates, and nilpotent triangularization.
 
 The ``pflags`` command line runs 14 of these operations over JSON payloads.
+
+``_EXPORTS`` lists each exported name once, under the module that defines it.
+``import pflags`` loads none of those modules: a name is imported on first use
+(PEP 562) and then kept in the package namespace, so ``pflags.GF`` loads
+``fields`` and what it imports, nothing more.  A submodule is an attribute of
+the package once it has been imported, as with ``import pflags.matrix``.
 """
 
-from .elliptic import (
-    AtiyahAtom,
-    AtiyahProfile,
-    FlagSkeleton,
-    HomConstraint,
-    Pic0Group,
-    PicClass,
-    admits_connection,
-    atiyah_profile,
-    first_line_class,
-    flag_skeleton,
-    hom_constraint,
-    line_classes,
-    peel_order,
-)
-from .errors import (
-    InternalInvariantError,
-    InvalidFieldError,
-    NeedsExtensionError,
-    ParseError,
-    PflagsError,
-    PreconditionError,
-)
-from .fields import GF
-from .hitchin import (
-    ChartConn,
-    CharPolyP,
-    HitchinDims,
-    NilpotentFlag,
-    NoFlagCertificate,
-    Verdict,
-    char_poly_psi,
-    hitchin_dims,
-    nilpotent_flag_chart,
-    no_flag_certificate_rank2,
-    p_curvature_chart,
-)
-from .matrix import (
-    MatRF,
-    apply_connection,
-    charpoly_berkowitz,
-    gauge_transform,
-    horizontal_sections,
-    inverse,
-    is_nilpotent,
-    kernel,
-    p_curvature_matrix,
-)
-from .poly import Poly, find_irreducible, poly_gcd, roots_in_field
-from .pone import (
-    BundleP1,
-    Conn0,
-    DmBundle,
-    FlagP1,
-    Violation,
-    admits_level,
-    as_level,
-    canonical_connection,
-    cartier_descent,
-    complete_flag,
-    dual,
-    frobenius_pullback,
-    infinity_chart_matrix,
-    p_curvature,
-    pm1_curvature,
-    structural_violations,
-    tensor,
-    validate,
-    verify_flag,
-)
-from .ratfunc import RatFunc, in_frobenius_subfield, sqrt_ratfunc
+from importlib import import_module
+
+_EXPORTS = {
+    "elliptic": ("AtiyahAtom", "AtiyahProfile", "FlagSkeleton", "HomConstraint",
+                 "Pic0Group", "PicClass", "admits_connection", "atiyah_profile",
+                 "first_line_class", "flag_skeleton", "hom_constraint", "line_classes",
+                 "peel_order"),
+    "errors": ("InternalInvariantError", "InvalidFieldError", "NeedsExtensionError",
+               "ParseError", "PflagsError", "PreconditionError"),
+    "fields": ("GF",),
+    "hitchin": ("ChartConn", "CharPolyP", "HitchinDims", "NilpotentFlag",
+                "NoFlagCertificate", "Verdict", "char_poly_psi", "hitchin_dims",
+                "nilpotent_flag_chart", "no_flag_certificate_rank2", "p_curvature_chart"),
+    "matrix": ("MatRF", "apply_connection", "charpoly_berkowitz", "gauge_transform",
+               "horizontal_sections", "inverse", "is_nilpotent", "kernel",
+               "p_curvature_matrix"),
+    "poly": ("Poly", "find_irreducible", "poly_gcd", "roots_in_field"),
+    "pone": ("BundleP1", "Conn0", "DmBundle", "FlagP1", "Violation", "admits_level",
+             "as_level", "canonical_connection", "cartier_descent", "complete_flag", "dual",
+             "frobenius_pullback", "infinity_chart_matrix", "p_curvature", "pm1_curvature",
+             "structural_violations", "tensor", "validate", "verify_flag"),
+    "ratfunc": ("RatFunc", "in_frobenius_subfield", "sqrt_ratfunc"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AtiyahAtom", "AtiyahProfile", "BundleP1", "ChartConn", "CharPolyP",
-    "Conn0", "DmBundle", "FlagP1", "FlagSkeleton", "GF",
-    "HitchinDims", "HomConstraint", "InternalInvariantError",
-    "InvalidFieldError", "MatRF", "NeedsExtensionError", "NilpotentFlag",
-    "NoFlagCertificate", "ParseError", "PflagsError", "Pic0Group", "PicClass",
-    "Poly", "PreconditionError", "RatFunc", "Verdict", "Violation",
-    "admits_connection", "admits_level", "apply_connection", "as_level",
-    "atiyah_profile", "canonical_connection", "cartier_descent",
-    "char_poly_psi", "charpoly_berkowitz", "complete_flag", "dual",
-    "find_irreducible", "first_line_class", "flag_skeleton",
-    "frobenius_pullback", "gauge_transform", "hitchin_dims", "hom_constraint",
-    "horizontal_sections", "in_frobenius_subfield", "infinity_chart_matrix",
-    "inverse", "is_nilpotent", "kernel", "line_classes",
-    "nilpotent_flag_chart", "no_flag_certificate_rank2", "p_curvature",
-    "p_curvature_chart", "p_curvature_matrix", "peel_order", "pm1_curvature",
-    "poly_gcd", "roots_in_field", "sqrt_ratfunc", "structural_violations",
-    "tensor", "validate", "verify_flag",
-]
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -17,10 +17,10 @@ from .errors import InternalInvariantError, PflagsError, PreconditionError
 from .fields import Field
 from .matrix import (
     MatRF,
+    _berkowitz,
     _charpoly_cleared,
     _clear_denominators,
     _horizontal_sections,
-    _is_nilpotent_cleared,
     _p_curvature,
     _primitive,
     p_curvature_matrix,
@@ -178,7 +178,7 @@ def nilpotent_flag_chart(c: ChartConn) -> NilpotentFlag:
     G^{-1}.
     """
     bmat, beta, iterates, nrows, _ = _p_curvature(c.A)
-    if not _is_nilpotent_cleared(nrows):  # N^r = delta^r psi^r
+    if any(_berkowitz(nrows)[1:]):  # det(s - N) = s^r exactly when psi is nilpotent
         raise PreconditionError("p-curvature is not nilpotent; no flag this way")
     gauge, order = _triangularize(bmat, beta, iterates)
     _check_triangular(bmat, beta, gauge, order)

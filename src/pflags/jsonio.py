@@ -12,8 +12,9 @@ A coefficient array is decoded in one pass, residue arrays read as base-p
 digits in the same loop, and a location (``chart.A[1][0].num[2]``) is
 formatted only when a fault is raised: matrix and connection entries are
 decoded at the empty location and their own location is put in front of a
-fault's.  A field's extension degree is capped at ``K_MAX``, and an extension
-field with p >= ``P_SEARCH`` must give its modulus.
+fault's.  A field's extension degree is capped at ``K_MAX``, an extension
+field with p >= ``P_SEARCH`` must give its modulus, and a chart's field needs
+p < ``P_CHART``.
 """
 
 from __future__ import annotations
@@ -289,9 +290,19 @@ def chart_to_json(c: ChartConn) -> dict:
     return {"field": field_to_json(c.field), "r": c.r, "A": matrix_to_json(c.A)}
 
 
+# Katz's recurrence for psi takes about p^2 steps at any rank.  On the same machine,
+# r x r charts with numerators of degree 2 or 6 over one quadratic denominator took
+# 0.14-0.80 s in char_poly_psi and 0.32-1.96 s in p_curvature_chart at p = 293, the
+# largest prime below the cap (r = 2-3), against 0.79-4.84 s and 1.28-10.3 s at p = 509
+# (r = 2-4); at p = 10,007 a rank-1 chart did not end in 20 s.  Rank and entry degree
+# still scale the cost.  A chart payload names a field with p < P_CHART.
+P_CHART = 300
+
+
 def chart_from_json(obj: Any, where: str = "chart") -> ChartConn:
     _expect(isinstance(obj, dict), where, "expected an object")
     field = field_from_json(obj.get("field"), f"{where}.field")
+    _expect(field.p < P_CHART, f"{where}.field", f"a chart needs p < {P_CHART}")
     a = matrix_from_json(field, obj.get("A"), f"{where}.A")
     r = obj.get("r", a.n)
     _expect(type(r) is int and r == a.n, where, "r must match the matrix size")

@@ -30,9 +30,9 @@ psi has one form, the pair (N, delta) read off the iterates by
 ``_cleared_psi``, delta = beta^p; ``_p_curvature`` builds and re-verifies it
 (delta against beta^p formed by Frobenius, N v against T^p v iterated apart)
 and hands on A = B/beta too.  ``_charpoly_cleared``, the nilpotency test
-(N^r = delta^r psi^r) and the kernel (ker N = ker psi) read N's rows; the
-characteristic polynomial of psi has its numerators and delta in F_q[x^p], so
-its fractions are reduced in y = x^p.
+(det(s - N) = s^r, Berkowitz again) and the kernel (ker N = ker psi) read N's
+rows; the characteristic polynomial of psi has its numerators and delta in
+F_q[x^p], so its fractions are reduced in y = x^p.
 Rational functions are reduced only in results: the psi
 ``p_curvature_matrix`` returns, ``kernel``'s vectors, the inverse and the
 sections.  ``_horizontal_sections`` returns each section as its cleared pair
@@ -201,15 +201,8 @@ def _berkowitz(rows) -> list[Poly]:
 
 
 def is_nilpotent(m: MatRF) -> bool:
-    return _is_nilpotent_cleared(_clear_denominators(m.rows)[0])
-
-
-def _is_nilpotent_cleared(rows) -> bool:
-    """Whether N^n = 0 for the n polynomial rows of N; m^n = N^n/delta^n."""
-    cols, power = list(zip(*rows)), rows
-    for _ in range(len(rows) - 1):
-        power = [[_dot(row, col) for col in cols] for row in power]
-    return not any(map(any, power))
+    """Whether det(t - m) = t^n, read off the polynomial rows of N = delta m."""
+    return not any(_berkowitz(_clear_denominators(m.rows)[0])[1:])
 
 
 # -- elimination: fraction-free, on polynomial rows -----------------------------------

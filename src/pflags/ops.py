@@ -1,9 +1,11 @@
 """JSON-in, JSON-out wrappers around every library operation.
 
-The CLI subcommands and the fixture selftest both dispatch through this
-table.  The CLI runs 14 of these ops (its ``SUBCOMMANDS`` rows name them);
-the fixtures exercise every op.  Payload validation errors raise ParseError;
-domain violations raise through from the library untouched.
+The CLI subcommands and the fixture selftest both dispatch through
+``OP_TABLE``, which maps each op's name to its ``op_<name>`` function, in
+definition order: defining the function registers the op.  The CLI runs 14
+of these ops (its ``SUBCOMMANDS`` rows name them); the fixtures exercise
+every op.  Payload validation errors raise ParseError; domain violations
+raise through from the library untouched.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from typing import Any, Callable
 
 from . import elliptic, hitchin, jsonio, pone
 from .errors import ParseError
+from .matrix import charpoly_berkowitz
 from .poly import find_irreducible, roots_in_field
 from .pone import BundleP1
 from .ratfunc import in_frobenius_subfield, sqrt_ratfunc
@@ -57,8 +60,6 @@ def op_charpoly(payload: dict) -> Any:
     _require(payload, "field", "A")
     field = jsonio.field_from_json(payload["field"])
     m = jsonio.matrix_from_json(field, payload["A"])
-    from .matrix import charpoly_berkowitz
-
     return [jsonio.ratfunc_to_json(c) for c in charpoly_berkowitz(m)]
 
 
@@ -193,37 +194,37 @@ def op_atiyah_profile(payload: dict) -> Any:
     }
 
 
-def _group_and_atoms(payload: dict, key: str = "atoms"):
-    group = jsonio.group_from_json(payload.get("group", {"factors": []}))
-    atoms_json = payload.get(key)
-    if not isinstance(atoms_json, list) or not atoms_json:
-        raise ParseError(f"{key} must be a nonempty array of atoms")
-    atoms = [jsonio.atom_from_json(group, a, f"{key}[{i}]") for i, a in enumerate(atoms_json)]
-    return group, atoms
+def _group(payload: dict):
+    return jsonio.group_from_json(payload.get("group", {"factors": []}))
+
+
+def _atoms(payload: dict):
+    group = _group(payload)
+    atoms = payload.get("atoms")
+    if not isinstance(atoms, list) or not atoms:
+        raise ParseError("atoms must be a nonempty array of atoms")
+    return [jsonio.atom_from_json(group, a, f"atoms[{i}]") for i, a in enumerate(atoms)]
 
 
 def op_line_classes(payload: dict) -> Any:
     _require(payload, "atom")
-    group = jsonio.group_from_json(payload.get("group", {"factors": []}))
-    atom = jsonio.atom_from_json(group, payload["atom"])
+    atom = jsonio.atom_from_json(_group(payload), payload["atom"])
     return [jsonio.pic_class_to_json(c) for c in elliptic.line_classes(atom)]
 
 
 def op_admits_connection(payload: dict) -> Any:
     _require(payload, "atoms", "p")
-    _, atoms = _group_and_atoms(payload)
-    return elliptic.admits_connection(atoms, _int(payload, "p"))
+    return elliptic.admits_connection(_atoms(payload), _int(payload, "p"))
 
 
 def op_flag_skeleton(payload: dict) -> Any:
     _require(payload, "atoms", "p")
-    _, atoms = _group_and_atoms(payload)
-    return jsonio.skeleton_to_json(elliptic.flag_skeleton(atoms, _int(payload, "p")))
+    return jsonio.skeleton_to_json(elliptic.flag_skeleton(_atoms(payload), _int(payload, "p")))
 
 
 def op_hom_constraint(payload: dict) -> Any:
     _require(payload, "src", "dst")
-    group = jsonio.group_from_json(payload.get("group", {"factors": []}))
+    group = _group(payload)
     src = jsonio.atom_from_json(group, payload["src"], "src")
     dst = jsonio.atom_from_json(group, payload["dst"], "dst")
     return elliptic.hom_constraint(src, dst).value
@@ -231,8 +232,7 @@ def op_hom_constraint(payload: dict) -> Any:
 
 def op_peel_order(payload: dict) -> Any:
     _require(payload, "atoms")
-    _, atoms = _group_and_atoms(payload)
-    return [jsonio.pic_class_to_json(c) for c in elliptic.peel_order(atoms)]
+    return [jsonio.pic_class_to_json(c) for c in elliptic.peel_order(_atoms(payload))]
 
 
 # -- hyperbolic chart ---------------------------------------------------------------------
@@ -271,30 +271,4 @@ def op_nilpotent_flag(payload: dict) -> Any:
 
 
 OP_TABLE: dict[str, Callable[[dict], Any]] = {
-    "find_irreducible": op_find_irreducible,
-    "charpoly": op_charpoly,
-    "sqrt_ratfunc": op_sqrt_ratfunc,
-    "in_frobenius_subfield": op_in_frobenius_subfield,
-    "roots_in_field": op_roots_in_field,
-    "admits_level": op_admits_level,
-    "canonical_connection": op_canonical_connection,
-    "validate": op_validate,
-    "pm1_curvature": op_pm1_curvature,
-    "frobenius_pullback": op_frobenius_pullback,
-    "tensor": op_tensor,
-    "dual": op_dual,
-    "cartier_descent": op_cartier_descent,
-    "complete_flag": op_complete_flag,
-    "verify_flag": op_verify_flag,
-    "atiyah_profile": op_atiyah_profile,
-    "line_classes": op_line_classes,
-    "admits_connection": op_admits_connection,
-    "flag_skeleton": op_flag_skeleton,
-    "hom_constraint": op_hom_constraint,
-    "peel_order": op_peel_order,
-    "p_curvature_chart": op_p_curvature_chart,
-    "char_poly_psi": op_char_poly_psi,
-    "hitchin_dims": op_hitchin_dims,
-    "no_flag_certificate": op_no_flag_certificate,
-    "nilpotent_flag": op_nilpotent_flag,
-}
+    name.removeprefix("op_"): fn for name, fn in globals().items() if name.startswith("op_")}

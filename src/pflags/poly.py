@@ -99,7 +99,7 @@ class Poly:
         return hash((self.field, self.coeffs))
 
     def __repr__(self):
-        return format_poly(self, "x")
+        return format_poly(self)
 
     # -- ring operations ----------------------------------------------------
 
@@ -387,7 +387,7 @@ def roots_in_field(f: Poly) -> list[int]:
     return out
 
 
-def format_poly(f: Poly, var: str = "x") -> str:
+def format_poly(f: Poly) -> str:
     if f.is_zero():
         return "0"
     F = f.field
@@ -400,6 +400,6 @@ def format_poly(f: Poly, var: str = "x") -> str:
         if i == 0:
             parts.append(cs)
         else:
-            xs = var if i == 1 else f"{var}^{i}"
+            xs = "x" if i == 1 else f"x^{i}"
             parts.append(xs if c == 1 else f"{cs}*{xs}")
     return " + ".join(parts)

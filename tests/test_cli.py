@@ -303,6 +303,29 @@ def test_extension_field_at_large_p_needs_its_modulus(capsys):
     assert OP_TABLE["find_irreducible"]({"p": big, "k": 1}) == [0, 1]
     assert OP_TABLE["find_irreducible"]({"p": 599, "k": 2}) == [1, 0, 1]
 
+
+def test_chart_p_at_the_cap_is_a_parse_error(capsys):
+    # Katz's recurrence takes about p^2 steps: a rank-1 chart at p = 10,007 ran past 20 s
+    assert jsonio.P_CHART == 300
+    start = time.perf_counter()
+    for sub, p in (("hit-charpoly", 307), ("hit-charpoly", 10007), ("hit-cert", 65537),
+                   ("hit-nilflag", 2**61 - 1)):
+        chart = {"field": {"p": p}, "A": [[[1, 1]]]}
+        code, out = run(capsys, sub, "--inline", json.dumps(chart), "--json")
+        assert code == 3
+        assert json.loads(out)["error"] == "chart.field: a chart needs p < 300"
+    assert time.perf_counter() - start < 5
+    # the field's own checks answer first: 300 is not prime
+    code, out = run(capsys, "hit-charpoly", "--inline", '{"field":{"p":300},"A":[[[1]]]}', "--json")
+    assert json.loads(out)["error"] == "chart.field: 300 is not prime"
+    # just below the cap a chart is read, and runs, as before
+    assert jsonio.chart_from_json({"field": {"p": 293, "k": 2}, "A": [[[1]]]}).field is GF(293, 2)
+    code, out = run(capsys, "hit-charpoly", "--inline", '{"field":{"p":293},"A":[[[1,1]]]}', "--json")
+    assert code == 0
+    assert json.loads(out)["result"]["descent_ok"] is True
+    # only a chart is capped: a field alone is read at any p
+    assert jsonio.field_from_json({"p": 307}) is GF(307)
+
 def test_domain_violations_exit_2(capsys):
     bundle = '{"group":{"factors":[2]},"atoms":[{"r":3,"d":2,"lam":[1]}]}'
     cases = [

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -30,7 +31,7 @@ from pflags.matrix import (
     kernel,
     p_curvature_matrix,
 )
-from pflags.poly import Poly, poly_dot
+from pflags.poly import Poly, poly_dot, poly_gcd
 from pflags.pone import complete_flag, p_curvature, verify_flag
 from pflags.ratfunc import RatFunc, in_frobenius_subfield
 from pflags.sampling import (
@@ -787,3 +788,68 @@ def test_triangularity_recheck_catches_a_dropped_substitution_term(monkeypatch):
     for a in live:
         with pytest.raises(InternalInvariantError, match="failed to triangularize"):
             nilpotent_flag_chart(ChartConn(a.field, a.n, a))
+
+
+# The decision census: every rank-2 chart with polynomial entries of degree
+# <= 1 over GF(2), and a seeded sample over GF(3), sorted by what the library
+# decides (a CERTIFIED verdict, or a flag from nilpotent_flag_chart) against a
+# brute-force search for a stable line.  The undecided counts are pinned: a
+# change that decides more charts moves them, and says so.
+
+
+def _polys(field, deg):
+    return [Poly(field, c) for c in itertools.product(range(field.p), repeat=deg + 1)]
+
+
+def _line_terms(field, deg):
+    """(u'w - uw', u^2, uw, w^2) for every h = u/w in lowest terms with w
+    monic and deg u, deg w <= deg."""
+    return [(u.derivative() * w - u * w.derivative(), u * u, u * w, w * w)
+            for w in _polys(field, deg) if not w.is_zero() and w.coeffs[-1] == 1
+            for u in _polys(field, deg) if poly_gcd(u, w).degree == 0]
+
+
+def _has_stable_line(rows, terms):
+    # (0, 1) is stable iff A01 = 0; (1, u/w) iff u'w - uw' = A01 u^2 + (A00 - A11) uw - A10 w^2
+    (a00, a01), (a10, a11) = rows
+    return a01.is_zero() or any(lhs == a01 * uu + (a00 - a11) * uw - a10 * ww
+                                for lhs, uu, uw, ww in terms)
+
+
+def _census(field, charts, deg):
+    terms = _line_terms(field, deg)
+    counts = {"certified": 0, "flag": 0, "undecided, a line": 0, "undecided, no line": 0}
+    for entries in charts:
+        rows = [entries[:2], entries[2:]]
+        a = MatRF(field, [[RatFunc(e) for e in row] for row in rows])
+        c = ChartConn(field, 2, a)
+        certified = no_flag_certificate_rank2(c).verdict is Verdict.CERTIFIED
+        try:
+            gauge = nilpotent_flag_chart(c).gauge
+        except PreconditionError:
+            gauge = None
+        line = _has_stable_line(rows, terms)
+        if certified:
+            assert not line and gauge is None, entries
+            counts["certified"] += 1
+        elif gauge is not None:
+            assert gauge_transform(a, gauge).rows[1][0].is_zero(), entries
+            counts["flag"] += 1
+        else:
+            counts["undecided, a line" if line else "undecided, no line"] += 1
+    return counts
+
+
+def test_decision_census_gf2_every_chart():
+    # all 4^4 = 256 charts, lines up to degree 3; GF(2) certifies nothing
+    # (ROADMAP item 1), and the 84 charts without a line are the ones to certify
+    assert _census(F2, itertools.product(_polys(F2, 1), repeat=4), 3) == {
+        "certified": 0, "flag": 10, "undecided, a line": 162, "undecided, no line": 84}
+
+
+def test_decision_census_gf3_seeded_sample():
+    # a seeded sample of 300 of the 9^4 = 6,561 charts, lines up to degree 2:
+    # its own counts, not the full census's
+    charts = random.Random(11).sample(list(itertools.product(_polys(F3, 1), repeat=4)), 300)
+    assert _census(F3, charts, 2) == {
+        "certified": 135, "flag": 3, "undecided, a line": 162, "undecided, no line": 0}

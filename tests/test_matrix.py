@@ -270,8 +270,9 @@ def test_kernel_core_spans_the_lines_of_kernel_and_the_oracle():
 
 
 def test_is_nilpotent_matches_the_power_oracle():
-    # the polynomial-row test N^n = 0 against the power of m over F_q(x), on
-    # conjugates g^-1 U g of strictly upper U with poles, and random matrices
+    # the polynomial-row test det(s - N) = s^n against the power of m over
+    # F_q(x), on conjugates g^-1 U g of strictly upper U with poles, and random
+    # matrices
     rng = random.Random(912)
     seen = {True: 0, False: 0}
     for F in ORACLE_FIELDS:
