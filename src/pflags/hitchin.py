@@ -6,10 +6,16 @@ computes characteristic polynomials of p-curvature and their descent to the
 twist, the dimension count showing split characteristic polynomials are rare,
 rank-2 certificates that no stable line exists in the chart, and the
 triangularization algorithm for nilpotent p-curvature.
+
+Every operation reads the chart as its cleared pair (B, beta), A = B/beta,
+and hands it to ``matrix._p_curvature``.  A parsed chart carries the pair
+from ``jsonio.chart_from_json``, which forms it without reducing an entry; a
+chart built from a ``MatRF`` clears it on first use (``ChartConn.cleared``).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from dataclasses import dataclass
 
@@ -23,29 +29,81 @@ from .matrix import (
     _horizontal_sections,
     _p_curvature,
     _primitive,
-    p_curvature_matrix,
+    _psi_matrix,
 )
 from .poly import Poly, poly_dot
 from .ratfunc import RatFunc, in_frobenius_subfield, sqrt_ratfunc
 
 
-@dataclass(frozen=True)
 class ChartConn:
-    """d + A dx on a trivialized chart; entries are reduced rational functions."""
+    """d + A dx on a trivialized chart; entries are reduced rational functions.
 
-    field: Field
-    r: int
-    A: MatRF
+    A chart holds A, its cleared pair (B, beta), A = B/beta with beta the
+    monic lcm of the entry denominators (``matrix._clear_denominators``), or
+    both, and forms the one it lacks on first use.  A chart built from A is
+    cleared when an operation first asks for the pair, never here; a parsed
+    chart (``jsonio.chart_from_json``) carries the pair, and its A is formed
+    only when read.  Like a frozen dataclass of (field, r, A), it takes no
+    assignment, and its equality, hash and repr are those of that record.
+    """
 
-    def __post_init__(self):
-        if self.A.n != self.r or self.A.field is not self.field:
+    __slots__ = ("field", "r", "_a", "_cleared")
+
+    def __init__(self, field: Field, r: int, A: MatRF):
+        if A.n != r or A.field is not field:
             raise PflagsError("chart matrix shape or field mismatch")
+        self._fill(field=field, r=r, _a=A, _cleared=None)
+
+    def _fill(self, **attrs):
+        for name, value in attrs.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @classmethod
+    def from_cleared(cls, field: Field, r: int, bmat, beta: Poly) -> "ChartConn":
+        """The chart A = bmat/beta, from the pair ``cleared`` returns."""
+        if len(bmat) != r or beta.field is not field:
+            raise PflagsError("chart matrix shape or field mismatch")
+        c = cls.__new__(cls)
+        c._fill(field=field, r=r, _a=None, _cleared=(tuple(map(tuple, bmat)), beta))
+        return c
 
     @classmethod
     def from_conn0(cls, c) -> "ChartConn":
         """Embed a split-model connection on the projective line by forgetting
         the chart at infinity."""
-        return cls(c.field, c.rank, c.matrix())
+        return cls.from_cleared(c.field, c.rank, c.A, Poly.one(c.field))
+
+    @property
+    def A(self) -> MatRF:
+        if self._a is None:
+            bmat, beta = self._cleared
+            self._fill(_a=MatRF(self.field, [[RatFunc(e, beta) for e in row] for row in bmat]))
+        return self._a
+
+    @property
+    def cleared(self) -> tuple[tuple[tuple[Poly, ...], ...], Poly]:
+        """(B, beta): the rows of B and beta, with A = B/beta."""
+        if self._cleared is None:
+            bmat, beta = _clear_denominators(self._a.rows)
+            self._fill(_cleared=(tuple(map(tuple, bmat)), beta))
+        return self._cleared
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.r, self.A) == (other.field, other.r, other.A)
+
+    def __hash__(self):
+        return hash((self.field, self.r, self.A))
+
+    def __repr__(self):
+        return f"ChartConn(field={self.field!r}, r={self.r!r}, A={self.A!r})"
 
 
 @dataclass(frozen=True)
@@ -99,13 +157,13 @@ def p_curvature_chart(c: ChartConn) -> MatRF:
     """The p-curvature matrix T^p on the chart, T(v) = v' + A v; like every
     psi ``matrix`` returns, it is re-verified there (O-linearity and
     T^p(v) = psi v on a sample section) before it is returned."""
-    return p_curvature_matrix(c.A)
+    return _psi_matrix(*c.cleared)
 
 
 def char_poly_psi(c: ChartConn) -> CharPolyP:
     """det(t - psi) by the division-free recurrence; each coefficient is
     tested for membership in the twist function field F_q(x^p)."""
-    cp = _charpoly_cleared(*_p_curvature(c.A)[3:])
+    cp = _charpoly_cleared(*_p_curvature(*c.cleared)[1:])
     coeffs = tuple(cp[:-1])
     descent_ok = all(in_frobenius_subfield(a, 1) for a in coeffs if not a.is_zero())
     return CharPolyP(coeffs, descent_ok)
@@ -171,13 +229,14 @@ def nilpotent_flag_chart(c: ChartConn) -> NilpotentFlag:
     Recursively: the kernel of psi is stable under T (psi is T^p, which
     commutes with T) and carries vanishing p-curvature, so T has a horizontal
     vector over F_q(x); the first horizontal section starts the flag, and the
-    quotient inherits nilpotent p-curvature.  A is cleared once to B/beta,
-    and every level of ``_triangularize`` takes its connection as such a
+    quotient inherits nilpotent p-curvature.  The chart's pair B/beta is
+    the first level, and every level of ``_triangularize`` takes its connection as such a
     cleared pair.  The returned gauge G makes G^{-1} A G + G^{-1} G' upper
     triangular, which is re-verified by ``_check_triangular`` without forming
     G^{-1}.
     """
-    bmat, beta, iterates, nrows, _ = _p_curvature(c.A)
+    bmat, beta = c.cleared
+    iterates, nrows, _ = _p_curvature(bmat, beta)
     if any(_berkowitz(nrows)[1:]):  # det(s - N) = s^r exactly when psi is nilpotent
         raise PreconditionError("p-curvature is not nilpotent; no flag this way")
     gauge, order = _triangularize(bmat, beta, iterates)

@@ -14,7 +14,12 @@ formatted only when a fault is raised: matrix and connection entries are
 decoded at the empty location and their own location is put in front of a
 fault's.  A field's extension degree is capped at ``K_MAX``, an extension
 field with p >= ``P_SEARCH`` must give its modulus, and a chart's field needs
-p < ``P_CHART``.
+p < ``P_CHART``, as does a connection's for the ops that iterate T.
+
+A chart is decoded straight to its cleared pair (B, beta), A = B/beta: each
+entry is read as the (num, den) it is written as, and
+``matrix._clear_fractions`` clears the matrix with no entry reduced, so the
+parse builds no ``RatFunc`` or ``MatRF``; the chart forms A only if it is read.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .elliptic import AtiyahAtom, FlagSkeleton, Pic0Group, PicClass
 from .errors import InvalidFieldError, ParseError, PflagsError
 from .fields import Field, GF
 from .hitchin import ChartConn, CharPolyP, NoFlagCertificate
-from .matrix import MatRF
+from .matrix import MatRF, _clear_fractions
 from .poly import Poly
 from .pone import BundleP1, Conn0, DmBundle, FlagP1, _level_fits
 from .ratfunc import RatFunc
@@ -152,15 +157,21 @@ def ratfunc_to_json(f: RatFunc) -> dict:
 
 
 def ratfunc_from_json(field: Field, obj: Any, where: str = "ratfunc") -> RatFunc:
-    if isinstance(obj, list):  # a bare polynomial is accepted
-        return RatFunc(poly_from_json(field, obj, where))
+    return RatFunc(*_fraction_from_json(field, obj, where))
+
+
+def _fraction_from_json(field: Field, obj: Any, where: str) -> tuple[Poly, Poly]:
+    """(num, den) of a ratfunc's JSON value as written, not reduced; a bare
+    polynomial is accepted, over 1."""
+    if isinstance(obj, list):
+        return poly_from_json(field, obj, where), Poly.one(field)
     _expect(isinstance(obj, dict) and "num" in obj and "den" in obj,
             where, "expected {num, den}")
     num = poly_from_json(field, obj["num"], f"{where}.num")
     den = poly_from_json(field, obj["den"], f"{where}.den")
     if den.is_zero():
         raise ParseError(f"{where}: zero denominator")
-    return RatFunc(num, den)
+    return num, den
 
 
 def _entries(decode, field: Field, row: list, at) -> list:
@@ -181,16 +192,22 @@ def matrix_to_json(m: MatRF) -> list:
 
 
 def matrix_from_json(field: Field, obj: Any, where: str = "matrix") -> MatRF:
+    rows = _square_rows(ratfunc_from_json, field, obj, where)
+    try:
+        return MatRF(field, rows)
+    except PflagsError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+
+
+def _square_rows(decode, field: Field, obj: Any, where: str) -> list[list]:
+    """The rows of a square matrix payload, each entry decoded by ``decode``."""
     _expect(isinstance(obj, list) and obj, where, "expected a nonempty nested array")
     rows = []
     for i, row in enumerate(obj):
         _expect(isinstance(row, list) and len(row) == len(obj), where,
                 f"row {i} must have length {len(obj)}")
-        rows.append(_entries(ratfunc_from_json, field, row, lambda j: f"{where}[{i}][{j}]"))
-    try:
-        return MatRF(field, rows)
-    except PflagsError as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+        rows.append(_entries(decode, field, row, lambda j: f"{where}[{i}][{j}]"))
+    return rows
 
 
 # -- projective line ---------------------------------------------------------------
@@ -206,9 +223,13 @@ def connection_to_json(d: DmBundle) -> dict:
     }
 
 
-def connection_from_json(obj: Any, where: str = "connection") -> DmBundle:
+def connection_from_json(obj: Any, where: str = "connection", iterates: bool = False) -> DmBundle:
+    """A connection payload; with ``iterates`` (the ops that iterate T: the
+    p-curvature, the pullback and Cartier descent) its field needs p < P_CHART."""
     _expect(isinstance(obj, dict), where, "expected an object")
     field = field_from_json(obj.get("field"), f"{where}.field")
+    _expect(not iterates or field.p < P_CHART, f"{where}.field",
+            f"iterating T needs p < {P_CHART}")
     level = obj.get("level", 0)
     _expect(type(level) is int and level >= 0, where, "level must be a nonnegative integer")
     _expect(_level_fits(field.p, level), where, "level must have p^level <= 2^16")
@@ -295,18 +316,25 @@ def chart_to_json(c: ChartConn) -> dict:
 # 0.14-0.80 s in char_poly_psi and 0.32-1.96 s in p_curvature_chart at p = 293, the
 # largest prime below the cap (r = 2-3), against 0.79-4.84 s and 1.28-10.3 s at p = 509
 # (r = 2-4); at p = 10,007 a rank-1 chart did not end in 20 s.  Rank and entry degree
-# still scale the cost.  A chart payload names a field with p < P_CHART.
+# still scale the cost.  A chart payload names a field with p < P_CHART, and so does
+# the connection payload of an op that iterates T (p-curvature, pullback, Cartier
+# descent): pone-descend on a rank-2 flat connection took 5.5 s at p = 10,007 and
+# 0.03 s at p = 293.
 P_CHART = 300
 
 
 def chart_from_json(obj: Any, where: str = "chart") -> ChartConn:
+    """A chart carrying its cleared pair (B, beta), formed here once: each
+    entry is decoded as its (num, den) as written, and ``_clear_fractions``
+    clears the matrix with no entry reduced.  The chart's A is formed only if
+    it is read."""
     _expect(isinstance(obj, dict), where, "expected an object")
     field = field_from_json(obj.get("field"), f"{where}.field")
     _expect(field.p < P_CHART, f"{where}.field", f"a chart needs p < {P_CHART}")
-    a = matrix_from_json(field, obj.get("A"), f"{where}.A")
-    r = obj.get("r", a.n)
-    _expect(type(r) is int and r == a.n, where, "r must match the matrix size")
-    return ChartConn(field, r, a)
+    rows = _square_rows(_fraction_from_json, field, obj.get("A"), f"{where}.A")
+    r = obj.get("r", len(rows))
+    _expect(type(r) is int and r == len(rows), where, "r must match the matrix size")
+    return ChartConn.from_cleared(field, r, *_clear_fractions(field, rows))
 
 
 def charpoly_to_json(cp: CharPolyP) -> dict:

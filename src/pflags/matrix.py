@@ -18,7 +18,10 @@ primitive polynomial vector per free column; ``kernel`` and ``inverse`` form
 rational functions only from the entries they return.
 
 The characteristic polynomial and the iterates of T work on polynomials: a
-matrix m is cleared once to N/delta (``_clear_denominators``).  With
+matrix m is cleared once to N/delta (``_clear_denominators``).  A chart's
+pair is formed once: ``jsonio.chart_from_json`` clears the fractions as
+written (``_clear_fractions``, no entry reduced), and a chart built from a
+``MatRF`` clears it on first use; ``hitchin`` hands the pair on.  With
 A = B/beta, T^k e_i has the fixed denominator beta^k, and its numerators follow
 the classical p-curvature recurrence (Katz), with no gcd in the loop.  T e_i
 is column i of A, so its numerators are column i of B; each later level is a
@@ -27,14 +30,16 @@ operands B and beta once rather than once per entry and step.  The build of
 psi and its re-check share that one step.  Berkowitz on N, the re-check's N v
 and the projector take one ``poly_dot`` per entry.  Here and in ``hitchin``
 psi has one form, the pair (N, delta) read off the iterates by
-``_cleared_psi``, delta = beta^p; ``_p_curvature`` builds and re-verifies it
-(delta against beta^p formed by Frobenius, N v against T^p v iterated apart)
-and hands on A = B/beta too.  ``_charpoly_cleared``, the nilpotency test
+``_cleared_psi``, delta = beta^p; ``_p_curvature`` builds it from A's pair
+(B, beta) and re-verifies it (delta against beta^p formed by Frobenius, N v
+against T^p v iterated apart).  ``_charpoly_cleared``, the nilpotency test
 (det(s - N) = s^r, Berkowitz again) and the kernel (ker N = ker psi) read N's
 rows; the characteristic polynomial of psi has its numerators and delta in
-F_q[x^p], so its fractions are reduced in y = x^p.
-Rational functions are reduced only in results: the psi
-``p_curvature_matrix`` returns, ``kernel``'s vectors, the inverse and the
+F_q[x^p], so its fractions are reduced in y = x^p, where delta mostly divides
+them exactly (``_over_power``).
+Rational functions are reduced only in results: the psi ``_psi_matrix``
+returns (behind ``p_curvature_matrix``, ``pone.p_curvature`` and
+``hitchin.p_curvature_chart``), ``kernel``'s vectors, the inverse and the
 sections.  ``_horizontal_sections`` returns each section as its cleared pair
 (w, P(x^p)), and only the three callers that hand sections out reduce them:
 ``horizontal_sections``, ``pone.cartier_descent`` for its frame and
@@ -51,7 +56,7 @@ from operator import mul
 from .errors import InternalInvariantError, PflagsError
 from .fields import Field, _power, _slot_codec
 from .poly import Poly, poly_dot, poly_gcd
-from .ratfunc import RatFunc, in_frobenius_subfield
+from .ratfunc import RatFunc
 
 Vec = tuple[RatFunc, ...]
 
@@ -159,25 +164,37 @@ def charpoly_berkowitz(m: MatRF) -> list[RatFunc]:
 def _charpoly_cleared(rows, delta: Poly) -> list[RatFunc]:
     """``charpoly_berkowitz`` of N/delta, from the polynomial rows of N.
 
-    Each coefficient is c_i/delta^(n-i), reduced.  When delta and every c_i
-    lie in F_q[x^p], as for psi, the gcd runs in y = x^p, on polynomials of
+    Each coefficient is c_i/delta^(n-i), reduced by ``_over_power``.  When
+    delta and every c_i lie in F_q[x^p], as for psi (read off their
+    coefficient strides), the reduction runs in y = x^p, on polynomials of
     1/p the degree, and the result is mapped back by x -> x^p, which keeps
     the canonical form (see ``ratfunc``); otherwise it runs in x.
     """
     F = delta.field
     p = F.p
     nums = _berkowitz(rows)
-    in_y = all(in_frobenius_subfield(RatFunc(c), 1) for c in (delta, *nums))
+    in_y = not any(any(c.coeffs[j::p]) for c in (delta, *nums) for j in range(1, p))
     if in_y:
         nums = [Poly(F, c.coeffs[::p]) for c in nums]
         delta = Poly(F, delta.coeffs[::p])
     out = []
-    den = Poly.one(F)
-    for c in nums:  # c_n, c_(n-1), ..., c_0 over delta^0, delta^1, ..., delta^n
-        out.append(RatFunc(c, den).compose_xpow(p) if in_y else RatFunc(c, den))
-        den = den * delta
+    for k, c in enumerate(nums):  # c_n, c_(n-1), ..., c_0 over delta^0, delta^1, ..., delta^n
+        f = _over_power(c, delta, k)
+        out.append(f.compose_xpow(p) if in_y else f)
     out.reverse()
     return out
+
+
+def _over_power(c: Poly, delta: Poly, k: int) -> RatFunc:
+    """c/delta^k reduced: delta is divided out of c while the division is
+    exact, and what is left takes one canonical reduction.  For psi's
+    charpoly delta mostly divides c, so most coefficients take no gcd."""
+    while k and c and delta.degree > 0:  # over delta = 1, c is reduced
+        q, rem = divmod(c, delta)
+        if rem:
+            return RatFunc(c, delta**k)
+        c, k = q, k - 1
+    return RatFunc(c)
 
 
 def _berkowitz(rows) -> list[Poly]:
@@ -304,16 +321,21 @@ def gauge_transform(a: MatRF, g: MatRF) -> MatRF:
 
 def p_curvature_matrix(a: MatRF) -> MatRF:
     """The matrix of T^p, T(v) = v' + A v; O_X-linear by Jacobson's theorem.
-    Re-verified (see ``_p_curvature``), then reduced entrywise: the one place
-    psi is formed as rational functions."""
-    *_, nmat, delta = _p_curvature(a)
-    return MatRF(a.field, [[RatFunc(e, delta) for e in row] for row in nmat])
+    Re-verified (see ``_p_curvature``), then reduced entrywise."""
+    return _psi_matrix(*_clear_denominators(a.rows))
 
 
-def _p_curvature(a: MatRF):
-    """(B, beta, the ``_t_iterates`` of A, N, delta) with A = B/beta and
-    psi = N/delta; A is cleared once, psi not at all.  The one builder of a
-    psi that leaves this module.
+def _psi_matrix(bmat, beta: Poly) -> MatRF:
+    """``p_curvature_matrix`` of A = bmat/beta: the one place psi is formed
+    as rational functions."""
+    *_, nmat, delta = _p_curvature(bmat, beta)
+    return MatRF(beta.field, [[RatFunc(e, delta) for e in row] for row in nmat])
+
+
+def _p_curvature(bmat, beta: Poly):
+    """(the ``_t_iterates`` of A, N, delta) for A = bmat/beta, with
+    psi = N/delta; psi is not cleared at all.  The one builder of a psi that
+    leaves this module; its callers hand it A's cleared pair.
 
     Re-verified on every call, failure indicating an iteration bug, not bad
     input.  The denominator: delta, the last of the iterates' beta^k, equals
@@ -326,16 +348,15 @@ def _p_curvature(a: MatRF):
     share the chart's one ``_t_step``, so a wrong step is caught by the first
     identity.
     """
-    F = a.field
+    F = beta.field
     p = F.p
-    bmat, beta = _clear_denominators(a.rows)
     step = _t_step(bmat, beta)
     iterates = _t_iterates(bmat, beta, p, step)
     nmat, delta = _cleared_psi(iterates)
     if delta != Poly(F, [F.frobenius(c) for c in beta.coeffs]).compose_xpow(p):
         raise InternalInvariantError("p-curvature denominator is not beta^p")
     f = Poly(F, (1, 1))  # x + 1
-    v = [Poly.monomial(F, 1, i % 3) for i in range(a.n)]
+    v = [Poly.monomial(F, 1, i % 3) for i in range(len(bmat))]
     lhs = [f * e for e in v]
     rhs = v
     for k in range(p):
@@ -345,7 +366,7 @@ def _p_curvature(a: MatRF):
         raise InternalInvariantError("p-curvature operator is not O-linear")
     if any(_dot(row, v) != e for row, e in zip(nmat, rhs)):
         raise InternalInvariantError("p-curvature matrix disagrees with iterated T")
-    return bmat, beta, iterates, nmat, delta
+    return iterates, nmat, delta
 
 
 def _t_iterates(bmat, beta: Poly, p: int, step=None) -> tuple[list[list[list[Poly]]], list[Poly]]:
@@ -385,13 +406,68 @@ def _clear_denominators(rows) -> tuple[list[list[Poly]], Poly]:
     rows of N and delta, the monic lcm of the entry denominators.  Each
     distinct denominator takes one lcm step and one exact division."""
     dens = dict.fromkeys(e.den for row in rows for e in row)
-    delta = Poly.one(rows[0][0].field)
-    for d in dens:
-        if not (d.is_one() or d == delta):
-            delta = d if delta.is_one() else delta // poly_gcd(delta, d) * d
+    delta = _lcm(dens, Poly.one(rows[0][0].field))
     for d in dens:
         dens[d] = delta if d.is_one() else delta // d
     return [[e.num * dens[e.den] for e in row] for row in rows], delta
+
+
+def _clear_fractions(field: Field, rows) -> tuple[list[list[Poly]], Poly]:
+    """``_clear_denominators`` of the matrix whose entries are the fractions
+    num/den of ``rows``, given as pairs (num, den) and not reduced: no entry
+    is reduced on the way.
+
+    With den made monic, the reduced denominators of the entries over one den
+    d have the lcm d/gcd(d, their nonzero numerators), a gcd chain that
+    mostly stops at 1 after one step.  delta, the monic lcm of these, is the
+    lcm of the reduced denominators, and the entry num/d is (num delta/d)/delta
+    whatever its reduced form, so B_ij = num (delta // d), the quotient formed
+    once per d.  Where d does not divide delta (num and d share a factor that
+    the other entries' reduced denominators lack) B_ij is the exact
+    (num delta) // d.
+    """
+    groups = {}  # den's coefficients -> [den, gcd of den and its nonzero numerators]
+    monic_rows = []
+    for row in rows:
+        out = []
+        for num, den in row:
+            lead = den.coeffs[-1]
+            if lead != 1:
+                c = field.inv(lead)
+                num, den = num.scale(c), den.scale(c)
+            out.append((num, den))
+            if num.coeffs and len(den.coeffs) > 1:
+                group = groups.get(den.coeffs)
+                if group is None:
+                    groups[den.coeffs] = [den, poly_gcd(den, num)]
+                elif group[1].degree > 0:
+                    group[1] = poly_gcd(group[1], num)
+        monic_rows.append(out)
+    delta = _lcm([d // g if g.degree > 0 else d for d, g in groups.values()], Poly.one(field))
+    quos = {}
+    for key, (d, _) in groups.items():
+        q, rem = divmod(delta, d)
+        quos[key] = None if rem else q
+    bmat = []
+    for row in monic_rows:
+        out = []
+        for num, den in row:
+            if not num.coeffs or len(den.coeffs) == 1:
+                out.append(num * delta)
+            else:
+                q = quos[den.coeffs]
+                out.append(num * q if q is not None else num * delta // den)
+        bmat.append(out)
+    return bmat, delta
+
+
+def _lcm(dens, one: Poly) -> Poly:
+    """The monic lcm of the monic polynomials ``dens``, one lcm step each."""
+    delta = one
+    for d in dens:
+        if not (d.is_one() or d == delta):
+            delta = d if delta.is_one() else delta // poly_gcd(delta, d) * d
+    return delta
 
 
 def _t_step(bmat, beta: Poly):

@@ -109,14 +109,14 @@ def op_validate(payload: dict) -> Any:
 
 def op_pm1_curvature(payload: dict) -> Any:
     _require(payload, "connection")
-    d = jsonio.connection_from_json(payload["connection"])
+    d = jsonio.connection_from_json(payload["connection"], iterates=True)
     psi = pone.pm1_curvature(d)
     return {"psi": jsonio.matrix_to_json(psi), "zero": psi.is_zero()}
 
 
 def op_frobenius_pullback(payload: dict) -> Any:
     _require(payload, "connection", "s")
-    d = jsonio.connection_from_json(payload["connection"])
+    d = jsonio.connection_from_json(payload["connection"], iterates=True)
     out = pone.frobenius_pullback(d, _int(payload, "s"))
     return {
         "connection": jsonio.connection_to_json(out),
@@ -154,7 +154,7 @@ def op_dual(payload: dict) -> Any:
 
 def op_cartier_descent(payload: dict) -> Any:
     _require(payload, "connection")
-    d = jsonio.connection_from_json(payload["connection"])
+    d = jsonio.connection_from_json(payload["connection"], iterates=True)
     if d.m:
         raise ParseError("descent operates on level-0 connections")
     bundle, frame = pone.cartier_descent(d.base)

@@ -26,7 +26,7 @@ from .matrix import (
     MatRF,
     _horizontal_sections,
     _kernel_core,
-    p_curvature_matrix,
+    _psi_matrix,
 )
 from .poly import Poly
 from .ratfunc import RatFunc
@@ -268,9 +268,11 @@ def ensure_valid(c: Conn0):
 
 def p_curvature(c: Conn0) -> MatRF:
     """Matrix of the p-th iterate of T(v) = v' + A v; on the standard chart
-    the p-th symbol term vanishes, so this is the full obstruction."""
+    the p-th symbol term vanishes, so this is the full obstruction.  A is
+    polynomial, so its rows go to ``matrix._psi_matrix`` as they are, over
+    beta = 1, as in ``cartier_descent``."""
     ensure_valid(c)
-    return p_curvature_matrix(c.matrix())
+    return _psi_matrix(c.A, Poly.one(c.field))
 
 
 def pm1_curvature(d: DmBundle) -> MatRF:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from pflags import GF, cli, jsonio
+from pflags import GF, cli, jsonio, pone
 from pflags.cli import SUBCOMMANDS, main
 from pflags.errors import ParseError
 from pflags.ops import OP_TABLE
@@ -264,6 +264,32 @@ def test_deep_coefficient_fault_report_is_pinned(capsys, sub, payload, report):
     assert out == report
 
 
+# Chart faults outside the coefficients, pinned when charts began to be parsed
+# straight to their cleared pair: the texts are those of the MatRF parse.
+_CHART_FAULTS = [
+    ("zero-denominator",
+     {"field": {"p": 3}, "A": [[[1], {"num": [1], "den": []}], [[0, 1], [2]]]},
+     "chart.A[0][1]: zero denominator"),
+    ("row-not-a-list", {"field": {"p": 3}, "A": [[[1], [2]], 5]},
+     "chart.A: row 1 must have length 2"),
+    ("mismatched-r",
+     {"field": {"p": 3}, "r": 3, "A": [[[1], [2]], [[0, 1], {"num": [1], "den": [0, 2]}]]},
+     "chart: r must match the matrix size"),
+]
+
+
+@pytest.mark.parametrize("payload, error", [c[1:] for c in _CHART_FAULTS],
+                         ids=[c[0] for c in _CHART_FAULTS])
+def test_chart_fault_report_is_pinned(capsys, payload, error):
+    code, out = run(capsys, "hit-charpoly", "--inline", json.dumps(payload), "--json")
+    assert code == 3
+    assert out == (
+        f'{{"error":"{error}","exit_code":3,'
+        '"inputs_digest":"74234e98afe7498fb5daf1f36ac2d78acc339464f950703b8c019892f982b90b",'
+        '"invariants_checked":[],"result":null,"status":"parse-error",'
+        '"subcommand":"hit-charpoly"}\n')
+
+
 def test_extension_degree_above_the_cap_is_a_parse_error(capsys):
     # the default-modulus search for k = 2000 runs past 30 s
     conn = {"A": [[[]]], "field": {"k": 2000, "p": 2}, "level": 0, "twist_degrees": [0]}
@@ -325,6 +351,41 @@ def test_chart_p_at_the_cap_is_a_parse_error(capsys):
     assert json.loads(out)["result"]["descent_ok"] is True
     # only a chart is capped: a field alone is read at any p
     assert jsonio.field_from_json({"p": 307}) is GF(307)
+
+
+def _flat_at(p: int) -> dict:
+    """A valid connection with vanishing p-curvature: x + 1 above the diagonal."""
+    return {"A": [[[], [1, 1]], [[], []]], "field": {"p": p}, "level": 0,
+            "twist_degrees": [p, 0]}
+
+
+def test_connection_p_at_the_cap_is_a_parse_error_where_t_is_iterated(capsys):
+    # pone-descend on this connection took 5.5 s at p = 10,007, its p-curvature as long
+    start = time.perf_counter()
+    for sub in ("pone-pcurv", "pone-pullback", "pone-descend"):
+        for p in (307, 10007):
+            code, out = run(capsys, sub, "--inline", json.dumps(_flat_at(p)), "--json")
+            assert code == 3
+            assert json.loads(out)["error"] == "connection.field: iterating T needs p < 300"
+    assert time.perf_counter() - start < 5
+    for op in ("pm1_curvature", "frobenius_pullback", "cartier_descent"):
+        with pytest.raises(ParseError, match=r"^connection\.field: iterating T needs p < 300$"):
+            OP_TABLE[op]({"connection": _flat_at(307), "s": 1})
+    # just below the cap the three run as before
+    code, out = run(capsys, "pone-descend", "--inline", json.dumps(_flat_at(293)), "--json")
+    assert code == 0
+    assert json.loads(out)["result"]["descended_degrees"] == [1, 0]
+    for sub in ("pone-pcurv", "pone-pullback"):
+        code, out = run(capsys, sub, "--inline", json.dumps(_flat_at(293)), "--json")
+        assert code == 0
+        assert json.loads(out)["result"]["psi"] == [[{"den": [1], "num": []}] * 2] * 2
+    # what does not iterate T reads the connection at any p, as does the library
+    for sub in ("pone-check", "pone-flag"):
+        code, _ = run(capsys, sub, "--inline", json.dumps(_flat_at(10007)), "--json")
+        assert code == 0
+    d = jsonio.connection_from_json(_flat_at(307))
+    assert pone.cartier_descent(d.base)[0].degrees == (1, 0)
+    assert pone.pm1_curvature(d).is_zero()
 
 def test_domain_violations_exit_2(capsys):
     bundle = '{"group":{"factors":[2]},"atoms":[{"r":3,"d":2,"lam":[1]}]}'

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from pflags import jsonio
 from pflags.elliptic import AtiyahAtom, Pic0Group
 from pflags.errors import InvalidFieldError, ParseError
 from pflags.fields import GF
-from pflags.matrix import MatRF
+from pflags.matrix import MatRF, _clear_denominators
 from pflags.poly import Poly
 from pflags.pone import DmBundle
 from pflags.ratfunc import RatFunc
@@ -118,7 +119,114 @@ def test_chart_roundtrip():
         field = GF(rng.choice([2, 3, 5]))
         c = random_chart_conn(rng, field, r_max=3)
         back = jsonio.chart_from_json(jsonio.chart_to_json(c))
-        assert back == c
+        assert back == c and hash(back) == hash(c) and repr(back) == repr(c)
+    # the record of (field, r, A) it was as a frozen dataclass
+    one = jsonio.chart_from_json({"field": {"p": 3}, "A": [[{"num": [0, 2], "den": [2]}]]})
+    assert repr(one) == "ChartConn(field=GF(3), r=1, A=[x])"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        one.r = 2
+
+
+def _oracle_pair(obj):
+    """The cleared pair of the MatRF parse: every entry reduced, then cleared."""
+    field = jsonio.field_from_json(obj["field"])
+    bmat, beta = _clear_denominators(jsonio.matrix_from_json(field, obj["A"]).rows)
+    return tuple(map(tuple, bmat)), beta
+
+
+def _named_pair_payloads():
+    f3 = {"p": 3}
+    x, x1, x2_1 = [0, 1], [1, 1], [1, 0, 1]  # x, x + 1 and x^2 + 1 over GF(3)
+
+    def fr(num, den):
+        return {"num": num, "den": den}
+
+    return {
+        # x (x + 1)/(x + 1) and x/x: beta = 1, so neither den divides beta
+        "unreduced": {"field": f3, "A": [[fr([0, 1, 1], x1), fr(x, x)], [[1], []]]},
+        "non-monic": {"field": f3, "A": [[fr([1], [2, 2]), fr([2, 1], [1, 2])],
+                                         [fr([0, 2], [2]), [1, 1]]]},
+        "shared": {"field": f3, "A": [[fr([1, 2], x2_1), fr(x, x2_1)],
+                                      [fr([2], x2_1), fr([], x2_1)]]},
+        "distinct": {"field": f3, "A": [[fr([1], x), fr([1], x1)],
+                                        [fr([1], [2, 1]), fr(x, x2_1)]]},
+        "bare": {"field": f3, "A": [[[1, 2, 1], []], [[0, 0, 2], [2]]]},
+        "zero": {"field": f3, "A": [[fr([], x1), fr([], [2])], [fr([0], x2_1), []]]},
+        # x (x + 1) over x^2 (x + 1) reduces to 1/x; beta = x (x + 1) lacks an x
+        "den-not-dividing-beta": {"field": f3, "A": [[fr([1], x1), fr([0, 1, 1], [0, 0, 1, 1])],
+                                                     [fr(x, [0, 0, 1]), []]]},
+        "extension": {"field": {"p": 2, "k": 2}, "A": [[fr([[0, 1], 1], [[1, 1], [0, 1]])]]},
+    }
+
+
+def _random_fraction_payload(rng, field, r):
+    """A chart payload of fractions with common factors and non-monic dens
+    drawn in, over shared and distinct dens, with zero and bare entries."""
+    shared = random_poly(rng, field, 2, nonzero=True)
+    rows = []
+    for _ in range(r):
+        row = []
+        for _ in range(r):
+            kind = rng.randrange(5)
+            num = random_poly(rng, field, 2)
+            if kind == 0:
+                row.append(jsonio.poly_to_json(num))
+                continue
+            den = shared if kind == 1 else random_poly(rng, field, rng.randrange(3), nonzero=True)
+            common = random_poly(rng, field, rng.randrange(2), nonzero=True)
+            if kind == 4:
+                num = Poly.zero(field)
+            row.append({"num": jsonio.poly_to_json(num * common),
+                        "den": jsonio.poly_to_json(den * common)})
+        rows.append(row)
+    return {"field": jsonio.field_to_json(field), "A": rows}
+
+
+def test_parsed_pair_matches_the_reduced_parse():
+    named = _named_pair_payloads()
+    for name, obj in named.items():
+        assert jsonio.chart_from_json(obj).cleared == _oracle_pair(obj), name
+    # the fallback is taken: some den does not divide beta
+    obj = named["den-not-dividing-beta"]
+    beta = _oracle_pair(obj)[1]
+    assert beta == Poly(GF(3), [0, 1, 1]) and divmod(beta, Poly(GF(3), [0, 0, 1, 1]))[1]
+    rng = random.Random(2027)
+    for field in (GF(2), GF(3), GF(5), GF(2, 2), GF(3, 2)):
+        for r in (1, 2, 3):
+            for _ in range(6):
+                obj = _random_fraction_payload(rng, field, r)
+                c = jsonio.chart_from_json(obj)
+                assert c.cleared == _oracle_pair(obj)
+                assert c.A == jsonio.matrix_from_json(field, obj["A"])
+
+
+def test_chart_parse_builds_no_ratfunc_and_charpoly_reads_no_a(monkeypatch):
+    from pflags.hitchin import (ChartConn, char_poly_psi, no_flag_certificate_rank2,
+                                p_curvature_chart)
+
+    rng = random.Random(2028)
+    payloads = [*_named_pair_payloads().values(),
+                *(jsonio.chart_to_json(random_chart_conn(rng, GF(p), r_max=3)) for p in (2, 3, 5))]
+    built = []
+    for cls, name in ((RatFunc, "__init__"), (RatFunc, "_canonical"), (MatRF, "__init__")):
+        true_fn = getattr(cls, name)
+        if name == "_canonical":
+            monkeypatch.setattr(cls, name, classmethod(
+                lambda c, *a, _f=true_fn: built.append(c) or _f(*a)))
+        else:
+            monkeypatch.setattr(cls, name, lambda s, *a, _f=true_fn: built.append(s) or _f(s, *a))
+    charts = [jsonio.chart_from_json(obj) for obj in payloads]
+    assert built == []
+    monkeypatch.undo()
+    true_a = ChartConn.A
+    monkeypatch.setattr(ChartConn, "A", property(lambda c: pytest.fail("chart A was read")))
+    for c in charts:
+        char_poly_psi(c)
+        p_curvature_chart(c)
+        if c.r == 2:
+            no_flag_certificate_rank2(c)
+    monkeypatch.setattr(ChartConn, "A", true_a)
+    assert all(c.A.n == c.r for c in charts)
 
 
 def test_atom_and_group_codecs():

@@ -591,7 +591,7 @@ def test_charpoly_of_psi_reduces_in_y_as_in_x(monkeypatch):
     # numerator lie in F_q[x^p], so every coefficient is reduced in y = x^p
     cases = []
     for a in pole_charts():
-        *_, nmat, delta = matrix._p_curvature(a)
+        *_, nmat, delta = matrix._p_curvature(*_clear_denominators(a.rows))
         cases.append((nmat, delta, _charpoly_in_x(nmat, delta)))
     assert sum(delta.degree > 0 for _, delta, _ in cases) >= len(cases) // 2
     mapped = _count_compose_xpow(monkeypatch)
@@ -618,6 +618,34 @@ def test_charpoly_of_a_general_matrix_reduces_in_x(monkeypatch):
                     assert mapped == []
                     in_x += 1
     assert in_x >= 15  # of 30; the others have delta in F_q[x^p] by chance
+
+
+def test_exact_division_by_delta_matches_one_gcd_reduction():
+    # c/delta^k with delta divided out while it divides c equals RatFunc(c, delta^k)
+    # on the y path (psi of the pole charts, in y = x^p) and the x path
+    # (charpoly_berkowitz's numerators over GF(4), GF(9) and GF(5))
+    cases = []
+    for a in pole_charts():
+        *_, nmat, delta = matrix._p_curvature(*_clear_denominators(a.rows))
+        p = delta.field.p
+        cases.append(([Poly(delta.field, c.coeffs[::p]) for c in matrix._berkowitz(nmat)],
+                      Poly(delta.field, delta.coeffs[::p])))
+    rng = random.Random(2209)
+    for F in (GF(2, 2), GF(3, 2), GF(5)):
+        for n in (1, 2, 3):
+            for dens in ("shared", "distinct"):
+                rows, delta = _clear_denominators(_matrix_with_dens(rng, F, n, dens).rows)
+                cases.append((matrix._berkowitz(rows), delta))
+    divided = stopped = 0
+    for nums, delta in cases:
+        for k, c in enumerate(nums):
+            assert matrix._over_power(c, delta, k) == RatFunc(c, delta**k)
+            if k and c and delta.degree > 0:
+                if divmod(c, delta)[1]:
+                    stopped += 1
+                else:
+                    divided += 1
+    assert divided >= 50 and stopped >= 50
 
 
 def test_scalar_jacobson_formula():
