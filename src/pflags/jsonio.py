@@ -16,10 +16,11 @@ fault's.  A field's extension degree is capped at ``K_MAX``, an extension
 field with p >= ``P_SEARCH`` must give its modulus, and a chart's field needs
 p < ``P_CHART``, as does a connection's for the ops that iterate T.
 
-A chart is decoded straight to its cleared pair (B, beta), A = B/beta: each
-entry is read as the (num, den) it is written as, and
-``matrix._clear_fractions`` clears the matrix with no entry reduced, so the
-parse builds no ``RatFunc`` or ``MatRF``; the chart forms A only if it is read.
+Every matrix payload, a chart's A and ``charpoly``'s alike, has one decoder,
+``matrix_from_json``: each entry is read as the (num, den) it is written as,
+and ``matrix._clear_fractions`` clears the matrix with no entry reduced, to
+the pair (B, beta) of a ``MatRF``; the parse builds no ``RatFunc``, and the
+matrix forms its rows only if they are read.
 """
 
 from __future__ import annotations
@@ -192,11 +193,12 @@ def matrix_to_json(m: MatRF) -> list:
 
 
 def matrix_from_json(field: Field, obj: Any, where: str = "matrix") -> MatRF:
-    rows = _square_rows(ratfunc_from_json, field, obj, where)
-    try:
-        return MatRF(field, rows)
-    except PflagsError as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+    """A matrix carrying its cleared pair (B, beta), formed here once: each
+    entry is decoded as its (num, den) as written, and ``_clear_fractions``
+    clears the matrix with no entry reduced.  Its rows are formed only if
+    they are read."""
+    rows = _square_rows(_fraction_from_json, field, obj, where)
+    return MatRF.from_cleared(field, *_clear_fractions(field, rows))
 
 
 def _square_rows(decode, field: Field, obj: Any, where: str) -> list[list]:
@@ -324,17 +326,15 @@ P_CHART = 300
 
 
 def chart_from_json(obj: Any, where: str = "chart") -> ChartConn:
-    """A chart carrying its cleared pair (B, beta), formed here once: each
-    entry is decoded as its (num, den) as written, and ``_clear_fractions``
-    clears the matrix with no entry reduced.  The chart's A is formed only if
-    it is read."""
+    """A chart whose A is ``matrix_from_json``'s: it carries its cleared pair
+    (B, beta), and its rows are formed only if they are read."""
     _expect(isinstance(obj, dict), where, "expected an object")
     field = field_from_json(obj.get("field"), f"{where}.field")
     _expect(field.p < P_CHART, f"{where}.field", f"a chart needs p < {P_CHART}")
-    rows = _square_rows(_fraction_from_json, field, obj.get("A"), f"{where}.A")
-    r = obj.get("r", len(rows))
-    _expect(type(r) is int and r == len(rows), where, "r must match the matrix size")
-    return ChartConn.from_cleared(field, r, *_clear_fractions(field, rows))
+    a = matrix_from_json(field, obj.get("A"), f"{where}.A")
+    r = obj.get("r", a.n)
+    _expect(type(r) is int and r == a.n, where, "r must match the matrix size")
+    return ChartConn(field, r, a)
 
 
 def charpoly_to_json(cp: CharPolyP) -> dict:

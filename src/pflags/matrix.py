@@ -11,42 +11,42 @@ with s the number of sections.
 
 Every solve is one elimination routine, ``_echelon``: Gauss-Jordan on rows
 of polynomials by cross-multiplication, each new row divided by the gcd of
-its entries.  Rows of rational functions are first cleared to polynomials
-row by row, a row scaling that changes neither the row space nor the reduced
+its entries.  A matrix of rational functions enters it as the rows of B,
+m = B/beta, a scaling that changes neither the row space nor the reduced
 echelon form.  The kernel's one algorithm, ``_kernel_core``, returns a
 primitive polynomial vector per free column; ``kernel`` and ``inverse`` form
 rational functions only from the entries they return.
 
-The characteristic polynomial and the iterates of T work on polynomials: a
-matrix m is cleared once to N/delta (``_clear_denominators``).  A chart's
-pair is formed once: ``jsonio.chart_from_json`` clears the fractions as
-written (``_clear_fractions``, no entry reduced), and a chart built from a
-``MatRF`` clears it on first use; ``hitchin`` hands the pair on.  With
-A = B/beta, T^k e_i has the fixed denominator beta^k, and its numerators follow
-the classical p-curvature recurrence (Katz), with no gcd in the loop.  T e_i
-is column i of A, so its numerators are column i of B; each later level is a
-T step from ``_t_step``, built once per chart, which over F_p packs the fixed
-operands B and beta once rather than once per entry and step.  The build of
-psi and its re-check share that one step.  Berkowitz on N, the re-check's N v
-and the projector take one ``poly_dot`` per entry.  Here and in ``hitchin``
-psi has one form, the pair (N, delta) read off the iterates by
-``_cleared_psi``, delta = beta^p; ``_p_curvature`` builds it from A's pair
-(B, beta) and re-verifies it (delta against beta^p formed by Frobenius, N v
-against T^p v iterated apart).  ``_charpoly_cleared``, the nilpotency test
-(det(s - N) = s^r, Berkowitz again) and the kernel (ker N = ker psi) read N's
-rows; the characteristic polynomial of psi has its numerators and delta in
-F_q[x^p], so its fractions are reduced in y = x^p, where delta mostly divides
-them exactly (``_over_power``).
-Rational functions are reduced only in results: the psi ``_psi_matrix``
-returns (behind ``p_curvature_matrix``, ``pone.p_curvature`` and
-``hitchin.p_curvature_chart``), ``kernel``'s vectors, the inverse and the
-sections.  ``_horizontal_sections`` returns each section as its cleared pair
-(w, P(x^p)), and only the three callers that hand sections out reduce them:
-``horizontal_sections``, ``pone.cartier_descent`` for its frame and
-``hitchin._triangularize`` for its gauge's columns.  From (B, beta) and N to
-the sections nothing is a ``MatRF``.
-``horizontal_sections`` re-verifies every section it returns, so it builds
-its N without the re-check.
+A ``MatRF`` is the one matrix type: its rows, its cleared pair (B, beta),
+or both, each formed from the other once, when first read.  Everything past
+the rows reads the pair: the characteristic polynomial, the nilpotency test
+(det(s - N) = s^r, Berkowitz again), the kernel, the inverse, the iterates
+of T and the sections.  ``jsonio.matrix_from_json`` clears a payload as
+written (``_clear_fractions``, no entry reduced), for a chart too; a matrix
+built from rows is cleared by ``_clear_denominators``.  With A = B/beta,
+T^k e_i has the fixed denominator beta^k, and its numerators follow the
+classical p-curvature recurrence (Katz), with no gcd in the loop.  T e_i is
+column i of A, so its numerators are column i of B; each later level is a
+T step from ``_t_step``, built once per matrix, which over F_p packs the
+fixed operands B and beta once rather than once per entry and step.  The
+build of psi and its re-check share that one step.  Berkowitz on N, the
+re-check's N v and the projector take one ``poly_dot`` per entry.  psi has
+one builder, ``p_curvature_matrix``: ``_p_curvature`` reads (N, delta) off
+the iterates (``_cleared_psi``), delta = beta^p, re-verifies it (delta
+against beta^p formed by Frobenius, N v against T^p v iterated apart), and
+psi is returned as that pair, which need not be its lcm pair.  Every reader
+of a pair takes any pair: the characteristic polynomial of psi has its
+numerators and delta in F_q[x^p], so its fractions are reduced in y = x^p,
+where delta mostly divides them exactly (``_over_power``).
+Rational functions are reduced only in results: a matrix's rows when they
+are read (psi's among them, behind ``p_curvature_matrix``,
+``pone.p_curvature`` and ``hitchin.p_curvature_chart``), ``kernel``'s
+vectors, the inverse and the sections.  ``_horizontal_sections`` returns
+each section as its cleared pair (w, P(x^p)), and only the three callers
+that hand sections out reduce them: ``horizontal_sections``,
+``pone.cartier_descent`` for its frame and ``hitchin._triangularize`` for
+its gauge's columns.  ``horizontal_sections`` re-verifies every section it
+returns, so it builds its N without the re-check.
 """
 
 from __future__ import annotations
@@ -62,9 +62,18 @@ Vec = tuple[RatFunc, ...]
 
 
 class MatRF:
-    """An r x r matrix of reduced rational functions."""
+    """An r x r matrix over F_q(x): its rows of reduced rational functions,
+    its cleared pair (B, beta), m = B/beta with beta monic, or both.
 
-    __slots__ = ("field", "n", "rows")
+    A matrix built from rows is cleared once, by ``_clear_denominators``, when
+    ``cleared`` is first read; one built ``from_cleared`` forms its rows,
+    ``RatFunc(e, beta)`` entrywise, only when they are first read.  Either
+    form is kept once made.  The pair need not be the lcm pair (psi's is
+    (N, beta^p)), so every reader of it works with any pair.  Equality, hash
+    and repr are those of the rows.
+    """
+
+    __slots__ = ("field", "n", "rows", "_cleared")
 
     def __init__(self, field: Field, rows):
         rows = tuple(tuple(row) for row in rows)
@@ -78,6 +87,32 @@ class MatRF:
         self.field = field
         self.n = n
         self.rows = rows
+        self._cleared = None
+
+    @classmethod
+    def from_cleared(cls, field: Field, bmat, beta: Poly) -> "MatRF":
+        """The matrix bmat/beta, from polynomial rows over the monic beta."""
+        m = cls.__new__(cls)
+        m.field = field
+        m.n = len(bmat)
+        m._cleared = (tuple(map(tuple, bmat)), beta)
+        return m
+
+    def __getattr__(self, name):
+        """Form the unset ``rows`` of a matrix built ``from_cleared``."""
+        if name != "rows":
+            raise AttributeError(name)
+        bmat, beta = self._cleared
+        self.rows = tuple(tuple(RatFunc(e, beta) for e in row) for row in bmat)
+        return self.rows
+
+    @property
+    def cleared(self) -> tuple[tuple[tuple[Poly, ...], ...], Poly]:
+        """(B, beta): the rows of B and beta, with m = B/beta."""
+        if self._cleared is None:
+            bmat, beta = _clear_denominators(self.rows)
+            self._cleared = (tuple(map(tuple, bmat)), beta)
+        return self._cleared
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "MatRF":
@@ -154,11 +189,11 @@ def charpoly_berkowitz(m: MatRF) -> list[RatFunc]:
     """Characteristic polynomial of m, ascending coefficients, leading 1.
 
     Berkowitz's vector recurrence: division-free, so safe in characteristic p.
-    It runs once on polynomials: with m = N/delta, delta the lcm of the entry
-    denominators, det(t - m) = sum_i c_i t^i / delta^(n-i), where the c_i are
-    the coefficients of det(s - N).
+    It runs once on polynomials: with m = N/delta its cleared pair,
+    det(t - m) = sum_i c_i t^i / delta^(n-i), where the c_i are the
+    coefficients of det(s - N).
     """
-    return _charpoly_cleared(*_clear_denominators(m.rows))
+    return _charpoly_cleared(*m.cleared)
 
 
 def _charpoly_cleared(rows, delta: Poly) -> list[RatFunc]:
@@ -219,7 +254,7 @@ def _berkowitz(rows) -> list[Poly]:
 
 def is_nilpotent(m: MatRF) -> bool:
     """Whether det(t - m) = t^n, read off the polynomial rows of N = delta m."""
-    return not any(_berkowitz(_clear_denominators(m.rows)[0])[1:])
+    return not any(_berkowitz(m.cleared[0])[1:])
 
 
 # -- elimination: fraction-free, on polynomial rows -----------------------------------
@@ -267,11 +302,12 @@ def kernel(m: MatRF) -> list[Vec]:
 
     Each basis vector has a 1 at its free column and free columns are taken in
     increasing index order, so the result is deterministic.  It is
-    ``_kernel_core``'s w/w[fc]: fractions are formed only at the pivot columns.
+    ``_kernel_core``'s w/w[fc] on the rows of B, m = B/beta: fractions are
+    formed only at the pivot columns.
     """
     zero, one = RatFunc.zero(m.field), RatFunc.one(m.field)
     return [tuple(one if c == fc else RatFunc(e, w[fc]) if e else zero for c, e in enumerate(w))
-            for fc, w in _kernel_core([_clear_denominators([row])[0][0] for row in m.rows])]
+            for fc, w in _kernel_core(m.cleared[0])]
 
 
 def _kernel_core(rows) -> list[tuple[int, list[Poly]]]:
@@ -295,10 +331,12 @@ def _kernel_core(rows) -> list[tuple[int, list[Poly]]]:
 
 
 def inverse(m: MatRF) -> MatRF:
-    """Matrix inverse by Gauss-Jordan on [m | I]; raises on singular input."""
+    """Matrix inverse by Gauss-Jordan on [B | beta I], m = B/beta, which is
+    [m | I] scaled by beta; raises on singular input."""
     n = m.n
-    rows = [_clear_denominators([[*row, *e]])[0][0]
-            for row, e in zip(m.rows, MatRF.identity(m.field, n).rows)]
+    bmat, beta = m.cleared
+    zero = Poly.zero(m.field)
+    rows = [[*row, *(beta if j == i else zero for j in range(n))] for i, row in enumerate(bmat)]
     if _echelon(rows) != list(range(n)):
         raise PflagsError("matrix is singular")
     return MatRF(m.field, [[RatFunc(e, row[k]) for e in row[n:]] for k, row in enumerate(rows)])
@@ -321,21 +359,17 @@ def gauge_transform(a: MatRF, g: MatRF) -> MatRF:
 
 def p_curvature_matrix(a: MatRF) -> MatRF:
     """The matrix of T^p, T(v) = v' + A v; O_X-linear by Jacobson's theorem.
-    Re-verified (see ``_p_curvature``), then reduced entrywise."""
-    return _psi_matrix(*_clear_denominators(a.rows))
-
-
-def _psi_matrix(bmat, beta: Poly) -> MatRF:
-    """``p_curvature_matrix`` of A = bmat/beta: the one place psi is formed
-    as rational functions."""
-    *_, nmat, delta = _p_curvature(bmat, beta)
-    return MatRF(beta.field, [[RatFunc(e, delta) for e in row] for row in nmat])
+    Re-verified (see ``_p_curvature``) and returned as its pair (N, delta),
+    delta = beta^p; its entries are reduced only if its rows are read."""
+    *_, nmat, delta = _p_curvature(*a.cleared)
+    return MatRF.from_cleared(a.field, nmat, delta)
 
 
 def _p_curvature(bmat, beta: Poly):
     """(the ``_t_iterates`` of A, N, delta) for A = bmat/beta, with
-    psi = N/delta; psi is not cleared at all.  The one builder of a psi that
-    leaves this module; its callers hand it A's cleared pair.
+    psi = N/delta; psi is not cleared at all.  It runs behind
+    ``p_curvature_matrix``, the one builder of psi, and behind
+    ``hitchin.nilpotent_flag_chart``, which reuses the iterates.
 
     Re-verified on every call, failure indicating an iteration bug, not bad
     input.  The denominator: delta, the last of the iterates' beta^k, equals
@@ -556,8 +590,7 @@ def horizontal_sections(a: MatRF) -> list[Vec]:
     of the rp x rp matrix of T would give.  Each vector is re-verified: its
     numerators w over P(x^p), whose derivative is 0, satisfy beta w' + B w = 0.
     """
-    return [tuple(RatFunc(e, den) for e in w)
-            for w, den in _horizontal_sections(*_clear_denominators(a.rows))]
+    return [tuple(RatFunc(e, den) for e in w) for w, den in _horizontal_sections(*a.cleared)]
 
 
 def _horizontal_sections(bmat, beta: Poly, iterates=None) -> list[tuple[list[Poly], Poly]]:

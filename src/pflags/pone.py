@@ -13,7 +13,10 @@ which makes the entry-bound shape of valid matrices (zero diagonal,
 A_{ji} != 0 only for d_j >= d_i + 2 with deg A_{ji} <= d_j - d_i - 2) a
 testable consequence rather than an assumption.  The records are frozen
 dataclasses and carry no derived state: ``validate`` recomputes the pole
-orders on every call.
+orders on every call.  A's polynomial rows are already a cleared pair over
+beta = 1: ``Conn0.matrix()`` hands them to ``matrix.MatRF.from_cleared`` as
+they are, so the p-curvature (``matrix.p_curvature_matrix``) reads them with
+no clearing, as the sections of ``cartier_descent`` do.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .matrix import (
     MatRF,
     _horizontal_sections,
     _kernel_core,
-    _psi_matrix,
+    p_curvature_matrix,
 )
 from .poly import Poly
 from .ratfunc import RatFunc
@@ -107,7 +110,8 @@ class Conn0:
         return self.bundle.degrees
 
     def matrix(self) -> MatRF:
-        return MatRF(self.field, [[RatFunc(e) for e in row] for row in self.A])
+        """A as a ``MatRF``: its polynomial rows over beta = 1."""
+        return MatRF.from_cleared(self.field, self.A, Poly.one(self.field))
 
     def __repr__(self):
         return f"Conn0({self.field!r}, {self.bundle!r})"
@@ -269,10 +273,10 @@ def ensure_valid(c: Conn0):
 def p_curvature(c: Conn0) -> MatRF:
     """Matrix of the p-th iterate of T(v) = v' + A v; on the standard chart
     the p-th symbol term vanishes, so this is the full obstruction.  A is
-    polynomial, so its rows go to ``matrix._psi_matrix`` as they are, over
-    beta = 1, as in ``cartier_descent``."""
+    polynomial, so ``c.matrix()`` hands its rows to ``p_curvature_matrix`` as
+    they are, over beta = 1, as in ``cartier_descent``."""
     ensure_valid(c)
-    return _psi_matrix(c.A, Poly.one(c.field))
+    return p_curvature_matrix(c.matrix())
 
 
 def pm1_curvature(d: DmBundle) -> MatRF:

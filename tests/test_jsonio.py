@@ -128,9 +128,11 @@ def test_chart_roundtrip():
 
 
 def _oracle_pair(obj):
-    """The cleared pair of the MatRF parse: every entry reduced, then cleared."""
+    """The cleared pair of the entrywise parse: every entry decoded by
+    ``ratfunc_from_json`` (reduced), then cleared, apart from ``_clear_fractions``."""
     field = jsonio.field_from_json(obj["field"])
-    bmat, beta = _clear_denominators(jsonio.matrix_from_json(field, obj["A"]).rows)
+    rows = [[jsonio.ratfunc_from_json(field, e) for e in row] for row in obj["A"]]
+    bmat, beta = _clear_denominators(rows)
     return tuple(map(tuple, bmat)), beta
 
 
@@ -185,7 +187,7 @@ def _random_fraction_payload(rng, field, r):
 def test_parsed_pair_matches_the_reduced_parse():
     named = _named_pair_payloads()
     for name, obj in named.items():
-        assert jsonio.chart_from_json(obj).cleared == _oracle_pair(obj), name
+        assert jsonio.chart_from_json(obj).A.cleared == _oracle_pair(obj), name
     # the fallback is taken: some den does not divide beta
     obj = named["den-not-dividing-beta"]
     beta = _oracle_pair(obj)[1]
@@ -196,13 +198,14 @@ def test_parsed_pair_matches_the_reduced_parse():
             for _ in range(6):
                 obj = _random_fraction_payload(rng, field, r)
                 c = jsonio.chart_from_json(obj)
-                assert c.cleared == _oracle_pair(obj)
-                assert c.A == jsonio.matrix_from_json(field, obj["A"])
+                assert c.A.cleared == _oracle_pair(obj)
+                assert c.A == MatRF(field, [[jsonio.ratfunc_from_json(field, e) for e in row]
+                                            for row in obj["A"]])
 
 
 def test_chart_parse_builds_no_ratfunc_and_charpoly_reads_no_a(monkeypatch):
-    from pflags.hitchin import (ChartConn, char_poly_psi, no_flag_certificate_rank2,
-                                p_curvature_chart)
+    from pflags import matrix, ops
+    from pflags.hitchin import char_poly_psi, no_flag_certificate_rank2, p_curvature_chart
 
     rng = random.Random(2028)
     payloads = [*_named_pair_payloads().values(),
@@ -217,16 +220,63 @@ def test_chart_parse_builds_no_ratfunc_and_charpoly_reads_no_a(monkeypatch):
             monkeypatch.setattr(cls, name, lambda s, *a, _f=true_fn: built.append(s) or _f(s, *a))
     charts = [jsonio.chart_from_json(obj) for obj in payloads]
     assert built == []
+    # op_charpoly: the first RatFunc it builds is a reduced coefficient of its output
+    true_over = matrix._over_power
+    monkeypatch.setattr(matrix, "_over_power", lambda *a: built.append("output") or true_over(*a))
+    for obj in payloads:
+        built.clear()
+        ops.op_charpoly({"field": obj["field"], "A": obj["A"]})
+        assert built[0] == "output"
     monkeypatch.undo()
-    true_a = ChartConn.A
-    monkeypatch.setattr(ChartConn, "A", property(lambda c: pytest.fail("chart A was read")))
+    true_getattr = MatRF.__getattr__
+    monkeypatch.setattr(MatRF, "__getattr__", lambda m, name: pytest.fail(
+        "a MatRF formed rows from its pair") if name == "rows" else true_getattr(m, name))
     for c in charts:
         char_poly_psi(c)
         p_curvature_chart(c)
         if c.r == 2:
             no_flag_certificate_rank2(c)
-    monkeypatch.setattr(ChartConn, "A", true_a)
+    monkeypatch.undo()
     assert all(c.A.n == c.r for c in charts)
+
+
+def test_charpoly_parse_is_the_entrywise_parse():
+    """op_charpoly's A goes through the chart decoder; its result is that of
+    the MatRF of entries decoded one by one by ``ratfunc_from_json``."""
+    from pflags import ops
+    from pflags.matrix import charpoly_berkowitz
+
+    rng = random.Random(2029)
+    payloads = [*_named_pair_payloads().values(),
+                *(_random_fraction_payload(rng, GF(p, k), r)
+                  for p, k in ((2, 1), (3, 1), (2, 2), (3, 2)) for r in (1, 2, 3))]
+    for obj in payloads:
+        field = jsonio.field_from_json(obj["field"])
+        rows = [[jsonio.ratfunc_from_json(field, e) for e in row] for row in obj["A"]]
+        want = [jsonio.ratfunc_to_json(c) for c in charpoly_berkowitz(MatRF(field, rows))]
+        assert ops.op_charpoly({"field": obj["field"], "A": obj["A"]}) == want
+
+
+# op_charpoly's parse errors, pinned when its A moved to the chart decoder
+_CHARPOLY_FAULTS = [
+    ([[[1], {"num": [1], "den": []}], [[0, 1], [2]]], "matrix[0][1]: zero denominator"),
+    ([[[1], [2]], 5], "matrix: row 1 must have length 2"),
+    ([[[1], [2]], [[1]]], "matrix: row 1 must have length 2"),
+    ([[[1], [2], [0]], [[1], [2], [0]]], "matrix: row 0 must have length 2"),
+    ([[[1], [0, 3]], [[1], [2]]], "matrix[0][1][1]: residue out of range for GF(3)"),
+    ([[[1], True], [[1], [2]]], "matrix[0][1]: expected {num, den}"),
+    ([[[1], [True]], [[1], [2]]], "matrix[0][1][0]: expected an integer or residue array"),
+    ([], "matrix: expected a nonempty nested array"),
+]
+
+
+@pytest.mark.parametrize("amat, error", _CHARPOLY_FAULTS)
+def test_charpoly_parse_errors_are_pinned(amat, error):
+    from pflags import ops
+
+    with pytest.raises(ParseError) as info:
+        ops.op_charpoly({"field": {"p": 3}, "A": amat})
+    assert str(info.value) == error
 
 
 def test_atom_and_group_codecs():

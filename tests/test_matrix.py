@@ -1087,3 +1087,134 @@ def test_matrix_pow():
             pass
         else:
             raise AssertionError(f"pow({e}) did not raise")
+
+
+# -- one matrix type: its rows, its cleared pair, or both -------------------------------
+
+ONE_TYPE_FIELDS = [GF(2), GF(3), GF(2, 2), GF(3, 2)]
+
+
+def _random_pairs(rng, field):
+    """Cleared pairs (B, beta), beta monic: lcm pairs, pairs whose every
+    entry shares a factor with beta (not the lcm pair), and zero entries."""
+    pairs = []
+    for n in range(1, 4):
+        for kind in ("lcm", "common", "zero"):
+            beta = random_poly(rng, field, rng.randrange(3), nonzero=True)
+            beta = beta.scale(field.inv(beta.lc()))
+            bmat = [[random_poly(rng, field, 2) if kind != "zero" or rng.random() < 0.5
+                     else Poly.zero(field) for _ in range(n)] for _ in range(n)]
+            if kind == "common":
+                h = Poly(field, [rng.randrange(field.q), 1])
+                bmat, beta = [[e * h for e in row] for row in bmat], beta * h
+            pairs.append((bmat, beta))
+    return pairs
+
+
+def _entrywise(field, bmat, beta):
+    return MatRF(field, [[RatFunc(e, beta) for e in row] for row in bmat])
+
+
+def test_from_cleared_is_the_matrix_of_its_reduced_rows():
+    rng = random.Random(2030)
+    for F in ONE_TYPE_FIELDS:
+        for bmat, beta in _random_pairs(rng, F):
+            m, want = MatRF.from_cleared(F, bmat, beta), _entrywise(F, bmat, beta)
+            assert hash(m) == hash(want)
+            m = MatRF.from_cleared(F, bmat, beta)
+            assert repr(m) == repr(want)
+            m = MatRF.from_cleared(F, bmat, beta)
+            assert m == want and want == m
+            assert m.rows is m.rows and m.n == len(bmat) and m.field is F
+            assert m.cleared == (tuple(map(tuple, bmat)), beta)
+
+
+def test_cleared_is_formed_once_and_is_the_lcm_pair_of_the_rows():
+    rng = random.Random(2031)
+    for F in ONE_TYPE_FIELDS:
+        for bmat, beta in _random_pairs(rng, F):
+            m = _entrywise(F, bmat, beta)
+            assert m.cleared is m.cleared
+            want_b, want_beta = _clear_denominators(m.rows)
+            assert m.cleared == (tuple(map(tuple, want_b)), want_beta)
+            built = MatRF.from_cleared(F, bmat, beta)
+            assert built.cleared is built.cleared
+
+
+def test_psi_is_returned_as_its_pair_and_every_reader_takes_it():
+    """p_curvature_matrix returns psi as (N, beta^p), not the lcm pair of its
+    reduced entries; the charpoly, nilpotency, kernel and inverse of that
+    matrix are those of the matrix of its reduced rows."""
+    not_lcm = 0
+    for a in pole_charts()[::3]:
+        F = a.field
+        psi = p_curvature_matrix(a)
+        nmat, delta = psi.cleared
+        bmat, beta = a.cleared
+        assert delta == beta ** F.p
+        assert psi.rows == tuple(tuple(RatFunc(e, delta) for e in row) for row in nmat)
+        eager = MatRF(F, psi.rows)
+        assert psi == eager and hash(psi) == hash(eager)
+        not_lcm += eager.cleared[1] != delta
+        fresh = MatRF.from_cleared(F, nmat, delta)
+        assert charpoly_berkowitz(fresh) == charpoly_berkowitz(eager)
+        assert is_nilpotent(fresh) == is_nilpotent(eager)
+        assert kernel(fresh) == kernel(eager)
+        try:
+            want = inverse(eager)
+        except PflagsError:
+            with pytest.raises(PflagsError):
+                inverse(fresh)
+        else:
+            assert inverse(fresh) == want
+    assert not_lcm >= 5, not_lcm
+
+
+def test_conn0_matrix_is_the_eager_matrix_of_its_rows():
+    from pflags.sampling import random_conn0
+
+    rng = random.Random(2032)
+    for F in ONE_TYPE_FIELDS:
+        for _ in range(5):
+            c = random_conn0(rng, F, r_max=3)
+            want = MatRF(F, [[RatFunc(e) for e in row] for row in c.A])
+            got = c.matrix()
+            assert got.cleared == (c.A, Poly.one(F))
+            assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+
+
+def _rowwise_kernel(m):
+    """``kernel`` as it was with each row cleared on its own."""
+    zero, one = RatFunc.zero(m.field), RatFunc.one(m.field)
+    return [tuple(one if c == fc else RatFunc(e, w[fc]) if e else zero for c, e in enumerate(w))
+            for fc, w in _kernel_core([_clear_denominators([row])[0][0] for row in m.rows])]
+
+
+def _rowwise_inverse(m):
+    """``inverse`` as it was: [m | I] cleared row by row."""
+    n = m.n
+    rows = [_clear_denominators([[*row, *e]])[0][0]
+            for row, e in zip(m.rows, MatRF.identity(m.field, n).rows)]
+    if _echelon(rows) != list(range(n)):
+        raise PflagsError("matrix is singular")
+    return MatRF(m.field, [[RatFunc(e, row[k]) for e in row[n:]] for k, row in enumerate(rows)])
+
+
+def test_kernel_and_inverse_on_the_pair_match_the_rowwise_clearing():
+    rng = random.Random(2033)
+    cases = [MatRF(F, m) for F in ORACLE_FIELDS for m in _elimination_cases(rng, F)]
+    cases += [MatRF.from_cleared(F, *pair) for F in ONE_TYPE_FIELDS
+              for pair in _random_pairs(rng, F)]
+    cases += pole_charts()
+    invertible = 0
+    for m in cases:
+        assert kernel(m) == _rowwise_kernel(m)
+        try:
+            want = _rowwise_inverse(m)
+        except PflagsError:
+            with pytest.raises(PflagsError, match="singular"):
+                inverse(m)
+        else:
+            assert inverse(m) == want
+            invertible += 1
+    assert invertible >= 100, invertible

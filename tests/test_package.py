@@ -75,3 +75,15 @@ def test_op_table_is_every_op_function_in_definition_order():
     assert list(ops.OP_TABLE) == OPS
     for name, fn in ops.OP_TABLE.items():
         assert fn is getattr(ops, "op_" + name)
+
+
+def _readme_python_blocks():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return [block.split("\n```", 1)[0] for block in text.split("```python\n")[1:]]
+
+
+def test_readme_python_blocks_run():
+    blocks = _readme_python_blocks()
+    assert len(blocks) >= 2
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {i}", "exec"), {})
