@@ -27,10 +27,9 @@ from .fields import Field
 from .matrix import (
     MatRF,
     _berkowitz,
-    _clear_denominators,
+    _clear_fractions,
     _horizontal_sections,
     _p_curvature,
-    _primitive,
     charpoly_berkowitz,
     p_curvature_matrix,
 )
@@ -247,21 +246,16 @@ def _quotient(bmat, beta: Poly, w, m: int) -> tuple[list[list[Poly]], Poly]:
     """The quotient connection of ``_triangularize`` as a cleared pair.
 
     With v0 = w/P(x^p), v0[sk]/v0[m] = w[sk]/w[m], so the entry (k, l) is
-    n_kl/D with n_kl = w[m] B[sk][sl] - w[sk] B[m][sl] and D = w[m] beta.
-    Over g = gcd(D, every n_kl), made monic, this is the pair
-    ``_clear_denominators`` gives for the entries reduced: the lcm over k, l
-    of D/gcd(D, n_kl) is D/g.
+    n_kl/D with n_kl = w[m] B[sk][sl] - w[sk] B[m][sl] and D = w[m] beta,
+    cleared by ``_clear_fractions``: the lcm over k, l of the reduced
+    D/gcd(D, n_kl) is D/g, g = gcd(D, every n_kl) made monic, so the pair is
+    (n_kl/g, D/g) scaled to a monic denominator.
     """
     F = beta.field
     others = [i for i in range(len(bmat)) if i != m]
-    wm, bm = w[m], bmat[m]
-    nums = [poly_dot(((wm, bmat[k][l]), (-w[k], bm[l])), F) for k in others for l in others]
-    den, *nums = _primitive([wm * beta, *nums])
-    if not den.is_monic():
-        c = F.inv(den.lc())
-        den, nums = den.scale(c), [e.scale(c) for e in nums]
-    n = len(others)
-    return [nums[k * n:k * n + n] for k in range(n)], den
+    wm, bm, den = w[m], bmat[m], w[m] * beta
+    return _clear_fractions(F, [[(poly_dot(((wm, bmat[k][l]), (-w[k], bm[l])), F), den)
+                                 for l in others] for k in others])
 
 
 def _check_triangular(bmat, beta: Poly, gauge: MatRF, order) -> None:
@@ -277,7 +271,8 @@ def _check_triangular(bmat, beta: Poly, gauge: MatRF, order) -> None:
     r = len(bmat)
     if sorted(order) != list(range(r)):
         raise InternalInvariantError("gauge row order is not a permutation")
-    cols = [_clear_denominators([col])[0][0] for col in zip(*gauge.rows)]
+    cols = [_clear_fractions(beta.field, [[(e.num, e.den) for e in col]])[0][0]
+            for col in zip(*gauge.rows)]
     low = [[col[i] for col in cols] for i in order]
     if any(not row[k] or any(row[k + 1:]) for k, row in enumerate(low)):
         raise InternalInvariantError("gauge is not lower triangular with a nonzero diagonal")

@@ -16,11 +16,14 @@ fault's.  A field's extension degree is capped at ``K_MAX``, an extension
 field with p >= ``P_SEARCH`` must give its modulus, and a chart's field needs
 p < ``P_CHART``, as does a connection's for the ops that iterate T.
 
-Every matrix payload, a chart's A and ``charpoly``'s alike, has one decoder,
-``matrix_from_json``: each entry is read as the (num, den) it is written as,
-and ``matrix._clear_fractions`` clears the matrix with no entry reduced, to
-the pair (B, beta) of a ``MatRF``; the parse builds no ``RatFunc``, and the
-matrix forms its rows only if they are read.
+Every matrix payload has one shape decoder, ``_square_rows``, which decodes
+each entry with the decoder it is handed: ``poly_from_json`` for a
+connection's A, once its row count is checked against ``twist_degrees``.  A
+matrix of rational functions, a chart's A and ``charpoly``'s alike, has one
+decoder, ``matrix_from_json``: each entry is read as the (num, den) it is
+written as, and ``matrix._clear_fractions`` clears the matrix with no entry
+reduced, to the pair (B, beta) of a ``MatRF``; the parse builds no
+``RatFunc``, and the matrix forms its rows only if they are read.
 """
 
 from __future__ import annotations
@@ -175,19 +178,6 @@ def _fraction_from_json(field: Field, obj: Any, where: str) -> tuple[Poly, Poly]
     return num, den
 
 
-def _entries(decode, field: Field, row: list, at) -> list:
-    """[decode(field, e) for e in row], each entry decoded at the empty
-    location; a fault in row[j] is raised again behind ``at(j)``, so entry
-    locations are formatted only on a fault."""
-    out = []
-    try:
-        for e in row:
-            out.append(decode(field, e, ""))
-    except ParseError as exc:
-        raise ParseError(f"{at(len(out))}{exc}") from exc
-    return out
-
-
 def matrix_to_json(m: MatRF) -> list:
     return [[ratfunc_to_json(e) for e in row] for row in m.rows]
 
@@ -202,13 +192,21 @@ def matrix_from_json(field: Field, obj: Any, where: str = "matrix") -> MatRF:
 
 
 def _square_rows(decode, field: Field, obj: Any, where: str) -> list[list]:
-    """The rows of a square matrix payload, each entry decoded by ``decode``."""
+    """The rows of a square matrix payload, each entry decoded by ``decode``
+    at the empty location; a fault in entry (i, j) is raised again behind
+    ``where[i][j]``, so entry locations are formatted only on a fault."""
     _expect(isinstance(obj, list) and obj, where, "expected a nonempty nested array")
     rows = []
     for i, row in enumerate(obj):
         _expect(isinstance(row, list) and len(row) == len(obj), where,
                 f"row {i} must have length {len(obj)}")
-        rows.append(_entries(decode, field, row, lambda j: f"{where}[{i}][{j}]"))
+        out = []
+        try:
+            for e in row:
+                out.append(decode(field, e, ""))
+        except ParseError as exc:
+            raise ParseError(f"{where}[{i}][{len(out)}]{exc}") from exc
+        rows.append(out)
     return rows
 
 
@@ -243,12 +241,7 @@ def connection_from_json(obj: Any, where: str = "connection", iterates: bool = F
     amat = obj.get("A")
     _expect(isinstance(amat, list) and len(amat) == len(degs), where,
             f"A must be a {len(degs)}x{len(degs)} matrix of polynomials")
-    rows = []
-    for i, row in enumerate(amat):
-        _expect(isinstance(row, list) and len(row) == len(degs), where,
-                f"A row {i} must have length {len(degs)}")
-        rows.append(_entries(poly_from_json, field, row, lambda j: f"{where}.A[{i}][{j}]"))
-    base = Conn0(field, BundleP1(degs), rows)
+    base = Conn0(field, BundleP1(degs), _square_rows(poly_from_json, field, amat, f"{where}.A"))
     return DmBundle(level, base)
 
 

@@ -21,9 +21,11 @@ A ``MatRF`` is the one matrix type: its rows, its cleared pair (B, beta),
 or both, each formed from the other once, when first read.  Everything past
 the rows reads the pair: the characteristic polynomial, the nilpotency test
 (det(s - N) = s^r, Berkowitz again), the kernel, the inverse, the iterates
-of T and the sections.  ``jsonio.matrix_from_json`` clears a payload as
-written (``_clear_fractions``, no entry reduced), for a chart too; a matrix
-built from rows is cleared by ``_clear_denominators``.  With A = B/beta,
+of T and the sections.  ``_clear_fractions`` is the one routine that writes
+a matrix as B/beta, from its entries as (num, den) pairs: a payload as
+written (``jsonio.matrix_from_json``, no entry reduced, for a chart too), a
+matrix built from rows, the quotient connection of each level and the
+gauge columns of ``hitchin``.  With A = B/beta,
 T^k e_i has the fixed denominator beta^k, and its numerators follow the
 classical p-curvature recurrence (Katz), with no gcd in the loop.  T e_i is
 column i of A, so its numerators are column i of B; each later level is a
@@ -65,7 +67,7 @@ class MatRF:
     """An r x r matrix over F_q(x): its rows of reduced rational functions,
     its cleared pair (B, beta), m = B/beta with beta monic, or both.
 
-    A matrix built from rows is cleared once, by ``_clear_denominators``, when
+    A matrix built from rows is cleared once, by ``_clear_fractions``, when
     ``cleared`` is first read; one built ``from_cleared`` forms its rows,
     ``RatFunc(e, beta)`` entrywise, only when they are first read.  Either
     form is kept once made.  The pair need not be the lcm pair (psi's is
@@ -110,7 +112,8 @@ class MatRF:
     def cleared(self) -> tuple[tuple[tuple[Poly, ...], ...], Poly]:
         """(B, beta): the rows of B and beta, with m = B/beta."""
         if self._cleared is None:
-            bmat, beta = _clear_denominators(self.rows)
+            pairs = [[(e.num, e.den) for e in row] for row in self.rows]
+            bmat, beta = _clear_fractions(self.field, pairs)
             self._cleared = (tuple(map(tuple, bmat)), beta)
         return self._cleared
 
@@ -435,21 +438,11 @@ def _cleared_psi(iterates) -> tuple[list[tuple[Poly, ...]], Poly]:
     return list(zip(*(its[-1] for its in nums))), dens[-1]
 
 
-def _clear_denominators(rows) -> tuple[list[list[Poly]], Poly]:
-    """Write a matrix of reduced rational functions as N/delta: the polynomial
-    rows of N and delta, the monic lcm of the entry denominators.  Each
-    distinct denominator takes one lcm step and one exact division."""
-    dens = dict.fromkeys(e.den for row in rows for e in row)
-    delta = _lcm(dens, Poly.one(rows[0][0].field))
-    for d in dens:
-        dens[d] = delta if d.is_one() else delta // d
-    return [[e.num * dens[e.den] for e in row] for row in rows], delta
-
-
 def _clear_fractions(field: Field, rows) -> tuple[list[list[Poly]], Poly]:
-    """``_clear_denominators`` of the matrix whose entries are the fractions
-    num/den of ``rows``, given as pairs (num, den) and not reduced: no entry
-    is reduced on the way.
+    """The matrix whose entries are the fractions num/den of ``rows``, given
+    as pairs (num, den) and not necessarily reduced, written as B/beta: the
+    polynomial rows of B and beta, the monic lcm of the entries' reduced
+    denominators.  No entry is reduced on the way.
 
     With den made monic, the reduced denominators of the entries over one den
     d have the lcm d/gcd(d, their nonzero numerators), a gcd chain that

@@ -1,17 +1,21 @@
 """Property suites behind the acceptance criteria and the CLI selftest.
 
-Each check runs a seeded or exhaustive sweep and returns a PropertyResult;
-every comparison is exact (the library computes over finite fields, so there
-are no tolerances to tune).  The pytest acceptance module runs these at their
-full sizes; the CLI selftest runs reduced sizes.
+Each check runs a seeded or exhaustive sweep and returns a PropertyResult
+named by its ``_suite`` decorator, which registers it; every comparison is
+exact (the library computes over finite fields, so there are no tolerances to
+tune).  The pytest acceptance module runs these at their full sizes; the CLI
+selftest runs reduced sizes.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import itertools
 import math
 import random
 from dataclasses import dataclass
+from typing import Callable
 
 from . import elliptic, hitchin, pone, sampling
 from .elliptic import AtiyahAtom, Pic0Group
@@ -44,39 +48,64 @@ class PropertyResult:
         return f"{status} {self.name}: {self.checked} checks{tail}"
 
 
-def _fail(name: str, checked: int, detail: str) -> PropertyResult:
-    return PropertyResult(name, False, checked, detail)
+# A check's outcome before its suite names it: (passed, checks run, detail).
+Outcome = tuple[bool, int, str]
+
+# (suite name, check, fast-suite sizes, whether it takes a seed), in definition order.
+SUITES: list[tuple[str, Callable[..., PropertyResult], dict, bool]] = []
+
+
+def _suite(name: str, **fast):
+    """Register the check as the suite ``name``, run by ``run_fast_suite`` at
+    the sizes ``fast`` (and a seed, when its signature takes one); the
+    registered function keeps that signature and returns the check's
+    ``Outcome`` as a PropertyResult."""
+    def register(check: Callable[..., Outcome]) -> Callable[..., PropertyResult]:
+        @functools.wraps(check)
+        def run(*args, **kwargs) -> PropertyResult:
+            return PropertyResult(name, *check(*args, **kwargs))
+        SUITES.append((name, run, fast, "seed" in inspect.signature(check).parameters))
+        return run
+    return register
+
+
+def _fail(checked: int, detail: str) -> Outcome:
+    return False, checked, detail
+
+
+def _passed(checked: int) -> Outcome:
+    return True, checked, ""
 
 
 # -- algebra ---------------------------------------------------------------------
 
 
-def check_ratfunc_field_axioms(seed: int = 0, n: int = 200) -> PropertyResult:
+@_suite("algebra/ratfunc-exactness", n=40)
+def check_ratfunc_field_axioms(seed: int = 0, n: int = 200) -> Outcome:
     """Exact arithmetic: (f + g) - g = f and canonical products commute."""
-    name = "algebra/ratfunc-exactness"
     rng = random.Random(seed)
     for t in range(n):
         F = GF(rng.choice([2, 3, 5]), rng.choice([1, 1, 2]))
         f = sampling.random_ratfunc(rng, F)
         g = sampling.random_ratfunc(rng, F)
         if (f + g) - g != f or f * g != g * f:
-            return _fail(name, t, f"failed at trial {t} over {F!r}")
+            return _fail(t, f"failed at trial {t} over {F!r}")
         if not g.is_zero() and (f / g) * g != f:
-            return _fail(name, t, f"division failed at trial {t}")
-    return PropertyResult(name, True, n)
+            return _fail(t, f"division failed at trial {t}")
+    return _passed(n)
 
 
-def check_derivation_rule(seed: int = 1, n: int = 200) -> PropertyResult:
+@_suite("algebra/derivation-leibniz", n=40)
+def check_derivation_rule(seed: int = 1, n: int = 200) -> Outcome:
     """(fg)' = f'g + fg' for random rational functions."""
-    name = "algebra/derivation-leibniz"
     rng = random.Random(seed)
     for t in range(n):
         F = GF(rng.choice([2, 3, 5]))
         f = sampling.random_ratfunc(rng, F)
         g = sampling.random_ratfunc(rng, F)
         if (f * g).derivative() != f.derivative() * g + f * g.derivative():
-            return _fail(name, t, f"failed at trial {t}")
-    return PropertyResult(name, True, n)
+            return _fail(t, f"failed at trial {t}")
+    return _passed(n)
 
 
 def _tpoly_mul(a: list[RatFunc], b: list[RatFunc], field) -> list[RatFunc]:
@@ -114,9 +143,9 @@ def charpoly_cofactor(m: MatRF) -> list[RatFunc]:
                        for i, row in enumerate(m.rows)], F)
 
 
-def check_berkowitz_vs_cofactor(seed: int = 2, n: int = 100) -> PropertyResult:
+@_suite("algebra/charpoly-vs-cofactor", n=20)
+def check_berkowitz_vs_cofactor(seed: int = 2, n: int = 100) -> Outcome:
     """charpoly agrees with det(tI - M) by cofactor expansion, sizes <= 3."""
-    name = "algebra/charpoly-vs-cofactor"
     rng = random.Random(seed)
     for t in range(n):
         F = GF(3)
@@ -124,13 +153,13 @@ def check_berkowitz_vs_cofactor(seed: int = 2, n: int = 100) -> PropertyResult:
         m = MatRF(F, [[RatFunc(sampling.random_poly(rng, F, 2)) for _ in range(r)]
                       for _ in range(r)])
         if charpoly_berkowitz(m) != charpoly_cofactor(m):
-            return _fail(name, t, f"mismatch at trial {t}")
-    return PropertyResult(name, True, n)
+            return _fail(t, f"mismatch at trial {t}")
+    return _passed(n)
 
 
-def check_sqrt_roundtrip(seed: int = 3, n: int = 150) -> PropertyResult:
+@_suite("algebra/sqrt-roundtrip", n=40)
+def check_sqrt_roundtrip(seed: int = 3, n: int = 150) -> Outcome:
     """sqrt(f^2) squares back to f^2; verified non-squares return None."""
-    name = "algebra/sqrt-roundtrip"
     rng = random.Random(seed)
     for t in range(n):
         F = GF(rng.choice([2, 3, 5]))
@@ -138,41 +167,41 @@ def check_sqrt_roundtrip(seed: int = 3, n: int = 150) -> PropertyResult:
         sq = f * f
         root = sqrt_ratfunc(sq)
         if root is None or root * root != sq:
-            return _fail(name, t, f"square root of a square failed at trial {t}")
+            return _fail(t, f"square root of a square failed at trial {t}")
         if F.p != 2 and not f.is_zero():
             # multiply by a non-square constant to build a certified non-square
             c = next(a for a in range(1, F.q) if not F.is_square(a))
             bad = sq * RatFunc.constant(F, c)
             if sqrt_ratfunc(bad) is not None:
-                return _fail(name, t, f"non-square accepted at trial {t}")
-    return PropertyResult(name, True, n)
+                return _fail(t, f"non-square accepted at trial {t}")
+    return _passed(n)
 
 
-def check_frobenius_membership(seed: int = 4, n: int = 150) -> PropertyResult:
+@_suite("algebra/frobenius-membership", n=40)
+def check_frobenius_membership(seed: int = 4, n: int = 150) -> Outcome:
     """f(x^p) always passes the level-1 membership test; x never does."""
-    name = "algebra/frobenius-membership"
     rng = random.Random(seed)
     for t in range(n):
         F = GF(rng.choice([2, 3, 5]))
         f = sampling.random_ratfunc(rng, F)
         if not in_frobenius_subfield(f.compose_xpow(F.p), 1):
-            return _fail(name, t, f"f(x^p) rejected at trial {t}")
+            return _fail(t, f"f(x^p) rejected at trial {t}")
         if not in_frobenius_subfield(f.compose_xpow(F.p * F.p), 2):
-            return _fail(name, t, f"f(x^(p^2)) rejected at level 2, trial {t}")
+            return _fail(t, f"f(x^(p^2)) rejected at level 2, trial {t}")
         if in_frobenius_subfield(RatFunc.x(F), 1):
-            return _fail(name, t, "x accepted as a p-th power")
-    return PropertyResult(name, True, n)
+            return _fail(t, "x accepted as a p-th power")
+    return _passed(n)
 
 
 # -- projective line ------------------------------------------------------------------
 
 
+@_suite("pone/prop6-equivalence", r_max=3, bound=8)
 def check_prop6_equivalence(ps=(2, 3), r_max: int = 4, ms=(0, 1),
-                            bound: int | None = None) -> PropertyResult:
+                            bound: int | None = None) -> Outcome:
     """Level-m structures exist exactly when p^{m+1} divides every degree;
     in that case the canonical structure has vanishing level curvature, and
     otherwise construction fails.  Exhaustive over degree multisets."""
-    name = "pone/prop6-equivalence"
     checked = 0
     for p in ps:
         field = GF(p)
@@ -186,61 +215,61 @@ def check_prop6_equivalence(ps=(2, 3), r_max: int = 4, ms=(0, 1),
                     expected = all(d % q == 0 for d in combo)
                     checked += 1
                     if pone.admits_level(bundle, p, m) != expected:
-                        return _fail(name, checked, f"admits_level wrong on {combo}, p={p}, m={m}")
+                        return _fail(checked, f"admits_level wrong on {combo}, p={p}, m={m}")
                     if expected:
                         dm = pone.canonical_connection(bundle, field, m)
                         if not pone.pm1_curvature(dm).is_zero():
-                            return _fail(name, checked,
+                            return _fail(checked,
                                          f"canonical curvature nonzero on {combo}, p={p}, m={m}")
                     else:
                         try:
                             pone.canonical_connection(bundle, field, m)
-                            return _fail(name, checked,
+                            return _fail(checked,
                                          f"canonical_connection accepted {combo}, p={p}, m={m}")
                         except PreconditionError:
                             pass
-    return PropertyResult(name, True, checked)
+    return _passed(checked)
 
 
-def check_p1_flags(seed: int = 5, n: int = 500) -> PropertyResult:
+@_suite("pone/complete-flags", n=60)
+def check_p1_flags(seed: int = 5, n: int = 500) -> Outcome:
     """Every valid split connection has a verifiable complete flag and
     exactly nilpotent p-curvature."""
-    name = "pone/complete-flags"
     rng = random.Random(seed)
     for t in range(n):
         field = GF(rng.choice([2, 3, 5]))
         c = sampling.random_conn0(rng, field, r_max=4)
         flag = pone.complete_flag(c)
         if not pone.verify_flag(c, flag):
-            return _fail(name, t, f"flag not stable at trial {t}")
+            return _fail(t, f"flag not stable at trial {t}")
         if not is_nilpotent(pone.p_curvature(c)):
-            return _fail(name, t, f"p-curvature not nilpotent at trial {t}")
-    return PropertyResult(name, True, n)
+            return _fail(t, f"p-curvature not nilpotent at trial {t}")
+    return _passed(n)
 
 
-def check_cartier_roundtrip(seed: int = 6, n: int = 100) -> PropertyResult:
+@_suite("pone/cartier-roundtrip", n=15)
+def check_cartier_roundtrip(seed: int = 6, n: int = 100) -> Outcome:
     """Descend a flat connection, pull the canonical structure back, gauge by
     the horizontal frame: the chart matrix returns entrywise."""
-    name = "pone/cartier-roundtrip"
     rng = random.Random(seed)
     for t in range(n):
         field = GF(rng.choice([2, 3, 5]))
         c = sampling.random_flat_conn0(rng, field, r_max=3)
         descended, frame = pone.cartier_descent(c)
         if descended.degrees != tuple(d // field.p for d in c.degrees):
-            return _fail(name, t, f"descended degrees wrong at trial {t}")
+            return _fail(t, f"descended degrees wrong at trial {t}")
         pulled = pone.canonical_connection(
             BundleP1(d * field.p for d in descended.degrees), field, 0)
         recovered = gauge_transform(pulled.base.matrix(), inverse(frame))
         if recovered != c.matrix():
-            return _fail(name, t, f"gauge of pullback differs at trial {t}")
-    return PropertyResult(name, True, n)
+            return _fail(t, f"gauge of pullback differs at trial {t}")
+    return _passed(n)
 
 
-def check_level_shift_curvature(seed: int = 7, n: int = 100) -> PropertyResult:
+@_suite("pone/pullback-curvature", n=25)
+def check_level_shift_curvature(seed: int = 7, n: int = 100) -> Outcome:
     """Pullback commutes with curvature: the level-(m+s) curvature equals the
     x -> x^{p^s} substitution of the level-m curvature."""
-    name = "pone/pullback-curvature"
     rng = random.Random(seed)
     for t in range(n):
         field = GF(rng.choice([2, 3, 5]))
@@ -250,14 +279,14 @@ def check_level_shift_curvature(seed: int = 7, n: int = 100) -> PropertyResult:
         lhs = pone.pm1_curvature(pone.frobenius_pullback(d, s))
         rhs = pone.pm1_curvature(d).map_entries(lambda e: e.compose_xpow(field.p**s))
         if lhs != rhs:
-            return _fail(name, t, f"substitution law failed at trial {t}")
-    return PropertyResult(name, True, n)
+            return _fail(t, f"substitution law failed at trial {t}")
+    return _passed(n)
 
 
-def check_validator_equivalence(seed: int = 8, n: int = 500) -> PropertyResult:
+@_suite("pone/validator-equivalence", n=80)
+def check_validator_equivalence(seed: int = 8, n: int = 500) -> Outcome:
     """The infinity-chart pole computation flags exactly the entries outside
     the derived structural bounds, on random matrices valid or not."""
-    name = "pone/validator-equivalence"
     rng = random.Random(seed)
     for t in range(n):
         field = GF(rng.choice([2, 3, 5]))
@@ -269,14 +298,14 @@ def check_validator_equivalence(seed: int = 8, n: int = 500) -> PropertyResult:
         poles = {(v.row, v.col) for v in pone.validate(c)}
         bounds = set(pone.structural_violations(c))
         if poles != bounds:
-            return _fail(name, t, f"{degs}: poles {poles} vs bounds {bounds}")
-    return PropertyResult(name, True, n)
+            return _fail(t, f"{degs}: poles {poles} vs bounds {bounds}")
+    return _passed(n)
 
 
-def check_tensor_dual(seed: int = 9, n: int = 100) -> PropertyResult:
+@_suite("pone/tensor-dual", n=25)
+def check_tensor_dual(seed: int = 9, n: int = 100) -> Outcome:
     """Tensor and dual of valid connections validate; the dual is involutive
     up to the recorded permutation."""
-    name = "pone/tensor-dual"
     rng = random.Random(seed)
     for t in range(n):
         field = GF(rng.choice([2, 3, 5]))
@@ -284,19 +313,19 @@ def check_tensor_dual(seed: int = 9, n: int = 100) -> PropertyResult:
         b = sampling.random_conn0(rng, field, r_max=2, spread=2)
         tens, _ = pone.tensor(a, b)
         if pone.validate(tens):
-            return _fail(name, t, f"tensor invalid at trial {t}")
+            return _fail(t, f"tensor invalid at trial {t}")
         da, _ = pone.dual(a)
         if pone.validate(da):
-            return _fail(name, t, f"dual invalid at trial {t}")
+            return _fail(t, f"dual invalid at trial {t}")
         dda, _ = pone.dual(da)
         if dda != a:
-            return _fail(name, t, f"double dual differs at trial {t}")
-    return PropertyResult(name, True, n)
+            return _fail(t, f"double dual differs at trial {t}")
+    return _passed(n)
 
 
-def check_psi_linearity(seed: int = 10, n: int = 100) -> PropertyResult:
+@_suite("pone/psi-linearity", n=25)
+def check_psi_linearity(seed: int = 10, n: int = 100) -> Outcome:
     """T^p is linear over the function field: T^p(f v) = f T^p(v)."""
-    name = "pone/psi-linearity"
     rng = random.Random(seed)
     from .matrix import apply_connection
 
@@ -312,17 +341,17 @@ def check_psi_linearity(seed: int = 10, n: int = 100) -> PropertyResult:
             lhs = apply_connection(a, lhs)
             rhs = apply_connection(a, rhs)
         if lhs != tuple(f * e for e in rhs):
-            return _fail(name, t, f"linearity failed at trial {t}")
-    return PropertyResult(name, True, n)
+            return _fail(t, f"linearity failed at trial {t}")
+    return _passed(n)
 
 
 # -- elliptic -----------------------------------------------------------------------
 
 
-def check_atiyah_recursion(r_max: int = 40, d_bound: int = 60) -> PropertyResult:
+@_suite("elliptic/atiyah-recursion", r_max=15, d_bound=25)
+def check_atiyah_recursion(r_max: int = 40, d_bound: int = 60) -> Outcome:
     """Exhaustive recursion sweep: termination, gcd invariance, rank and
     degree conservation, plus the two hand-derived profiles."""
-    name = "elliptic/atiyah-recursion"
     checked = 0
     for r in range(1, r_max + 1):
         for d in range(-d_bound, d_bound + 1):
@@ -330,41 +359,41 @@ def check_atiyah_recursion(r_max: int = 40, d_bound: int = 60) -> PropertyResult
             checked += 1
             h = math.gcd(r, abs(d))
             if pr.h != h or any(math.gcd(rj, abs(dj)) != h for rj, dj in pr.pairs):
-                return _fail(name, checked, f"gcd invariance failed at ({r}, {d})")
+                return _fail(checked, f"gcd invariance failed at ({r}, {d})")
             ranks = [rj for rj, _ in pr.pairs]
             if any(b >= a for a, b in zip(ranks, ranks[1:])):
-                return _fail(name, checked, f"ranks not strictly decreasing at ({r}, {d})")
+                return _fail(checked, f"ranks not strictly decreasing at ({r}, {d})")
             if sum(pr.gr_ranks) != r:
-                return _fail(name, checked, f"rank sum failed at ({r}, {d})")
+                return _fail(checked, f"rank sum failed at ({r}, {d})")
             if sum(g * l for g, l in zip(pr.gr_ranks, pr.deg_l)) != d:
-                return _fail(name, checked, f"degree sum failed at ({r}, {d})")
+                return _fail(checked, f"degree sum failed at ({r}, {d})")
             if pr.ell != pr.m + pr.pairs[-1][0]:
-                return _fail(name, checked, f"length bookkeeping failed at ({r}, {d})")
+                return _fail(checked, f"length bookkeeping failed at ({r}, {d})")
     p53 = elliptic.atiyah_profile(5, 3)
     if (p53.deg_l, p53.m, p53.ell, p53.gr_ranks) != ((0, 1, 2), 2, 3, (3, 1, 1)):
-        return _fail(name, checked, "profile (5,3) mismatch")
+        return _fail(checked, "profile (5,3) mismatch")
     p32 = elliptic.atiyah_profile(3, 2)
     if (p32.deg_l, p32.m, p32.gr_ranks) != ((0, 2), 1, (2, 1)):
-        return _fail(name, checked, "profile (3,2) mismatch")
-    return PropertyResult(name, True, checked)
+        return _fail(checked, "profile (3,2) mismatch")
+    return _passed(checked)
 
 
-def check_existence_criterion() -> PropertyResult:
+@_suite("elliptic/existence-criterion")
+def check_existence_criterion() -> Outcome:
     """Connection existence on the pinned instances, and the skeleton failing
     exactly when existence fails."""
-    name = "elliptic/existence-criterion"
     group = Pic0Group((4,))
     lam = (1,)
     checked = 0
     if elliptic.admits_connection(AtiyahAtom(group, 5, 3, lam), 3):
-        return _fail(name, checked, "(5,3) admits a connection mod 3")
+        return _fail(checked, "(5,3) admits a connection mod 3")
     if not elliptic.admits_connection(AtiyahAtom(group, 3, 2, lam), 2):
-        return _fail(name, checked, "(3,2) rejected mod 2")
+        return _fail(checked, "(3,2) rejected mod 2")
     for p in (2, 3, 5):
         for r in range(1, 11):
             checked += 1
             if not elliptic.admits_connection(AtiyahAtom(group, r, 0, lam), p):
-                return _fail(name, checked, f"degree-0 atom rejected at r={r}, p={p}")
+                return _fail(checked, f"degree-0 atom rejected at r={r}, p={p}")
     rng = random.Random(11)
     for t in range(200):
         atoms = [sampling.random_atom(rng, group) for _ in range(rng.randint(1, 3))]
@@ -373,57 +402,57 @@ def check_existence_criterion() -> PropertyResult:
         if elliptic.admits_connection(atoms, p):
             sk = elliptic.flag_skeleton(atoms, p)
             if sk.total_rank != sum(a.r for a in atoms):
-                return _fail(name, checked, f"skeleton rank mismatch at trial {t}")
+                return _fail(checked, f"skeleton rank mismatch at trial {t}")
             if sk.total_degree != sum(a.d for a in atoms):
-                return _fail(name, checked, f"skeleton degree mismatch at trial {t}")
+                return _fail(checked, f"skeleton degree mismatch at trial {t}")
         else:
             try:
                 elliptic.flag_skeleton(atoms, p)
-                return _fail(name, checked, f"skeleton built without a connection at trial {t}")
+                return _fail(checked, f"skeleton built without a connection at trial {t}")
             except PreconditionError:
                 pass
-    return PropertyResult(name, True, checked)
+    return _passed(checked)
 
 
-def check_hom_and_peel(seed: int = 12, n: int = 200) -> PropertyResult:
+@_suite("elliptic/hom-peel", n=50)
+def check_hom_and_peel(seed: int = 12, n: int = 200) -> Outcome:
     """hom_constraint is reflexive-preserving; peel_order is deterministic and
     degree-sorted with the zero-torsion class leading its degree."""
-    name = "elliptic/hom-peel"
     rng = random.Random(seed)
     group = Pic0Group((2, 3))
     for t in range(n):
         atom = sampling.random_atom(rng, group)
         if elliptic.hom_constraint(atom, atom) != elliptic.HomConstraint.PRESERVES_FIL1:
-            return _fail(name, t, f"reflexivity failed on {atom!r}")
+            return _fail(t, f"reflexivity failed on {atom!r}")
         atoms = [sampling.random_atom(rng, group) for _ in range(rng.randint(1, 4))]
         order = elliptic.peel_order(atoms)
         if order != elliptic.peel_order(list(reversed(atoms))):
-            return _fail(name, t, "peel order depends on input order")
+            return _fail(t, "peel order depends on input order")
         degs = [c.degree for c in order]
         if degs != sorted(degs, reverse=True):
-            return _fail(name, t, "peel order not degree-descending")
+            return _fail(t, "peel order not degree-descending")
         for d in set(degs):
             block = [c for c in order if c.degree == d]
             zeros = [c for c in block if c.is_multiple_of_origin()]
             if zeros and block[0] != zeros[0]:
-                return _fail(name, t, "zero-torsion class not first in its degree")
-    return PropertyResult(name, True, n)
+                return _fail(t, "zero-torsion class not first in its degree")
+    return _passed(n)
 
 
 # -- hyperbolic chart ------------------------------------------------------------------
 
 
-def check_charpoly_descent(seed: int = 13, n: int = 300, gauges: int = 50) -> PropertyResult:
+@_suite("hitchin/charpoly-descent", n=30, gauges=10)
+def check_charpoly_descent(seed: int = 13, n: int = 300, gauges: int = 50) -> Outcome:
     """Every characteristic-polynomial coefficient of a chart p-curvature lies
     in F_q(x^p), and the polynomial is invariant under polynomial gauges."""
-    name = "hitchin/charpoly-descent"
     rng = random.Random(seed)
     for t in range(n):
         field = GF(rng.choice([2, 3, 5]))
         c = sampling.random_chart_conn(rng, field, r_max=3)
         cp = hitchin.char_poly_psi(c)
         if not cp.descent_ok:
-            return _fail(name, t, f"coefficient outside the twist at trial {t}")
+            return _fail(t, f"coefficient outside the twist at trial {t}")
     for t in range(gauges):
         field = GF(rng.choice([2, 3, 5]))
         c = sampling.random_chart_conn(rng, field, r_max=2, num_deg=2, den_deg=1)
@@ -432,71 +461,71 @@ def check_charpoly_descent(seed: int = 13, n: int = 300, gauges: int = 50) -> Pr
         psi_c = hitchin.p_curvature_chart(c)
         psi_g = hitchin.p_curvature_chart(gauged)
         if psi_g != inverse(g) * psi_c * g:
-            return _fail(name, n + t, f"psi not gauge-covariant at gauge trial {t}")
+            return _fail(n + t, f"psi not gauge-covariant at gauge trial {t}")
         if charpoly_berkowitz(psi_c) != charpoly_berkowitz(psi_g):
-            return _fail(name, n + t, f"charpoly not gauge-invariant at gauge trial {t}")
-    return PropertyResult(name, True, n + gauges)
+            return _fail(n + t, f"charpoly not gauge-invariant at gauge trial {t}")
+    return _passed(n + gauges)
 
 
-def check_dimension_count() -> PropertyResult:
+@_suite("hitchin/dimension-count")
+def check_dimension_count() -> Outcome:
     """The candidate-space dimension count and its pinned instances."""
-    name = "hitchin/dimension-count"
     checked = 0
     for g in range(2, 7):
         for r in range(1, 6):
             dims = hitchin.hitchin_dims(g, r)
             checked += 1
             if dims.dim_b != g + (r * r - 1) * (g - 1) or dims.dim_d != r * g:
-                return _fail(name, checked, f"formula mismatch at (g={g}, r={r})")
+                return _fail(checked, f"formula mismatch at (g={g}, r={r})")
             if dims.gamma_nondominant != (dims.dim_b > dims.dim_d):
-                return _fail(name, checked, f"dominance flag wrong at (g={g}, r={r})")
+                return _fail(checked, f"dominance flag wrong at (g={g}, r={r})")
             if r >= 2 and not dims.gamma_nondominant:
-                return _fail(name, checked, f"rank >= 2 should be non-dominant at (g={g}, r={r})")
+                return _fail(checked, f"rank >= 2 should be non-dominant at (g={g}, r={r})")
     if hitchin.hitchin_dims(2, 2) != hitchin.HitchinDims(5, 4, True):
-        return _fail(name, checked, "(2,2) count mismatch")
+        return _fail(checked, "(2,2) count mismatch")
     if hitchin.hitchin_dims(2, 1) != hitchin.HitchinDims(2, 2, False):
-        return _fail(name, checked, "(2,1) count mismatch")
-    return PropertyResult(name, True, checked)
+        return _fail(checked, "(2,1) count mismatch")
+    return _passed(checked)
 
 
-def check_certificates(seed: int = 14, n: int = 200) -> PropertyResult:
+@_suite("hitchin/no-flag-certificate", n=30)
+def check_certificates(seed: int = 14, n: int = 200) -> Outcome:
     """The pinned hyperbolic fixture is certified with no eigenline over the
     ambient field; embedded split connections are never certified and always
     carry flags."""
-    name = "hitchin/no-flag-certificate"
     f3 = GF(3)
     z, o, x = RatFunc.zero(f3), RatFunc.one(f3), RatFunc.x(f3)
     fixture = ChartConn(f3, 2, MatRF(f3, [[z, o], [x, z]]))
     cert = hitchin.no_flag_certificate_rank2(fixture)
     if cert.verdict != Verdict.CERTIFIED:
-        return _fail(name, 1, "hyperbolic fixture not certified")
+        return _fail(1, "hyperbolic fixture not certified")
     expected_char = RatFunc(Poly(f3, (2, 0, 0, 2)))  # t^2 - (x+1)^3
     if cert.char.coeffs[0] != expected_char or not cert.char.coeffs[1].is_zero():
-        return _fail(name, 1, "fixture characteristic polynomial mismatch")
+        return _fail(1, "fixture characteristic polynomial mismatch")
     psi = hitchin.p_curvature_chart(fixture)
     for a in f3.elements():
         shifted = psi - MatRF.identity(f3, 2).scale(RatFunc.constant(f3, a))
         if not charpoly_berkowitz(shifted)[0].is_zero():
             continue
         if kernel(shifted):
-            return _fail(name, 1, f"certified fixture has eigenline for {a}")
+            return _fail(1, f"certified fixture has eigenline for {a}")
     rng = random.Random(seed)
     for t in range(n):
         field = GF(rng.choice([2, 3, 5]))
         c = sampling.random_conn0(rng, field, r_max=2, r=2)
         cert = hitchin.no_flag_certificate_rank2(ChartConn.from_conn0(c))
         if cert.verdict == Verdict.CERTIFIED:
-            return _fail(name, t, f"split connection certified at trial {t}")
+            return _fail(t, f"split connection certified at trial {t}")
         if not pone.verify_flag(c, pone.complete_flag(c)):
-            return _fail(name, t, f"split connection lost its flag at trial {t}")
-    return PropertyResult(name, True, n + 1)
+            return _fail(t, f"split connection lost its flag at trial {t}")
+    return _passed(n + 1)
 
 
-def check_nilpotent_flag_algorithm(seed: int = 15, n: int = 100) -> PropertyResult:
+@_suite("hitchin/nilpotent-flags", n=15)
+def check_nilpotent_flag_algorithm(seed: int = 15, n: int = 100) -> Outcome:
     """Triangularization succeeds on conjugates of strict upper triangular
     connections, with an exactly triangular transformed matrix and vanishing
     scalar curvature on the diagonal; the certified fixture is rejected."""
-    name = "hitchin/nilpotent-flags"
     rng = random.Random(seed)
     for t in range(n):
         field = GF(rng.choice([2, 3, 5]))
@@ -509,60 +538,29 @@ def check_nilpotent_flag_algorithm(seed: int = 15, n: int = 100) -> PropertyResu
         for i in range(r):
             for j in range(i):
                 if not transformed.rows[i][j].is_zero():
-                    return _fail(name, t, f"not triangular at trial {t}")
+                    return _fail(t, f"not triangular at trial {t}")
             diag = transformed.rows[i][i]
             scalar = diag
             for _ in range(field.p - 1):
                 scalar = scalar.derivative()
             if not (scalar + diag**field.p).is_zero():
-                return _fail(name, t, f"diagonal scalar curvature nonzero at trial {t}")
+                return _fail(t, f"diagonal scalar curvature nonzero at trial {t}")
     f3 = GF(3)
     z, o, x = RatFunc.zero(f3), RatFunc.one(f3), RatFunc.x(f3)
     fixture = ChartConn(f3, 2, MatRF(f3, [[z, o], [x, z]]))
     try:
         hitchin.nilpotent_flag_chart(fixture)
-        return _fail(name, n, "certified fixture was not rejected")
+        return _fail(n, "certified fixture was not rejected")
     except PreconditionError:
         pass
-    return PropertyResult(name, True, n + 1)
-
-
-# -- registry -------------------------------------------------------------------------
-
-# (result name, function, fast-suite sizes); result names match what the
-# functions report, so selftest can filter before running anything.
-SUITES = [
-    ("algebra/ratfunc-exactness", check_ratfunc_field_axioms, {"n": 40}),
-    ("algebra/derivation-leibniz", check_derivation_rule, {"n": 40}),
-    ("algebra/charpoly-vs-cofactor", check_berkowitz_vs_cofactor, {"n": 20}),
-    ("algebra/sqrt-roundtrip", check_sqrt_roundtrip, {"n": 40}),
-    ("algebra/frobenius-membership", check_frobenius_membership, {"n": 40}),
-    ("pone/prop6-equivalence", check_prop6_equivalence, {"r_max": 3, "bound": 8}),
-    ("pone/complete-flags", check_p1_flags, {"n": 60}),
-    ("pone/cartier-roundtrip", check_cartier_roundtrip, {"n": 15}),
-    ("pone/pullback-curvature", check_level_shift_curvature, {"n": 25}),
-    ("pone/validator-equivalence", check_validator_equivalence, {"n": 80}),
-    ("pone/tensor-dual", check_tensor_dual, {"n": 25}),
-    ("pone/psi-linearity", check_psi_linearity, {"n": 25}),
-    ("elliptic/atiyah-recursion", check_atiyah_recursion, {"r_max": 15, "d_bound": 25}),
-    ("elliptic/existence-criterion", check_existence_criterion, {}),
-    ("elliptic/hom-peel", check_hom_and_peel, {"n": 50}),
-    ("hitchin/charpoly-descent", check_charpoly_descent, {"n": 30, "gauges": 10}),
-    ("hitchin/dimension-count", check_dimension_count, {}),
-    ("hitchin/no-flag-certificate", check_certificates, {"n": 30}),
-    ("hitchin/nilpotent-flags", check_nilpotent_flag_algorithm, {"n": 15}),
-]
+    return _passed(n + 1)
 
 
 def run_fast_suite(seed: int = 0, name_filter: str = "") -> list[PropertyResult]:
-    """The reduced-size suite behind the CLI selftest."""
+    """The reduced-size suite behind the CLI selftest: the suites whose name
+    contains ``name_filter``, in ``SUITES`` order, the i-th seeded at seed + i."""
     out = []
-    for idx, (name, fn, sizes) in enumerate(SUITES):
-        if name_filter and name_filter not in name:
-            continue
-        kwargs = dict(sizes)
-        argnames = fn.__code__.co_varnames[: fn.__code__.co_argcount]
-        if "seed" in argnames:
-            kwargs["seed"] = seed + idx
-        out.append(fn(**kwargs))
+    for idx, (name, check, sizes, seeded) in enumerate(SUITES):
+        if name_filter in name:
+            out.append(check(**sizes, seed=seed + idx) if seeded else check(**sizes))
     return out

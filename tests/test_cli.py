@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -456,6 +457,96 @@ def test_selftest_reports_library_errors(tmp_path, capsys):
     code, out = run(capsys, "selftest", "--corpus", str(corpus), "--filter", "bad-field")
     assert code == 1
     assert "FAIL bad-field/find_irreducible (precondition-error: 4 is not prime)" in out
+
+
+def test_selftest_names_each_fixture_fault(tmp_path, capsys):
+    irreducible = {"op": "find_irreducible", "input": {"p": 3, "k": 1}}
+    connection = {"op": "canonical_connection",
+                  "input": {"degrees": [0], "field": {"p": 2}, "m": 0}}
+    items = [
+        {"name": "fault/unknown-op", "op": "no_such_op", "expect": {"value": 1}},
+        {"name": "fault/result-for-error", **irreducible, "expect": {"error": "precondition"}},
+        {"name": "fault/subset-of-array", **irreducible, "expect": {"value_subset": {"a": 1}}},
+        {"name": "fault/subset-mismatch", **connection,
+         "expect": {"value_subset": {"level": 0, "twist_degrees": [1]}}},
+        {"name": "fault/subset-match", **connection, "expect": {"value_subset": {"level": 0}}},
+    ]
+    (tmp_path / "items.json").write_text(json.dumps(items))
+    code, out = run(capsys, "selftest", "--corpus", str(tmp_path), "--filter", "fault/",
+                    "--json")
+    assert code == 1
+    report = json.loads(out)
+    assert report["status"] == "violations" and report["exit_code"] == 1
+    assert [(line["item"], line["passed"], line["detail"])
+            for line in report["result"]["items"]] == [
+        ("fault/unknown-op", False, "unknown op 'no_such_op'"),
+        ("fault/result-for-error", False, "expected a precondition error, got a result"),
+        ("fault/subset-of-array", False, "result is not an object"),
+        ("fault/subset-mismatch", False, "field 'twist_degrees' mismatch"),
+        ("fault/subset-match", True, ""),
+    ]
+    assert report["result"]["failures"] == [item["name"] for item in items[:4]]
+
+
+def test_a_failing_property_suite_is_reported(capsys, monkeypatch):
+    from pflags import properties
+
+    assert list(inspect.signature(properties.check_p1_flags).parameters) == ["seed", "n"]
+    monkeypatch.setattr(properties, "is_nilpotent", lambda m: False)
+    result = properties.check_p1_flags(seed=5, n=3)
+    assert result == properties.PropertyResult(
+        "pone/complete-flags", False, 0, "p-curvature not nilpotent at trial 0")
+    assert result.line() == (
+        "FAIL pone/complete-flags: 0 checks (p-curvature not nilpotent at trial 0)")
+    code, out = run(capsys, "selftest", "--filter", "pone/complete-flags")
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL property:pone/complete-flags (p-curvature not nilpotent at trial 0)",
+        "selftest: 0/1 passed",
+        "failing items: property:pone/complete-flags",
+    ]
+
+
+def test_property_suites_are_registered_once_in_definition_order():
+    from pflags import properties
+
+    names = [name for name, *_ in properties.SUITES]
+    assert len(names) == len(set(names)) == 19
+    checks = [check for _, check, _, _ in properties.SUITES]
+    defined = [fn for key, fn in vars(properties).items() if key.startswith("check_")]
+    assert checks == defined
+    unseeded = [name for name, _, _, seeded in properties.SUITES if not seeded]
+    assert unseeded == ["pone/prop6-equivalence", "elliptic/atiyah-recursion",
+                        "elliptic/existence-criterion", "hitchin/dimension-count"]
+
+
+def test_input_and_inline_together_are_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "payload.json"
+    path.write_text('{"r": 5, "d": 3}')
+    error = _assert_parse_error(capsys, "ell-profile", "--input", str(path),
+                                "--inline", '{"r": 5, "d": 3}', "--json")
+    assert error == "give either --input or --inline, not both"
+
+
+def test_op_payload_faults_are_parse_errors():
+    level1 = {"field": {"p": 2}, "level": 1, "twist_degrees": [0], "A": [[[]]]}
+    level0 = {**level1, "level": 0}
+    cases = [
+        ("charpoly", [1], "input payload must be a JSON object"),
+        ("admits_level", {"degrees": [2, "x"], "p": 2, "m": 0},
+         "degrees must be an integer array"),
+        ("admits_level", {"degrees": 2, "p": 2, "m": 0}, "degrees must be an integer array"),
+        ("tensor", {"a": level0, "b": level1}, "tensor operates on level-0 connections"),
+        ("tensor", {"a": level1, "b": level0}, "tensor operates on level-0 connections"),
+        ("dual", {"connection": level1}, "dual operates on level-0 connections"),
+        ("cartier_descent", {"connection": level1}, "descent operates on level-0 connections"),
+    ]
+    for op, payload, error in cases:
+        with pytest.raises(ParseError) as info:
+            OP_TABLE[op](payload)
+        assert str(info.value) == error, op
+    for op in ("tensor", "dual", "cartier_descent"):  # each takes the level-0 connection
+        OP_TABLE[op]({"a": level0, "b": level0} if op == "tensor" else {"connection": level0})
 
 
 def test_selftest_refuses_a_tensor_above_the_rank_cap(tmp_path, capsys):

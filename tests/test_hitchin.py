@@ -20,7 +20,6 @@ from pflags.hitchin import (
 )
 from pflags.matrix import (
     MatRF,
-    _clear_denominators,
     _cleared_psi,
     _t_iterates,
     apply_connection,
@@ -41,7 +40,7 @@ from pflags.sampling import (
     random_strict_upper,
 )
 
-from test_matrix import _rref_ref
+from test_matrix import _clear_denominators, _rref_ref
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
 

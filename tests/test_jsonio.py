@@ -7,11 +7,13 @@ from pflags import jsonio
 from pflags.elliptic import AtiyahAtom, Pic0Group
 from pflags.errors import InvalidFieldError, ParseError
 from pflags.fields import GF
-from pflags.matrix import MatRF, _clear_denominators
+from pflags.matrix import MatRF
 from pflags.poly import Poly
 from pflags.pone import DmBundle
 from pflags.ratfunc import RatFunc
 from pflags.sampling import random_chart_conn, random_conn0, random_poly, random_ratfunc
+
+from test_matrix import _clear_denominators
 
 
 def test_field_roundtrip_and_default_modulus():
@@ -279,6 +281,29 @@ def test_charpoly_parse_errors_are_pinned(amat, error):
     assert str(info.value) == error
 
 
+# A connection's A: its row count is checked against twist_degrees first, and
+# its rows then take the shape decoder every matrix payload shares, so a row
+# fault is reported at `connection.A`.
+_CONNECTION_SHAPE_FAULTS = [
+    ([[[], []], [[]]], "connection.A: row 1 must have length 2"),
+    ([[[], []], 5], "connection.A: row 1 must have length 2"),
+    (5, "connection: A must be a 2x2 matrix of polynomials"),
+    ([[[], []]], "connection: A must be a 2x2 matrix of polynomials"),
+    ([[[], []], [[3], []]], "connection.A[1][0][0]: residue out of range for GF(2)"),
+]
+
+
+@pytest.mark.parametrize("amat, error", _CONNECTION_SHAPE_FAULTS)
+def test_connection_shape_errors_are_pinned(amat, error):
+    obj = {"field": {"p": 2}, "level": 0, "twist_degrees": [1, 0], "A": amat}
+    with pytest.raises(ParseError) as info:
+        jsonio.connection_from_json(obj)
+    assert str(info.value) == error
+    with pytest.raises(ParseError) as info:
+        jsonio.connection_from_json(obj, "a")
+    assert str(info.value) == "a" + error.removeprefix("connection")
+
+
 def test_atom_and_group_codecs():
     g = Pic0Group((2, 3))
     assert jsonio.group_from_json(jsonio.group_to_json(g)) == g
@@ -297,6 +322,16 @@ def test_atom_and_group_codecs():
     assert jsonio.flag_from_json({"perm": [1, 0]}).perm == (1, 0)
     with pytest.raises(ParseError):
         jsonio.flag_from_json({"perm": [True, False]})
+    # a library error on a well-typed payload is raised again at the payload's location
+    for decode, obj, error in [
+            (jsonio.flag_from_json, {"perm": [0, 0]}, "flag: (0, 0) is not a permutation of 0..1"),
+            (lambda obj: jsonio.atom_from_json(g, obj), {"r": 0, "d": 1},
+             "atom: rank must be >= 1, got 0"),
+            (lambda obj: jsonio.atom_from_json(g, obj, "atoms[2]"), {"r": 2, "d": 1, "lam": [1]},
+             "atoms[2]: torsion vector needs 2 components, got 1")]:
+        with pytest.raises(ParseError) as info:
+            decode(obj)
+        assert str(info.value) == error
 
 
 def test_canonical_dumps_is_stable():

@@ -9,7 +9,6 @@ from pflags.fields import GF
 from pflags.hitchin import ChartConn, char_poly_psi
 from pflags.matrix import (
     MatRF,
-    _clear_denominators,
     _echelon,
     _horizontal_sections,
     _kernel_core,
@@ -38,6 +37,18 @@ from pflags.sampling import (
 
 def rf(field, coeffs, den=None):
     return RatFunc(Poly(field, coeffs), Poly(field, den) if den else None)
+
+
+def _clear_denominators(rows):
+    """Oracle for clearing: a matrix of reduced rational functions as N/delta,
+    the polynomial rows of N and delta, the monic lcm of the entry
+    denominators, formed entry by entry (the library clears with
+    ``matrix._clear_fractions``)."""
+    delta = Poly.one(rows[0][0].field)
+    for row in rows:
+        for e in row:
+            delta = delta // poly_gcd(delta, e.den) * e.den
+    return [[e.num * (delta // e.den) for e in row] for row in rows], delta
 
 
 # -- characteristic polynomial: pinned examples and the cofactor oracle -------------

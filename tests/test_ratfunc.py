@@ -85,6 +85,26 @@ def test_zero_denominator_rejected():
         RatFunc(Poly.one(F), Poly.zero(F))
 
 
+def test_evaluate_and_its_pole():
+    rng = random.Random(146)
+    for F in (GF(5), GF(2, 2)):
+        for _ in range(20):
+            f = random_ratfunc(rng, F)
+            for a in F.elements():
+                dv = f.den.evaluate(a)
+                if dv:
+                    assert f.evaluate(a) == F.mul(f.num.evaluate(a), F.inv(dv))
+                    assert F.mul(f.evaluate(a), dv) == f.num.evaluate(a)
+                else:
+                    with pytest.raises(ZeroDivisionError, match="^evaluation at a pole$"):
+                        f.evaluate(a)
+    F = GF(5)
+    f = RatFunc(Poly(F, (1, 1)), Poly(F, (2, 1)))  # (x + 1)/(x + 2)
+    assert [f.evaluate(a) for a in (0, 1, 2, 4)] == [3, 4, 2, 0]
+    with pytest.raises(ZeroDivisionError, match="^evaluation at a pole$"):
+        f.evaluate(3)
+
+
 def test_pole_order_at_zero():
     F = GF(3)
     f = RatFunc(Poly.one(F), Poly(F, (0, 0, 1)))  # 1/x^2
