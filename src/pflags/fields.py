@@ -40,16 +40,19 @@ that finds it), and ``Field`` takes it as proven.
 A sum of products a_1 b_1 + ... + a_t b_t of F_p polynomials, in ``poly``
 and of digit vectors, is one sum of big-integer products, unpacked once
 (Kronecker substitution, ``_dot_mod_p``).  ``_slot_codec`` is the one packer
-and unpacker, shared by ``_dot_mod_p`` and the T step of ``matrix``, which
-packs its fixed operands once per chart.  Each coefficient tuple is packed
-into an int, one fixed-width slot per coefficient, constant term lowest.  A
-coefficient of a_s b_s is a sum of at most n_s = min(len a_s, len b_s) terms,
-each at most (p - 1)^2, so a slot of w bytes with (n_1 + ... + n_t) (p - 1)^2
-< 2^(8 w) holds a coefficient of the sum with no carry into the next slot;
-the sum's slots are read back and reduced mod p.  One-byte slots are packed
+and unpacker, shared by ``_dot_mod_p`` and the T iteration of
+``matrix._t_step``, which sizes its own slots and keeps its state packed from
+step to step, reducing every slot mod p on the packed int (Barrett).  Each
+coefficient tuple is packed into an int, one fixed-width slot per
+coefficient, constant term lowest.  A coefficient of a_s b_s is a sum of at
+most n_s = min(len a_s, len b_s) terms, each at most (p - 1)^2, so a slot of
+w bytes with (n_1 + ... + n_t) (p - 1)^2 < 2^(8 w) holds a coefficient of the
+sum with no carry into the next slot; ``_dot_mod_p`` reads the sum's slots
+back and reduces them mod p.  One-byte slots are packed
 with ``bytes``; widths of 2 to 8 bytes are rounded up to 2, 4 or 8, the sizes
-of the ``struct`` codes H, I and Q; wider slots, needed from p near 2^31 up,
-are packed one ``int.to_bytes`` per coefficient.  Every packing names
+of the ``struct`` codes H, I and Q; wider slots, needed by ``_dot_mod_p``
+from p near 2^31 up and by the T iteration from p of a few hundred up, are
+packed one ``int.to_bytes`` per coefficient.  Every packing names
 little-endian order (``int.to_bytes``/``from_bytes`` with "little", ``struct``
 formats with "<"), so the result does not depend on ``sys.byteorder``.
 """
@@ -126,8 +129,8 @@ def _byte_codec():
     def pack(cs):
         return int.from_bytes(bytes(cs), "little")
 
-    def unpack(total, m, p):
-        return [c % p for c in total.to_bytes(m, "little")]
+    def unpack(total, m):
+        return total.to_bytes(m, "little")
     return 8, pack, unpack
 
 
@@ -135,8 +138,8 @@ def _struct_codec(width: int, code: str):
     def pack(cs):
         return int.from_bytes(struct.pack(f"<{len(cs)}{code}", *cs), "little")
 
-    def unpack(total, m, p):
-        return [c % p for c in struct.unpack(f"<{m}{code}", total.to_bytes(m * width, "little"))]
+    def unpack(total, m):
+        return struct.unpack(f"<{m}{code}", total.to_bytes(m * width, "little"))
     return 8 * width, pack, unpack
 
 
@@ -144,10 +147,9 @@ def _wide_codec(width: int):
     def pack(cs):
         return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in cs), "little")
 
-    def unpack(total, m, p):
+    def unpack(total, m):
         data = total.to_bytes(m * width, "little")
-        return [int.from_bytes(data[i:i + width], "little") % p
-                for i in range(0, m * width, width)]
+        return [int.from_bytes(data[i:i + width], "little") for i in range(0, m * width, width)]
     return 8 * width, pack, unpack
 
 
@@ -162,8 +164,8 @@ def _slot_codec(bound: int):
     """The Kronecker codec (bits, pack, unpack) for slots that hold every
     integer in [0, bound], bound >= 1 (see the module docstring): a slot is
     ``bits`` wide, pack(cs) is the int with the nonnegative ints cs in
-    consecutive slots, constant term lowest, and unpack(total, m, p) the
-    lowest m slots of total, each reduced mod p."""
+    consecutive slots, constant term lowest, and unpack(total, m) the
+    sequence of the lowest m slots of total."""
     width = (bound.bit_length() + 7) >> 3  # bytes per slot
     return _CODECS[width] if width <= 8 else _wide_codec(width)
 
@@ -181,7 +183,7 @@ def _dot_mod_p(pairs, p: int) -> list[int]:
     total = 0
     for a, b in pairs:
         total += pack(a) * pack(b)
-    return unpack(total, m - 1, p)
+    return [c % p for c in unpack(total, m - 1)]
 
 
 def _reduce_mod_p(rem: list[int], div, p: int, quo: list[int] | None = None):

@@ -190,7 +190,7 @@ def nilpotent_flag_chart(c: ChartConn) -> NilpotentFlag:
     G^{-1}.
     """
     bmat, beta = c.A.cleared
-    iterates, nrows, _ = _p_curvature(bmat, beta)
+    iterates, nrows, _ = _p_curvature(bmat, beta, every_level=True)
     if any(_berkowitz(nrows)[1:]):  # det(s - N) = s^r exactly when psi is nilpotent
         raise PreconditionError("p-curvature is not nilpotent; no flag this way")
     gauge, order = _triangularize(bmat, beta, iterates)
@@ -202,7 +202,7 @@ def _triangularize(bmat, beta: Poly, iterates=None) -> tuple[MatRF, list[int]]:
     """A gauge G triangularizing T(v) = v' + A v, A = bmat/beta, for nilpotent
     p-curvature, and its row order: the rows order[0], order[1], ... of G form
     a lower triangular matrix with a nonzero diagonal.  ``iterates`` are the
-    ``_t_iterates`` of A when the caller has built them.
+    every-level ``_t_iterates`` of A when the caller has built them.
 
     With v0 = w/P(x^p) the first horizontal section, m its last nonzero index
     and s1 < ... < s(r-1) the others, the level gauge g1 = [v0 | e_s1 ...] is
@@ -247,14 +247,18 @@ def _quotient(bmat, beta: Poly, w, m: int) -> tuple[list[list[Poly]], Poly]:
 
     With v0 = w/P(x^p), v0[sk]/v0[m] = w[sk]/w[m], so the entry (k, l) is
     n_kl/D with n_kl = w[m] B[sk][sl] - w[sk] B[m][sl] and D = w[m] beta,
-    cleared by ``_clear_fractions``: the lcm over k, l of the reduced
-    D/gcd(D, n_kl) is D/g, g = gcd(D, every n_kl) made monic, so the pair is
-    (n_kl/g, D/g) scaled to a monic denominator.
+    w scaled once by the inverse of lc w[m], which changes no fraction and
+    makes D monic (beta is).  ``_clear_fractions`` clears them: the lcm over
+    k, l of the reduced D/gcd(D, n_kl) is D/g, g = gcd(D, every n_kl) monic,
+    so the pair is (n_kl/g, D/g).
     """
     F = beta.field
     others = [i for i in range(len(bmat)) if i != m]
-    wm, bm, den = w[m], bmat[m], w[m] * beta
-    return _clear_fractions(F, [[(poly_dot(((wm, bmat[k][l]), (-w[k], bm[l])), F), den)
+    c = F.inv(w[m].lc())
+    wm, bm = w[m].scale(c), bmat[m]
+    den = wm * beta
+    neg_w = {k: w[k].scale(F.neg(c)) for k in others}
+    return _clear_fractions(F, [[(poly_dot(((wm, bmat[k][l]), (neg_w[k], bm[l])), F), den)
                                  for l in others] for k in others])
 
 

@@ -27,19 +27,26 @@ written (``jsonio.matrix_from_json``, no entry reduced, for a chart too), a
 matrix built from rows, the quotient connection of each level and the
 gauge columns of ``hitchin``.  With A = B/beta,
 T^k e_i has the fixed denominator beta^k, and its numerators follow the
-classical p-curvature recurrence (Katz), with no gcd in the loop.  T e_i is
-column i of A, so its numerators are column i of B; each later level is a
-T step from ``_t_step``, built once per matrix, which over F_p packs the
-fixed operands B and beta once rather than once per entry and step.  The
-build of psi and its re-check share that one step.  Berkowitz on N, the
-re-check's N v and the projector take one ``poly_dot`` per entry.  psi has
-one builder, ``p_curvature_matrix``: ``_p_curvature`` reads (N, delta) off
-the iterates (``_cleared_psi``), delta = beta^p, re-verifies it (delta
-against beta^p formed by Frobenius, N v against T^p v iterated apart), and
-psi is returned as that pair, which need not be its lcm pair.  Every reader
-of a pair takes any pair: the characteristic polynomial of psi has its
-numerators and delta in F_q[x^p], so its fractions are reduced in y = x^p,
-where delta mostly divides them exactly (``_over_power``).
+classical p-curvature recurrence (Katz), with no gcd in the loop.
+``_t_iterates`` steps every column at once, e_0, ..., e_(r-1) and the
+re-check's sample sections when ``_p_curvature`` asks for them, from k = 0
+to p - 1 (the step at k = 0 takes e_i to column i of B), in doubling
+stages of one ``_t_step`` each.  Over F_p its state is one int per row,
+column l in block l of slots whose length is known up front for the stage
+(``_t_length``); the derivative is taken with bit masks and each slot is
+reduced mod p by Barrett's multiply-shift-mask on the packed words, so the
+state stays packed from level to level and only the levels a caller reads
+are unpacked: every level for the sections, level p alone for psi.  Over
+an extension field each entry of a step is one ``poly_dot``.  Berkowitz on
+N, the re-check's N v and the projector take one ``poly_dot`` per entry.
+psi has one builder, ``p_curvature_matrix``: ``_p_curvature`` reads
+(N, delta) off the iterates (``_cleared_psi``), delta = beta^p, re-verifies
+it (delta against beta^p formed by Frobenius, N v against the sample
+section's T^p v), and psi is returned as that pair, which need not be its
+lcm pair.  Every reader of a pair takes any pair: the characteristic
+polynomial of psi has its numerators and delta in F_q[x^p], so its
+fractions are reduced in y = x^p, where delta mostly divides them exactly
+(``_over_power``).
 Rational functions are reduced only in results: a matrix's rows when they
 are read (psi's among them, behind ``p_curvature_matrix``,
 ``pone.p_curvature`` and ``hitchin.p_curvature_chart``), ``kernel``'s
@@ -368,67 +375,89 @@ def p_curvature_matrix(a: MatRF) -> MatRF:
     return MatRF.from_cleared(a.field, nmat, delta)
 
 
-def _p_curvature(bmat, beta: Poly):
+def _p_curvature(bmat, beta: Poly, every_level: bool = False):
     """(the ``_t_iterates`` of A, N, delta) for A = bmat/beta, with
     psi = N/delta; psi is not cleared at all.  It runs behind
     ``p_curvature_matrix``, the one builder of psi, and behind
-    ``hitchin.nilpotent_flag_chart``, which reuses the iterates.
+    ``hitchin.nilpotent_flag_chart``, which asks for ``every_level`` for the
+    sections it goes on to build.
 
     Re-verified on every call, failure indicating an iteration bug, not bad
-    input.  The denominator: delta, the last of the iterates' beta^k, equals
-    beta^p formed apart from them, as the Frobenius image of beta's
-    coefficients at x^p.  Linearity over the structure sheaf, on a sample
+    input.  The denominator: delta, the iterates' beta^p, equals beta^p
+    formed apart from them, as the Frobenius image of beta's coefficients at
+    x^p.  Linearity over the structure sheaf, on a sample
     polynomial section v: T^p(f v) = f T^p(v) with f = x + 1, and
-    T^p(v) = psi v.  T is iterated over beta^k, A = B/beta, independently of
-    the iterates, so T^p(f v) and T^p(v) = n/beta^p share beta^p, and with
-    delta = beta^p the second reads N v = n.  The build and this iteration
-    share the chart's one ``_t_step``, so a wrong step is caught by the first
-    identity.
+    T^p(v) = psi v.  The sample sections f v and v are two more columns of
+    the iteration that builds psi, over the same beta^k, so with
+    delta = beta^p the second identity reads N v = n, n the numerators of
+    T^p v.  All columns share one step, so a wrong step is caught by the
+    first identity.
     """
     F = beta.field
     p = F.p
-    step = _t_step(bmat, beta)
-    iterates = _t_iterates(bmat, beta, p, step)
-    nmat, delta = _cleared_psi(iterates)
-    if delta != Poly(F, [F.frobenius(c) for c in beta.coeffs]).compose_xpow(p):
-        raise InternalInvariantError("p-curvature denominator is not beta^p")
     f = Poly(F, (1, 1))  # x + 1
     v = [Poly.monomial(F, 1, i % 3) for i in range(len(bmat))]
-    lhs = [f * e for e in v]
-    rhs = v
-    for k in range(p):
-        lhs = step(lhs, k)
-        rhs = step(rhs, k)
-    if lhs != [f * e for e in rhs]:
+    nums, dens = _t_iterates(bmat, beta, [[f * e for e in v], v], every_level)
+    *nums, lhs, rhs = nums
+    nmat, delta = _cleared_psi((nums, dens))
+    if delta != Poly(F, [F.frobenius(c) for c in beta.coeffs]).compose_xpow(p):
+        raise InternalInvariantError("p-curvature denominator is not beta^p")
+    if lhs[-1] != [f * e for e in rhs[-1]]:
         raise InternalInvariantError("p-curvature operator is not O-linear")
-    if any(_dot(row, v) != e for row, e in zip(nmat, rhs)):
+    if any(_dot(row, v) != e for row, e in zip(nmat, rhs[-1])):
         raise InternalInvariantError("p-curvature matrix disagrees with iterated T")
-    return iterates, nmat, delta
+    return (nums, dens), nmat, delta
 
 
-def _t_iterates(bmat, beta: Poly, p: int, step=None) -> tuple[list[list[list[Poly]]], list[Poly]]:
-    """The iterates T^k e_i for k = 0..p with A = bmat/beta, unreduced, as
-    (nums, dens): nums[i][k] holds the numerators of T^k e_i over dens[k] =
-    beta^k, the one denominator of every column.  T e_i is column i of A, so
-    its numerators are column i of bmat; each later level is one step of
-    ``_t_step`` (``step``, when the caller has built it for the chart)."""
+def _t_iterates(bmat, beta: Poly, extra=(), every_level: bool = False):
+    """The iterates T^k v for k = 0..p with A = bmat/beta, unreduced, of the
+    columns v = e_0, ..., e_(r-1) and then those of ``extra`` (numerators
+    over beta^0 = 1), as (nums, dens): nums[l] lists the numerators of
+    T^k v_l over dens[k] = beta^k, the one denominator of every column, for
+    k = 0..p with ``every_level`` and for k = p alone without it or for an
+    extra column, so that nums[l][-1] is T^p v_l either way.
+
+    Every column is iterated at once, by the steps k = 0, ..., p - 1 (the
+    step at k = 0 takes e_i to column i of bmat), and only the levels
+    returned are read out of the step's state.  The steps run in stages, one
+    ``_t_step`` each, whose packed blocks are as long as the stage's last
+    level needs: the first stage takes ``_T_STAGE`` steps and each later one
+    doubles the level reached, so past the first stage a block is padded to
+    about twice its length at most, where one stage to level p would pad
+    every level to the length of level p.  A new stage reads the columns out
+    and packs them again.
+    """
     F = beta.field
-    n = len(bmat)
-    if step is None:
-        step = _t_step(bmat, beta)
-    zero_p, one_p = Poly.zero(F), Poly.one(F)
-    dens = [one_p]
+    p, r = F.p, len(bmat)
+    one, zero = Poly.one(F), Poly.zero(F)
+    start = cols = [[one if j == i else zero for j in range(r)] for i in range(r)] + list(extra)
+    levels = []
+    k = 0
+    while k < p:
+        steps = min(p - k, max(_T_STAGE, k))
+        state, step, read = _t_step(bmat, beta, cols, steps)
+        for j in range(k, k + steps):
+            state = step(state, j)
+            if every_level and j < k + steps - 1:
+                levels.append(read(state, r))
+        k += steps
+        cols = read(state, len(cols))
+        if every_level:
+            levels.append(cols[:r])
+    if not every_level:
+        delta = _power(beta, p, one, lambda f, g: poly_dot(((f, g),), F))
+        return [[col] for col in cols], [delta]
+    dens = [one]
     for _ in range(p):
-        dens.append(poly_dot(((dens[-1], beta),), F))
-    nums = []
-    for i in range(n):
-        num = [zero_p] * n
-        num[i] = one_p
-        its = [num, [row[i] for row in bmat]]
-        for k in range(1, p):
-            its.append(step(its[-1], k))
-        nums.append(its)
-    return nums, dens
+        dens.append(dens[-1] if beta.is_one() else poly_dot(((dens[-1], beta),), F))
+    return ([[col, *its] for col, its in zip(start, zip(*levels))]
+            + [[col] for col in cols[r:]]), dens
+
+
+# The steps of the first stage of ``_t_iterates``, so p < 8 takes one stage.
+# On charts of rank 2-3 at p = 31-251 a first stage of 8, 16 or 32 steps took
+# the same time, and a single stage 30-42% longer.
+_T_STAGE = 8
 
 
 def _cleared_psi(iterates) -> tuple[list[tuple[Poly, ...]], Poly]:
@@ -497,61 +526,145 @@ def _lcm(dens, one: Poly) -> Poly:
     return delta
 
 
-def _t_step(bmat, beta: Poly):
-    """The T step of A = bmat/beta: step(num, k) is the list of numerators of
-    T^(k+1) v over beta^(k+1), from T^k v = num/beta^k.
+def _t_step(bmat, beta: Poly, cols, steps: int):
+    """The T step of A = bmat/beta on the columns ``cols`` at once, as
+    (state, step, read): state is that of the columns, numerators of T^k v
+    over beta^k, step(state, k) the state of the numerators of T^(k+1) v
+    over beta^(k+1) for every column v, from that of T^k v = num/beta^k,
+    and read(state, n) the first n columns.  Over F_p the state has room for
+    ``steps`` steps.
 
     (num/beta^k)' + (bmat/beta)(num/beta^k) = (beta num' - k beta' num +
     bmat num)/beta^(k+1): the classical p-curvature recurrence, with no gcd or
-    division.  The exponent k enters through its image in F_p.  One step is
-    built per chart: ``_p_curvature`` hands it to ``_t_iterates``, which
-    needs it from T^2 on (T e_i is column i of bmat), and iterates the
-    re-check's sample sections with it from k = 0.  Over an
-    extension field each entry is one ``poly_dot``.  Over F_p it is the same
-    sum of products on ``fields._slot_codec``'s ints: bmat_ij and beta are
-    packed once here, -k beta' once per k mod p (in both branches), and each
-    n_j and n_j' once per step.  One slot width serves every step, since a
-    pair's coefficient sums at most len(fixed operand) terms.  The sum's
-    highest nonzero slot is the top of its longest product with no zero
-    factor, so each entry is unpacked from the slots ``_dot_mod_p`` would
-    use.
+    division.  The exponent k enters through its image in F_p.  Over an
+    extension field the state is the list of columns, each entry is one
+    ``poly_dot`` and -k beta' is formed once per k mod p.
+
+    Over F_p the state is one int per row j (``fields._slot_codec``): entry
+    j of column l fills block l, the slots l L to l L + L - 1, constant term
+    lowest, every slot in [0, p), with L the longest numerator of the next
+    ``steps`` levels (``_t_length``).  Row i of the next level is
+    total_i = sum_j B_ij N_j + beta D(N_i) - k beta' N_i on the ints, with
+    bmat_ij, beta and beta' packed once and -k beta' the packed beta' times
+    -k mod p; a product with a packed polynomial stays inside each block,
+    since every term of row i is no longer than L.  D is the derivative on
+    the packed word: slot t is in mask b when bit b of (t mod L) mod p is
+    set, so sum_b (N & M_b) << b holds e c_t at slot t, e the exponent mod
+    p, which is x num', and one slot shift down makes it num'.  Slot 0 of a
+    block is in no mask, so no coefficient crosses a block.  Each slot of
+    total_i is then reduced mod p by Barrett's multiply-shift-mask,
+    total - p (((total m) >> s) & Q).
+
+    The slot width: a coefficient of a product sums at most len(fixed
+    operand) terms, each at most (p - 1)^2 for bmat_ij N_j, and at most
+    (p - 1)^3 for beta num' and -k beta' num, whose num' and -k beta' slots
+    hold up to (p - 1)^2.  So every slot of total_i is below 2^n, n the bit
+    length of (max_i sum_j len(bmat_ij)) (p - 1)^2
+    + (len(beta) + len(beta')) (p - 1)^3.
+    With s = n + ceil(log2 p) and m = ceil(2^s / p), m p - 2^s < p <= 2^(s-n),
+    so (T m) >> s = floor(T/p) for every T < 2^n (Granlund-Montgomery).  A
+    slot of n + s bits holds T m < 2^(n+s); after the shift by s the
+    quotient fills the low n bits of its own slot and the fraction of the
+    slot above lands in its top s bits, which Q, the low n bits of every
+    slot, drops.  A block is read at its exact length, the top of its
+    highest nonzero slot.
     """
     F = beta.field
     p = F.p
     dbeta = beta.derivative()
-    neg_kdbs = {}  # -k beta' by -k mod p: a Poly, or packed over F_p
     if F.k > 1:
-        def step(num, k):
+        neg_kdbs = {}  # -k beta' by -k mod p
+
+        def step(num_cols, k):
             neg_k = -k % p
             neg_kdb = neg_kdbs.get(neg_k)
             if neg_kdb is None:
                 neg_kdb = neg_kdbs[neg_k] = dbeta.scale(neg_k)
-            return [poly_dot([*zip(row, num), (beta, ni.derivative()), (neg_kdb, ni)], F)
-                    for ni, row in zip(num, bmat)]
-        return step
-    db = dbeta.coeffs
-    bits, pack, unpack = _slot_codec(
-        (max(sum(len(e.coeffs) for e in row) for row in bmat) + len(beta.coeffs) + len(db))
-        * (p - 1) ** 2)
-    rows = [[pack(e.coeffs) for e in row] for row in bmat]
-    pbeta = pack(beta.coeffs)
+            return [[poly_dot([*zip(row, num), (beta, ni.derivative()), (neg_kdb, ni)], F)
+                     for ni, row in zip(num, bmat)] for num in num_cols]
+        return list(cols), step, lambda state, n: state[:n]
+    r, top = len(bmat), p - 1
+    blens = [[len(e.coeffs) for e in row] for row in bmat]
+    nbits = (max(map(sum, blens)) * top * top
+             + (len(beta.coeffs) + len(dbeta.coeffs)) * top ** 3).bit_length()
+    shift = nbits + top.bit_length()
+    barrett = -(-(1 << shift) // p)
+    bits, pack, unpack = _slot_codec((1 << (nbits + shift)) - 1)
+    lens = [1] * r  # the longest entry of each row over the columns, at least 1
+    for col in cols:
+        lens = [max(n, len(e.coeffs)) for n, e in zip(lens, col)]
+    size = _t_length(blens, len(beta.coeffs), lens, steps)
+    c, block = len(cols), size * bits
+    block_mask = (1 << block) - 1
+    offsets = range(0, c * block, block)
+    starts = sum(1 << o for o in offsets)  # 1 at the bottom slot of each block
+    quo_mask = pack([(1 << nbits) - 1] * size) * starts
+    full = (1 << bits) - 1
+    dmasks = [(pack([full if t % p >> b & 1 else 0 for t in range(size)]) * starts, bits - b)
+              for b in range(top.bit_length())]
+    rows = [[pack(e.coeffs) if e else 0 for e in row] for row in bmat]
+    pbeta, pdbeta = pack(beta.coeffs), pack(dbeta.coeffs)
 
-    def step(num, k):
-        neg_k = -k % p
-        pdb = neg_kdbs.get(neg_k)
-        if pdb is None:
-            pdb = neg_kdbs[neg_k] = pack([neg_k * c % p for c in db])
-        cs = [n.coeffs for n in num]
-        pnum = list(map(pack, cs))
+    def step(state, k):
+        pdb = pdbeta * (-k % p)
         out = []
-        for n, pn, row in zip(cs, pnum, rows):
-            terms = enumerate(n)
-            next(terms, None)  # n' as in ``Poly.derivative``
-            total = (sum(map(mul, row, pnum)) + pbeta * pack([c * i % p for i, c in terms])
-                     + pdb * pn)
-            out.append(Poly(F, unpack(total, -(-total.bit_length() // bits), p)))
+        for n, row in zip(state, rows):
+            total = (sum(map(mul, row, state)) + pdb * n
+                     + pbeta * sum([(n & mask) >> down for mask, down in dmasks]))
+            out.append(total - p * ((total * barrett >> shift) & quo_mask))
         return out
-    return step
+
+    zero = Poly.zero(F)
+
+    def read(state, n):
+        out = [[] for _ in range(n)]
+        for row in state:
+            for col in out:
+                e = row & block_mask
+                row >>= block
+                col.append(Poly(F, unpack(e, -(-e.bit_length() // bits))) if e else zero)
+        return out
+    state = [sum(pack(col[j].coeffs) << o for col, o in zip(cols, offsets) if col[j])
+             for j in range(r)]
+    return state, step, read
+
+
+def _t_length(blens, beta_len: int, lens, steps: int) -> int:
+    """The most coefficients a numerator of T^k v can have over
+    k = 0..steps, bounded by lengths alone: blens[j][m] = len(bmat_jm),
+    beta_len = len(beta), and lens[j] is the longest entry of row j over the
+    columns v at k = 0.
+
+    A step is beta n' - k beta' n + bmat n, so row j of the next level, and
+    each of its terms, has at most max(n_j + len(beta) - 2,
+    max_m len(bmat_jm) + n_m - 1) coefficients over its nonzero terms, n the
+    bound at this level: a max-plus product, no larger than
+    n_j + max(deg bmat, deg beta - 1).  The product is monotone, so once
+    no row grows none grows at a later step, and once every row grows by
+    the same c with no row zero every later step adds c again: the
+    iteration stops at either.  For a nilpotent bmat over beta = 1 (a flat
+    connection) the bound stops growing after r steps, where
+    max(deg bmat, deg beta - 1) would add to it at each step.
+    """
+    down = beta_len - 2
+    top = max(lens)
+    for k in range(steps):
+        new = []
+        for n, row in zip(lens, blens):
+            best = n + down if n else 0
+            for m, b in zip(lens, row):
+                if m and b and m + b - 1 > best:
+                    best = m + b - 1
+            new.append(best)
+        moves = [a - b for a, b in zip(new, lens)]
+        grow = max(moves)
+        if grow <= 0:
+            break
+        if grow == min(moves) and min(lens):
+            return max(top, max(new) + (steps - 1 - k) * grow)
+        lens = new
+        top = max(top, *new)
+    return top
 
 
 # -- horizontal sections: Katz's projector ------------------------------------------
@@ -595,7 +708,7 @@ def _horizontal_sections(bmat, beta: Poly, iterates=None) -> list[tuple[list[Pol
     p = F.p
     r = len(bmat)
     if iterates is None:
-        iterates = _t_iterates(bmat, beta, p)
+        iterates = _t_iterates(bmat, beta, every_level=True)
     ker = _kernel_core(_cleared_psi(iterates)[0])
     if not ker:
         return []

@@ -125,13 +125,21 @@ def op_frobenius_pullback(payload: dict) -> Any:
     }
 
 
+def _level0(obj: Any, name: str, where: str = "connection",
+            iterates: bool = False) -> pone.Conn0:
+    """The level-0 connection of the connection payload ``obj``, read at
+    ``where`` (see ``jsonio.connection_from_json``), for an op that refuses
+    any other level with a parse error naming it ``name``."""
+    d = jsonio.connection_from_json(obj, where, iterates)
+    if d.m:
+        raise ParseError(f"{name} operates on level-0 connections")
+    return d.base
+
+
 def op_tensor(payload: dict) -> Any:
     _require(payload, "a", "b")
-    a = jsonio.connection_from_json(payload["a"], "a")
-    b = jsonio.connection_from_json(payload["b"], "b")
-    if a.m or b.m:
-        raise ParseError("tensor operates on level-0 connections")
-    conn, perm = pone.tensor(a.base, b.base)
+    conn, perm = pone.tensor(_level0(payload["a"], "tensor", "a"),
+                             _level0(payload["b"], "tensor", "b"))
     return {
         "connection": jsonio.connection_to_json(pone.as_level(conn)),
         "perm": list(perm),
@@ -141,10 +149,7 @@ def op_tensor(payload: dict) -> Any:
 
 def op_dual(payload: dict) -> Any:
     _require(payload, "connection")
-    d = jsonio.connection_from_json(payload["connection"])
-    if d.m:
-        raise ParseError("dual operates on level-0 connections")
-    conn, perm = pone.dual(d.base)
+    conn, perm = pone.dual(_level0(payload["connection"], "dual"))
     return {
         "connection": jsonio.connection_to_json(pone.as_level(conn)),
         "perm": list(perm),
@@ -154,10 +159,7 @@ def op_dual(payload: dict) -> Any:
 
 def op_cartier_descent(payload: dict) -> Any:
     _require(payload, "connection")
-    d = jsonio.connection_from_json(payload["connection"], iterates=True)
-    if d.m:
-        raise ParseError("descent operates on level-0 connections")
-    bundle, frame = pone.cartier_descent(d.base)
+    bundle, frame = pone.cartier_descent(_level0(payload["connection"], "descent", iterates=True))
     return {
         "descended_degrees": list(bundle.degrees),
         "frame": jsonio.matrix_to_json(frame),

@@ -7,15 +7,17 @@ indeterminate is positional: the same class serves polynomials in the chart
 coordinate x and, after a Frobenius rewrite, in the twist coordinate.
 
 Every product and every sum of products is one ``poly_dot``, except the T
-step of ``matrix._t_step`` over F_p, which packs its fixed operands once per
-chart with the same codec, ``fields._slot_codec``.  Over a prime
-field (k = 1) that is one ``fields._dot_mod_p`` (Kronecker substitution), and
+iteration of ``matrix._t_step`` over F_p, which keeps all its columns packed
+with the same codec, ``fields._slot_codec``, from level to level.  A single
+product by the constant 1 is the other factor as it is.  Over a prime field
+(k = 1) a product is one ``fields._dot_mod_p`` (Kronecker substitution), and
 the ring operations, division with remainder and ``poly_gcd`` work on the
 coefficients as plain ints mod p, reducing by ``fields._reduce_mod_p``.  Over
 an extension field with log tables (q up to the cap in ``fields``) products
 and the reduction behind division and ``poly_gcd`` read ``_exp``, ``_log``
-and ``_zech`` directly: the logs of the fixed operand (the second factor of
-a pair, the divisor) are taken once per pair or call, and each inner step of
+and ``_zech`` directly: the logs of the longer factor of a pair (of the
+divisor) are taken once per pair (per call), the shorter factor is walked
+one ``_add_multiples_log`` per coefficient, and each inner step of
 ``_add_multiples_log`` is one ``_exp`` lookup plus an XOR (p = 2) or a Zech
 step (odd p), with no ``Field`` method call.  In division the log of each
 quotient coefficient is reduced mod q - 1 before a divisor log is added, so
@@ -274,12 +276,17 @@ def poly_dot(pairs, F: Field) -> Poly:
     """sum f g over the pairs (f, g) of polynomials over F, skipping zero
     factors: the one polynomial product (see the module docstring)."""
     cs = [(f.coeffs, g.coeffs) for f, g in pairs if f.coeffs and g.coeffs]
+    if len(cs) == 1 and (1,) in cs[0]:  # one product, by the constant 1
+        a, b = cs[0]
+        return Poly(F, b if a == (1,) else a)
     if F.k == 1:
         return Poly(F, _dot_mod_p(cs, F.p) if cs else ())
     out = [0] * (max([len(a) + len(b) for a, b in cs], default=1) - 1)
     log = F._log
     if log is not None:
         for a, b in cs:
+            if len(a) > len(b):  # one call per coefficient of the shorter factor
+                a, b = b, a
             lb = [(j, log[y]) for j, y in enumerate(b) if y]  # once per pair
             for i, x in enumerate(a):
                 if x:

@@ -121,17 +121,26 @@ def _mutation_conns():
 
 
 def _iterates_through(monkeypatch, mutate):
-    """Make every psi ``matrix`` returns be built from mutate(iterates).  The
-    re-check iterates T on its own sample vector, not through
-    ``_t_iterates``, so it must catch every mutation that changes psi."""
+    """Make every psi ``matrix`` returns be built from mutate(iterates), the
+    every-level iterates of e_0, ..., e_(r-1) out of the packed kernel.  The
+    re-check's sample sections are iterated in the same call and are left
+    as they are, so the re-check must catch every mutation that changes
+    psi."""
     true_iterates = matrix._t_iterates
-    monkeypatch.setattr(matrix, "_t_iterates",
-                        lambda *args: mutate(true_iterates(*args)))
+
+    def mutated(bmat, beta, extra=(), every_level=False):
+        nums, dens = true_iterates(bmat, beta, extra, True)
+        basis, dens = mutate((nums[:len(bmat)], dens))
+        nums = basis + nums[len(bmat):]
+        if every_level:
+            return nums, dens
+        return [its[-1:] for its in nums], dens[-1:]
+    monkeypatch.setattr(matrix, "_t_iterates", mutated)
 
 
 def _mutated_psi(c, mutate):
     """psi as the pair (N, delta) of the mutated iterates would give it."""
-    iterates = mutate(_t_iterates(*_clear_denominators(c.A.rows), c.field.p))
+    iterates = mutate(_t_iterates(*_clear_denominators(c.A.rows), every_level=True))
     nmat, delta = _cleared_psi(iterates)
     return MatRF(c.field, [[RatFunc(e, delta) for e in row] for row in nmat])
 
@@ -209,9 +218,11 @@ def test_p_curvature_recheck_catches_a_step_without_the_beta_prime_term(monkeypa
     charts = _mutation_charts()
     psis = [p_curvature_chart(c) for c in charts]
     true_step = matrix._t_step
-    monkeypatch.setattr(matrix, "_t_step",
-                        lambda bmat, beta: lambda num, k, step=true_step(bmat, beta):
-                        step(num, 0))
+
+    def without_beta_prime(*args):
+        state, step, read = true_step(*args)
+        return state, lambda state, k: step(state, 0), read
+    monkeypatch.setattr(matrix, "_t_step", without_beta_prime)
     caught = 0
     for c, psi in zip(charts, psis):
         if _mutated_psi(c, lambda iterates: iterates) == psi:
@@ -230,16 +241,22 @@ def test_p_curvature_recheck_catches_level_one_read_off_the_rows(monkeypatch):
     sample section the re-check iterates."""
     charts = _mutation_charts()
     psis = [p_curvature_chart(c) for c in charts]
-    true_iterates = matrix._t_iterates
+    true_iterates, true_step = matrix._t_iterates, matrix._t_step
 
-    def from_rows(bmat, beta, p, step=None):
-        return true_iterates([list(col) for col in zip(*bmat)], beta, p,
-                             step or matrix._t_step(bmat, beta))
+    def from_rows(bmat, beta, extra=(), every_level=False):
+        # the samples as they are; each e_i restarted at level 1 from row i
+        # of B, a column of the kernel stepped by k = 1..p-1 only
+        nums, dens = true_iterates(bmat, beta, extra, every_level)
+        state, step, read = true_step(bmat, beta, [list(row) for row in bmat], beta.field.p)
+        for k in range(1, beta.field.p):
+            state = step(state, k)
+        nums[:len(bmat)] = [[col] for col in read(state, len(bmat))]
+        return nums, dens
 
     monkeypatch.setattr(matrix, "_t_iterates", from_rows)
     caught = 0
     for c, psi in zip(charts, psis):
-        nmat, delta = _cleared_psi(from_rows(*_clear_denominators(c.A.rows), c.field.p))
+        nmat, delta = _cleared_psi(from_rows(*_clear_denominators(c.A.rows)))
         if MatRF(c.field, [[RatFunc(e, delta) for e in row] for row in nmat]) == psi:
             continue  # B symmetric, or the change cancels in psi: nothing to catch
         with pytest.raises(InternalInvariantError, match="disagrees with iterated T"):

@@ -418,21 +418,23 @@ def test_t_iterates_match_gcd_per_step_reference():
     for a in pole_charts():
         p = a.field.p
         ref = reference_iterates(a, 2 * p)
-        nums, dens = _t_iterates(*_clear_denominators(a.rows), p)
+        bmat, beta = _clear_denominators(a.rows)
+        nums, dens = _t_iterates(bmat, beta, every_level=True)
         for its, ref_its in zip(nums, ref):
             for num, den, (ref_num, ref_den) in zip(its, dens, ref_its):
                 assert [RatFunc(e, den) for e in num] == [RatFunc(e, ref_den) for e in ref_num]
+        # without every_level, level p alone, over beta^p
+        assert _t_iterates(bmat, beta) == ([its[-1:] for its in nums], dens[-1:])
         assert p_curvature_matrix(a) == column_matrix(a.field, [its[p] for its in ref])
         if a.n > 2:
             continue
         # past T^p the step's k >= p must enter as k mod p (over GF(4) and GF(9)
-        # the integer k itself would be another field element)
-        bmat, beta = _clear_denominators(a.rows)
-        step = _t_step(bmat, beta)
-        for its, ref_its in zip(nums, ref):
-            num = its[p]
-            for k in range(p, 2 * p):
-                num = step(num, k)
+        # the integer k itself would be another field element): the level-p
+        # numerators, stepped on as extra columns by k = p..2p-1
+        state, step, read = _t_step(bmat, beta, [its[p] for its in nums], p)
+        for k in range(p, 2 * p):
+            state = step(state, k)
+            for num, ref_its in zip(read(state, a.n), ref):
                 ref_num, ref_den = ref_its[k + 1]
                 assert ([RatFunc(e, beta ** (k + 1)) for e in num]
                         == [RatFunc(e, ref_den) for e in ref_num])
@@ -472,18 +474,41 @@ def step_cases(field, rng):
     yield [[Poly(field, [top])]], beta, [Poly(field, [top] * 5)]
 
 
+def unit_columns(field, r):
+    return [[Poly.one(field) if j == i else Poly.zero(field) for j in range(r)]
+            for i in range(r)]
+
+
 def test_t_step_matches_the_per_entry_oracle():
-    # GF(4), GF(9) and GF(2^13) take the extension-field branch
+    # GF(4), GF(9) and GF(2^13) take the extension-field kernel.  Each case
+    # steps e_0..e_(r-1), num and two more columns of other lengths at once,
+    # one step from level 0 at each k, then three steps in a row from k,
+    # each level against the oracle
     rng = random.Random(16)
     for field in [GF(p) for p in STEP_PRIMES] + [GF(2, 2), GF(3, 2), GF(2, 13)]:
         p = field.p
         for bmat, beta, num in step_cases(field, rng):
-            step = _t_step(bmat, beta)
+            r = len(bmat)
+            extra = [num, [random_poly(rng, field, rng.randint(0, 9)) for _ in range(r)],
+                     [Poly.zero(field)] * (r - 1) + [random_poly(rng, field, 3)]]
+            cols = unit_columns(field, r) + extra
+            state, step, read = _t_step(bmat, beta, cols, 1)
+            assert read(state, len(cols)) == cols
             for k in (0, 1, p - 1, p, 2 * p + 1):
-                assert step(num, k) == apply_t_oracle(bmat, beta, num, k)
+                assert read(step(state, k), len(cols)) == [apply_t_oracle(bmat, beta, col, k)
+                                                           for col in cols]
+            state, step, read = _t_step(bmat, beta, cols, 3)
+            want = cols
+            for k in (p - 2, p - 1, p) if p > 2 else (0, 1, 2):
+                state = step(state, k)
+                want = [apply_t_oracle(bmat, beta, col, k) for col in want]
+                assert read(state, len(want)) == want
 
 
 def test_t_step_forms_minus_k_beta_prime_once_per_k_mod_p(monkeypatch):
+    # over F_p nothing is packed after the kernel is built, -k beta' being
+    # the packed beta' times -k mod p; over an extension field -k beta' is
+    # scaled once per k mod p
     true_codec, true_scale = matrix._slot_codec, Poly.scale
     packs = scales = 0
 
@@ -507,15 +532,15 @@ def test_t_step_forms_minus_k_beta_prime_once_per_k_mod_p(monkeypatch):
     for field in (GF(5), GF(7), GF(2, 2), GF(3, 2)):
         p = field.p
         for bmat, beta, num in step_cases(field, rng):
-            step = _t_step(bmat, beta)
+            state, step, read = _t_step(bmat, beta, [num], 1)
+            packs = 0
             for k in range(p):
-                step(num, k)
-            packs = scales = 0
+                read(step(state, k), 1)
+            assert packs == 0
+            scales = 0
             for k in range(p, 3 * p):  # every k mod p has been seen
-                step(num, k)
-            # over F_p only each n_i and n_i' is packed; nothing is scaled
-            assert scales == 0
-            assert packs == (0 if field.k > 1 else 2 * p * 2 * len(num))
+                read(step(state, k), 1)
+            assert packs == scales == 0
 
 
 def p31_chart():
@@ -527,11 +552,37 @@ def test_t_iterate_degrees_grow_at_most_linearly():
     for a in pole_charts() + [p31_chart()]:
         bmat, beta = _clear_denominators(a.rows)
         step = max(beta.degree - 1, max(e.degree for row in bmat for e in row))
-        nums, dens = _t_iterates(bmat, beta, a.field.p)
+        nums, dens = _t_iterates(bmat, beta, every_level=True)
         assert dens == [beta**k for k in range(a.field.p + 1)]
         for its in nums:
             for k, num in enumerate(its):
                 assert all(e.degree <= k * step for e in num if not e.is_zero())
+
+
+def test_t_length_bounds_every_level():
+    # the kernel's block length bounds every numerator of every level, and is
+    # no larger than the uniform bound max(len) + p max(deg B, deg beta - 1);
+    # on flat connections (nilpotent B over beta = 1) it is far smaller
+    rng = random.Random(4711)
+    cases = [(*_clear_denominators(a.rows), []) for a in pole_charts() + [p31_chart()]]
+    for bmat, beta, _ in cases[:20]:
+        F = beta.field
+        cases.append((bmat, beta, [[random_poly(rng, F, rng.randint(0, 4)) for _ in bmat]]))
+    flat = [random_flat_conn0(rng, GF(p), r) for p in (5, 7, 11) for r in (2, 3, 4)]
+    cases += [(c.A, Poly.one(c.field), []) for c in flat]
+    tighter = 0
+    for bmat, beta, extra in cases:
+        F = beta.field
+        p = F.p
+        lens = [max([1, *(len(col[j].coeffs) for col in extra)]) for j in range(len(bmat))]
+        length = matrix._t_length([[len(e.coeffs) for e in row] for row in bmat],
+                                  len(beta.coeffs), lens, p)
+        nums, _ = _t_iterates(bmat, beta, extra, every_level=True)
+        assert max(len(e.coeffs) for its in nums for num in its for e in num) <= length
+        grow = max(0, beta.degree - 1, *(e.degree for row in bmat for e in row))
+        assert length <= max(lens) + p * grow
+        tighter += length < max(lens) + p * grow
+    assert tighter >= len(flat)
 
 
 def test_char_poly_psi_at_p_31_matches_reference():
@@ -564,22 +615,41 @@ def test_t_iterates_call_no_poly_operator(monkeypatch):
             return _original(*args)
         monkeypatch.setattr(Poly, name, counted)
     for bmat, beta in cleared:
-        _t_iterates(bmat, beta, beta.field.p)
+        _t_iterates(bmat, beta, every_level=True)
+        _t_iterates(bmat, beta)
     assert calls == []
     assert Poly.one(GF(3)) * Poly.x(GF(3)) == Poly.x(GF(3)) and calls == ["__mul__"]
 
 
 def test_t_iterates_level_one_is_the_first_step():
-    # T e_i is read off column i of B, not stepped from e_i
+    # the step at k = 0 takes e_i to column i of B, so level 1 is that column
     for a in pole_charts():
         F = a.field
         bmat, beta = _clear_denominators(a.rows)
-        step = _t_step(bmat, beta)
-        nums, _ = _t_iterates(bmat, beta, F.p)
-        for i, its in enumerate(nums):
-            e = [Poly.one(F) if t == i else Poly.zero(F) for t in range(a.n)]
+        nums, _ = _t_iterates(bmat, beta, every_level=True)
+        for i, (its, e) in enumerate(zip(nums, unit_columns(F, a.n))):
             assert its[0] == e
-            assert its[1] == step(e, 0)
+            assert its[1] == [row[i] for row in bmat]
+
+
+def test_t_iterates_in_stages_match_the_per_entry_oracle():
+    # at p = 11 and 37 the steps run in stages of 8, 8, 16, ... steps, each
+    # stage repacking the columns: every level against the per-entry oracle
+    rng = random.Random(37)
+    for p in (11, 37):
+        F = GF(p)
+        charts = [_clear_denominators(pole_chart(rng, F, r, "shared").rows) for r in (1, 2, 3)]
+        charts.append((random_flat_conn0(rng, F, 3).A, Poly.one(F)))
+        for bmat, beta in charts:
+            extra = [[random_poly(rng, F, 3) for _ in bmat]]
+            nums, dens = _t_iterates(bmat, beta, extra, every_level=True)
+            r = len(bmat)
+            want = unit_columns(F, r) + extra
+            for k in range(p):  # every level of e_i; the extra column at level p
+                assert [its[k] for its in nums[:r]] == want[:r]
+                want = [apply_t_oracle(bmat, beta, col, k) for col in want]
+            assert [its[-1] for its in nums] == want and len(nums[-1]) == 1
+            assert _t_iterates(bmat, beta, extra) == ([its[-1:] for its in nums], dens[-1:])
 
 
 def _charpoly_in_x(rows, delta):

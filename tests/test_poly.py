@@ -1,4 +1,5 @@
 import operator
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -331,6 +332,19 @@ def test_poly_dot_matches_sum_of_products(operands):
     for f, g in pairs:
         total = total + f * g
     assert poly_dot(pairs, F).coeffs == total.coeffs == _trim(ref)
+
+
+def test_poly_dot_by_the_constant_one():
+    # a single product by 1 is the other factor, in either order and with
+    # zero pairs around it, over F_p, log tables and digits
+    rng = random.Random(1)
+    for F in [GF(7), *DOT_FIELDS]:
+        one, zero = Poly.one(F), Poly.zero(F)
+        f = Poly(F, [rng.randrange(F.q) for _ in range(5)] + [1])
+        for pairs in ([(f, one)], [(one, f)], [(zero, f), (one, f), (f, zero)]):
+            assert poly_dot(pairs, F) == f
+        assert poly_dot([(one, one)], F) == one
+        assert poly_dot([(f, one), (one, f)], F) == f + f
 
 
 # -- the log-table kernels over extension fields against schoolbook loops on
