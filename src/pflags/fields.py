@@ -41,8 +41,9 @@ A sum of products a_1 b_1 + ... + a_t b_t of F_p polynomials, in ``poly``
 and of digit vectors, is one sum of big-integer products, unpacked once
 (Kronecker substitution, ``_dot_mod_p``).  ``_slot_codec`` is the one packer
 and unpacker, shared by ``_dot_mod_p`` and the T iteration of
-``matrix._t_step``, which sizes its own slots and keeps its state packed from
-step to step, reducing every slot mod p on the packed int (Barrett).  Each
+``matrix._t_step``, whose slots are sized by its layout (``matrix._t_layout``,
+built once per shape and cached) and which keeps its state packed from step
+to step, reducing every slot mod p on the packed int (Barrett).  Each
 coefficient tuple is packed into an int, one fixed-width slot per
 coefficient, constant term lowest.  A coefficient of a_s b_s is a sum of at
 most n_s = min(len a_s, len b_s) terms, each at most (p - 1)^2, so a slot of

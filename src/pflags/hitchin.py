@@ -275,7 +275,7 @@ def _check_triangular(bmat, beta: Poly, gauge: MatRF, order) -> None:
     r = len(bmat)
     if sorted(order) != list(range(r)):
         raise InternalInvariantError("gauge row order is not a permutation")
-    cols = [_clear_fractions(beta.field, [[(e.num, e.den) for e in col]])[0][0]
+    cols = [_clear_fractions(beta.field, [[(e.num, e.den) for e in col]], reduced=True)[0][0]
             for col in zip(*gauge.rows)]
     low = [[col[i] for col in cols] for i in order]
     if any(not row[k] or any(row[k + 1:]) for k, row in enumerate(low)):

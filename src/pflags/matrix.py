@@ -36,7 +36,11 @@ column l in block l of slots whose length is known up front for the stage
 (``_t_length``); the derivative is taken with bit masks and each slot is
 reduced mod p by Barrett's multiply-shift-mask on the packed words, so the
 state stays packed from level to level and only the levels a caller reads
-are unpacked: every level for the sections, level p alone for psi.  Over
+are unpacked: every level for the sections, level p alone for psi.  The
+slot width, the masks and the Barrett constants are a layout, a pure
+function of (p, n, L, c) for the slot bound n, the block length L and c
+columns (``_t_layout``): it is built once per shape and kept in a bounded
+cache, as the block length is, so a step packs only its chart.  Over
 an extension field each entry of a step is one ``poly_dot``.  Berkowitz on
 N, the re-check's N v and the projector take one ``poly_dot`` per entry.
 psi has one builder, ``p_curvature_matrix``: ``_p_curvature`` reads
@@ -60,7 +64,10 @@ returns, so it builds its N without the re-check.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from functools import lru_cache
 from operator import mul
+from typing import NamedTuple
 
 from .errors import InternalInvariantError, PflagsError
 from .fields import Field, _power, _slot_codec
@@ -120,7 +127,7 @@ class MatRF:
         """(B, beta): the rows of B and beta, with m = B/beta."""
         if self._cleared is None:
             pairs = [[(e.num, e.den) for e in row] for row in self.rows]
-            bmat, beta = _clear_fractions(self.field, pairs)
+            bmat, beta = _clear_fractions(self.field, pairs, reduced=True)
             self._cleared = (tuple(map(tuple, bmat)), beta)
         return self._cleared
 
@@ -459,6 +466,12 @@ def _t_iterates(bmat, beta: Poly, extra=(), every_level: bool = False):
 # the same time, and a single stage 30-42% longer.
 _T_STAGE = 8
 
+# The layouts ``_t_layout`` keeps, and the block lengths ``_t_length`` keeps,
+# the least recently used dropped first.  One pass of chart-charpoly at seed 0
+# builds 15 layouts and one of flat-descent 42; at p = 293 a layout of a
+# rank-4 chart holds up to 0.6 MB of masks.
+_T_LAYOUTS = 64
+
 
 def _cleared_psi(iterates) -> tuple[list[tuple[Poly, ...]], Poly]:
     """psi = N/delta from ``_t_iterates``: column i of N holds the numerators
@@ -467,7 +480,7 @@ def _cleared_psi(iterates) -> tuple[list[tuple[Poly, ...]], Poly]:
     return list(zip(*(its[-1] for its in nums))), dens[-1]
 
 
-def _clear_fractions(field: Field, rows) -> tuple[list[list[Poly]], Poly]:
+def _clear_fractions(field: Field, rows, reduced: bool = False) -> tuple[list[list[Poly]], Poly]:
     """The matrix whose entries are the fractions num/den of ``rows``, given
     as pairs (num, den) and not necessarily reduced, written as B/beta: the
     polynomial rows of B and beta, the monic lcm of the entries' reduced
@@ -480,8 +493,11 @@ def _clear_fractions(field: Field, rows) -> tuple[list[list[Poly]], Poly]:
     whatever its reduced form, so B_ij = num (delta // d), the quotient formed
     once per d.  Where d does not divide delta (num and d share a factor that
     the other entries' reduced denominators lack) B_ij is the exact
-    (num delta) // d.
+    (num delta) // d.  The caller whose pairs are ``reduced`` (those of
+    reduced ``RatFunc`` entries, num prime to den) knows that chain is 1 and
+    takes no gcd.
     """
+    one = Poly.one(field)
     groups = {}  # den's coefficients -> [den, gcd of den and its nonzero numerators]
     monic_rows = []
     for row in rows:
@@ -495,11 +511,11 @@ def _clear_fractions(field: Field, rows) -> tuple[list[list[Poly]], Poly]:
             if num.coeffs and len(den.coeffs) > 1:
                 group = groups.get(den.coeffs)
                 if group is None:
-                    groups[den.coeffs] = [den, poly_gcd(den, num)]
+                    groups[den.coeffs] = [den, one if reduced else poly_gcd(den, num)]
                 elif group[1].degree > 0:
                     group[1] = poly_gcd(group[1], num)
         monic_rows.append(out)
-    delta = _lcm([d // g if g.degree > 0 else d for d, g in groups.values()], Poly.one(field))
+    delta = _lcm([d // g if g.degree > 0 else d for d, g in groups.values()], one)
     quos = {}
     for key, (d, _) in groups.items():
         q, rem = divmod(delta, d)
@@ -548,26 +564,12 @@ def _t_step(bmat, beta: Poly, cols, steps: int):
     bmat_ij, beta and beta' packed once and -k beta' the packed beta' times
     -k mod p; a product with a packed polynomial stays inside each block,
     since every term of row i is no longer than L.  D is the derivative on
-    the packed word: slot t is in mask b when bit b of (t mod L) mod p is
-    set, so sum_b (N & M_b) << b holds e c_t at slot t, e the exponent mod
-    p, which is x num', and one slot shift down makes it num'.  Slot 0 of a
-    block is in no mask, so no coefficient crosses a block.  Each slot of
-    total_i is then reduced mod p by Barrett's multiply-shift-mask,
-    total - p (((total m) >> s) & Q).
-
-    The slot width: a coefficient of a product sums at most len(fixed
-    operand) terms, each at most (p - 1)^2 for bmat_ij N_j, and at most
-    (p - 1)^3 for beta num' and -k beta' num, whose num' and -k beta' slots
-    hold up to (p - 1)^2.  So every slot of total_i is below 2^n, n the bit
-    length of (max_i sum_j len(bmat_ij)) (p - 1)^2
-    + (len(beta) + len(beta')) (p - 1)^3.
-    With s = n + ceil(log2 p) and m = ceil(2^s / p), m p - 2^s < p <= 2^(s-n),
-    so (T m) >> s = floor(T/p) for every T < 2^n (Granlund-Montgomery).  A
-    slot of n + s bits holds T m < 2^(n+s); after the shift by s the
-    quotient fills the low n bits of its own slot and the fraction of the
-    slot above lands in its top s bits, which Q, the low n bits of every
-    slot, drops.  A block is read at its exact length, the top of its
-    highest nonzero slot.
+    the packed word, taken with the layout's bit masks, and each slot of
+    total_i is then reduced mod p by Barrett's multiply-shift-mask; both are
+    derived in ``_t_layout``, with the slot bound n.  The layout is a pure
+    function of (p, n, L, c), c the number of columns, built once per shape
+    and kept in ``_t_layout``'s bounded cache, so a call packs only the
+    chart's own operands and its starting columns.
     """
     F = beta.field
     p = F.p
@@ -587,21 +589,12 @@ def _t_step(bmat, beta: Poly, cols, steps: int):
     blens = [[len(e.coeffs) for e in row] for row in bmat]
     nbits = (max(map(sum, blens)) * top * top
              + (len(beta.coeffs) + len(dbeta.coeffs)) * top ** 3).bit_length()
-    shift = nbits + top.bit_length()
-    barrett = -(-(1 << shift) // p)
-    bits, pack, unpack = _slot_codec((1 << (nbits + shift)) - 1)
     lens = [1] * r  # the longest entry of each row over the columns, at least 1
     for col in cols:
         lens = [max(n, len(e.coeffs)) for n, e in zip(lens, col)]
     size = _t_length(blens, len(beta.coeffs), lens, steps)
-    c, block = len(cols), size * bits
-    block_mask = (1 << block) - 1
-    offsets = range(0, c * block, block)
-    starts = sum(1 << o for o in offsets)  # 1 at the bottom slot of each block
-    quo_mask = pack([(1 << nbits) - 1] * size) * starts
-    full = (1 << bits) - 1
-    dmasks = [(pack([full if t % p >> b & 1 else 0 for t in range(size)]) * starts, bits - b)
-              for b in range(top.bit_length())]
+    (bits, pack, unpack, shift, barrett, quo_mask, dmasks, block, block_mask,
+     offsets) = _t_layout(p, nbits, size, len(cols))
     rows = [[pack(e.coeffs) if e else 0 for e in row] for row in bmat]
     pbeta, pdbeta = pack(beta.coeffs), pack(dbeta.coeffs)
 
@@ -629,6 +622,64 @@ def _t_step(bmat, beta: Poly, cols, steps: int):
     return state, step, read
 
 
+class _TLayout(NamedTuple):
+    """The packed T step's layout of one shape (``_t_layout``)."""
+
+    bits: int  # the slot width
+    pack: Callable
+    unpack: Callable
+    shift: int  # Barrett's s
+    barrett: int  # Barrett's m
+    quo_mask: int  # Q, the low n bits of every slot
+    dmasks: tuple[tuple[int, int], ...]  # (M_b, bits - b) for each bit b of p - 1
+    block: int  # the block stride, L slots, in bits
+    block_mask: int
+    offsets: range  # the bottom bit of each block
+
+
+@lru_cache(maxsize=_T_LAYOUTS)
+def _t_layout(p: int, nbits: int, size: int, c: int) -> _TLayout:
+    """The layout of ``_t_step`` over F_p for the slot bound n = ``nbits``,
+    blocks of L = ``size`` slots and c columns: a pure function of
+    (p, n, L, c), so it is built once per shape and kept in a cache of
+    ``_T_LAYOUTS`` entries.
+
+    The slot width: a coefficient of a product sums at most len(fixed
+    operand) terms, each at most (p - 1)^2 for bmat_ij N_j, and at most
+    (p - 1)^3 for beta num' and -k beta' num, whose num' and -k beta' slots
+    hold up to (p - 1)^2.  So every slot of total_i is below 2^n, n the bit
+    length of (max_i sum_j len(bmat_ij)) (p - 1)^2
+    + (len(beta) + len(beta')) (p - 1)^3, which ``_t_step`` passes in.
+    Each slot of total_i is reduced mod p by Barrett's multiply-shift-mask,
+    total - p (((total m) >> s) & Q).
+    With s = n + ceil(log2 p) and m = ceil(2^s / p), m p - 2^s < p <= 2^(s-n),
+    so (T m) >> s = floor(T/p) for every T < 2^n (Granlund-Montgomery).  A
+    slot of n + s bits holds T m < 2^(n+s); after the shift by s the
+    quotient fills the low n bits of its own slot and the fraction of the
+    slot above lands in its top s bits, which Q, the low n bits of every
+    slot, drops.  A block is read at its exact length, the top of its
+    highest nonzero slot.
+
+    D, the derivative on the packed word: slot t is in mask b when bit b of
+    (t mod L) mod p is set, so sum_b (N & M_b) << b holds e c_t at slot t, e
+    the exponent mod p, which is x num', and one slot shift down makes it
+    num'.  Slot 0 of a block is in no mask, so no coefficient crosses a
+    block.
+    """
+    top = p - 1
+    shift = nbits + top.bit_length()
+    bits, pack, unpack = _slot_codec((1 << (nbits + shift)) - 1)
+    block = size * bits
+    offsets = range(0, c * block, block)
+    starts = sum(1 << o for o in offsets)  # 1 at the bottom slot of each block
+    full = (1 << bits) - 1
+    dmasks = tuple((pack([full if t % p >> b & 1 else 0 for t in range(size)]) * starts, bits - b)
+                   for b in range(top.bit_length()))
+    return _TLayout(bits, pack, unpack, shift, -(-(1 << shift) // p),
+                    pack([(1 << nbits) - 1] * size) * starts, dmasks, block, (1 << block) - 1,
+                    offsets)
+
+
 def _t_length(blens, beta_len: int, lens, steps: int) -> int:
     """The most coefficients a numerator of T^k v can have over
     k = 0..steps, bounded by lengths alone: blens[j][m] = len(bmat_jm),
@@ -645,7 +696,17 @@ def _t_length(blens, beta_len: int, lens, steps: int) -> int:
     iteration stops at either.  For a nilpotent bmat over beta = 1 (a flat
     connection) the bound stops growing after r steps, where
     max(deg bmat, deg beta - 1) would add to it at each step.
+
+    The bound is a function of lengths alone, which repeat from chart to
+    chart, so it is kept per (blens, beta_len, lens, steps) in a cache of
+    ``_T_LAYOUTS`` entries, as the layouts are.
     """
+    return _t_length_of(tuple(map(tuple, blens)), beta_len, tuple(lens), steps)
+
+
+@lru_cache(maxsize=_T_LAYOUTS)
+def _t_length_of(blens, beta_len: int, lens, steps: int) -> int:
+    """``_t_length`` on tuples of lengths."""
     down = beta_len - 2
     top = max(lens)
     for k in range(steps):

@@ -479,13 +479,13 @@ def unit_columns(field, r):
             for i in range(r)]
 
 
-def test_t_step_matches_the_per_entry_oracle():
-    # GF(4), GF(9) and GF(2^13) take the extension-field kernel.  Each case
-    # steps e_0..e_(r-1), num and two more columns of other lengths at once,
-    # one step from level 0 at each k, then three steps in a row from k,
-    # each level against the oracle
+def t_step_comparisons(fields):
+    """(got, want) for every level the per-entry oracle checks over the given
+    fields: each case steps e_0..e_(r-1), num and two more columns of other
+    lengths at once, one step from level 0 at each k, then three steps in a
+    row from k, each level against the oracle."""
     rng = random.Random(16)
-    for field in [GF(p) for p in STEP_PRIMES] + [GF(2, 2), GF(3, 2), GF(2, 13)]:
+    for field in fields:
         p = field.p
         for bmat, beta, num in step_cases(field, rng):
             r = len(bmat)
@@ -493,22 +493,110 @@ def test_t_step_matches_the_per_entry_oracle():
                      [Poly.zero(field)] * (r - 1) + [random_poly(rng, field, 3)]]
             cols = unit_columns(field, r) + extra
             state, step, read = _t_step(bmat, beta, cols, 1)
-            assert read(state, len(cols)) == cols
+            yield read(state, len(cols)), cols
             for k in (0, 1, p - 1, p, 2 * p + 1):
-                assert read(step(state, k), len(cols)) == [apply_t_oracle(bmat, beta, col, k)
-                                                           for col in cols]
+                yield read(step(state, k), len(cols)), [apply_t_oracle(bmat, beta, col, k)
+                                                        for col in cols]
             state, step, read = _t_step(bmat, beta, cols, 3)
             want = cols
             for k in (p - 2, p - 1, p) if p > 2 else (0, 1, 2):
                 state = step(state, k)
                 want = [apply_t_oracle(bmat, beta, col, k) for col in want]
-                assert read(state, len(want)) == want
+                yield read(state, len(want)), want
 
 
-def test_t_step_forms_minus_k_beta_prime_once_per_k_mod_p(monkeypatch):
+def test_t_step_matches_the_per_entry_oracle():
+    # GF(4), GF(9) and GF(2^13) take the extension-field kernel
+    for got, want in t_step_comparisons([GF(p) for p in STEP_PRIMES]
+                                        + [GF(2, 2), GF(3, 2), GF(2, 13)]):
+        assert got == want
+
+
+@pytest.fixture
+def cold_layouts():
+    """An empty layout cache, emptied again after the test, so that the test
+    reuses no layout another test built and leaves none of its own."""
+    layouts = matrix._t_layout
+    layouts.cache_clear()
+    yield layouts
+    layouts.cache_clear()
+
+
+def _stride_short(layout):
+    """The blocks packed and read one slot closer, the masks as they are."""
+    block = max(layout.block - layout.bits, layout.bits)
+    return layout._replace(block=block, block_mask=(1 << block) - 1,
+                           offsets=range(0, len(layout.offsets) * block, block))
+
+
+def _masks_from_t(layout, p):
+    """Mask b holding the slots t with bit b of t set, not of t mod p."""
+    starts = sum(1 << o for o in layout.offsets)
+    full, size = (1 << layout.bits) - 1, layout.block // layout.bits
+    return layout._replace(dmasks=tuple(
+        (layout.pack([full if t >> b & 1 else 0 for t in range(size)]) * starts, layout.bits - b)
+        for b in range((p - 1).bit_length())))
+
+
+LAYOUT_MUTANTS = {
+    "blocks one slot short": lambda true, p, n, size, c: true(p, n, max(size - 1, 1), c),
+    "block stride one slot short": lambda true, *shape: _stride_short(true(*shape)),
+    "Barrett constant rounded down": lambda true, p, *shape: true(p, *shape)._replace(
+        barrett=(1 << true(p, *shape).shift) // p),
+    "masks from t, not t mod p": lambda true, p, *shape: _masks_from_t(true(p, *shape), p),
+}
+
+
+@pytest.mark.parametrize("mutant", LAYOUT_MUTANTS)
+def test_a_wrong_t_layout_fails_the_per_entry_oracle(monkeypatch, mutant):
+    true = matrix._t_layout
+    monkeypatch.setattr(matrix, "_t_layout",
+                        lambda *shape: LAYOUT_MUTANTS[mutant](true, *shape))
+    assert any(got != want for got, want in t_step_comparisons([GF(p) for p in STEP_PRIMES]))
+
+
+def test_a_cached_t_layout_steps_as_a_fresh_one(monkeypatch, cold_layouts):
+    # at every STEP_PRIMES prime, slots of 1 byte to more than 8: a step on a
+    # layout just built and one on the same layout found in the cache give
+    # equal states and reads; the cache is bounded, and an extension field,
+    # whose step is per entry, never reaches it
+    assert cold_layouts.cache_parameters()["maxsize"] is not None
+    widths = set()
+
+    def recording(*shape):
+        layout = cold_layouts(*shape)
+        widths.add(layout.bits)
+        return layout
+    monkeypatch.setattr(matrix, "_t_layout", recording)
+    rng = random.Random(29)
+    for p in STEP_PRIMES:
+        field = GF(p)
+        for bmat, beta, num in step_cases(field, rng):
+            cols = unit_columns(field, len(bmat)) + [num]
+            cold_layouts.cache_clear()
+            cold = _t_step(bmat, beta, cols, 2)
+            assert cold_layouts.cache_info().misses == 1
+            warm = _t_step(bmat, beta, cols, 2)
+            assert cold_layouts.cache_info().misses == 1
+            assert cold[0] == warm[0]
+            for k in (0, 1, p - 1):
+                stepped = cold[1](cold[0], k)
+                assert warm[1](warm[0], k) == stepped
+                assert cold[2](stepped, len(cols)) == warm[2](stepped, len(cols))
+    assert min(widths) == 8 and max(widths) > 64
+    cold_layouts.cache_clear()
+    for field in (GF(2, 2), GF(3, 2), GF(2, 13)):
+        for bmat, beta, num in step_cases(field, rng):
+            state, step, read = _t_step(bmat, beta, [num], 2)
+            read(step(state, 1), 1)
+    assert cold_layouts.cache_info().misses == cold_layouts.cache_info().currsize == 0
+
+
+def test_t_step_forms_minus_k_beta_prime_once_per_k_mod_p(monkeypatch, cold_layouts):
     # over F_p nothing is packed after the kernel is built, -k beta' being
     # the packed beta' times -k mod p; over an extension field -k beta' is
-    # scaled once per k mod p
+    # scaled once per k mod p.  The layout cache starts empty, so every
+    # layout is built with the counting codec
     true_codec, true_scale = matrix._slot_codec, Poly.scale
     packs = scales = 0
 
@@ -533,6 +621,7 @@ def test_t_step_forms_minus_k_beta_prime_once_per_k_mod_p(monkeypatch):
         p = field.p
         for bmat, beta, num in step_cases(field, rng):
             state, step, read = _t_step(bmat, beta, [num], 1)
+            assert packs or field.k > 1  # the F_p kernel packs with the counting codec
             packs = 0
             for k in range(p):
                 read(step(state, k), 1)
@@ -1220,6 +1309,21 @@ def test_cleared_is_formed_once_and_is_the_lcm_pair_of_the_rows():
             assert m.cleared == (tuple(map(tuple, want_b)), want_beta)
             built = MatRF.from_cleared(F, bmat, beta)
             assert built.cleared is built.cleared
+
+
+def test_cleared_takes_no_gcd_of_a_reduced_entry(monkeypatch):
+    # a matrix's rows are reduced, each numerator prime to its denominator,
+    # so clearing them takes a gcd only for the lcm of distinct denominators,
+    # at most one fewer than there are
+    true_gcd, gcds = matrix.poly_gcd, []
+    monkeypatch.setattr(matrix, "poly_gcd", lambda f, g: gcds.append(1) or true_gcd(f, g))
+    for a in pole_charts():
+        dens = {e.den.coeffs for row in a.rows for e in row if e and e.den.degree > 0}
+        gcds.clear()
+        cleared = MatRF(a.field, a.rows).cleared
+        assert len(gcds) <= max(len(dens) - 1, 0)
+        want_b, want_beta = _clear_denominators(a.rows)
+        assert cleared == (tuple(map(tuple, want_b)), want_beta)
 
 
 def test_psi_is_returned_as_its_pair_and_every_reader_takes_it():
