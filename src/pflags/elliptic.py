@@ -215,18 +215,20 @@ def line_classes(atom: AtiyahAtom) -> list[PicClass]:
     """The line-bundle classes L_1..L_ell of the canonical filtration: the
     recursion classes are multiples of the marked point; the terminal class
     carries the atom's degree-0 twist."""
-    pr = atiyah_profile(atom.r, atom.d)
-    out = []
-    for j in range(pr.ell):
-        if j < pr.m:
-            out.append(PicClass(atom.group, pr.deg_l[j], atom.group.zero))
-        else:
-            out.append(PicClass(atom.group, pr.deg_l[j], atom.lam))
-    return out
+    return _line_classes(atom, atiyah_profile(atom.r, atom.d))
+
+
+def _line_classes(atom: AtiyahAtom, pr: AtiyahProfile) -> list[PicClass]:
+    """``line_classes`` of the atom, read off its profile pr."""
+    group, zero = atom.group, atom.group.zero
+    return [PicClass(group, deg, zero if j < pr.m else atom.lam) for j, deg in enumerate(pr.deg_l)]
 
 
 def first_line_class(atom: AtiyahAtom) -> PicClass:
-    return line_classes(atom)[0]
+    """L_1, read off the profile: a recursion class unless the recursion
+    takes no step (m = 0)."""
+    pr = atiyah_profile(atom.r, atom.d)
+    return PicClass(atom.group, pr.deg_l[0], atom.group.zero if pr.m else atom.lam)
 
 
 # -- connection existence ------------------------------------------------------------
@@ -261,8 +263,7 @@ def flag_skeleton(bundle: Sequence[AtiyahAtom], p: int) -> FlagSkeleton:
                     f"{atom!r} admits no connection: p = {p} does not divide "
                     f"deg L_{j + 1} = {deg}"
                 )
-        for cls, mult in zip(line_classes(atom), pr.gr_ranks):
-            entries.append((cls, mult))
+        entries.extend(zip(_line_classes(atom, pr), pr.gr_ranks))
     return FlagSkeleton(entries)
 
 

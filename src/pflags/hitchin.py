@@ -26,11 +26,11 @@ from .errors import InternalInvariantError, PflagsError, PreconditionError
 from .fields import Field
 from .matrix import (
     MatRF,
-    _berkowitz,
     _clear_fractions,
     _horizontal_sections,
     _p_curvature,
     charpoly_berkowitz,
+    is_nilpotent,
     p_curvature_matrix,
 )
 from .poly import Poly, poly_dot
@@ -190,8 +190,8 @@ def nilpotent_flag_chart(c: ChartConn) -> NilpotentFlag:
     G^{-1}.
     """
     bmat, beta = c.A.cleared
-    iterates, nrows, _ = _p_curvature(bmat, beta, every_level=True)
-    if any(_berkowitz(nrows)[1:]):  # det(s - N) = s^r exactly when psi is nilpotent
+    iterates, nmat, delta = _p_curvature(bmat, beta, every_level=True)
+    if not is_nilpotent(MatRF.from_cleared(c.field, nmat, delta)):
         raise PreconditionError("p-curvature is not nilpotent; no flag this way")
     gauge, order = _triangularize(bmat, beta, iterates)
     _check_triangular(bmat, beta, gauge, order)
@@ -275,7 +275,7 @@ def _check_triangular(bmat, beta: Poly, gauge: MatRF, order) -> None:
     r = len(bmat)
     if sorted(order) != list(range(r)):
         raise InternalInvariantError("gauge row order is not a permutation")
-    cols = [_clear_fractions(beta.field, [[(e.num, e.den) for e in col]], reduced=True)[0][0]
+    cols = [_clear_fractions(beta.field, [[(e.num, e.den) for e in col]])[0][0]
             for col in zip(*gauge.rows)]
     low = [[col[i] for col in cols] for i in order]
     if any(not row[k] or any(row[k + 1:]) for k, row in enumerate(low)):

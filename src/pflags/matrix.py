@@ -33,16 +33,13 @@ re-check's sample sections when ``_p_curvature`` asks for them, from k = 0
 to p - 1 (the step at k = 0 takes e_i to column i of B), in doubling
 stages of one ``_t_step`` each.  Over F_p its state is one int per row,
 column l in block l of slots whose length is known up front for the stage
-(``_t_length``); the derivative is taken with bit masks and each slot is
-reduced mod p by Barrett's multiply-shift-mask on the packed words, so the
-state stays packed from level to level and only the levels a caller reads
-are unpacked: every level for the sections, level p alone for psi.  The
-slot width, the masks and the Barrett constants are a layout, a pure
-function of (p, n, L, c) for the slot bound n, the block length L and c
-columns (``_t_layout``): it is built once per shape and kept in a bounded
-cache, as the block length is, so a step packs only its chart.  Over
-an extension field each entry of a step is one ``poly_dot``.  Berkowitz on
-N, the re-check's N v and the projector take one ``poly_dot`` per entry.
+(``_t_length``), differentiated and reduced mod p on the packed words
+(``_t_layout``), so the state stays packed from level to level and only
+the levels a caller reads are unpacked: every level for the sections,
+level p alone for psi.
+Over an extension field each entry of a step is one ``poly_dot``.
+Berkowitz on N, the re-check's N v and the projector take one ``poly_dot``
+per entry.
 psi has one builder, ``p_curvature_matrix``: ``_p_curvature`` reads
 (N, delta) off the iterates (``_cleared_psi``), delta = beta^p, re-verifies
 it (delta against beta^p formed by Frobenius, N v against the sample
@@ -127,7 +124,7 @@ class MatRF:
         """(B, beta): the rows of B and beta, with m = B/beta."""
         if self._cleared is None:
             pairs = [[(e.num, e.den) for e in row] for row in self.rows]
-            bmat, beta = _clear_fractions(self.field, pairs, reduced=True)
+            bmat, beta = _clear_fractions(self.field, pairs)
             self._cleared = (tuple(map(tuple, bmat)), beta)
         return self._cleared
 
@@ -480,7 +477,7 @@ def _cleared_psi(iterates) -> tuple[list[tuple[Poly, ...]], Poly]:
     return list(zip(*(its[-1] for its in nums))), dens[-1]
 
 
-def _clear_fractions(field: Field, rows, reduced: bool = False) -> tuple[list[list[Poly]], Poly]:
+def _clear_fractions(field: Field, rows) -> tuple[list[list[Poly]], Poly]:
     """The matrix whose entries are the fractions num/den of ``rows``, given
     as pairs (num, den) and not necessarily reduced, written as B/beta: the
     polynomial rows of B and beta, the monic lcm of the entries' reduced
@@ -493,9 +490,7 @@ def _clear_fractions(field: Field, rows, reduced: bool = False) -> tuple[list[li
     whatever its reduced form, so B_ij = num (delta // d), the quotient formed
     once per d.  Where d does not divide delta (num and d share a factor that
     the other entries' reduced denominators lack) B_ij is the exact
-    (num delta) // d.  The caller whose pairs are ``reduced`` (those of
-    reduced ``RatFunc`` entries, num prime to den) knows that chain is 1 and
-    takes no gcd.
+    (num delta) // d.
     """
     one = Poly.one(field)
     groups = {}  # den's coefficients -> [den, gcd of den and its nonzero numerators]
@@ -511,7 +506,7 @@ def _clear_fractions(field: Field, rows, reduced: bool = False) -> tuple[list[li
             if num.coeffs and len(den.coeffs) > 1:
                 group = groups.get(den.coeffs)
                 if group is None:
-                    groups[den.coeffs] = [den, one if reduced else poly_gcd(den, num)]
+                    groups[den.coeffs] = [den, poly_gcd(den, num)]
                 elif group[1].degree > 0:
                     group[1] = poly_gcd(group[1], num)
         monic_rows.append(out)
@@ -553,8 +548,8 @@ def _t_step(bmat, beta: Poly, cols, steps: int):
     (num/beta^k)' + (bmat/beta)(num/beta^k) = (beta num' - k beta' num +
     bmat num)/beta^(k+1): the classical p-curvature recurrence, with no gcd or
     division.  The exponent k enters through its image in F_p.  Over an
-    extension field the state is the list of columns, each entry is one
-    ``poly_dot`` and -k beta' is formed once per k mod p.
+    extension field the state is the list of columns and each entry is one
+    ``poly_dot``.
 
     Over F_p the state is one int per row j (``fields._slot_codec``): entry
     j of column l fills block l, the slots l L to l L + L - 1, constant term
@@ -563,35 +558,25 @@ def _t_step(bmat, beta: Poly, cols, steps: int):
     total_i = sum_j B_ij N_j + beta D(N_i) - k beta' N_i on the ints, with
     bmat_ij, beta and beta' packed once and -k beta' the packed beta' times
     -k mod p; a product with a packed polynomial stays inside each block,
-    since every term of row i is no longer than L.  D is the derivative on
-    the packed word, taken with the layout's bit masks, and each slot of
-    total_i is then reduced mod p by Barrett's multiply-shift-mask; both are
-    derived in ``_t_layout``, with the slot bound n.  The layout is a pure
-    function of (p, n, L, c), c the number of columns, built once per shape
-    and kept in ``_t_layout``'s bounded cache, so a call packs only the
-    chart's own operands and its starting columns.
+    since every term of row i is no longer than L.  D, the derivative on
+    the packed word, and the reduction of each slot mod p are the layout's
+    (``_t_layout``), for the slot bound n.
     """
     F = beta.field
     p = F.p
     dbeta = beta.derivative()
     if F.k > 1:
-        neg_kdbs = {}  # -k beta' by -k mod p
-
         def step(num_cols, k):
-            neg_k = -k % p
-            neg_kdb = neg_kdbs.get(neg_k)
-            if neg_kdb is None:
-                neg_kdb = neg_kdbs[neg_k] = dbeta.scale(neg_k)
+            neg_kdb = dbeta.scale(-k % p)
             return [[poly_dot([*zip(row, num), (beta, ni.derivative()), (neg_kdb, ni)], F)
                      for ni, row in zip(num, bmat)] for num in num_cols]
         return list(cols), step, lambda state, n: state[:n]
     r, top = len(bmat), p - 1
-    blens = [[len(e.coeffs) for e in row] for row in bmat]
+    blens = tuple(tuple(len(e.coeffs) for e in row) for row in bmat)
     nbits = (max(map(sum, blens)) * top * top
              + (len(beta.coeffs) + len(dbeta.coeffs)) * top ** 3).bit_length()
-    lens = [1] * r  # the longest entry of each row over the columns, at least 1
-    for col in cols:
-        lens = [max(n, len(e.coeffs)) for n, e in zip(lens, col)]
+    # the longest entry of each row over the columns, at least 1
+    lens = tuple(max([1, *(len(col[j].coeffs) for col in cols)]) for j in range(r))
     size = _t_length(blens, len(beta.coeffs), lens, steps)
     (bits, pack, unpack, shift, barrett, quo_mask, dmasks, block, block_mask,
      offsets) = _t_layout(p, nbits, size, len(cols))
@@ -680,6 +665,7 @@ def _t_layout(p: int, nbits: int, size: int, c: int) -> _TLayout:
                     offsets)
 
 
+@lru_cache(maxsize=_T_LAYOUTS)
 def _t_length(blens, beta_len: int, lens, steps: int) -> int:
     """The most coefficients a numerator of T^k v can have over
     k = 0..steps, bounded by lengths alone: blens[j][m] = len(bmat_jm),
@@ -698,15 +684,9 @@ def _t_length(blens, beta_len: int, lens, steps: int) -> int:
     max(deg bmat, deg beta - 1) would add to it at each step.
 
     The bound is a function of lengths alone, which repeat from chart to
-    chart, so it is kept per (blens, beta_len, lens, steps) in a cache of
-    ``_T_LAYOUTS`` entries, as the layouts are.
+    chart, so it is kept per (blens, beta_len, lens, steps), all tuples of
+    ints, in a cache of ``_T_LAYOUTS`` entries, as the layouts are.
     """
-    return _t_length_of(tuple(map(tuple, blens)), beta_len, tuple(lens), steps)
-
-
-@lru_cache(maxsize=_T_LAYOUTS)
-def _t_length_of(blens, beta_len: int, lens, steps: int) -> int:
-    """``_t_length`` on tuples of lengths."""
     down = beta_len - 2
     top = max(lens)
     for k in range(steps):

@@ -184,6 +184,16 @@ def test_hom_constraint_pinned_examples():
     assert hom_constraint(AtiyahAtom(G2, 5, 3, LAM), dst) == HomConstraint.PRESERVES_FIL1
 
 
+def test_first_line_class_is_the_first_of_line_classes():
+    # read off the profile directly, without building the other classes
+    group = Pic0Group((4,))
+    for r in range(1, 41):
+        for d in range(-60, 61):
+            for lam in range(4):
+                atom = AtiyahAtom(group, r, d, (lam,))
+                assert first_line_class(atom) == line_classes(atom)[0]
+
+
 def test_hom_constraint_no_constraint_cases():
     lower = AtiyahAtom(G2, 2, 1, (0,))   # first class (0, 0)
     higher = AtiyahAtom(G2, 1, 2, LAM)   # first class (2, lam)

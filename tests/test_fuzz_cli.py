@@ -1,0 +1,317 @@
+"""A seeded mutation fuzz of the CLI, run in-process through ``cli.main``.
+
+Each case is one subcommand run on one ``--inline`` payload with ``--json``,
+all in this process.  The payloads are drawn from the fixture corpus's items
+for the 14 subcommands and from ``pflags.sampling``: connections, charts,
+atoms, bundles, profiles and Hitchin counts over GF(2), GF(3), GF(5), GF(7),
+GF(4) and GF(9).  Each draw is then mutated once or twice.  Some mutations
+make it malformed: a dropped key, a value of another JSON type, a boolean
+for an integer, a ragged matrix row, a zero denominator, truncated text, a
+non-prime p, or a chart at p >= 300.  Others keep it in the valid domain:
+another prime below 600 with k <= 4 and q <= 4096, perturbed integers, or a
+degree moved by one.  The gate holds for every case:
+
+- ``main`` returns an exit code 0-3 and nothing escapes it;
+- the last line on stdout is a report whose ``exit_code`` is that code;
+- no report has the status ``invariant-violation``, a re-check that failed;
+- no case runs past ``CASE_SECONDS``, where the platform has SIGALRM.
+
+Outside the draw, as both are slow paths rather than faults (ROADMAP item 3):
+
+- extension degrees k > 4.  The search for a default modulus below p = 600
+  takes up to about 12 s at k = 28-31.
+- extension fields without log tables (q > 4096), where each coefficient
+  product is digit arithmetic.  ``hit-charpoly`` on a random rank-2 chart
+  took 66 s over GF(293^2), and ``pone-pcurv`` on a rank-3 flat connection
+  42 s.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import copy
+import io
+import json
+import random
+import signal
+import traceback
+from importlib import resources
+
+from pflags import GF, cli, jsonio
+from pflags.elliptic import Pic0Group
+from pflags.fields import _TABLE_MAX, is_prime
+from pflags.hitchin import ChartConn
+from pflags.matrix import gauge_transform
+from pflags.pone import as_level
+from pflags.sampling import (
+    random_atom,
+    random_chart_conn,
+    random_conn0,
+    random_flat_conn0,
+    random_polynomial_gauge,
+    random_strict_upper,
+)
+
+SEED = 3
+CASES = 360
+CASE_SECONDS = 10
+
+FIELDS = ((2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2))
+PRIMES = [n for n in range(600) if is_prime(n)]
+NOT_PRIMES = (-3, 0, 1, 4, 6, 9, 15, 91, 561, 1001)
+CHART_PRIMES = (307, 311, 509, 599, 10007, 65537)
+SUBCOMMAND_OF_OP = {row.op: name for name, row in cli.SUBCOMMANDS.items()}
+
+
+class Hang(BaseException):
+    """Raised by the alarm, past every handler in ``main``."""
+
+
+def fixture_draws() -> list[tuple[str, object, list[str]]]:
+    """(subcommand, payload, extra argv) for each fixture of a subcommand's op."""
+    text = resources.files("pflags").joinpath("fixtures/fixtures.json").read_text()
+    draws = []
+    for item in json.loads(text):
+        sub = SUBCOMMAND_OF_OP.get(item["op"])
+        if sub is None:
+            continue
+        row, payload = cli.SUBCOMMANDS[sub], item["input"]
+        extra = []
+        if row.key is not None:
+            extra = [w for flag in row.flags if flag in payload
+                     for w in (f"--{flag}", str(payload[flag]))]
+            payload = payload[row.key]
+        draws.append((sub, payload, extra))
+    return draws
+
+
+def sampled_draw(rng: random.Random) -> tuple[str, object, list[str]]:
+    """(subcommand, payload, extra argv) from ``pflags.sampling``."""
+    field = GF(*rng.choice(FIELDS))
+    kind = rng.choice(("connection", "chart", "elliptic", "hit-dims"))
+    if kind == "connection":
+        make = rng.choice((random_conn0, random_flat_conn0))
+        payload = jsonio.connection_to_json(as_level(make(rng, field, r_max=3)))
+        sub = rng.choice(("pone-check", "pone-pcurv", "pone-flag", "pone-descend",
+                          "pone-pullback"))
+        return sub, payload, ["--s", str(rng.randint(1, 2))] if sub == "pone-pullback" else []
+    if kind == "chart":
+        if rng.random() < 0.5:
+            chart = random_chart_conn(rng, field, r_max=3)
+        else:
+            r = rng.randint(1, 3)
+            a = gauge_transform(random_strict_upper(rng, field, r),
+                                random_polynomial_gauge(rng, field, r))
+            chart = ChartConn(field, r, a)
+        sub = rng.choice(("hit-charpoly", "hit-cert", "hit-nilflag"))
+        return sub, jsonio.chart_to_json(chart), []
+    if kind == "hit-dims":
+        return "hit-dims", {"g": rng.randint(0, 9), "r": rng.randint(0, 6)}, []
+    group = Pic0Group(tuple(rng.randint(1, 4) for _ in range(rng.randint(0, 2))))
+    atoms = [jsonio.atom_to_json(random_atom(rng, group)) for _ in range(rng.randint(1, 3))]
+    sub = rng.choice(("ell-profile", "ell-classes", "ell-admits", "ell-skeleton", "ell-peel"))
+    if sub == "ell-profile":
+        return sub, {"r": atoms[0]["r"], "d": atoms[0]["d"]}, []
+    if sub == "ell-classes":
+        return sub, {"group": jsonio.group_to_json(group), "atom": atoms[0]}, []
+    payload = {"group": jsonio.group_to_json(group), "atoms": atoms}
+    if sub != "ell-peel":
+        payload["p"] = rng.choice((2, 3, 5))
+    return sub, payload, []
+
+
+# -- mutations: each changes its payload in place, or returns False where it has no target
+
+
+def _nodes(obj, want):
+    """(container, key) of every value below obj for which want(value) holds."""
+    out, stack = [], [obj]
+    while stack:
+        node = stack.pop()
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            if want(value):
+                out.append((node, key))
+            if isinstance(value, (dict, list)):
+                stack.append(value)
+    return out
+
+
+def _is_int(v) -> bool:
+    return type(v) is int
+
+
+def _int_list(v) -> bool:
+    return isinstance(v, list) and all(map(_is_int, v))
+
+
+def _pick(rng, obj, want):
+    nodes = _nodes(obj, want)
+    return rng.choice(nodes) if nodes else None
+
+
+def drop_key(rng, holder):
+    node = _pick(rng, holder, lambda v: isinstance(v, dict) and v)
+    if node is None:
+        return False
+    d = node[0][node[1]]
+    del d[rng.choice(sorted(d))]
+
+
+def wrong_type(rng, holder):
+    parent, key = _pick(rng, holder, lambda v: True)
+    old = parent[key]
+    parent[key] = rng.choice([v for v in ("x", 1.5, None, [], {}, [[1]], 7)
+                              if type(v) is not type(old)])
+
+
+def bool_for_int(rng, holder):
+    node = _pick(rng, holder, _is_int)
+    if node is None:
+        return False
+    node[0][node[1]] = rng.choice((True, False))
+
+
+def ragged_row(rng, holder):
+    node = _pick(rng, holder, lambda v: isinstance(v, list) and len(v) > 1
+                 and all(isinstance(row, list) for row in v))
+    if node is None:
+        return False
+    row = rng.choice(node[0][node[1]])
+    if row and rng.random() < 0.5:
+        row.pop()
+    else:
+        row.append(copy.deepcopy(row[-1]) if row else [])
+
+
+def zero_denominator(rng, holder):
+    node = _pick(rng, holder, lambda v: isinstance(v, dict) and "den" in v)
+    if node is None:
+        return False
+    node[0][node[1]]["den"] = rng.choice(([], [0], [0, 0]))
+
+
+def non_prime(rng, holder):
+    node = _pick(rng, holder, lambda v: isinstance(v, dict) and "p" in v)
+    if node is None:
+        return False
+    node[0][node[1]]["p"] = rng.choice(NOT_PRIMES)
+
+
+def chart_above_cap(rng, holder):
+    if not (isinstance(holder[0], dict) and "r" in holder[0] and "A" in holder[0]):
+        return False
+    field = holder[0].get("field")
+    if not isinstance(field, dict):
+        return False
+    field["p"] = rng.choice(CHART_PRIMES)
+    field.pop("modulus", None)
+
+
+def other_prime(rng, holder):
+    node = _pick(rng, holder, lambda v: isinstance(v, dict) and "p" in v)
+    if node is None:
+        return False
+    d = node[0][node[1]]
+    d["p"] = rng.choice(PRIMES)
+    if "k" in d or "modulus" in d:  # a field, with log tables if it is an extension
+        d["k"] = rng.choice([k for k in range(1, 5) if k == 1 or d["p"] ** k <= _TABLE_MAX])
+        d.pop("modulus", None)
+
+
+def perturb(rng, holder):
+    node = _pick(rng, holder, _is_int)
+    if node is None:
+        return False
+    node[0][node[1]] += rng.choice((-2, -1, 1, 2, 5))
+
+
+def degree_by_one(rng, holder):
+    node = _pick(rng, holder, _int_list)
+    if node is None:
+        return False
+    coeffs = node[0][node[1]]
+    if coeffs and rng.random() < 0.5:
+        coeffs.pop()
+    else:
+        coeffs.append(rng.randint(0, 6))
+
+
+MALFORMED = (drop_key, wrong_type, bool_for_int, ragged_row, zero_denominator, non_prime,
+             chart_above_cap, "truncate")
+VALID = (other_prime, perturb, degree_by_one)
+
+
+def fuzz_cases(seed: int = SEED, n: int = CASES):
+    """(argv, mutation names) for n seeded cases."""
+    rng = random.Random(seed)
+    fixtures = fixture_draws()
+    for _ in range(n):
+        if rng.random() < 0.4:
+            sub, payload, extra = copy.deepcopy(rng.choice(fixtures))
+        else:
+            sub, payload, extra = sampled_draw(rng)
+        holder = [payload]
+        names, text = [], None
+        for _ in range(rng.choice((1, 1, 2))):
+            mutation = rng.choice(MALFORMED if rng.random() < 0.5 else VALID)
+            if mutation == "truncate":
+                text = json.dumps(holder[0])
+                text = text[:rng.randrange(len(text))]
+                names.append(mutation)
+                break
+            if mutation(rng, holder) is not False:
+                names.append(mutation.__name__)
+        if text is None:
+            text = json.dumps(holder[0])
+        yield [sub, "--inline", text, "--json", *extra], names
+
+
+def run_case(argv):
+    """(exit code, stdout) of ``cli.main(argv)``, under the alarm where there is one."""
+    out = io.StringIO()
+    alarm = hasattr(signal, "setitimer") and hasattr(signal, "SIGALRM")
+    if alarm:
+        def hang(signum, frame):
+            raise Hang
+        old = signal.signal(signal.SIGALRM, hang)
+        signal.setitimer(signal.ITIMER_REAL, CASE_SECONDS)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+    finally:
+        if alarm:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, old)
+    return code, out.getvalue()
+
+
+def test_every_fuzzed_case_ends_in_a_report_with_exit_0_to_3():
+    failures, mutated = [], set()
+    for argv, names in fuzz_cases():
+        mutated.update(names)
+        try:
+            code, out = run_case(argv)
+            lines = out.splitlines()
+            report = json.loads(lines[-1]) if lines else None
+            if code not in (0, 1, 2, 3):
+                failures.append((argv, names, f"exit {code!r}"))
+            elif not (isinstance(report, dict) and report.get("exit_code") == code
+                      and report.get("subcommand") == argv[0]
+                      and report.get("status") != "invariant-violation"):
+                failures.append((argv, names, f"exit {code}, last line {lines[-1:]}"))
+        except Hang:
+            failures.append((argv, names, f"ran past {CASE_SECONDS} s"))
+        except Exception:  # escaped main, or stdout is not a report
+            failures.append((argv, names, traceback.format_exc(limit=-3)))
+    assert not failures, failures[:5]
+    assert mutated == {m if isinstance(m, str) else m.__name__ for m in MALFORMED + VALID}
+
+
+def test_the_fuzz_draws_every_subcommand_from_both_sources():
+    cases = list(fuzz_cases())
+    assert len(cases) >= 300
+    assert {argv[0] for argv, _ in cases} == set(cli.SUBCOMMANDS)
+    fixtures = {json.dumps(payload) for _, payload, _ in fixture_draws()}
+    unmutated = [argv[2] for argv, names in cases if not names]
+    assert fixtures & set(unmutated) and set(unmutated) - fixtures

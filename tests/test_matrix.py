@@ -595,8 +595,9 @@ def test_a_cached_t_layout_steps_as_a_fresh_one(monkeypatch, cold_layouts):
 def test_t_step_forms_minus_k_beta_prime_once_per_k_mod_p(monkeypatch, cold_layouts):
     # over F_p nothing is packed after the kernel is built, -k beta' being
     # the packed beta' times -k mod p; over an extension field -k beta' is
-    # scaled once per k mod p.  The layout cache starts empty, so every
-    # layout is built with the counting codec
+    # one scale per step, as each closure steps at distinct k < p
+    # (``test_each_t_step_closure_steps_at_distinct_k_below_p``).  The layout
+    # cache starts empty, so every layout is built with the counting codec
     true_codec, true_scale = matrix._slot_codec, Poly.scale
     packs = scales = 0
 
@@ -627,9 +628,44 @@ def test_t_step_forms_minus_k_beta_prime_once_per_k_mod_p(monkeypatch, cold_layo
                 read(step(state, k), 1)
             assert packs == 0
             scales = 0
-            for k in range(p, 3 * p):  # every k mod p has been seen
+            for k in range(p, 3 * p):
                 read(step(state, k), 1)
-            assert packs == scales == 0
+            assert packs == 0
+            assert scales == (2 * p if field.k > 1 else 0)
+
+
+def test_each_t_step_closure_steps_at_distinct_k_below_p(monkeypatch):
+    # every closure ``_t_step`` returns is stepped at distinct k, and the
+    # closures of one ``_t_iterates`` together at exactly k = 0..p - 1, with
+    # or without every level and extra columns, below and above _T_STAGE:
+    # so a per-closure memo of -k beta' would never be hit
+    true_step, runs = matrix._t_step, []
+
+    def recording(*args):
+        state, step, read = true_step(*args)
+        ks = []
+        runs[-1].append(ks)
+
+        def recorded(state, k):
+            ks.append(k)
+            return step(state, k)
+        return state, recorded, read
+    monkeypatch.setattr(matrix, "_t_step", recording)
+    rng = random.Random(32)
+    for field in (GF(5), GF(11), GF(31), GF(2, 2), GF(3, 2)):
+        p = field.p
+        for r in (1, 2, 3):
+            bmat, beta = _clear_denominators(pole_chart(rng, field, r, "shared").rows)
+            extras = ((), ([random_poly(rng, field, 3) for _ in range(r)],
+                           [Poly.zero(field)] * r))
+            for extra in extras:
+                for every_level in (False, True):
+                    runs.append([])
+                    _t_iterates(bmat, beta, extra, every_level)
+                    closures = runs[-1]
+                    assert (len(closures) > 1) == (p > matrix._T_STAGE)
+                    assert all(len(set(ks)) == len(ks) for ks in closures)
+                    assert sorted(k for ks in closures for k in ks) == list(range(p))
 
 
 def p31_chart():
@@ -664,8 +700,8 @@ def test_t_length_bounds_every_level():
         F = beta.field
         p = F.p
         lens = [max([1, *(len(col[j].coeffs) for col in extra)]) for j in range(len(bmat))]
-        length = matrix._t_length([[len(e.coeffs) for e in row] for row in bmat],
-                                  len(beta.coeffs), lens, p)
+        length = matrix._t_length(tuple(tuple(len(e.coeffs) for e in row) for row in bmat),
+                                  len(beta.coeffs), tuple(lens), p)
         nums, _ = _t_iterates(bmat, beta, extra, every_level=True)
         assert max(len(e.coeffs) for its in nums for num in its for e in num) <= length
         grow = max(0, beta.degree - 1, *(e.degree for row in bmat for e in row))
@@ -1311,17 +1347,18 @@ def test_cleared_is_formed_once_and_is_the_lcm_pair_of_the_rows():
             assert built.cleared is built.cleared
 
 
-def test_cleared_takes_no_gcd_of_a_reduced_entry(monkeypatch):
+def test_cleared_takes_a_gcd_per_distinct_denominator_and_per_lcm_step(monkeypatch):
     # a matrix's rows are reduced, each numerator prime to its denominator,
-    # so clearing them takes a gcd only for the lcm of distinct denominators,
-    # at most one fewer than there are
+    # so clearing them takes one gcd(den, num) per distinct non-unit
+    # denominator, which is 1 and ends that chain, and one per lcm step, at
+    # most one fewer than there are denominators: 2 d - 1 for d of them
     true_gcd, gcds = matrix.poly_gcd, []
     monkeypatch.setattr(matrix, "poly_gcd", lambda f, g: gcds.append(1) or true_gcd(f, g))
     for a in pole_charts():
         dens = {e.den.coeffs for row in a.rows for e in row if e and e.den.degree > 0}
         gcds.clear()
         cleared = MatRF(a.field, a.rows).cleared
-        assert len(gcds) <= max(len(dens) - 1, 0)
+        assert len(gcds) <= max(2 * len(dens) - 1, 0)
         want_b, want_beta = _clear_denominators(a.rows)
         assert cleared == (tuple(map(tuple, want_b)), want_beta)
 
