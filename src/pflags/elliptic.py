@@ -251,19 +251,27 @@ def admits_connection(x: AtiyahAtom | Sequence[AtiyahAtom], p: int) -> bool:
 
 def flag_skeleton(bundle: Sequence[AtiyahAtom], p: int) -> FlagSkeleton:
     """Graded line classes (with multiplicity) of any complete flag refining
-    the canonical filtrations of a connection-admitting direct sum."""
+    the canonical filtrations of a connection-admitting direct sum.
+
+    An atom has at most m + 1 distinct classes, its m recursion classes and
+    the terminal one, which repeats r_m times, so each is built and checked
+    once, with its multiplicity."""
     _require_characteristic(p)
     _check_total_rank(bundle)
     entries: list[tuple[PicClass, int]] = []
     for atom in bundle:
         pr = atiyah_profile(atom.r, atom.d)
-        for j, deg in enumerate(pr.deg_l):
+        degs = pr.deg_l[:pr.m + 1]
+        for j, deg in enumerate(degs):
             if deg % p:
                 raise PreconditionError(
                     f"{atom!r} admits no connection: p = {p} does not divide "
                     f"deg L_{j + 1} = {deg}"
                 )
-        entries.extend(zip(_line_classes(atom, pr), pr.gr_ranks))
+        group = atom.group
+        entries.extend((PicClass(group, deg, group.zero), rank)
+                       for deg, rank in zip(degs[:-1], pr.gr_ranks))
+        entries.append((PicClass(group, degs[-1], atom.lam), pr.pairs[-1][0]))
     return FlagSkeleton(entries)
 
 

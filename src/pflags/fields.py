@@ -43,7 +43,11 @@ and of digit vectors, is one sum of big-integer products, unpacked once
 and unpacker, shared by ``_dot_mod_p`` and the T iteration of
 ``matrix._t_step``, whose slots are sized by its layout (``matrix._t_layout``,
 built once per shape and cached) and which keeps its state packed from step
-to step, reducing every slot mod p on the packed int (Barrett).  Each
+to step, reducing every slot mod p on the packed int (Barrett); over
+F_(p^k) it packs the base-p digits of each coefficient into a cell of 2k - 1
+slots, folds the digit products of z^k to z^(2k - 2) back by the modulus,
+so at every k a T step is big-int arithmetic, and reads the cells back
+with ``_wide_codec``, one cell to its slot.  Each
 coefficient tuple is packed into an int, one fixed-width slot per
 coefficient, constant term lowest.  A coefficient of a_s b_s is a sum of at
 most n_s = min(len a_s, len b_s) terms, each at most (p - 1)^2, so a slot of

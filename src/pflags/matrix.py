@@ -31,13 +31,14 @@ classical p-curvature recurrence (Katz), with no gcd in the loop.
 ``_t_iterates`` steps every column at once, e_0, ..., e_(r-1) and the
 re-check's sample sections when ``_p_curvature`` asks for them, from k = 0
 to p - 1 (the step at k = 0 takes e_i to column i of B), in doubling
-stages of one ``_t_step`` each.  Over F_p its state is one int per row,
-column l in block l of slots whose length is known up front for the stage
-(``_t_length``), differentiated and reduced mod p on the packed words
-(``_t_layout``), so the state stays packed from level to level and only
-the levels a caller reads are unpacked: every level for the sections,
-level p alone for psi.
-Over an extension field each entry of a step is one ``poly_dot``.
+stages of one ``_t_step`` each.  Its state is one int per row, column l
+in block l of cells whose length is known up front for the stage
+(``_t_length``), a cell being one coefficient: one slot over F_p, and over
+F_q, q = p^d, 2d - 1 slots, the coefficient's d base-p digits and room for
+the digit products.  It is differentiated, folded back to d digits and
+reduced mod p on the packed words (``_t_layout``), so the state stays
+packed from level to level over every field and only the levels a caller
+reads are unpacked: every level for the sections, level p alone for psi.
 Berkowitz on N, the re-check's N v and the projector take one ``poly_dot``
 per entry.
 psi has one builder, ``p_curvature_matrix``: ``_p_curvature`` reads
@@ -67,7 +68,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import InternalInvariantError, PflagsError
-from .fields import Field, _power, _slot_codec
+from .fields import Field, _power, _reduce_mod_p, _slot_codec, _wide_codec
 from .poly import Poly, poly_dot, poly_gcd
 from .ratfunc import RatFunc
 
@@ -464,9 +465,11 @@ def _t_iterates(bmat, beta: Poly, extra=(), every_level: bool = False):
 _T_STAGE = 8
 
 # The layouts ``_t_layout`` keeps, and the block lengths ``_t_length`` keeps,
-# the least recently used dropped first.  One pass of chart-charpoly at seed 0
-# builds 15 layouts and one of flat-descent 42; at p = 293 a layout of a
-# rank-4 chart holds up to 0.6 MB of masks.
+# the least recently used dropped first.  One pass at seed 0 builds 15
+# layouts on chart-charpoly (13 KB of masks), 42 on flat-descent (17 KB) and
+# 9 on ext-field, all over extension fields (26 KB of masks and R_j); at
+# p = 293 a layout of a rank-4 chart holds up to 0.6 MB, and the 5 layouts
+# of a rank-4 chart over GF(67^2) hold 0.66 MB.
 _T_LAYOUTS = 64
 
 
@@ -542,44 +545,54 @@ def _t_step(bmat, beta: Poly, cols, steps: int):
     (state, step, read): state is that of the columns, numerators of T^k v
     over beta^k, step(state, k) the state of the numerators of T^(k+1) v
     over beta^(k+1) for every column v, from that of T^k v = num/beta^k,
-    and read(state, n) the first n columns.  Over F_p the state has room for
+    and read(state, n) the first n columns.  The state has room for
     ``steps`` steps.
 
     (num/beta^k)' + (bmat/beta)(num/beta^k) = (beta num' - k beta' num +
     bmat num)/beta^(k+1): the classical p-curvature recurrence, with no gcd or
-    division.  The exponent k enters through its image in F_p.  Over an
-    extension field the state is the list of columns and each entry is one
-    ``poly_dot``.
+    division.  The exponent k enters through its image in F_p.
 
-    Over F_p the state is one int per row j (``fields._slot_codec``): entry
-    j of column l fills block l, the slots l L to l L + L - 1, constant term
-    lowest, every slot in [0, p), with L the longest numerator of the next
-    ``steps`` levels (``_t_length``).  Row i of the next level is
+    The state is one int per row j (``fields._slot_codec``): entry j of
+    column l fills block l, the cells l L to l L + L - 1, constant term
+    lowest, with L the longest numerator of the next ``steps`` levels
+    (``_t_length``).  Over F_q, q = p^d, cell t holds the d base-p digits
+    of coefficient t, its coordinates in the power basis of the modulus root
+    z (see ``fields``), constant digit lowest; over F_p a cell is one slot,
+    the coefficient itself.  Row i of the next level is
     total_i = sum_j B_ij N_j + beta D(N_i) - k beta' N_i on the ints, with
     bmat_ij, beta and beta' packed once and -k beta' the packed beta' times
-    -k mod p; a product with a packed polynomial stays inside each block,
-    since every term of row i is no longer than L.  D, the derivative on
-    the packed word, and the reduction of each slot mod p are the layout's
-    (``_t_layout``), for the slot bound n.
+    -k mod p, which scales each digit.  D, the derivative on the packed
+    word, the fold of each cell back to d digits and the reduction of each
+    slot mod p are the layout's (``_t_layout``), so every slot of the next
+    state is in [0, p) again, and one step serves every field.  For d > 1
+    ``read`` recombines the digits of every cell on each packed row, d
+    shift-mask products, and then unpacks whole cells.
     """
     F = beta.field
-    p = F.p
+    p, digits = F.p, F.k
     dbeta = beta.derivative()
-    if F.k > 1:
-        def step(num_cols, k):
-            neg_kdb = dbeta.scale(-k % p)
-            return [[poly_dot([*zip(row, num), (beta, ni.derivative()), (neg_kdb, ni)], F)
-                     for ni, row in zip(num, bmat)] for num in num_cols]
-        return list(cols), step, lambda state, n: state[:n]
     r, top = len(bmat), p - 1
     blens = tuple(tuple(len(e.coeffs) for e in row) for row in bmat)
-    nbits = (max(map(sum, blens)) * top * top
-             + (len(beta.coeffs) + len(dbeta.coeffs)) * top ** 3).bit_length()
+    nbits = (digits * (max(map(sum, blens)) * top * top
+                       + (len(beta.coeffs) + len(dbeta.coeffs)) * top ** 3)).bit_length()
     # the longest entry of each row over the columns, at least 1
     lens = tuple(max([1, *(len(col[j].coeffs) for col in cols)]) for j in range(r))
     size = _t_length(blens, len(beta.coeffs), lens, steps)
-    (bits, pack, unpack, shift, barrett, quo_mask, dmasks, block, block_mask,
-     offsets) = _t_layout(p, nbits, size, len(cols))
+    (bits, pack, unpack, cell, shift, barrett, quo_mask, dmasks, low, first, folds, block,
+     block_mask, offsets) = _t_layout(F, nbits, size, len(cols))
+    if digits > 1:  # coefficients to cells of digits, and (in read) back
+        pad, places = (0,) * (cell - digits), range(digits)
+        powers = [(i * bits, p ** i) for i in places]
+        pack_slots = pack
+
+        def pack(cs):
+            slots = []
+            for c in cs:
+                for _ in places:
+                    slots.append(c % p)
+                    c //= p
+                slots += pad
+            return pack_slots(slots)
     rows = [[pack(e.coeffs) if e else 0 for e in row] for row in bmat]
     pbeta, pdbeta = pack(beta.coeffs), pack(dbeta.coeffs)
 
@@ -589,18 +602,24 @@ def _t_step(bmat, beta: Poly, cols, steps: int):
         for n, row in zip(state, rows):
             total = (sum(map(mul, row, state)) + pdb * n
                      + pbeta * sum([(n & mask) >> down for mask, down in dmasks]))
+            if folds:
+                total = (total & low) + sum([(total >> down & first) * fold
+                                             for down, fold in folds])
             out.append(total - p * ((total * barrett >> shift) & quo_mask))
         return out
 
     zero = Poly.zero(F)
+    width = cell * bits
 
     def read(state, n):
         out = [[] for _ in range(n)]
         for row in state:
+            if digits > 1:  # each cell's digits to its coefficient, at the cell's bottom
+                row = sum([(row >> down & first) * weight for down, weight in powers])
             for col in out:
                 e = row & block_mask
                 row >>= block
-                col.append(Poly(F, unpack(e, -(-e.bit_length() // bits))) if e else zero)
+                col.append(Poly(F, unpack(e, -(-e.bit_length() // width))) if e else zero)
         return out
     state = [sum(pack(col[j].coeffs) << o for col, o in zip(cols, offsets) if col[j])
              for j in range(r)]
@@ -611,31 +630,56 @@ class _TLayout(NamedTuple):
     """The packed T step's layout of one shape (``_t_layout``)."""
 
     bits: int  # the slot width
-    pack: Callable
-    unpack: Callable
+    pack: Callable  # slots -> int
+    unpack: Callable  # int, m -> its lowest m cells
+    cell: int  # the slots of one coefficient: 2d - 1, one over F_p
     shift: int  # Barrett's s
     barrett: int  # Barrett's m
     quo_mask: int  # Q, the low n bits of every slot
-    dmasks: tuple[tuple[int, int], ...]  # (M_b, bits - b) for each bit b of p - 1
-    block: int  # the block stride, L slots, in bits
+    dmasks: tuple[tuple[int, int], ...]  # (M_b, cell bits - b) for each bit b of p - 1
+    low: int  # LOW, the low d slots of every cell (0 over F_p)
+    first: int  # M0, the bottom slot of every cell (0 over F_p)
+    folds: tuple[tuple[int, int], ...]  # (j bits, R_j) for j = d..2d - 2, none over F_p
+    block: int  # the block stride, L cells, in bits
     block_mask: int
     offsets: range  # the bottom bit of each block
 
 
 @lru_cache(maxsize=_T_LAYOUTS)
-def _t_layout(p: int, nbits: int, size: int, c: int) -> _TLayout:
-    """The layout of ``_t_step`` over F_p for the slot bound n = ``nbits``,
-    blocks of L = ``size`` slots and c columns: a pure function of
-    (p, n, L, c), so it is built once per shape and kept in a cache of
-    ``_T_LAYOUTS`` entries.
+def _t_layout(field: Field, nbits: int, size: int, c: int) -> _TLayout:
+    """The layout of ``_t_step`` over ``field`` = F_q, q = p^d, for the slot bound
+    n0 = ``nbits``, blocks of L = ``size`` cells and c columns: a pure
+    function of (field, n0, L, c), so it is built once per shape and kept in
+    a cache of ``_T_LAYOUTS`` entries.
 
-    The slot width: a coefficient of a product sums at most len(fixed
-    operand) terms, each at most (p - 1)^2 for bmat_ij N_j, and at most
-    (p - 1)^3 for beta num' and -k beta' num, whose num' and -k beta' slots
-    hold up to (p - 1)^2.  So every slot of total_i is below 2^n, n the bit
-    length of (max_i sum_j len(bmat_ij)) (p - 1)^2
-    + (len(beta) + len(beta')) (p - 1)^3, which ``_t_step`` passes in.
-    Each slot of total_i is reduced mod p by Barrett's multiply-shift-mask,
+    Cells: coefficient t of a block is cell t, of 2d - 1 slots, its d digits
+    in the low d and 0 above.  A product of packed polynomials is then the
+    product in x and z at once, x = z^(2d - 1) (Kronecker substitution,
+    von zur Gathen-Gerhard 8.4): digit i of one coefficient times digit i'
+    of another lands in slot i + i' <= 2d - 2 of the cell of their x-degree,
+    never in the next cell.  Over F_p a cell is one slot.
+
+    The slot bound: a slot of a product is a sum over the pairs of
+    coefficients of the shorter operand's length, and within a pair over at
+    most d pairs of digits with i + i' equal to the slot, each product of
+    digits being at most (p - 1)^2 for bmat_ij N_j, and at most (p - 1)^3 for
+    beta num' and -k beta' num, whose num' and -k beta' digits hold up to
+    (p - 1)^2.  So every slot of total_i is at most 2^n0 - 1, n0 the bit
+    length of d ((max_i sum_j len(bmat_ij)) (p - 1)^2
+    + (len(beta) + len(beta')) (p - 1)^3), which ``_t_step`` passes in.
+
+    The fold takes z^d to z^(2d - 2) back to the low d digits without a
+    division: with R_j the d digits of z^j mod the modulus, in [0, p),
+    total is replaced by
+    (total & LOW) + sum_(j=d..2d-2) ((total >> j bits) & M0) R_j,
+    LOW the low d slots of every cell and M0 its bottom slot: the shift
+    brings slot j of each cell to its bottom, and the product spreads it
+    over the low d slots of its cell as z^j mod the modulus.  A low slot is
+    then its own value plus one digit of R_j times each of the d - 1 folded
+    slots, at most (2^n0 - 1)(1 + (d - 1)(p - 1)), and the high slots are 0,
+    so every slot is below 2^n, n the bit length of that bound (n = n0 over
+    F_p, which has no fold).
+    Each slot is then reduced mod p by Barrett's multiply-shift-mask,
     total - p (((total m) >> s) & Q).
     With s = n + ceil(log2 p) and m = ceil(2^s / p), m p - 2^s < p <= 2^(s-n),
     so (T m) >> s = floor(T/p) for every T < 2^n (Granlund-Montgomery).  A
@@ -645,24 +689,41 @@ def _t_layout(p: int, nbits: int, size: int, c: int) -> _TLayout:
     slot, drops.  A block is read at its exact length, the top of its
     highest nonzero slot.
 
-    D, the derivative on the packed word: slot t is in mask b when bit b of
-    (t mod L) mod p is set, so sum_b (N & M_b) << b holds e c_t at slot t, e
-    the exponent mod p, which is x num', and one slot shift down makes it
-    num'.  Slot 0 of a block is in no mask, so no coefficient crosses a
-    block.
+    D, the derivative on the packed word: every slot of cell t is in mask b
+    when bit b of (t mod L) mod p is set, so sum_b (N & M_b) << b holds e d
+    at each digit d of coefficient t, e the exponent mod p, which is x num',
+    and one cell shift down makes it num'.  Cell 0 of a block is in no mask,
+    so no coefficient crosses a block.
     """
+    p, digits = field.p, field.k
     top = p - 1
+    nbits = (((1 << nbits) - 1) * (1 + (digits - 1) * top)).bit_length()
     shift = nbits + top.bit_length()
     bits, pack, unpack = _slot_codec((1 << (nbits + shift)) - 1)
-    block = size * bits
+    cell = 2 * digits - 1
+    if digits > 1:
+        unpack = _wide_codec(cell * bits >> 3)[2]
+    block = size * cell * bits
     offsets = range(0, c * block, block)
     starts = sum(1 << o for o in offsets)  # 1 at the bottom slot of each block
     full = (1 << bits) - 1
-    dmasks = tuple((pack([full if t % p >> b & 1 else 0 for t in range(size)]) * starts, bits - b)
+
+    def cells(slots):  # the slots of every cell of every block
+        return pack(slots * size) * starts
+    dmasks = tuple((pack([full if t % p >> b & 1 else 0 for t in range(size)
+                          for _ in range(cell)]) * starts, cell * bits - b)
                    for b in range(top.bit_length()))
-    return _TLayout(bits, pack, unpack, shift, -(-(1 << shift) // p),
-                    pack([(1 << nbits) - 1] * size) * starts, dmasks, block, (1 << block) - 1,
-                    offsets)
+    low = first = 0
+    folds = []
+    if digits > 1:
+        low, first = cells([full] * digits + [0] * (digits - 1)), cells([full] + [0] * (cell - 1))
+        for j in range(digits, cell):
+            rem = [0] * j + [1]
+            _reduce_mod_p(rem, field.modulus, p)
+            folds.append((j * bits, pack(rem[:digits])))
+    return _TLayout(bits, pack, unpack, cell, shift, -(-(1 << shift) // p),
+                    cells([(1 << nbits) - 1] * cell), dmasks, low, first, tuple(folds),
+                    block, (1 << block) - 1, offsets)
 
 
 @lru_cache(maxsize=_T_LAYOUTS)

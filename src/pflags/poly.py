@@ -7,8 +7,9 @@ indeterminate is positional: the same class serves polynomials in the chart
 coordinate x and, after a Frobenius rewrite, in the twist coordinate.
 
 Every product and every sum of products is one ``poly_dot``, except the T
-iteration of ``matrix._t_step`` over F_p, which keeps all its columns packed
-with the same codec, ``fields._slot_codec``, from level to level.  A single
+iteration of ``matrix._t_step``, which keeps all its columns packed with the
+same codec, ``fields._slot_codec``, from level to level, over F_(p^k) with
+the k base-p digits of a coefficient in one cell of slots.  A single
 product by the constant 1 is the other factor as it is.  Over a prime field
 (k = 1) a product is one ``fields._dot_mod_p`` (Kronecker substitution), and
 the ring operations, division with remainder and ``poly_gcd`` work on the

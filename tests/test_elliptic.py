@@ -153,6 +153,27 @@ def test_flag_skeleton_conservation_randomized():
         assert all(m >= 1 for _, m in sk.entries)
 
 
+def test_flag_skeleton_builds_each_distinct_class_once():
+    # one class per recursion step and one for the terminal class, with its
+    # multiplicity r_m: the skeleton of every line class, and the same
+    # refusal, naming the first L_j whose degree p does not divide
+    group = Pic0Group((4,))
+    for r in range(1, 41):
+        for d in range(-60, 61):
+            pr = atiyah_profile(r, d)
+            for lam in range(4):
+                atom = AtiyahAtom(group, r, d, (lam,))
+                for p in (2, 3):
+                    bad = next((j for j, deg in enumerate(pr.deg_l) if deg % p), None)
+                    if bad is None:
+                        want = FlagSkeleton(zip(elliptic._line_classes(atom, pr), pr.gr_ranks))
+                        assert flag_skeleton([atom], p) == want
+                    else:
+                        text = f"p = {p} does not divide deg L_{bad + 1} = {pr.deg_l[bad]}$"
+                        with pytest.raises(PreconditionError, match=text):
+                            flag_skeleton([atom], p)
+
+
 def test_flag_skeleton_merges_equal_classes():
     sk = FlagSkeleton([(PicClass(G2, 0, (0,)), 1), (PicClass(G2, 0, (0,)), 2)])
     assert sk.entries == ((PicClass(G2, 0, (0,)), 3),)

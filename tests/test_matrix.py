@@ -5,7 +5,7 @@ import pytest
 
 from pflags import matrix, properties
 from pflags.errors import InternalInvariantError, PflagsError
-from pflags.fields import GF
+from pflags.fields import GF, _reduce_mod_p
 from pflags.hitchin import ChartConn, char_poly_psi
 from pflags.matrix import (
     MatRF,
@@ -505,10 +505,12 @@ def t_step_comparisons(fields):
                 yield read(state, len(want)), want
 
 
+# cells of 3 to 25 slots; GF(2^13) and GF(67^2) lie above the log-table cap
+EXT_STEP_FIELDS = (GF(2, 2), GF(3, 2), GF(2, 13), GF(5, 3), GF(7, 2), GF(67, 2))
+
+
 def test_t_step_matches_the_per_entry_oracle():
-    # GF(4), GF(9) and GF(2^13) take the extension-field kernel
-    for got, want in t_step_comparisons([GF(p) for p in STEP_PRIMES]
-                                        + [GF(2, 2), GF(3, 2), GF(2, 13)]):
+    for got, want in t_step_comparisons([GF(p) for p in STEP_PRIMES] + list(EXT_STEP_FIELDS)):
         assert got == want
 
 
@@ -529,21 +531,63 @@ def _stride_short(layout):
                            offsets=range(0, len(layout.offsets) * block, block))
 
 
-def _masks_from_t(layout, p):
-    """Mask b holding the slots t with bit b of t set, not of t mod p."""
-    starts = sum(1 << o for o in layout.offsets)
-    full, size = (1 << layout.bits) - 1, layout.block // layout.bits
-    return layout._replace(dmasks=tuple(
-        (layout.pack([full if t >> b & 1 else 0 for t in range(size)]) * starts, layout.bits - b)
-        for b in range((p - 1).bit_length())))
+def _relaid(layout, field, cell, exponent):
+    """The layout with cells of ``cell`` slots, the masks and the folds laid
+    out for them, and mask b of the derivative holding cell t when bit b of
+    exponent(t) is set; its slot width, Barrett constants and R_j as built."""
+    bits, digits = layout.bits, field.k
+    size = layout.block // (layout.cell * bits)
+    block = size * cell * bits
+    offsets = range(0, len(layout.offsets) * block, block)
+    starts = sum(1 << o for o in offsets)
+    full = (1 << bits) - 1
+
+    def cells(slots):
+        return layout.pack(slots * size) * starts
+    dmasks = tuple((layout.pack([full if exponent(t) >> b & 1 else 0 for t in range(size)
+                                 for _ in range(cell)]) * starts, cell * bits - b)
+                   for b in range((field.p - 1).bit_length()))
+    folds = tuple((j * bits, fold) for j, (_, fold) in zip(range(digits, cell), layout.folds))
+    return layout._replace(
+        cell=cell, quo_mask=cells([layout.quo_mask & full] * cell), dmasks=dmasks,
+        low=cells([full] * digits + [0] * (cell - digits)) if folds else 0,
+        first=cells([full] + [0] * (cell - 1)) if folds else 0, folds=folds,
+        block=block, block_mask=(1 << block) - 1, offsets=offsets)
+
+
+def _masks_from_t(layout, field):
+    """Mask b holding the cells t with bit b of t set, not of t mod p."""
+    return _relaid(layout, field, layout.cell, lambda t: t)
+
+
+def _sign_flipped(layout, field):
+    """R_j the digits of z^j modulo the modulus with its lower coefficients
+    negated, z^d = +(them) in place of -(them)."""
+    p = field.p
+    flipped = [-c % p for c in field.modulus[:-1]] + [1]
+    folds = []
+    for down, _ in layout.folds:
+        rem = [0] * (down // layout.bits) + [1]
+        _reduce_mod_p(rem, flipped, p)
+        folds.append((down, layout.pack(rem[:field.k])))
+    return layout._replace(folds=tuple(folds))
 
 
 LAYOUT_MUTANTS = {
-    "blocks one slot short": lambda true, p, n, size, c: true(p, n, max(size - 1, 1), c),
+    "blocks one slot short": lambda true, F, n, size, c: true(F, n, max(size - 1, 1), c),
     "block stride one slot short": lambda true, *shape: _stride_short(true(*shape)),
-    "Barrett constant rounded down": lambda true, p, *shape: true(p, *shape)._replace(
-        barrett=(1 << true(p, *shape).shift) // p),
-    "masks from t, not t mod p": lambda true, p, *shape: _masks_from_t(true(p, *shape), p),
+    "Barrett constant rounded down": lambda true, F, *shape: true(F, *shape)._replace(
+        barrett=(1 << true(F, *shape).shift) // F.p),
+    "masks from t, not t mod p": lambda true, F, *shape: _masks_from_t(true(F, *shape), F),
+}
+
+FOLD_MUTANTS = {
+    "z^(2d - 2) fold dropped": lambda true, *shape: true(*shape)._replace(
+        folds=true(*shape).folds[:-1]),
+    "R_j of the modulus with its sign flipped": lambda true, F, *shape: _sign_flipped(
+        true(F, *shape), F),
+    "cell stride 2d - 2": lambda true, F, *shape: _relaid(
+        true(F, *shape), F, true(F, *shape).cell - 1, lambda t: t % F.p),
 }
 
 
@@ -555,11 +599,24 @@ def test_a_wrong_t_layout_fails_the_per_entry_oracle(monkeypatch, mutant):
     assert any(got != want for got, want in t_step_comparisons([GF(p) for p in STEP_PRIMES]))
 
 
+@pytest.mark.parametrize("mutant", FOLD_MUTANTS)
+def test_a_wrong_fold_fails_the_per_entry_oracle(monkeypatch, mutant):
+    # each extension field on its own; in characteristic 2 the sign flip
+    # leaves every R_j as it is, and the step with it matches the oracle
+    true = matrix._t_layout
+    layout = true(GF(3, 2), 20, 4, 3)
+    assert _relaid(layout, GF(3, 2), layout.cell, lambda t: t % 3) == layout
+    monkeypatch.setattr(matrix, "_t_layout", lambda *shape: FOLD_MUTANTS[mutant](true, *shape))
+    for field in EXT_STEP_FIELDS:
+        wrong = any(got != want for got, want in t_step_comparisons([field]))
+        assert wrong == (field.p > 2 or "sign" not in mutant), field
+
+
 def test_a_cached_t_layout_steps_as_a_fresh_one(monkeypatch, cold_layouts):
-    # at every STEP_PRIMES prime, slots of 1 byte to more than 8: a step on a
-    # layout just built and one on the same layout found in the cache give
-    # equal states and reads; the cache is bounded, and an extension field,
-    # whose step is per entry, never reaches it
+    # at every STEP_PRIMES prime, slots of 1 byte to more than 8, and over
+    # extension fields, cells of 3 to 25 slots with and without log tables:
+    # a step on a layout just built and one on the same layout found in the
+    # cache give equal states and reads; the cache is bounded
     assert cold_layouts.cache_parameters()["maxsize"] is not None
     widths = set()
 
@@ -569,8 +626,8 @@ def test_a_cached_t_layout_steps_as_a_fresh_one(monkeypatch, cold_layouts):
         return layout
     monkeypatch.setattr(matrix, "_t_layout", recording)
     rng = random.Random(29)
-    for p in STEP_PRIMES:
-        field = GF(p)
+    for field in [GF(p) for p in STEP_PRIMES] + [GF(2, 2), GF(3, 2), GF(2, 13), GF(67, 2)]:
+        p = field.p
         for bmat, beta, num in step_cases(field, rng):
             cols = unit_columns(field, len(bmat)) + [num]
             cold_layouts.cache_clear()
@@ -584,20 +641,13 @@ def test_a_cached_t_layout_steps_as_a_fresh_one(monkeypatch, cold_layouts):
                 assert warm[1](warm[0], k) == stepped
                 assert cold[2](stepped, len(cols)) == warm[2](stepped, len(cols))
     assert min(widths) == 8 and max(widths) > 64
-    cold_layouts.cache_clear()
-    for field in (GF(2, 2), GF(3, 2), GF(2, 13)):
-        for bmat, beta, num in step_cases(field, rng):
-            state, step, read = _t_step(bmat, beta, [num], 2)
-            read(step(state, 1), 1)
-    assert cold_layouts.cache_info().misses == cold_layouts.cache_info().currsize == 0
 
 
 def test_t_step_forms_minus_k_beta_prime_once_per_k_mod_p(monkeypatch, cold_layouts):
-    # over F_p nothing is packed after the kernel is built, -k beta' being
-    # the packed beta' times -k mod p; over an extension field -k beta' is
-    # one scale per step, as each closure steps at distinct k < p
-    # (``test_each_t_step_closure_steps_at_distinct_k_below_p``).  The layout
-    # cache starts empty, so every layout is built with the counting codec
+    # at every k nothing is packed after the kernel is built and no Poly is
+    # scaled, -k beta' being the packed beta' times -k mod p, over an
+    # extension field digit by digit.  The layout cache starts empty, so
+    # every layout is built with the counting codec
     true_codec, true_scale = matrix._slot_codec, Poly.scale
     packs = scales = 0
 
@@ -622,7 +672,7 @@ def test_t_step_forms_minus_k_beta_prime_once_per_k_mod_p(monkeypatch, cold_layo
         p = field.p
         for bmat, beta, num in step_cases(field, rng):
             state, step, read = _t_step(bmat, beta, [num], 1)
-            assert packs or field.k > 1  # the F_p kernel packs with the counting codec
+            assert packs  # the kernel packs with the counting codec
             packs = 0
             for k in range(p):
                 read(step(state, k), 1)
@@ -631,7 +681,7 @@ def test_t_step_forms_minus_k_beta_prime_once_per_k_mod_p(monkeypatch, cold_layo
             for k in range(p, 3 * p):
                 read(step(state, k), 1)
             assert packs == 0
-            assert scales == (2 * p if field.k > 1 else 0)
+            assert scales == 0
 
 
 def test_each_t_step_closure_steps_at_distinct_k_below_p(monkeypatch):
@@ -719,7 +769,8 @@ def test_char_poly_psi_at_p_31_matches_reference():
 
 
 def test_char_poly_psi_above_the_table_cap_matches_reference():
-    # GF(2^13) has no log tables: the T step runs poly_dot's digit branch
+    # GF(2^13) has no log tables: the T step packs its digits into cells and
+    # the reference iterates with poly_dot's digit branch
     F = GF(2, 13)
     assert F._exp is None
     rng = random.Random(8192)
@@ -744,6 +795,21 @@ def test_t_iterates_call_no_poly_operator(monkeypatch):
         _t_iterates(bmat, beta)
     assert calls == []
     assert Poly.one(GF(3)) * Poly.x(GF(3)) == Poly.x(GF(3)) and calls == ["__mul__"]
+    # nor does the step call poly_dot at any k, over F_p and F_(p^k) alike:
+    # every level of the p steps at k = 0..p - 1, then one step at each
+    # k = p..2p - 1
+    assert {a.field for a in pole_charts()} == set(POLE_FIELDS)
+    monkeypatch.setattr(matrix, "poly_dot", lambda *args: calls.append("poly_dot"))
+    for bmat, beta in cleared:
+        p = beta.field.p
+        start, step, read = _t_step(bmat, beta, unit_columns(beta.field, len(bmat)), p)
+        calls.clear()
+        state = start
+        for k in range(p):
+            state = step(state, k)
+        for k in range(p, 2 * p):
+            step(start, k)
+        assert calls == []
 
 
 def test_t_iterates_level_one_is_the_first_step():
