@@ -46,8 +46,8 @@ built once per shape and cached) and which keeps its state packed from step
 to step, reducing every slot mod p on the packed int (Barrett); over
 F_(p^k) it packs the base-p digits of each coefficient into a cell of 2k - 1
 slots, folds the digit products of z^k to z^(2k - 2) back by the modulus,
-so at every k a T step is big-int arithmetic, and reads the cells back
-with ``_wide_codec``, one cell to its slot.  Each
+so at every k a T step is big-int arithmetic, and reads its reduced cells
+back with ``_reduced_unpack``, one cell to its slot.  Each
 coefficient tuple is packed into an int, one fixed-width slot per
 coefficient, constant term lowest.  A coefficient of a_s b_s is a sum of at
 most n_s = min(len a_s, len b_s) terms, each at most (p - 1)^2, so a slot of
@@ -57,7 +57,11 @@ back and reduces them mod p.  One-byte slots are packed
 with ``bytes``; widths of 2 to 8 bytes are rounded up to 2, 4 or 8, the sizes
 of the ``struct`` codes H, I and Q; wider slots, needed by ``_dot_mod_p``
 from p near 2^31 up and by the T iteration from p of a few hundred up, are
-packed one ``int.to_bytes`` per coefficient.  Every packing names
+packed one ``int.to_bytes`` per coefficient.  ``_dot_mod_p`` reads them back
+one ``int.from_bytes`` per slot, as its slots are not reduced; a slot or cell
+whose value is reduced, below q, is read with the others in one
+``struct.unpack``, its value's code and pad bytes for the rest of the slot,
+up to q = 2^64.  Every packing names
 little-endian order (``int.to_bytes``/``from_bytes`` with "little", ``struct``
 formats with "<"), so the result does not depend on ``sys.byteorder``.
 """
@@ -156,6 +160,22 @@ def _wide_codec(width: int):
         data = total.to_bytes(m * width, "little")
         return [int.from_bytes(data[i:i + width], "little") for i in range(0, m * width, width)]
     return 8 * width, pack, unpack
+
+
+def _reduced_unpack(width: int, bound: int):
+    """unpack(total, m), the lowest m slots of ``width`` bytes of total, for
+    slots that hold values below ``bound``: one ``struct.unpack``, of the
+    smallest code of B, H, I and Q that holds bound - 1, then pad bytes for
+    the rest of each slot; one ``int.from_bytes`` per slot where no code of
+    at most ``width`` bytes does, as for bound > 2^64."""
+    size = next((s for s in (1, 2, 4, 8) if bound <= 1 << 8 * s), width + 1)
+    if size > width:
+        return _wide_codec(width)[2]
+    unit = {1: "B", 2: "H", 4: "I", 8: "Q"}[size] + (f"{width - size}x" if width > size else "")
+
+    def unpack(total, m):
+        return struct.unpack("<" + unit * m, total.to_bytes(m * width, "little"))
+    return unpack
 
 
 # slot widths of 2..8 bytes rounded up to the standard sizes of the struct

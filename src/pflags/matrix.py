@@ -7,7 +7,10 @@ p-th iterate (the p-curvature matrix psi), gauge transformation, and the
 horizontal sections (T(v) = 0) as an F_q(x^p)-basis.  The sections come from
 Katz's projector applied to ker psi, built from the same iterates T^k e_i as
 psi; the only linear solves are r x r over F_q(x) and s x rp over F_q(x^p),
-with s the number of sections.
+with s the number of sections.  A polynomial connection whose psi vanishes,
+the case of Cartier descent, has all of it fixed up front (ker psi spanned
+by the e_i, the point a0 = 0, the weights in F_p), and ``_flat_sections``
+sums the projector on the packed iterates in the pass that steps them.
 
 Every solve is one elimination routine, ``_echelon``: Gauss-Jordan on rows
 of polynomials by cross-multiplication, each new row divided by the gcd of
@@ -38,9 +41,10 @@ F_q, q = p^d, 2d - 1 slots, the coefficient's d base-p digits and room for
 the digit products.  It is differentiated, folded back to d digits and
 reduced mod p on the packed words (``_t_layout``), so the state stays
 packed from level to level over every field and only the levels a caller
-reads are unpacked: every level for the sections, level p alone for psi.
-Berkowitz on N, the re-check's N v and the projector take one ``poly_dot``
-per entry.
+reads are unpacked: every level for ``_horizontal_sections``, level p alone
+for psi, and none for ``_flat_sections``, which reads the projector's sums.
+Berkowitz on N, the re-check's N v and the general projector take one
+``poly_dot`` per entry.
 psi has one builder, ``p_curvature_matrix``: ``_p_curvature`` reads
 (N, delta) off the iterates (``_cleared_psi``), delta = beta^p, re-verifies
 it (delta against beta^p formed by Frobenius, N v against the sample
@@ -52,12 +56,14 @@ fractions are reduced in y = x^p, where delta mostly divides them exactly
 Rational functions are reduced only in results: a matrix's rows when they
 are read (psi's among them, behind ``p_curvature_matrix``,
 ``pone.p_curvature`` and ``hitchin.p_curvature_chart``), ``kernel``'s
-vectors, the inverse and the sections.  ``_horizontal_sections`` returns
-each section as its cleared pair (w, P(x^p)), and only the three callers
-that hand sections out reduce them: ``horizontal_sections``,
-``pone.cartier_descent`` for its frame and ``hitchin._triangularize`` for
-its gauge's columns.  ``horizontal_sections`` re-verifies every section it
-returns, so it builds its N without the re-check.
+vectors, the inverse and the sections.  ``_horizontal_sections`` and
+``_flat_sections`` return each section as its cleared pair (w, P(x^p)),
+through one tail, ``_sections``, and only the three callers that hand
+sections out reduce them: ``horizontal_sections`` and
+``hitchin._triangularize`` for its gauge's columns, from the first, and
+``pone.cartier_descent`` for its frame, from the second.
+``horizontal_sections`` re-verifies every section it returns, so it builds
+its N without the re-check.
 """
 
 from __future__ import annotations
@@ -67,8 +73,8 @@ from functools import lru_cache
 from operator import mul
 from typing import NamedTuple
 
-from .errors import InternalInvariantError, PflagsError
-from .fields import Field, _power, _reduce_mod_p, _slot_codec, _wide_codec
+from .errors import InternalInvariantError, PflagsError, PreconditionError
+from .fields import Field, _power, _reduce_mod_p, _reduced_unpack, _slot_codec
 from .poly import Poly, poly_dot, poly_gcd
 from .ratfunc import RatFunc
 
@@ -424,12 +430,8 @@ def _t_iterates(bmat, beta: Poly, extra=(), every_level: bool = False):
 
     Every column is iterated at once, by the steps k = 0, ..., p - 1 (the
     step at k = 0 takes e_i to column i of bmat), and only the levels
-    returned are read out of the step's state.  The steps run in stages, one
-    ``_t_step`` each, whose packed blocks are as long as the stage's last
-    level needs: the first stage takes ``_T_STAGE`` steps and each later one
-    doubles the level reached, so past the first stage a block is padded to
-    about twice its length at most, where one stage to level p would pad
-    every level to the length of level p.  A new stage reads the columns out
+    returned are read out of the step's state.  The steps run in the stages
+    of ``_t_stages``, one ``_t_step`` each; a new stage reads the columns out
     and packs them again.
     """
     F = beta.field
@@ -437,15 +439,12 @@ def _t_iterates(bmat, beta: Poly, extra=(), every_level: bool = False):
     one, zero = Poly.one(F), Poly.zero(F)
     start = cols = [[one if j == i else zero for j in range(r)] for i in range(r)] + list(extra)
     levels = []
-    k = 0
-    while k < p:
-        steps = min(p - k, max(_T_STAGE, k))
-        state, step, read = _t_step(bmat, beta, cols, steps)
+    for k, steps in _t_stages(p):
+        state, step, read, _ = _t_step(bmat, beta, cols, steps)
         for j in range(k, k + steps):
             state = step(state, j)
             if every_level and j < k + steps - 1:
                 levels.append(read(state, r))
-        k += steps
         cols = read(state, len(cols))
         if every_level:
             levels.append(cols[:r])
@@ -459,7 +458,22 @@ def _t_iterates(bmat, beta: Poly, extra=(), every_level: bool = False):
             + [[col] for col in cols[r:]]), dens
 
 
-# The steps of the first stage of ``_t_iterates``, so p < 8 takes one stage.
+def _t_stages(p: int):
+    """The stages of the T iteration to level p, as (k, steps): the steps
+    k, ..., k + steps - 1 run on one ``_t_step``, whose packed blocks are as
+    long as the stage's last level needs.  The first stage takes
+    ``_T_STAGE`` steps and each later one doubles the level reached, so past
+    the first stage a block is padded to about twice its length at most,
+    where one stage to level p would pad every level to the length of
+    level p."""
+    k = 0
+    while k < p:
+        steps = min(p - k, max(_T_STAGE, k))
+        yield k, steps
+        k += steps
+
+
+# The steps of the first stage of ``_t_stages``, so p < 8 takes one stage.
 # On charts of rank 2-3 at p = 31-251 a first stage of 8, 16 or 32 steps took
 # the same time, and a single stage 30-42% longer.
 _T_STAGE = 8
@@ -542,11 +556,11 @@ def _lcm(dens, one: Poly) -> Poly:
 
 def _t_step(bmat, beta: Poly, cols, steps: int):
     """The T step of A = bmat/beta on the columns ``cols`` at once, as
-    (state, step, read): state is that of the columns, numerators of T^k v
-    over beta^k, step(state, k) the state of the numerators of T^(k+1) v
-    over beta^(k+1) for every column v, from that of T^k v = num/beta^k,
-    and read(state, n) the first n columns.  The state has room for
-    ``steps`` steps.
+    (state, step, read, layout): state is that of the columns, numerators of
+    T^k v over beta^k, step(state, k) the state of the numerators of
+    T^(k+1) v over beta^(k+1) for every column v, from that of
+    T^k v = num/beta^k, read(state, n) the first n columns and layout the
+    state's (``_t_layout``).  The state has room for ``steps`` steps.
 
     (num/beta^k)' + (bmat/beta)(num/beta^k) = (beta num' - k beta' num +
     bmat num)/beta^(k+1): the classical p-curvature recurrence, with no gcd or
@@ -566,20 +580,25 @@ def _t_step(bmat, beta: Poly, cols, steps: int):
     slot mod p are the layout's (``_t_layout``), so every slot of the next
     state is in [0, p) again, and one step serves every field.  For d > 1
     ``read`` recombines the digits of every cell on each packed row, d
-    shift-mask products, and then unpacks whole cells.
+    shift-mask products, and then unpacks whole cells.  The slot bound n0 is
+    at least the bit length of p (p - 1)^2, the most an accumulator slot of
+    ``_flat_sections`` holds, which only B = 0 needs: d (p - 1)^3 is below
+    it.
     """
     F = beta.field
     p, digits = F.p, F.k
     dbeta = beta.derivative()
     r, top = len(bmat), p - 1
     blens = tuple(tuple(len(e.coeffs) for e in row) for row in bmat)
-    nbits = (digits * (max(map(sum, blens)) * top * top
-                       + (len(beta.coeffs) + len(dbeta.coeffs)) * top ** 3)).bit_length()
+    nbits = max(digits * (max(map(sum, blens)) * top * top
+                          + (len(beta.coeffs) + len(dbeta.coeffs)) * top ** 3),
+                p * top * top).bit_length()
     # the longest entry of each row over the columns, at least 1
     lens = tuple(max([1, *(len(col[j].coeffs) for col in cols)]) for j in range(r))
     size = _t_length(blens, len(beta.coeffs), lens, steps)
+    layout = _t_layout(F, nbits, size, len(cols))
     (bits, pack, unpack, cell, shift, barrett, quo_mask, dmasks, low, first, folds, block,
-     block_mask, offsets) = _t_layout(F, nbits, size, len(cols))
+     block_mask, offsets) = layout
     if digits > 1:  # coefficients to cells of digits, and (in read) back
         pad, places = (0,) * (cell - digits), range(digits)
         powers = [(i * bits, p ** i) for i in places]
@@ -623,7 +642,7 @@ def _t_step(bmat, beta: Poly, cols, steps: int):
         return out
     state = [sum(pack(col[j].coeffs) << o for col, o in zip(cols, offsets) if col[j])
              for j in range(r)]
-    return state, step, read
+    return state, step, read, layout
 
 
 class _TLayout(NamedTuple):
@@ -631,7 +650,7 @@ class _TLayout(NamedTuple):
 
     bits: int  # the slot width
     pack: Callable  # slots -> int
-    unpack: Callable  # int, m -> its lowest m cells
+    unpack: Callable  # int, m -> its lowest m cells, each below q
     cell: int  # the slots of one coefficient: 2d - 1, one over F_p
     shift: int  # Barrett's s
     barrett: int  # Barrett's m
@@ -701,8 +720,8 @@ def _t_layout(field: Field, nbits: int, size: int, c: int) -> _TLayout:
     shift = nbits + top.bit_length()
     bits, pack, unpack = _slot_codec((1 << (nbits + shift)) - 1)
     cell = 2 * digits - 1
-    if digits > 1:
-        unpack = _wide_codec(cell * bits >> 3)[2]
+    if digits > 1 or bits > 64:  # reduced cells: each below q, read one struct.unpack a block
+        unpack = _reduced_unpack(cell * bits >> 3, field.q)
     block = size * cell * bits
     offsets = range(0, c * block, block)
     starts = sum(1 << o for o in offsets)  # 1 at the bottom slot of each block
@@ -787,9 +806,10 @@ def horizontal_sections(a: MatRF) -> list[Vec]:
     All of it is polynomial, with A cleared once to B/beta.  An image is
     n/beta^p (``_project``), and beta^p is a polynomial in y = x^p, so n split
     by exponent mod p gives the image's coordinates in the F_q(x^p)-basis
-    x^j e_i (coordinate i p + j), in y, up to a row scaling.  ``_echelon``
-    reduces these rows; a row with pivot entry P gives the section
-    w/P(x^p), w_i = sum_j e_ij(x^p) x^j, reduced here and nowhere before.
+    x^j e_i (coordinate i p + j), in y, up to a row scaling.  ``_sections``
+    reduces these rows (``_echelon``); a row with pivot entry P gives the
+    section w/P(x^p), w_i = sum_j e_ij(x^p) x^j, reduced here and nowhere
+    before.
 
     The result is the reduced echelon basis of the solutions in that basis,
     coordinates taken last-first: each vector has a 1 at its last nonzero
@@ -808,7 +828,6 @@ def _horizontal_sections(bmat, beta: Poly, iterates=None) -> list[tuple[list[Pol
     its rows with beta = 1."""
     F = beta.field
     p = F.p
-    r = len(bmat)
     if iterates is None:
         iterates = _t_iterates(bmat, beta, every_level=True)
     ker = _kernel_core(_cleared_psi(iterates)[0])
@@ -822,18 +841,36 @@ def _horizontal_sections(bmat, beta: Poly, iterates=None) -> list[tuple[list[Pol
         weights.append((weights[-1] * neg_t).scale(F.inv(F.scalar(k))))
     nums, dens = iterates
     outer = [w * d for w, d in zip(weights, dens[:0:-1])]  # c_m beta^(p-m)
+    rounds = ([[n.coeffs for n in _project(nums, weights, outer,
+                                           [Poly(F, (0,) * j + e.coeffs) for e in w])]
+               for _, w in ker] for j in range(p))
+    return _sections(bmat, beta, rounds, len(ker))
+
+
+def _sections(bmat, beta: Poly, rounds, s: int) -> list[tuple[list[Poly], Poly]]:
+    """The sections, as cleared pairs (w, P(x^p)), spanned by the images
+    n/beta^p of Katz's projector that ``rounds`` yields round by round, each
+    image as the coefficients of its numerators n, taken until they have
+    rank s.
+
+    beta^p is a polynomial in y = x^p, so n split by exponent mod p gives the
+    image's coordinates in the F_q(x^p)-basis x^j e_i (coordinate i p + j),
+    in y, up to a row scaling; ``_echelon`` reduces these rows, coordinates
+    last first.  A row with pivot entry P gives the section w/P(x^p),
+    w_i = sum_j e_ij(x^p) x^j, and each w is re-verified: beta w' + B w = 0.
+    """
+    F = beta.field
+    p, r = F.p, len(bmat)
     rows: list[list[Poly]] = []
-    for j in range(p):
-        for _, w in ker:
-            image = _project(nums, weights, outer, [Poly(F, (0,) * j + e.coeffs) for e in w])
-            rows.append([Poly(F, n.coeffs[t::p]) for n in image for t in range(p)][::-1])
+    for images in rounds:
+        rows += [[Poly(F, n[t::p]) for n in image for t in range(p)][::-1] for image in images]
         pivots = _echelon(rows)
         del rows[len(pivots):]
-        if len(pivots) == len(ker):
+        if len(pivots) == s:
             break
     else:
         raise InternalInvariantError(
-            f"projected sections have rank {len(rows)}, ker psi has dimension {len(ker)}")
+            f"projected sections have rank {len(rows)}, ker psi has dimension {s}")
     sols = []
     for row, c in zip(reversed(rows), reversed(pivots)):
         kv = row[::-1]  # coefficient t of coordinate i p + j is coefficient t p + j of w_i
@@ -845,6 +882,73 @@ def _horizontal_sections(bmat, beta: Poly, iterates=None) -> list[tuple[list[Pol
             raise InternalInvariantError("claimed horizontal section fails T(v) = 0")
         sols.append((w, row[c].compose_xpow(p)))
     return sols
+
+
+def _flat_sections(bmat) -> list[tuple[list[Poly], Poly]]:
+    """``_horizontal_sections`` of a polynomial A = bmat over beta = 1 whose
+    psi vanishes, in one packed pass; PreconditionError when psi does not.
+
+    psi = 0 fixes the kernel vectors e_i and a0 = 0, so the images are
+    P(e_i) = sum_(m<p) c_m x^m T^m e_i over beta^p = 1, c_m = (-1)^m/m! in
+    F_p (``_katz_weights``).  The columns e_i step through ``_t_stages`` as
+    in ``_t_iterates``; after the step to each level m < p, block i of row j
+    (entry j of T^m e_i) is scaled by c_m, moved m cells up and added into an
+    accumulator int of its own, so no level is read out but those a new
+    stage packs again.  The slot width and cell depend only on A, so the
+    accumulators carry across stages; their slots hold at most p (p - 1)^2,
+    within the slot bound of ``_t_step``, and are reduced mod p once, at the
+    end (``_barrett``).  psi = 0 is read off the state of level p: every row
+    is 0.  P(e_i) = e_i mod x, so the images have rank r, as round 0 of
+    ``_horizontal_sections`` has, and ``_sections`` gives the same sections.
+    """
+    F = bmat[0][0].field
+    p, r = F.p, len(bmat)
+    one, zero = Poly.one(F), Poly.zero(F)
+    weights = _katz_weights(p)
+    accs = [[int(i == j) for i in range(r)] for j in range(r)]  # accs[j][i]: c_0 e_i, entry j
+    cols = [[one if j == i else zero for j in range(r)] for i in range(r)]
+    for k, steps in _t_stages(p):
+        state, step, read, layout = _t_step(bmat, one, cols, steps)
+        block, block_mask, width = layout.block, layout.block_mask, layout.cell * layout.bits
+        for m in range(k + 1, k + steps + 1):
+            state = step(state, m - 1)
+            if m < p:
+                c, up = weights[m], m * width
+                for row, acc in zip(state, accs):
+                    for i in range(r):
+                        e = row & block_mask
+                        if e:
+                            acc[i] += e * c << up
+                        row >>= block
+        if k + steps < p:
+            cols = read(state, r)
+    if any(state):
+        raise PreconditionError("p-curvature does not vanish; nothing descends")
+    nums = _barrett(layout, p, [a for row in accs for a in row])
+    if F.k > 1:  # each cell's digits to its coefficient, at the cell's bottom
+        cells = max(a.bit_length() for a in nums) // width + 1
+        first = ((1 << layout.bits) - 1) * (((1 << cells * width) - 1) // ((1 << width) - 1))
+        nums = [sum((a >> i * layout.bits & first) * p ** i for i in range(F.k)) for a in nums]
+    nums = [layout.unpack(a, -(-a.bit_length() // width)) for a in nums]
+    return _sections(bmat, one, [[nums[i::r] for i in range(r)]], r)
+
+
+def _katz_weights(p: int) -> list[int]:
+    """The weights c_m = (-1)^m/m! in F_p, m < p, of Katz's projector at a0 = 0."""
+    weights = [1]
+    for m in range(1, p):
+        weights.append(weights[-1] * (p - pow(m, -1, p)) % p)
+    return weights
+
+
+def _barrett(layout: _TLayout, p: int, ints) -> list[int]:
+    """The ints in ``layout``'s slots, each slot below 2^n, with every slot
+    reduced mod p by the layout's Barrett constants (see ``_t_layout``), Q
+    laid out for the longest of them."""
+    bits = layout.bits
+    slots = max(a.bit_length() for a in ints) // bits + 1
+    quo = (layout.quo_mask & ((1 << bits) - 1)) * (((1 << slots * bits) - 1) // ((1 << bits) - 1))
+    return [a - p * ((a * layout.barrett >> layout.shift) & quo) for a in ints]
 
 
 def _project(nums, weights: list[Poly], outer: list[Poly], g: list[Poly]) -> list[Poly]:

@@ -27,7 +27,7 @@ from .errors import InternalInvariantError, NeedsExtensionError, PreconditionErr
 from .fields import Field
 from .matrix import (
     MatRF,
-    _horizontal_sections,
+    _flat_sections,
     _kernel_core,
     p_curvature_matrix,
 )
@@ -367,17 +367,17 @@ def cartier_descent(c: Conn0) -> tuple[BundleP1, MatRF]:
     Returns the descended degrees (d_i / p) and an invertible frame whose
     columns are horizontal; horizontality and invertibility are re-verified.
     The horizontal sections number the rank exactly when the p-curvature
-    vanishes (Cartier), so a short basis means nothing descends.  A is
-    polynomial, so its rows go to the sections as they are, over beta = 1.
-    Each section comes as its cleared pair (w, P(x^p)), and the w columns are
-    the frame's columns scaled by P(x^p): the frame is invertible exactly when
-    they are independent, which ``_kernel_core`` tests on them before any
-    section is reduced.
+    vanishes (Cartier).  A is polynomial, so its rows go as they are, over
+    beta = 1, to ``matrix._flat_sections``, one packed pass that steps T and
+    sums Katz's projector on the levels as it goes; psi-vanishes is read off
+    the pass's packed state at level p, every row 0, and otherwise nothing
+    descends.  Each section comes as its cleared pair (w, P(x^p)), and the w
+    columns are the frame's columns scaled by P(x^p): the frame is invertible
+    exactly when they are independent, which ``_kernel_core`` tests on them
+    before any section is reduced.
     """
     ensure_valid(c)
-    sols = _horizontal_sections(c.A, Poly.one(c.field))
-    if len(sols) != c.rank:
-        raise PreconditionError("p-curvature does not vanish; nothing descends")
+    sols = _flat_sections(c.A)
     if _kernel_core(list(zip(*(w for w, _ in sols)))):
         raise NeedsExtensionError("horizontal sections do not form a frame")
     cols = [[RatFunc(e, den) for e in w] for w, den in sols]

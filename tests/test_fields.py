@@ -416,3 +416,19 @@ def test_gf_is_the_only_public_field_constructor():
 def test_k1_modulus_must_be_monic_linear(modulus):
     with pytest.raises(InvalidFieldError):
         GF(3, 1, modulus)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 5, 8, 9, 12, 16, 25])
+def test_reduced_unpack_reads_what_the_wide_codec_reads(width):
+    # slots below the bound, read in one struct.unpack with pad bytes where
+    # a code fits in the slot, one int.from_bytes per slot where none does
+    rng = random.Random(width)
+    _, pack, wide = fields._wide_codec(width)
+    for bound in (2, 3, 256, 257, 2**16 + 1, 2**32, 2**61 - 1, 2**64, 2**64 + 1, 2**127):
+        if bound > 1 << 8 * width:
+            continue
+        unpack = fields._reduced_unpack(width, bound)
+        for m in (0, 1, 7):
+            cs = [rng.randrange(bound) for _ in range(m)]
+            total = pack(cs) if cs else 0
+            assert list(unpack(total, m)) == wide(total, m) == cs

@@ -9,14 +9,19 @@ make it malformed: a dropped key, a value of another JSON type, a boolean
 for an integer, a ragged matrix row, a zero denominator, truncated text, a
 non-prime p, or a chart at p >= 300.  Others keep it in the valid domain:
 another prime below 600 with k <= 4 and q <= 4096, perturbed integers, or a
-degree moved by one.  The gate holds for every case:
+degree moved by one.  ``perturb`` can move a field's k too, so a case of
+the valid domain can still lie outside k <= 4 and q <= 4096: at seed 3, 67
+of the 7,633 cases among the first 20,000 whose mutations all keep the valid
+domain name such a field (GF(2^6), GF(5^6), GF(401^6), GF(41^7), ...), none
+of them among the ``CASES`` run here.  The gate holds for every case:
 
 - ``main`` returns an exit code 0-3 and nothing escapes it;
 - the last line on stdout is a report whose ``exit_code`` is that code;
 - no report has the status ``invariant-violation``, a re-check that failed;
 - no case runs past ``CASE_SECONDS``, where the platform has SIGALRM.
 
-Outside the draw, as both are slow paths rather than faults (ROADMAP item 3):
+Outside ``other_prime``'s draw, as both are slow paths rather than faults
+(ROADMAP item 3):
 
 - extension degrees k > 4.  The search for a default modulus below p = 600
   takes up to about 12 s at k = 28-31.

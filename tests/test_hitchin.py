@@ -220,8 +220,8 @@ def test_p_curvature_recheck_catches_a_step_without_the_beta_prime_term(monkeypa
     true_step = matrix._t_step
 
     def without_beta_prime(*args):
-        state, step, read = true_step(*args)
-        return state, lambda state, k: step(state, 0), read
+        state, step, read, layout = true_step(*args)
+        return state, lambda state, k: step(state, 0), read, layout
     monkeypatch.setattr(matrix, "_t_step", without_beta_prime)
     caught = 0
     for c, psi in zip(charts, psis):
@@ -247,7 +247,7 @@ def test_p_curvature_recheck_catches_level_one_read_off_the_rows(monkeypatch):
         # the samples as they are; each e_i restarted at level 1 from row i
         # of B, a column of the kernel stepped by k = 1..p-1 only
         nums, dens = true_iterates(bmat, beta, extra, every_level)
-        state, step, read = true_step(bmat, beta, [list(row) for row in bmat], beta.field.p)
+        state, step, read, _ = true_step(bmat, beta, [list(row) for row in bmat], beta.field.p)
         for k in range(1, beta.field.p):
             state = step(state, k)
         nums[:len(bmat)] = [[col] for col in read(state, len(bmat))]

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 
@@ -431,7 +432,7 @@ def test_t_iterates_match_gcd_per_step_reference():
         # past T^p the step's k >= p must enter as k mod p (over GF(4) and GF(9)
         # the integer k itself would be another field element): the level-p
         # numerators, stepped on as extra columns by k = p..2p-1
-        state, step, read = _t_step(bmat, beta, [its[p] for its in nums], p)
+        state, step, read, _ = _t_step(bmat, beta, [its[p] for its in nums], p)
         for k in range(p, 2 * p):
             state = step(state, k)
             for num, ref_its in zip(read(state, a.n), ref):
@@ -492,12 +493,12 @@ def t_step_comparisons(fields):
             extra = [num, [random_poly(rng, field, rng.randint(0, 9)) for _ in range(r)],
                      [Poly.zero(field)] * (r - 1) + [random_poly(rng, field, 3)]]
             cols = unit_columns(field, r) + extra
-            state, step, read = _t_step(bmat, beta, cols, 1)
+            state, step, read, _ = _t_step(bmat, beta, cols, 1)
             yield read(state, len(cols)), cols
             for k in (0, 1, p - 1, p, 2 * p + 1):
                 yield read(step(state, k), len(cols)), [apply_t_oracle(bmat, beta, col, k)
                                                         for col in cols]
-            state, step, read = _t_step(bmat, beta, cols, 3)
+            state, step, read, _ = _t_step(bmat, beta, cols, 3)
             want = cols
             for k in (p - 2, p - 1, p) if p > 2 else (0, 1, 2):
                 state = step(state, k)
@@ -671,7 +672,7 @@ def test_t_step_forms_minus_k_beta_prime_once_per_k_mod_p(monkeypatch, cold_layo
     for field in (GF(5), GF(7), GF(2, 2), GF(3, 2)):
         p = field.p
         for bmat, beta, num in step_cases(field, rng):
-            state, step, read = _t_step(bmat, beta, [num], 1)
+            state, step, read, _ = _t_step(bmat, beta, [num], 1)
             assert packs  # the kernel packs with the counting codec
             packs = 0
             for k in range(p):
@@ -692,14 +693,14 @@ def test_each_t_step_closure_steps_at_distinct_k_below_p(monkeypatch):
     true_step, runs = matrix._t_step, []
 
     def recording(*args):
-        state, step, read = true_step(*args)
+        state, step, read, layout = true_step(*args)
         ks = []
         runs[-1].append(ks)
 
         def recorded(state, k):
             ks.append(k)
             return step(state, k)
-        return state, recorded, read
+        return state, recorded, read, layout
     monkeypatch.setattr(matrix, "_t_step", recording)
     rng = random.Random(32)
     for field in (GF(5), GF(11), GF(31), GF(2, 2), GF(3, 2)):
@@ -802,7 +803,7 @@ def test_t_iterates_call_no_poly_operator(monkeypatch):
     monkeypatch.setattr(matrix, "poly_dot", lambda *args: calls.append("poly_dot"))
     for bmat, beta in cleared:
         p = beta.field.p
-        start, step, read = _t_step(bmat, beta, unit_columns(beta.field, len(bmat)), p)
+        start, step, read, _ = _t_step(bmat, beta, unit_columns(beta.field, len(bmat)), p)
         calls.clear()
         state = start
         for k in range(p):
@@ -1139,7 +1140,7 @@ def test_projector_takes_one_round_at_a_pole_at_zero(monkeypatch):
     rounds = []
 
     def counted(rows):
-        if sys._getframe(1).f_code.co_name == "_horizontal_sections":
+        if sys._getframe(1).f_code.co_name == "_sections":
             rounds.append(len(rows))
         return true_echelon(rows)
 
@@ -1344,6 +1345,98 @@ def test_horizontality_recheck_catches_a_wrong_projection(monkeypatch):
     for a in cases:
         with pytest.raises(InternalInvariantError, match="fails T\\(v\\) = 0"):
             horizontal_sections(a)
+
+
+# -- the flat pass: Katz's projector summed on the packed levels ---------------------
+
+
+# GF(11), GF(31) and GF(293) step in several stages; GF(2^8) has cells of 15
+# slots, GF(7^2) of 3, and both read reduced cells one struct.unpack a block
+FLAT_FIELDS = (GF(2), GF(3), GF(5), GF(7), GF(11), GF(31), GF(293),
+               GF(2, 2), GF(3, 2), GF(7, 2), GF(2, 8))
+
+
+def test_flat_sections_match_the_projector_oracle():
+    # the pass's (w, P(x^p)) pairs are _horizontal_sections' over beta = 1,
+    # on flat connections of ranks 1-4 and on the zero connection
+    rng = random.Random(35)
+    for field in FLAT_FIELDS:
+        one, zero = Poly.one(field), Poly.zero(field)
+        for r in (1, 2, 3, 4):
+            for bmat in (random_flat_conn0(rng, field, r=r).A, [[zero] * r for _ in range(r)]):
+                assert matrix._flat_sections(bmat) == _horizontal_sections(bmat, one), (field, r)
+
+
+def test_flat_sections_slots_hold_the_accumulators(monkeypatch):
+    # an accumulator slot holds up to p (p - 1)^2; the step's own slot bound
+    # for B = 0, d (p - 1)^3, lies below it, so the bound is raised to it,
+    # which at p = 2 takes one more bit
+    true, bounds = matrix._t_layout, []
+
+    def recording(field, nbits, *shape):
+        bounds.append((field, nbits))
+        return true(field, nbits, *shape)
+    monkeypatch.setattr(matrix, "_t_layout", recording)
+    for field in FLAT_FIELDS:
+        zero = Poly.zero(field)
+        assert len(matrix._flat_sections([[zero] * 2, [zero] * 2])) == 2
+    assert {field for field, _ in bounds} == set(FLAT_FIELDS)
+    for field, nbits in bounds:
+        p = field.p
+        assert nbits == max(p * (p - 1) ** 2, field.k * (p - 1) ** 3).bit_length()
+    assert (GF(2), 2) in bounds
+
+
+FLAT_MUTANTS = {
+    # the weights (+1)^m/m!: P(e_i) is no longer horizontal, T(v) = 0 fails
+    "weights (+1)^m/m!": ("_katz_weights", lambda true: lambda p: [
+        pow(math.factorial(m), -1, p) for m in range(p)]),
+    # c_(p-1) T^(p-1) e_i left out: likewise T(v) = 0 fails
+    "level p - 1 dropped": ("_katz_weights", lambda true: lambda p: true(p)[:-1] + [0]),
+    # the accumulators read unreduced: coefficients past p change the images,
+    # which fails the cross-check on some cases and T(v) = 0 on others
+    "final reduction skipped": ("_barrett", lambda true: lambda layout, p, ints: list(ints)),
+}
+
+
+def _live_flat_cases(fields):
+    """Flat connections of ranks 2-4 with T^(p-1) e_i != 0 for some i, so
+    that every weight and every level of the projector counts."""
+    rng = random.Random(36)
+    cases = []
+    for field in fields:
+        for r in (2, 3, 4):
+            while True:
+                bmat = random_flat_conn0(rng, field, r=r).A
+                nums, _ = _t_iterates(bmat, Poly.one(field), every_level=True)
+                if any(any(e for e in its[field.p - 1]) for its in nums):
+                    break
+            cases.append(bmat)
+    return cases
+
+
+@pytest.mark.parametrize("mutant", FLAT_MUTANTS)
+def test_a_wrong_flat_pass_is_caught(monkeypatch, mutant):
+    # odd p, where the sign of the weights counts.  Over F_(p^k) with log
+    # tables the unreduced digits of the last mutant index past the tables
+    # (IndexError) before any check runs, so it runs over F_p alone
+    fields = [GF(3), GF(5), GF(7), GF(11)]
+    if "reduction" not in mutant:
+        fields += [GF(3, 2), GF(7, 2)]
+    cases = _live_flat_cases(fields)
+    wants = [_horizontal_sections(bmat, Poly.one(bmat[0][0].field)) for bmat in cases]
+    name, make = FLAT_MUTANTS[mutant]
+    monkeypatch.setattr(matrix, name, make(getattr(matrix, name)))
+    outcomes = set()
+    for bmat, want in zip(cases, wants):
+        try:
+            outcomes.add("cross-check" if matrix._flat_sections(bmat) != want else "missed")
+        except InternalInvariantError as exc:
+            assert "fails T(v) = 0" in str(exc)
+            outcomes.add("T(v) = 0")
+    assert "missed" not in outcomes
+    assert outcomes == ({"T(v) = 0"} if "weights" in mutant or "level" in mutant
+                        else {"cross-check", "T(v) = 0"})
 
 
 def test_matrix_pow():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from pflags import pone, sampling
+from pflags import matrix, pone, sampling
 from pflags.errors import NeedsExtensionError, PflagsError, PreconditionError
 from pflags.fields import GF
 from pflags.matrix import MatRF, gauge_transform, inverse, is_nilpotent
@@ -378,12 +378,40 @@ def test_cartier_descent_rejects_a_dependent_frame(monkeypatch):
     # sections that are F_q(x^p)-multiples of each other are dependent over
     # F_q(x) too, so the re-check of the frame must refuse them
     c = canonical_connection(BundleP1([4, 2]), F2, 0).base
-    w, den = pone._horizontal_sections(c.A, Poly.one(F2))[0]
+    w, den = pone._flat_sections(c.A)[0]
     x2 = Poly(F2, [0, 0, 1])
-    monkeypatch.setattr(pone, "_horizontal_sections",
-                        lambda bmat, beta: [(w, den), ([x2 * e for e in w], den)])
+    monkeypatch.setattr(pone, "_flat_sections", lambda bmat: [(w, den), ([x2 * e for e in w], den)])
     with pytest.raises(NeedsExtensionError, match="horizontal sections do not form a frame"):
         cartier_descent(c)
+
+
+def test_cartier_descent_takes_the_flat_pass_alone(monkeypatch):
+    # no path of the sections of a general connection runs, at small and
+    # large p and over extension fields, and the pass raises the
+    # PreconditionError of psi != 0 exactly where those sections fall short
+    # of a frame
+    rng = random.Random(36)
+    flat = [random_flat_conn0(rng, field, r=r) for field in (F2, F3, GF(11), GF(293), GF(2, 2),
+                                                              GF(7, 2)) for r in (1, 2, 3)]
+    drawn = [CEX40] + [random_conn0(rng, field, r=r) for field in (F3, F5, GF(3, 2))
+                       for r in (2, 3)]
+    short = [len(matrix._horizontal_sections(c.A, Poly.one(c.field))) < c.rank for c in drawn]
+    assert short[0] and not all(short)  # some draws are flat
+
+    def refused(*args, **kwargs):
+        raise AssertionError("cartier_descent left the flat pass")
+    for name in ("_horizontal_sections", "_t_iterates", "_project"):
+        monkeypatch.setattr(matrix, name, refused)
+    for c in flat:
+        _, frame = cartier_descent(c)
+        assert gauge_transform(c.matrix(), frame).is_zero()
+    for c, fails in zip(drawn, short):
+        if fails:
+            with pytest.raises(PreconditionError,
+                               match="p-curvature does not vanish; nothing descends"):
+                cartier_descent(c)
+        else:
+            cartier_descent(c)
 
 
 def test_cartier_roundtrip_randomized():
