@@ -13,8 +13,8 @@ cleared pair (B, beta), A = B/beta, kept by the ``MatRF`` itself
 which forms the pair without reducing an entry; an A built from rows clears
 them on first use.  psi comes from ``matrix.p_curvature_matrix`` as its pair
 (N, beta^p), and ``char_poly_psi`` is Berkowitz on it; only
-``nilpotent_flag_chart`` calls ``matrix._p_curvature`` itself, for the
-iterates its sections reuse.
+``nilpotent_flag_chart`` calls ``matrix._p_curvature`` itself, for the N
+its first sections project the kernel of.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .fields import Field
 from .matrix import (
     MatRF,
     _clear_fractions,
-    _horizontal_sections,
+    _kernel_sections,
     _p_curvature,
     charpoly_berkowitz,
     is_nilpotent,
@@ -184,25 +184,28 @@ def nilpotent_flag_chart(c: ChartConn) -> NilpotentFlag:
     commutes with T) and carries vanishing p-curvature, so T has a horizontal
     vector over F_q(x); the first horizontal section starts the flag, and the
     quotient inherits nilpotent p-curvature.  The chart's pair B/beta is
-    the first level, and every level of ``_triangularize`` takes its connection as such a
-    cleared pair.  The returned gauge G makes G^{-1} A G + G^{-1} G' upper
+    the first level, with the N of its re-verified psi = N/beta^p, and every
+    level of ``_triangularize`` takes its connection as such a cleared pair.
+    Each level's sections are one ``matrix._katz_pass`` on the kernel of its
+    N.  The returned gauge G makes G^{-1} A G + G^{-1} G' upper
     triangular, which is re-verified by ``_check_triangular`` without forming
     G^{-1}.
     """
     bmat, beta = c.A.cleared
-    iterates, nmat, delta = _p_curvature(bmat, beta, every_level=True)
+    nmat, delta = _p_curvature(bmat, beta)
     if not is_nilpotent(MatRF.from_cleared(c.field, nmat, delta)):
         raise PreconditionError("p-curvature is not nilpotent; no flag this way")
-    gauge, order = _triangularize(bmat, beta, iterates)
+    gauge, order = _triangularize(bmat, beta, nmat)
     _check_triangular(bmat, beta, gauge, order)
     return NilpotentFlag(gauge, tuple(range(c.r)))
 
 
-def _triangularize(bmat, beta: Poly, iterates=None) -> tuple[MatRF, list[int]]:
+def _triangularize(bmat, beta: Poly, nmat=None) -> tuple[MatRF, list[int]]:
     """A gauge G triangularizing T(v) = v' + A v, A = bmat/beta, for nilpotent
     p-curvature, and its row order: the rows order[0], order[1], ... of G form
-    a lower triangular matrix with a nonzero diagonal.  ``iterates`` are the
-    every-level ``_t_iterates`` of A when the caller has built them.
+    a lower triangular matrix with a nonzero diagonal.  ``nmat`` is N,
+    psi = N/beta^p, when the caller has it; a quotient level's comes from
+    ``matrix._t_iterates``, level p alone, in ``matrix._kernel_sections``.
 
     With v0 = w/P(x^p) the first horizontal section, m its last nonzero index
     and s1 < ... < s(r-1) the others, the level gauge g1 = [v0 | e_s1 ...] is
@@ -225,7 +228,7 @@ def _triangularize(bmat, beta: Poly, iterates=None) -> tuple[MatRF, list[int]]:
     # solution space fixes sols, so it does not matter that the projector
     # takes that basis as primitive polynomial vectors (``_kernel_core``), or
     # that the elimination is fraction-free.
-    sols = _horizontal_sections(bmat, beta, iterates)
+    sols = _kernel_sections(bmat, beta, nmat)
     if not sols:
         raise PreconditionError("p-curvature has trivial kernel; not nilpotent")
     w, den = sols[0]

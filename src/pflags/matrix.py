@@ -5,12 +5,14 @@ polynomial (classical recurrences divide by integers that vanish mod p),
 kernel and inverse, the action of a connection operator T(v) = v' + A v, its
 p-th iterate (the p-curvature matrix psi), gauge transformation, and the
 horizontal sections (T(v) = 0) as an F_q(x^p)-basis.  The sections come from
-Katz's projector applied to ker psi, built from the same iterates T^k e_i as
-psi; the only linear solves are r x r over F_q(x) and s x rp over F_q(x^p),
-with s the number of sections.  A polynomial connection whose psi vanishes,
-the case of Cartier descent, has all of it fixed up front (ker psi spanned
-by the e_i, the point a0 = 0, the weights in F_p), and ``_flat_sections``
-sums the projector on the packed iterates in the pass that steps them.
+Katz's projector applied to ker psi; the only linear solves are r x r over
+F_q(x) and s x rp over F_q(x^p), with s the number of sections.  The
+projector has one algorithm, ``_katz_pass``: it steps the kernel vectors w
+through T and sums the projector on the packed levels as it goes, reading
+no level out for it.  Every caller runs it: ``_kernel_sections`` on the w of
+ker N, and ``_flat_sections``, for a polynomial connection whose psi
+vanishes (Cartier descent), on the e_i at a0 = 0 over beta = 1, reading
+psi = 0 off the same pass.
 
 Every solve is one elimination routine, ``_echelon``: Gauss-Jordan on rows
 of polynomials by cross-multiplication, each new row divided by the gcd of
@@ -31,22 +33,21 @@ matrix built from rows, the quotient connection of each level and the
 gauge columns of ``hitchin``.  With A = B/beta,
 T^k e_i has the fixed denominator beta^k, and its numerators follow the
 classical p-curvature recurrence (Katz), with no gcd in the loop.
-``_t_iterates`` steps every column at once, e_0, ..., e_(r-1) and the
-re-check's sample sections when ``_p_curvature`` asks for them, from k = 0
-to p - 1 (the step at k = 0 takes e_i to column i of B), in doubling
+``_katz_pass`` steps every column at once (for ``_t_iterates``, e_0, ...,
+e_(r-1) and the re-check's sample sections of ``_p_curvature``), from
+k = 0 to p - 1 (the step at k = 0 takes e_i to column i of B), in doubling
 stages of one ``_t_step`` each.  Its state is one int per row, column l
 in block l of cells whose length is known up front for the stage
 (``_t_length``), a cell being one coefficient: one slot over F_p, and over
 F_q, q = p^d, 2d - 1 slots, the coefficient's d base-p digits and room for
 the digit products.  It is differentiated, folded back to d digits and
 reduced mod p on the packed words (``_t_layout``), so the state stays
-packed from level to level over every field and only the levels a caller
-reads are unpacked: every level for ``_horizontal_sections``, level p alone
-for psi, and none for ``_flat_sections``, which reads the projector's sums.
-Berkowitz on N, the re-check's N v and the general projector take one
-``poly_dot`` per entry.
+packed from level to level over every field.  Only level p is read out,
+and the levels a new stage packs again: for psi, T^p v, and for the
+projector, its sums, folded and reduced once.  Berkowitz on N and the
+re-check's N v take one ``poly_dot`` per entry.
 psi has one builder, ``p_curvature_matrix``: ``_p_curvature`` reads
-(N, delta) off the iterates (``_cleared_psi``), delta = beta^p, re-verifies
+(N, delta) off the iterates at level p, delta = beta^p, re-verifies
 it (delta against beta^p formed by Frobenius, N v against the sample
 section's T^p v), and psi is returned as that pair, which need not be its
 lcm pair.  Every reader of a pair takes any pair: the characteristic
@@ -56,14 +57,14 @@ fractions are reduced in y = x^p, where delta mostly divides them exactly
 Rational functions are reduced only in results: a matrix's rows when they
 are read (psi's among them, behind ``p_curvature_matrix``,
 ``pone.p_curvature`` and ``hitchin.p_curvature_chart``), ``kernel``'s
-vectors, the inverse and the sections.  ``_horizontal_sections`` and
+vectors, the inverse and the sections.  ``_kernel_sections`` and
 ``_flat_sections`` return each section as its cleared pair (w, P(x^p)),
 through one tail, ``_sections``, and only the three callers that hand
 sections out reduce them: ``horizontal_sections`` and
 ``hitchin._triangularize`` for its gauge's columns, from the first, and
 ``pone.cartier_descent`` for its frame, from the second.
 ``horizontal_sections`` re-verifies every section it returns, so it builds
-its N without the re-check.
+its N without the re-check, as ``_triangularize`` does past its first level.
 """
 
 from __future__ import annotations
@@ -386,12 +387,11 @@ def p_curvature_matrix(a: MatRF) -> MatRF:
     return MatRF.from_cleared(a.field, nmat, delta)
 
 
-def _p_curvature(bmat, beta: Poly, every_level: bool = False):
-    """(the ``_t_iterates`` of A, N, delta) for A = bmat/beta, with
-    psi = N/delta; psi is not cleared at all.  It runs behind
-    ``p_curvature_matrix``, the one builder of psi, and behind
-    ``hitchin.nilpotent_flag_chart``, which asks for ``every_level`` for the
-    sections it goes on to build.
+def _p_curvature(bmat, beta: Poly):
+    """(N, delta) for A = bmat/beta, with psi = N/delta; psi is not cleared
+    at all.  It runs behind ``p_curvature_matrix``, the one builder of psi,
+    and behind ``hitchin.nilpotent_flag_chart``, which goes on to project
+    ker N.
 
     Re-verified on every call, failure indicating an iteration bug, not bad
     input.  The denominator: delta, the iterates' beta^p, equals beta^p
@@ -405,57 +405,36 @@ def _p_curvature(bmat, beta: Poly, every_level: bool = False):
     first identity.
     """
     F = beta.field
-    p = F.p
     f = Poly(F, (1, 1))  # x + 1
     v = [Poly.monomial(F, 1, i % 3) for i in range(len(bmat))]
-    nums, dens = _t_iterates(bmat, beta, [[f * e for e in v], v], every_level)
-    *nums, lhs, rhs = nums
-    nmat, delta = _cleared_psi((nums, dens))
-    if delta != Poly(F, [F.frobenius(c) for c in beta.coeffs]).compose_xpow(p):
+    (*cols, lhs, rhs), delta = _t_iterates(bmat, beta, [[f * e for e in v], v])
+    nmat = list(zip(*cols))
+    if delta != Poly(F, [F.frobenius(c) for c in beta.coeffs]).compose_xpow(F.p):
         raise InternalInvariantError("p-curvature denominator is not beta^p")
-    if lhs[-1] != [f * e for e in rhs[-1]]:
+    if lhs != [f * e for e in rhs]:
         raise InternalInvariantError("p-curvature operator is not O-linear")
-    if any(_dot(row, v) != e for row, e in zip(nmat, rhs[-1])):
+    if any(_dot(row, v) != e for row, e in zip(nmat, rhs)):
         raise InternalInvariantError("p-curvature matrix disagrees with iterated T")
-    return (nums, dens), nmat, delta
+    return nmat, delta
 
 
-def _t_iterates(bmat, beta: Poly, extra=(), every_level: bool = False):
-    """The iterates T^k v for k = 0..p with A = bmat/beta, unreduced, of the
-    columns v = e_0, ..., e_(r-1) and then those of ``extra`` (numerators
-    over beta^0 = 1), as (nums, dens): nums[l] lists the numerators of
-    T^k v_l over dens[k] = beta^k, the one denominator of every column, for
-    k = 0..p with ``every_level`` and for k = p alone without it or for an
-    extra column, so that nums[l][-1] is T^p v_l either way.
-
-    Every column is iterated at once, by the steps k = 0, ..., p - 1 (the
-    step at k = 0 takes e_i to column i of bmat), and only the levels
-    returned are read out of the step's state.  The steps run in the stages
-    of ``_t_stages``, one ``_t_step`` each; a new stage reads the columns out
-    and packs them again.
+def _t_iterates(bmat, beta: Poly, extra=()):
+    """T^p v with A = bmat/beta, unreduced, for the columns v = e_0, ...,
+    e_(r-1) and then those of ``extra`` (numerators over beta^0 = 1), as
+    (cols, delta): cols[l] the numerators of T^p v_l over delta = beta^p,
+    the one denominator of every column.  The columns step together in
+    ``_katz_pass``, with no projector to sum.
     """
     F = beta.field
-    p, r = F.p, len(bmat)
-    one, zero = Poly.one(F), Poly.zero(F)
-    start = cols = [[one if j == i else zero for j in range(r)] for i in range(r)] + list(extra)
-    levels = []
-    for k, steps in _t_stages(p):
-        state, step, read, _ = _t_step(bmat, beta, cols, steps)
-        for j in range(k, k + steps):
-            state = step(state, j)
-            if every_level and j < k + steps - 1:
-                levels.append(read(state, r))
-        cols = read(state, len(cols))
-        if every_level:
-            levels.append(cols[:r])
-    if not every_level:
-        delta = _power(beta, p, one, lambda f, g: poly_dot(((f, g),), F))
-        return [[col] for col in cols], [delta]
-    dens = [one]
-    for _ in range(p):
-        dens.append(dens[-1] if beta.is_one() else poly_dot(((dens[-1], beta),), F))
-    return ([[col, *its] for col, its in zip(start, zip(*levels))]
-            + [[col] for col in cols[r:]]), dens
+    one = Poly.one(F)
+    cols, _ = _katz_pass(bmat, beta, _unit_columns(F, len(bmat)) + list(extra), ())
+    return cols, _power(beta, F.p, one, lambda f, g: poly_dot(((f, g),), F))
+
+
+def _unit_columns(field: Field, r: int) -> list[list[Poly]]:
+    """e_0, ..., e_(r-1) as columns of polynomials."""
+    one, zero = Poly.one(field), Poly.zero(field)
+    return [[one if j == i else zero for j in range(r)] for i in range(r)]
 
 
 def _t_stages(p: int):
@@ -485,13 +464,6 @@ _T_STAGE = 8
 # p = 293 a layout of a rank-4 chart holds up to 0.6 MB, and the 5 layouts
 # of a rank-4 chart over GF(67^2) hold 0.66 MB.
 _T_LAYOUTS = 64
-
-
-def _cleared_psi(iterates) -> tuple[list[tuple[Poly, ...]], Poly]:
-    """psi = N/delta from ``_t_iterates``: column i of N holds the numerators
-    of T^p e_i, and delta = beta^p is their denominator."""
-    nums, dens = iterates
-    return list(zip(*(its[-1] for its in nums))), dens[-1]
 
 
 def _clear_fractions(field: Field, rows) -> tuple[list[list[Poly]], Poly]:
@@ -554,13 +526,14 @@ def _lcm(dens, one: Poly) -> Poly:
     return delta
 
 
-def _t_step(bmat, beta: Poly, cols, steps: int):
+def _t_step(bmat, beta: Poly, cols, steps: int, bound: int = 0):
     """The T step of A = bmat/beta on the columns ``cols`` at once, as
     (state, step, read, layout): state is that of the columns, numerators of
     T^k v over beta^k, step(state, k) the state of the numerators of
     T^(k+1) v over beta^(k+1) for every column v, from that of
     T^k v = num/beta^k, read(state, n) the first n columns and layout the
-    state's (``_t_layout``).  The state has room for ``steps`` steps.
+    state's (``_t_layout``).  The state has room for ``steps`` steps, and its
+    slots for ``bound`` besides (see below).
 
     (num/beta^k)' + (bmat/beta)(num/beta^k) = (beta num' - k beta' num +
     bmat num)/beta^(k+1): the classical p-curvature recurrence, with no gcd or
@@ -581,9 +554,8 @@ def _t_step(bmat, beta: Poly, cols, steps: int):
     state is in [0, p) again, and one step serves every field.  For d > 1
     ``read`` recombines the digits of every cell on each packed row, d
     shift-mask products, and then unpacks whole cells.  The slot bound n0 is
-    at least the bit length of p (p - 1)^2, the most an accumulator slot of
-    ``_flat_sections`` holds, which only B = 0 needs: d (p - 1)^3 is below
-    it.
+    at least the bit length of ``bound``, the most an accumulator slot of
+    ``_katz_pass`` holds in the layout.
     """
     F = beta.field
     p, digits = F.p, F.k
@@ -592,26 +564,15 @@ def _t_step(bmat, beta: Poly, cols, steps: int):
     blens = tuple(tuple(len(e.coeffs) for e in row) for row in bmat)
     nbits = max(digits * (max(map(sum, blens)) * top * top
                           + (len(beta.coeffs) + len(dbeta.coeffs)) * top ** 3),
-                p * top * top).bit_length()
+                bound).bit_length()
     # the longest entry of each row over the columns, at least 1
     lens = tuple(max([1, *(len(col[j].coeffs) for col in cols)]) for j in range(r))
     size = _t_length(blens, len(beta.coeffs), lens, steps)
     layout = _t_layout(F, nbits, size, len(cols))
-    (bits, pack, unpack, cell, shift, barrett, quo_mask, dmasks, low, first, folds, block,
+    (bits, _, unpack, cell, shift, barrett, quo_mask, dmasks, low, first, folds, block,
      block_mask, offsets) = layout
-    if digits > 1:  # coefficients to cells of digits, and (in read) back
-        pad, places = (0,) * (cell - digits), range(digits)
-        powers = [(i * bits, p ** i) for i in places]
-        pack_slots = pack
-
-        def pack(cs):
-            slots = []
-            for c in cs:
-                for _ in places:
-                    slots.append(c % p)
-                    c //= p
-                slots += pad
-            return pack_slots(slots)
+    pack = _cell_pack(layout, F)
+    powers = [(i * bits, p ** i) for i in range(digits)]  # (in read) digits to coefficients
     rows = [[pack(e.coeffs) if e else 0 for e in row] for row in bmat]
     pbeta, pdbeta = pack(beta.coeffs), pack(dbeta.coeffs)
 
@@ -643,6 +604,26 @@ def _t_step(bmat, beta: Poly, cols, steps: int):
     state = [sum(pack(col[j].coeffs) << o for col, o in zip(cols, offsets) if col[j])
              for j in range(r)]
     return state, step, read, layout
+
+
+def _cell_pack(layout: _TLayout, field: Field) -> Callable:
+    """pack(cs): the int with the coefficients cs in consecutive cells of
+    ``layout``, constant term lowest, each cell the coefficient's d base-p
+    digits, constant digit lowest, then 0; over F_p the layout's own pack."""
+    p, digits, pack = field.p, field.k, layout.pack
+    if digits == 1:
+        return pack
+    pad, places = (0,) * (layout.cell - digits), range(digits)
+
+    def cells(cs):
+        slots = []
+        for c in cs:
+            for _ in places:
+                slots.append(c % p)
+                c //= p
+            slots += pad
+        return pack(slots)
+    return cells
 
 
 class _TLayout(NamedTuple):
@@ -804,12 +785,9 @@ def horizontal_sections(a: MatRF) -> list[Vec]:
     w[fc](a0) nonzero, P(w) = w mod t, so round 0 already does.
 
     All of it is polynomial, with A cleared once to B/beta.  An image is
-    n/beta^p (``_project``), and beta^p is a polynomial in y = x^p, so n split
-    by exponent mod p gives the image's coordinates in the F_q(x^p)-basis
-    x^j e_i (coordinate i p + j), in y, up to a row scaling.  ``_sections``
-    reduces these rows (``_echelon``); a row with pivot entry P gives the
-    section w/P(x^p), w_i = sum_j e_ij(x^p) x^j, reduced here and nowhere
-    before.
+    n/beta^p, summed on the packed levels of T (``_katz_pass``), and
+    ``_sections`` reduces the images' coordinates in the F_q(x^p)-basis
+    x^j e_i to the sections, which are reduced here and nowhere before.
 
     The result is the reduced echelon basis of the solutions in that basis,
     coordinates taken last-first: each vector has a 1 at its last nonzero
@@ -818,32 +796,25 @@ def horizontal_sections(a: MatRF) -> list[Vec]:
     of the rp x rp matrix of T would give.  Each vector is re-verified: its
     numerators w over P(x^p), whose derivative is 0, satisfy beta w' + B w = 0.
     """
-    return [tuple(RatFunc(e, den) for e in w) for w, den in _horizontal_sections(*a.cleared)]
+    return [tuple(RatFunc(e, den) for e in w) for w, den in _kernel_sections(*a.cleared)]
 
 
-def _horizontal_sections(bmat, beta: Poly, iterates=None) -> list[tuple[list[Poly], Poly]]:
+def _kernel_sections(bmat, beta: Poly, nmat=None) -> list[tuple[list[Poly], Poly]]:
     """``horizontal_sections`` of A = bmat/beta as cleared pairs (w, P(x^p)),
-    the section being w/P(x^p) entrywise and unreduced, from the
-    ``_t_iterates`` of A when the caller has them; a polynomial A may come as
-    its rows with beta = 1."""
+    the section being w/P(x^p) entrywise and unreduced, from the rows of N,
+    psi = N/beta^p, when the caller has them; a polynomial A may come as its
+    rows with beta = 1.  Each round is one ``_katz_pass`` on the x^j w."""
     F = beta.field
-    p = F.p
-    if iterates is None:
-        iterates = _t_iterates(bmat, beta, every_level=True)
-    ker = _kernel_core(_cleared_psi(iterates)[0])
+    if nmat is None:
+        nmat = list(zip(*_t_iterates(bmat, beta)[0]))
+    ker = _kernel_core(nmat)
     if not ker:
         return []
     a0 = next((c for c in F.elements()
                if beta.evaluate(c) and all(w[fc].evaluate(c) for fc, w in ker)), 0)
-    neg_t = Poly(F, [a0, F.neg(1)])
-    weights = [Poly.one(F)]  # (-t)^k / k!
-    for k in range(1, p):
-        weights.append((weights[-1] * neg_t).scale(F.inv(F.scalar(k))))
-    nums, dens = iterates
-    outer = [w * d for w, d in zip(weights, dens[:0:-1])]  # c_m beta^(p-m)
-    rounds = ([[n.coeffs for n in _project(nums, weights, outer,
-                                           [Poly(F, (0,) * j + e.coeffs) for e in w])]
-               for _, w in ker] for j in range(p))
+    weights = _katz_products(beta, a0)
+    rounds = (_katz_pass(bmat, beta, [[Poly(F, (0,) * j + e.coeffs) for e in w] for _, w in ker],
+                         weights)[1] for j in range(F.p))
     return _sections(bmat, beta, rounds, len(ker))
 
 
@@ -885,96 +856,117 @@ def _sections(bmat, beta: Poly, rounds, s: int) -> list[tuple[list[Poly], Poly]]
 
 
 def _flat_sections(bmat) -> list[tuple[list[Poly], Poly]]:
-    """``_horizontal_sections`` of a polynomial A = bmat over beta = 1 whose
-    psi vanishes, in one packed pass; PreconditionError when psi does not.
+    """``_kernel_sections`` of a polynomial A = bmat over beta = 1 whose psi
+    vanishes, in one ``_katz_pass``; PreconditionError when psi does not.
 
-    psi = 0 fixes the kernel vectors e_i and a0 = 0, so the images are
-    P(e_i) = sum_(m<p) c_m x^m T^m e_i over beta^p = 1, c_m = (-1)^m/m! in
-    F_p (``_katz_weights``).  The columns e_i step through ``_t_stages`` as
-    in ``_t_iterates``; after the step to each level m < p, block i of row j
-    (entry j of T^m e_i) is scaled by c_m, moved m cells up and added into an
-    accumulator int of its own, so no level is read out but those a new
-    stage packs again.  The slot width and cell depend only on A, so the
-    accumulators carry across stages; their slots hold at most p (p - 1)^2,
-    within the slot bound of ``_t_step``, and are reduced mod p once, at the
-    end (``_barrett``).  psi = 0 is read off the state of level p: every row
-    is 0.  P(e_i) = e_i mod x, so the images have rank r, as round 0 of
-    ``_horizontal_sections`` has, and ``_sections`` gives the same sections.
+    psi = 0 puts every e_i in ker psi, and at a0 = 0 the images
+    P(e_i) = e_i mod x have rank r: so the pass projects the e_i alone, in
+    round 0, and psi = 0 is read off its columns at level p, every one 0.
     """
     F = bmat[0][0].field
-    p, r = F.p, len(bmat)
-    one, zero = Poly.one(F), Poly.zero(F)
-    weights = _katz_weights(p)
-    accs = [[int(i == j) for i in range(r)] for j in range(r)]  # accs[j][i]: c_0 e_i, entry j
-    cols = [[one if j == i else zero for j in range(r)] for i in range(r)]
+    one = Poly.one(F)
+    top, images = _katz_pass(bmat, one, _unit_columns(F, len(bmat)), _katz_products(one, 0))
+    if any(map(any, top)):
+        raise PreconditionError("p-curvature does not vanish; nothing descends")
+    return _sections(bmat, one, [images], len(bmat))
+
+
+def _katz_pass(bmat, beta: Poly, cols, weights):
+    """Katz's projector on the columns ``cols`` of A = bmat/beta, summed on
+    the packed levels in the pass that steps them: (the numerators of T^p v
+    over beta^p, and the coefficients of the numerators of P(v) over beta^p,
+    for each column v), the second empty when ``weights`` is.
+
+    With T^m v = n_m/beta^m, P(v) = sum_(m<p) c_m n_m beta^(p-m)/beta^p, and
+    weights[m] = (W_m, s_m) with c_m beta^(p-m) = x^(s_m) W_m
+    (``_katz_products``).  The columns step through ``_t_stages``, one
+    ``_t_step`` each.  At each level m < p, block i of row j (entry j of the
+    numerator of T^m v_i) is multiplied by the packed W_m, moved s_m cells up
+    and added into an accumulator int of its own, so no level is read out but
+    those a new stage packs again.  The slot width and cell depend only on A
+    and the weights, so the accumulators carry across stages.  A slot of the
+    product with W_m is a sum over at most len(W_m) coefficient pairs, each
+    over at most d digit pairs, or one where W_m lies in F_p[x], of at most
+    (p - 1)^2 each: ``_t_step`` lays its slots out for the sum of these over
+    m, and the accumulators are folded and reduced mod p once, at the end
+    (``_barrett``).
+    """
+    F = beta.field
+    p, n = F.p, len(cols)
+    cells = [w for w, _ in weights]
+    bound = (p - 1) ** 2 * sum(map(len, cells)) * (
+        F.k if F.k > 1 and any(c >= p for w in cells for c in w) else 1)
+    accs = [[0] * n for _ in bmat]  # accs[j][i]: entry j of the image of column i
     for k, steps in _t_stages(p):
-        state, step, read, layout = _t_step(bmat, one, cols, steps)
+        state, step, read, layout = _t_step(bmat, beta, cols, steps, bound)
         block, block_mask, width = layout.block, layout.block_mask, layout.cell * layout.bits
-        for m in range(k + 1, k + steps + 1):
-            state = step(state, m - 1)
-            if m < p:
-                c, up = weights[m], m * width
+        pack = _cell_pack(layout, F)
+        for m in range(k, k + steps):
+            if weights:
+                w, up = pack(weights[m][0]), weights[m][1] * width
                 for row, acc in zip(state, accs):
-                    for i in range(r):
+                    for i in range(n):
                         e = row & block_mask
                         if e:
-                            acc[i] += e * c << up
+                            acc[i] += e * w << up
                         row >>= block
-        if k + steps < p:
-            cols = read(state, r)
-    if any(state):
-        raise PreconditionError("p-curvature does not vanish; nothing descends")
+            state = step(state, m)
+        cols = read(state, n)
+    if not weights:
+        return cols, []
     nums = _barrett(layout, p, [a for row in accs for a in row])
     if F.k > 1:  # each cell's digits to its coefficient, at the cell's bottom
-        cells = max(a.bit_length() for a in nums) // width + 1
-        first = ((1 << layout.bits) - 1) * (((1 << cells * width) - 1) // ((1 << width) - 1))
+        first = (layout.first & (1 << width) - 1) * _cell_ones(width, nums)
         nums = [sum((a >> i * layout.bits & first) * p ** i for i in range(F.k)) for a in nums]
     nums = [layout.unpack(a, -(-a.bit_length() // width)) for a in nums]
-    return _sections(bmat, one, [[nums[i::r] for i in range(r)]], r)
+    return cols, [nums[i::n] for i in range(n)]
+
+
+def _katz_products(beta: Poly, a0: int) -> list[tuple[tuple[int, ...], int]]:
+    """Katz's weights over beta^p, (W_m, s_m) with c_m beta^(p-m) = x^(s_m) W_m
+    for m < p, W_m as its coefficients, c_m = (-t)^m/m! and t = x - a0.  At
+    a0 = 0, c_m is x^m times the F_p scalar of ``_katz_weights``, so s_m = m,
+    a shift by m cells; elsewhere s_m = 0.  Over beta = 1 at a0 = 0, W_m is
+    that scalar."""
+    F = beta.field
+    p = F.p
+    if beta.is_one() and not a0:
+        return [((c,), m) for m, c in enumerate(_katz_weights(p))]
+    one = Poly.one(F)
+    powers = [one]  # beta^0, ..., beta^p
+    for _ in range(p):
+        powers.append(powers[-1] * beta)
+    t = Poly(F, (F.neg(a0), 1)) if a0 else one
+    products, tm = [], one
+    for m, c in enumerate(_katz_weights(p)):
+        products.append(((tm * powers[p - m]).scale(c).coeffs, 0 if a0 else m))
+        tm = tm * t
+    return products
 
 
 def _katz_weights(p: int) -> list[int]:
-    """The weights c_m = (-1)^m/m! in F_p, m < p, of Katz's projector at a0 = 0."""
+    """The F_p scalars (-1)^m/m!, m < p, of Katz's weights c_m = (-1)^m/m! t^m."""
     weights = [1]
     for m in range(1, p):
         weights.append(weights[-1] * (p - pow(m, -1, p)) % p)
     return weights
 
 
+def _cell_ones(width: int, ints) -> int:
+    """1 at the bottom slot of every cell of ``width`` bits up to the longest of ``ints``."""
+    cells = max(a.bit_length() for a in ints) // width + 1
+    return ((1 << cells * width) - 1) // ((1 << width) - 1)
+
+
 def _barrett(layout: _TLayout, p: int, ints) -> list[int]:
-    """The ints in ``layout``'s slots, each slot below 2^n, with every slot
-    reduced mod p by the layout's Barrett constants (see ``_t_layout``), Q
-    laid out for the longest of them."""
-    bits = layout.bits
-    slots = max(a.bit_length() for a in ints) // bits + 1
-    quo = (layout.quo_mask & ((1 << bits) - 1)) * (((1 << slots * bits) - 1) // ((1 << bits) - 1))
+    """The ints in ``layout``'s cells, each slot below 2^n0, with every cell
+    folded back to d digits and every slot reduced mod p as the step does it
+    (see ``_t_layout``), the masks laid out for the longest of them."""
+    width = layout.cell * layout.bits
+    ones, cell = _cell_ones(width, ints), (1 << width) - 1
+    if layout.folds:
+        low, first = (layout.low & cell) * ones, (layout.first & cell) * ones
+        ints = [(a & low) + sum([(a >> down & first) * fold for down, fold in layout.folds])
+                for a in ints]
+    quo = (layout.quo_mask & cell) * ones
     return [a - p * ((a * layout.barrett >> layout.shift) & quo) for a in ints]
-
-
-def _project(nums, weights: list[Poly], outer: list[Poly], g: list[Poly]) -> list[Poly]:
-    """The numerators of P(g) = sum_k c_k T^k g over beta^p, c_k = weights[k],
-    from T^m e_i = nums[i][m]/beta^m and outer[m] = c_m beta^(p-m).
-
-    By Leibniz, T^k (f e_i) = sum_m C(k, m) f^(k-m) T^m e_i and
-    c_k C(k, m) = c_m c_(k-m), so P(g) = sum_i sum_m c_m D_m(g_i) T^m e_i with
-    D_m(f) = sum_{l < p-m} c_l f^(l).  Over beta^p the term (i, m) has the
-    numerator D_m(g_i) outer[m] nums[i][m], so each coordinate's numerator is
-    one ``poly_dot``.
-    """
-    p = len(weights)
-    F = weights[0].field
-    terms = []
-    for f, its in zip(g, nums):
-        if not f:
-            continue
-        derivs = [f]
-        for _ in range(p - 1):
-            derivs.append(derivs[-1].derivative())
-        dm = f  # D_{p-1}(f)
-        for m in range(p - 1, -1, -1):
-            if m < p - 1 and derivs[p - 1 - m]:
-                dm = dm + weights[p - 1 - m] * derivs[p - 1 - m]
-            tn = its[m]
-            if dm and any(tn):
-                terms.append((dm * outer[m], tn))
-    return [poly_dot([(f, tn[i]) for f, tn in terms], F) for i in range(len(g))]

@@ -368,13 +368,14 @@ def cartier_descent(c: Conn0) -> tuple[BundleP1, MatRF]:
     columns are horizontal; horizontality and invertibility are re-verified.
     The horizontal sections number the rank exactly when the p-curvature
     vanishes (Cartier).  A is polynomial, so its rows go as they are, over
-    beta = 1, to ``matrix._flat_sections``, one packed pass that steps T and
-    sums Katz's projector on the levels as it goes; psi-vanishes is read off
-    the pass's packed state at level p, every row 0, and otherwise nothing
-    descends.  Each section comes as its cleared pair (w, P(x^p)), and the w
-    columns are the frame's columns scaled by P(x^p): the frame is invertible
-    exactly when they are independent, which ``_kernel_core`` tests on them
-    before any section is reduced.
+    beta = 1, to ``matrix._flat_sections``: the one projector pass,
+    ``matrix._katz_pass``, on the e_i, which steps T and sums Katz's
+    projector on the levels as it goes; psi-vanishes is read off the pass's
+    columns at level p, every one 0, and otherwise nothing descends.  Each
+    section comes as its cleared pair (w, P(x^p)), and the w columns are the
+    frame's columns scaled by P(x^p): the frame is invertible exactly when
+    they are independent, which ``_kernel_core`` tests on them before any
+    section is reduced.
     """
     ensure_valid(c)
     sols = _flat_sections(c.A)

@@ -20,8 +20,6 @@ from pflags.hitchin import (
 )
 from pflags.matrix import (
     MatRF,
-    _cleared_psi,
-    _t_iterates,
     apply_connection,
     charpoly_berkowitz,
     gauge_transform,
@@ -40,7 +38,7 @@ from pflags.sampling import (
     random_strict_upper,
 )
 
-from test_matrix import _clear_denominators, _rref_ref
+from test_matrix import _clear_denominators, _rref_ref, t_levels
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
 
@@ -120,29 +118,31 @@ def _mutation_conns():
     return conns
 
 
+def _every_level(bmat, beta):
+    """(nums, dens): nums[i][k] the numerators of T^k e_i over dens[k] = beta^k,
+    k = 0..p, read out of the packed kernel level by level (``t_levels``)."""
+    return t_levels(bmat, beta), [beta**k for k in range(beta.field.p + 1)]
+
+
 def _iterates_through(monkeypatch, mutate):
     """Make every psi ``matrix`` returns be built from mutate(iterates), the
-    every-level iterates of e_0, ..., e_(r-1) out of the packed kernel.  The
-    re-check's sample sections are iterated in the same call and are left
-    as they are, so the re-check must catch every mutation that changes
-    psi."""
+    every-level iterates of e_0, ..., e_(r-1), of which ``_t_iterates`` hands
+    on level p.  The re-check's sample sections are iterated as they are, so
+    the re-check must catch every mutation that changes psi."""
     true_iterates = matrix._t_iterates
 
-    def mutated(bmat, beta, extra=(), every_level=False):
-        nums, dens = true_iterates(bmat, beta, extra, True)
-        basis, dens = mutate((nums[:len(bmat)], dens))
-        nums = basis + nums[len(bmat):]
-        if every_level:
-            return nums, dens
-        return [its[-1:] for its in nums], dens[-1:]
+    def mutated(bmat, beta, extra=()):
+        nums, dens = mutate(_every_level(bmat, beta))
+        samples = true_iterates(bmat, beta, extra)[0][len(bmat):]
+        return [its[-1] for its in nums] + samples, dens[-1]
     monkeypatch.setattr(matrix, "_t_iterates", mutated)
 
 
 def _mutated_psi(c, mutate):
     """psi as the pair (N, delta) of the mutated iterates would give it."""
-    iterates = mutate(_t_iterates(*_clear_denominators(c.A.rows), every_level=True))
-    nmat, delta = _cleared_psi(iterates)
-    return MatRF(c.field, [[RatFunc(e, delta) for e in row] for row in nmat])
+    nums, dens = mutate(_every_level(*_clear_denominators(c.A.rows)))
+    return MatRF(c.field, [[RatFunc(e, dens[-1]) for e in row]
+                           for row in zip(*(its[-1] for its in nums))])
 
 
 def wrong_column(iterates):
@@ -243,21 +243,21 @@ def test_p_curvature_recheck_catches_level_one_read_off_the_rows(monkeypatch):
     psis = [p_curvature_chart(c) for c in charts]
     true_iterates, true_step = matrix._t_iterates, matrix._t_step
 
-    def from_rows(bmat, beta, extra=(), every_level=False):
+    def from_rows(bmat, beta, extra=()):
         # the samples as they are; each e_i restarted at level 1 from row i
         # of B, a column of the kernel stepped by k = 1..p-1 only
-        nums, dens = true_iterates(bmat, beta, extra, every_level)
+        cols, delta = true_iterates(bmat, beta, extra)
         state, step, read, _ = true_step(bmat, beta, [list(row) for row in bmat], beta.field.p)
         for k in range(1, beta.field.p):
             state = step(state, k)
-        nums[:len(bmat)] = [[col] for col in read(state, len(bmat))]
-        return nums, dens
+        cols[:len(bmat)] = read(state, len(bmat))
+        return cols, delta
 
     monkeypatch.setattr(matrix, "_t_iterates", from_rows)
     caught = 0
     for c, psi in zip(charts, psis):
-        nmat, delta = _cleared_psi(from_rows(*_clear_denominators(c.A.rows)))
-        if MatRF(c.field, [[RatFunc(e, delta) for e in row] for row in nmat]) == psi:
+        cols, delta = from_rows(*_clear_denominators(c.A.rows))
+        if MatRF(c.field, [[RatFunc(e, delta) for e in row] for row in zip(*cols)]) == psi:
             continue  # B symmetric, or the change cancels in psi: nothing to catch
         with pytest.raises(InternalInvariantError, match="disagrees with iterated T"):
             p_curvature_chart(c)
@@ -612,17 +612,17 @@ def _cleared_quotient_mismatches(monkeypatch, charts):
     wrong = reduced = 0
     parents, true_triangularize = [], hitchin._triangularize
 
-    def checked(bmat, beta, iterates=None):
+    def checked(bmat, beta, nmat=None):
         nonlocal reduced
         if parents:
             pb, pbeta = parents[-1]
             if ([list(row) for row in bmat], beta) != _quotient_by_ratfuncs(pb, pbeta):
                 raise _WrongQuotient
-            w, _ = matrix._horizontal_sections(pb, pbeta)[0]
+            w, _ = matrix._kernel_sections(pb, pbeta)[0]
             wm = next(e for e in reversed(w) if e)
             reduced += beta.degree < wm.degree + pbeta.degree  # D = w_m beta over g
         parents.append((bmat, beta))
-        return true_triangularize(bmat, beta, iterates)
+        return true_triangularize(bmat, beta, nmat)
 
     with monkeypatch.context() as mp:
         mp.setattr(hitchin, "_triangularize", checked)
@@ -674,7 +674,7 @@ def test_the_cleared_quotient_oracle_catches_a_mutant(monkeypatch, mutant):
 
 def test_a_rank_r_chart_takes_r_minus_1_sections_and_no_1x1_quotient(monkeypatch):
     calls, sizes = [], []
-    true_sections, true_quotient = hitchin._horizontal_sections, hitchin._quotient
+    true_sections, true_quotient = hitchin._kernel_sections, hitchin._quotient
 
     def counted(*args):
         calls.append(len(args[0]))
@@ -685,7 +685,7 @@ def test_a_rank_r_chart_takes_r_minus_1_sections_and_no_1x1_quotient(monkeypatch
         sizes.append(len(sub))
         return sub, beta
 
-    monkeypatch.setattr(hitchin, "_horizontal_sections", counted)
+    monkeypatch.setattr(hitchin, "_kernel_sections", counted)
     monkeypatch.setattr(hitchin, "_quotient", sized)
     rng = random.Random(68)
     for field in (F2, F3, GF(2, 2)):

@@ -11,7 +11,6 @@ from pflags.hitchin import ChartConn, char_poly_psi
 from pflags.matrix import (
     MatRF,
     _echelon,
-    _horizontal_sections,
     _kernel_core,
     _primitive,
     _t_iterates,
@@ -420,12 +419,12 @@ def test_t_iterates_match_gcd_per_step_reference():
         p = a.field.p
         ref = reference_iterates(a, 2 * p)
         bmat, beta = _clear_denominators(a.rows)
-        nums, dens = _t_iterates(bmat, beta, every_level=True)
+        nums = t_levels(bmat, beta)
         for its, ref_its in zip(nums, ref):
-            for num, den, (ref_num, ref_den) in zip(its, dens, ref_its):
-                assert [RatFunc(e, den) for e in num] == [RatFunc(e, ref_den) for e in ref_num]
-        # without every_level, level p alone, over beta^p
-        assert _t_iterates(bmat, beta) == ([its[-1:] for its in nums], dens[-1:])
+            for k, (num, (ref_num, ref_den)) in enumerate(zip(its, ref_its)):
+                assert [RatFunc(e, beta**k) for e in num] == [RatFunc(e, ref_den) for e in ref_num]
+        # the library's iterates: level p alone, over beta^p
+        assert _t_iterates(bmat, beta) == ([its[-1] for its in nums], beta**p)
         assert p_curvature_matrix(a) == column_matrix(a.field, [its[p] for its in ref])
         if a.n > 2:
             continue
@@ -478,6 +477,22 @@ def step_cases(field, rng):
 def unit_columns(field, r):
     return [[Poly.one(field) if j == i else Poly.zero(field) for j in range(r)]
             for i in range(r)]
+
+
+def t_levels(bmat, beta, extra=()):
+    """Every level of the T iteration that ``_katz_pass`` runs, read out:
+    nums[l][k] the numerators of T^k v_l over beta^k, k = 0..p, for the
+    columns v = e_0, ..., e_(r-1) and then those of ``extra``, stepped in
+    the stages of ``_t_stages`` by ``_t_step`` as the library steps them."""
+    cols = unit_columns(beta.field, len(bmat)) + list(extra)
+    levels = [cols]
+    for k, steps in matrix._t_stages(beta.field.p):
+        state, step, read, _ = matrix._t_step(bmat, beta, cols, steps)
+        for j in range(k, k + steps):
+            state = step(state, j)
+            levels.append(read(state, len(cols)))
+        cols = levels[-1]
+    return [list(its) for its in zip(*levels)]
 
 
 def t_step_comparisons(fields):
@@ -687,9 +702,9 @@ def test_t_step_forms_minus_k_beta_prime_once_per_k_mod_p(monkeypatch, cold_layo
 
 def test_each_t_step_closure_steps_at_distinct_k_below_p(monkeypatch):
     # every closure ``_t_step`` returns is stepped at distinct k, and the
-    # closures of one ``_t_iterates`` together at exactly k = 0..p - 1, with
-    # or without every level and extra columns, below and above _T_STAGE:
-    # so a per-closure memo of -k beta' would never be hit
+    # closures of one ``_katz_pass`` together at exactly k = 0..p - 1, with
+    # or without the projector's weights and extra columns, below and above
+    # _T_STAGE: so a per-closure memo of -k beta' would never be hit
     true_step, runs = matrix._t_step, []
 
     def recording(*args):
@@ -710,9 +725,10 @@ def test_each_t_step_closure_steps_at_distinct_k_below_p(monkeypatch):
             extras = ((), ([random_poly(rng, field, 3) for _ in range(r)],
                            [Poly.zero(field)] * r))
             for extra in extras:
-                for every_level in (False, True):
+                cols = unit_columns(field, r) + list(extra)
+                for weights in ((), matrix._katz_products(beta, 0)):
                     runs.append([])
-                    _t_iterates(bmat, beta, extra, every_level)
+                    matrix._katz_pass(bmat, beta, cols, weights)
                     closures = runs[-1]
                     assert (len(closures) > 1) == (p > matrix._T_STAGE)
                     assert all(len(set(ks)) == len(ks) for ks in closures)
@@ -728,9 +744,8 @@ def test_t_iterate_degrees_grow_at_most_linearly():
     for a in pole_charts() + [p31_chart()]:
         bmat, beta = _clear_denominators(a.rows)
         step = max(beta.degree - 1, max(e.degree for row in bmat for e in row))
-        nums, dens = _t_iterates(bmat, beta, every_level=True)
-        assert dens == [beta**k for k in range(a.field.p + 1)]
-        for its in nums:
+        assert _t_iterates(bmat, beta)[1] == beta**a.field.p
+        for its in t_levels(bmat, beta):
             for k, num in enumerate(its):
                 assert all(e.degree <= k * step for e in num if not e.is_zero())
 
@@ -753,7 +768,7 @@ def test_t_length_bounds_every_level():
         lens = [max([1, *(len(col[j].coeffs) for col in extra)]) for j in range(len(bmat))]
         length = matrix._t_length(tuple(tuple(len(e.coeffs) for e in row) for row in bmat),
                                   len(beta.coeffs), tuple(lens), p)
-        nums, _ = _t_iterates(bmat, beta, extra, every_level=True)
+        nums = t_levels(bmat, beta, extra)
         assert max(len(e.coeffs) for its in nums for num in its for e in num) <= length
         grow = max(0, beta.degree - 1, *(e.degree for row in bmat for e in row))
         assert length <= max(lens) + p * grow
@@ -784,15 +799,18 @@ def test_char_poly_psi_above_the_table_cap_matches_reference():
 
 
 def test_t_iterates_call_no_poly_operator(monkeypatch):
+    # nor does the projector's pass, its weights made before it runs
     cleared = [_clear_denominators(a.rows) for a in pole_charts() + [p31_chart()]]
+    passes = [(bmat, beta, unit_columns(beta.field, len(bmat)), matrix._katz_products(beta, 0))
+              for bmat, beta in cleared]
     calls = []
     for name in ("__add__", "__sub__", "__mul__", "__neg__"):
         def counted(*args, _name=name, _original=getattr(Poly, name)):
             calls.append(_name)
             return _original(*args)
         monkeypatch.setattr(Poly, name, counted)
-    for bmat, beta in cleared:
-        _t_iterates(bmat, beta, every_level=True)
+    for (bmat, beta), args in zip(cleared, passes):
+        matrix._katz_pass(*args)
         _t_iterates(bmat, beta)
     assert calls == []
     assert Poly.one(GF(3)) * Poly.x(GF(3)) == Poly.x(GF(3)) and calls == ["__mul__"]
@@ -818,7 +836,7 @@ def test_t_iterates_level_one_is_the_first_step():
     for a in pole_charts():
         F = a.field
         bmat, beta = _clear_denominators(a.rows)
-        nums, _ = _t_iterates(bmat, beta, every_level=True)
+        nums = t_levels(bmat, beta)
         for i, (its, e) in enumerate(zip(nums, unit_columns(F, a.n))):
             assert its[0] == e
             assert its[1] == [row[i] for row in bmat]
@@ -834,14 +852,12 @@ def test_t_iterates_in_stages_match_the_per_entry_oracle():
         charts.append((random_flat_conn0(rng, F, 3).A, Poly.one(F)))
         for bmat, beta in charts:
             extra = [[random_poly(rng, F, 3) for _ in bmat]]
-            nums, dens = _t_iterates(bmat, beta, extra, every_level=True)
-            r = len(bmat)
-            want = unit_columns(F, r) + extra
-            for k in range(p):  # every level of e_i; the extra column at level p
-                assert [its[k] for its in nums[:r]] == want[:r]
+            nums = t_levels(bmat, beta, extra)
+            want = unit_columns(F, len(bmat)) + extra
+            for k in range(p + 1):  # every level of every column
+                assert [its[k] for its in nums] == want
                 want = [apply_t_oracle(bmat, beta, col, k) for col in want]
-            assert [its[-1] for its in nums] == want and len(nums[-1]) == 1
-            assert _t_iterates(bmat, beta, extra) == ([its[-1:] for its in nums], dens[-1:])
+            assert _t_iterates(bmat, beta, extra) == ([its[-1] for its in nums], beta**p)
 
 
 def _charpoly_in_x(rows, delta):
@@ -1278,7 +1294,7 @@ def test_horizontal_sections_match_rp_kernel_with_poles_over_extension_fields():
 
 
 def test_horizontal_sections_reduce_the_cleared_pairs():
-    # _horizontal_sections hands each section on as (w, P(x^p)); the public
+    # _kernel_sections hands each section on as (w, P(x^p)); the public
     # sections are those pairs reduced, and every w solves beta w' + B w = 0
     rng = random.Random(85)
     cases = [a for a, _ in _extension_pole_cases(rng, GF(2, 2))]
@@ -1289,7 +1305,7 @@ def test_horizontal_sections_reduce_the_cleared_pairs():
                                          random_polynomial_gauge(rng, field, r)))
     for a in cases:
         bmat, beta = _clear_denominators(a.rows)
-        pairs = _horizontal_sections(bmat, beta)
+        pairs = matrix._kernel_sections(bmat, beta)
         assert pairs
         assert horizontal_sections(a) == [tuple(RatFunc(e, den) for e in w) for w, den in pairs]
         for w, den in pairs:
@@ -1335,19 +1351,74 @@ def test_horizontality_recheck_catches_a_wrong_projection(monkeypatch):
             while a.is_zero():
                 a = random_flat_conn0(rng, field, r=r).matrix()
             cases.append(a)
-    true_project = matrix._project
+    true_pass = matrix._katz_pass
 
-    def project_times_x(*args):
-        nums = true_project(*args)
-        return [nums[0] * Poly.x(nums[0].field), *nums[1:]]
+    def pass_times_x(*args):
+        top, images = true_pass(*args)
+        return top, [[(0, *image[0]), *image[1:]] for image in images]
 
-    monkeypatch.setattr(matrix, "_project", project_times_x)
+    monkeypatch.setattr(matrix, "_katz_pass", pass_times_x)
     for a in cases:
         with pytest.raises(InternalInvariantError, match="fails T\\(v\\) = 0"):
             horizontal_sections(a)
 
 
-# -- the flat pass: Katz's projector summed on the packed levels ---------------------
+# -- the one pass: Katz's projector summed on the packed levels ----------------------
+
+
+def _project(nums, weights, outer, g):
+    """Oracle: the numerators of P(g) = sum_k c_k T^k g over beta^p,
+    c_k = weights[k], from T^m e_i = nums[i][m]/beta^m and
+    outer[m] = c_m beta^(p-m), all of them polynomials.
+
+    By Leibniz, T^k (f e_i) = sum_m C(k, m) f^(k-m) T^m e_i and
+    c_k C(k, m) = c_m c_(k-m), so P(g) = sum_i sum_m c_m D_m(g_i) T^m e_i with
+    D_m(f) = sum_{l < p-m} c_l f^(l).  Over beta^p the term (i, m) has the
+    numerator D_m(g_i) outer[m] nums[i][m], so each coordinate's numerator is
+    one ``poly_dot``.
+    """
+    p = len(weights)
+    F = weights[0].field
+    terms = []
+    for f, its in zip(g, nums):
+        if not f:
+            continue
+        derivs = [f]
+        for _ in range(p - 1):
+            derivs.append(derivs[-1].derivative())
+        dm = f  # D_{p-1}(f)
+        for m in range(p - 1, -1, -1):
+            if m < p - 1 and derivs[p - 1 - m]:
+                dm = dm + weights[p - 1 - m] * derivs[p - 1 - m]
+            tn = its[m]
+            if dm and any(tn):
+                terms.append((dm * outer[m], tn))
+    return [poly_dot([(f, tn[i]) for f, tn in terms], F) for i in range(len(g))]
+
+
+def _horizontal_sections(bmat, beta):
+    """Oracle for the one pass: the sections of A = bmat/beta as cleared
+    pairs (w, P(x^p)), with every level T^m e_i read out as polynomials
+    (``t_levels``), the weights (-t)^k/k! and c_m beta^(p-m) formed as
+    polynomials, the images P(x^j w) summed by Leibniz (``_project``), and
+    then the library's tail, ``_sections``."""
+    F = beta.field
+    p = F.p
+    nums = t_levels(bmat, beta)
+    ker = _kernel_core(list(zip(*(its[-1] for its in nums))))
+    if not ker:
+        return []
+    a0 = next((c for c in F.elements()
+               if beta.evaluate(c) and all(w[fc].evaluate(c) for fc, w in ker)), 0)
+    neg_t = Poly(F, [a0, F.neg(1)])
+    weights = [Poly.one(F)]  # (-t)^k / k!
+    for k in range(1, p):
+        weights.append((weights[-1] * neg_t).scale(F.inv(F.scalar(k))))
+    outer = [w * beta**(p - m) for m, w in enumerate(weights)]  # c_m beta^(p-m)
+    rounds = ([[n.coeffs for n in _project(nums, weights, outer,
+                                           [Poly(F, (0,) * j + e.coeffs) for e in w])]
+               for _, w in ker] for j in range(p))
+    return matrix._sections(bmat, beta, rounds, len(ker))
 
 
 # GF(11), GF(31) and GF(293) step in several stages; GF(2^8) has cells of 15
@@ -1356,15 +1427,92 @@ FLAT_FIELDS = (GF(2), GF(3), GF(5), GF(7), GF(11), GF(31), GF(293),
                GF(2, 2), GF(3, 2), GF(7, 2), GF(2, 8))
 
 
-def test_flat_sections_match_the_projector_oracle():
-    # the pass's (w, P(x^p)) pairs are _horizontal_sections' over beta = 1,
-    # on flat connections of ranks 1-4 and on the zero connection
-    rng = random.Random(35)
+def _two_pole_charts(rng, field):
+    """Flat charts diag(c_i/(x - b_i)), c_i in F_p^* and b_i = 0, 1, 0, ...,
+    gauged by a polynomial gauge of constant determinant, at ranks 1-3.  From
+    rank 2 no point of F_2 is regular: over GF(2) the projector expands at
+    the pole 0, where round 0 falls short, and over GF(4) at a point outside
+    F_2."""
+    p = field.p
+    for r in (1, 2, 3):
+        diag = [[RatFunc(Poly.constant(field, rng.randrange(1, p)),
+                         Poly(field, (field.neg(i % 2), 1))) if i == j else RatFunc.zero(field)
+                 for j in range(r)] for i in range(r)]
+        yield gauge_transform(MatRF(field, diag), random_polynomial_gauge(rng, field, r))
+
+
+def _flag_levels(charts):
+    """(bmat, beta) of every level of the nilpotent flags of ``charts``, as
+    ``hitchin._triangularize`` projects them: beta = 1 at the first level of
+    a polynomial chart and mostly not past it."""
+    from pflags import hitchin
+
+    levels, true_sections = [], hitchin._kernel_sections
+
+    def recorded(bmat, beta, nmat=None):
+        levels.append((bmat, beta))
+        return true_sections(bmat, beta, nmat)
+    hitchin._kernel_sections = recorded
+    try:
+        for a in charts:
+            hitchin.nilpotent_flag_chart(ChartConn(a.field, a.n, a))
+    finally:
+        hitchin._kernel_sections = true_sections
+    return levels
+
+
+def _pass_cases(rng):
+    """(bmat, beta) for the cross-checks of the one pass: over FLAT_FIELDS
+    flat connections of ranks 1-4, the zero connection and every level of
+    gauged nilpotent charts of ranks 1-4 (at p = 293 up to rank 3), and over
+    GF(2), GF(3), GF(5) and GF(4) the flat charts with poles at 0 and 1."""
+    cases, nilpotent = [], []
     for field in FLAT_FIELDS:
         one, zero = Poly.one(field), Poly.zero(field)
         for r in (1, 2, 3, 4):
-            for bmat in (random_flat_conn0(rng, field, r=r).A, [[zero] * r for _ in range(r)]):
-                assert matrix._flat_sections(bmat) == _horizontal_sections(bmat, one), (field, r)
+            cases += [(random_flat_conn0(rng, field, r=r).A, one), ([[zero] * r] * r, one)]
+            if field.p < 293 or r < 4:
+                nilpotent.append(gauge_transform(random_strict_upper(rng, field, r),
+                                                 random_polynomial_gauge(rng, field, r)))
+    cases += _flag_levels(nilpotent)
+    for field in (GF(2), GF(3), GF(5), GF(2, 2)):
+        cases += [a.cleared for a in _two_pole_charts(rng, field)]
+    return cases
+
+
+def test_flat_sections_match_the_projector_oracle(monkeypatch):
+    # the one pass's (w, P(x^p)) pairs are the oracle's, through
+    # _kernel_sections on every case and _flat_sections on the flat ones (the
+    # zero connection too); the cases reach every branch of the weights and
+    # rounds past round 0
+    reached, weighted = set(), []
+    true_products, true_pass = matrix._katz_products, matrix._katz_pass
+
+    def products(beta, a0):
+        p = beta.field.p
+        reached.update(branch for branch, hit in (
+            ("beta != 1", not beta.is_one()), ("a0 != 0", a0 != 0),
+            ("a0 outside F_p", a0 >= p), ("p = 293", p == 293)) if hit)
+        return true_products(beta, a0)
+
+    def counted(bmat, beta, cols, weights):
+        weighted.append(bool(weights))
+        return true_pass(bmat, beta, cols, weights)
+    cases = _pass_cases(random.Random(35))
+    monkeypatch.setattr(matrix, "_katz_products", products)
+    monkeypatch.setattr(matrix, "_katz_pass", counted)
+    flat = 0
+    for bmat, beta in cases:
+        want = _horizontal_sections(bmat, beta)
+        weighted.clear()
+        assert matrix._kernel_sections(bmat, beta) == want, (beta.field, len(bmat))
+        if sum(weighted) > 1:
+            reached.add("round j > 0")
+        if beta.is_one() and len(want) == len(bmat):
+            assert matrix._flat_sections(bmat) == want, (beta.field, len(bmat))
+            flat += 1
+    assert reached == {"beta != 1", "a0 != 0", "a0 outside F_p", "round j > 0", "p = 293"}
+    assert flat >= 2 * 4 * len(FLAT_FIELDS)
 
 
 def test_flat_sections_slots_hold_the_accumulators(monkeypatch):
@@ -1387,16 +1535,41 @@ def test_flat_sections_slots_hold_the_accumulators(monkeypatch):
     assert (GF(2), 2) in bounds
 
 
+# name: (the function replaced, its mutant from the true one, the outcomes on
+# the flat cases and on the others).  An outcome is the check that caught the
+# mutant, or "unchanged" where the mutant returns what the true function does
 FLAT_MUTANTS = {
     # the weights (+1)^m/m!: P(e_i) is no longer horizontal, T(v) = 0 fails
     "weights (+1)^m/m!": ("_katz_weights", lambda true: lambda p: [
-        pow(math.factorial(m), -1, p) for m in range(p)]),
+        pow(math.factorial(m), -1, p) for m in range(p)], {"T(v) = 0"}, {"T(v) = 0"}),
     # c_(p-1) T^(p-1) e_i left out: likewise T(v) = 0 fails
-    "level p - 1 dropped": ("_katz_weights", lambda true: lambda p: true(p)[:-1] + [0]),
+    "level p - 1 dropped": ("_katz_weights", lambda true: lambda p: true(p)[:-1] + [0],
+                            {"T(v) = 0"}, {"T(v) = 0"}),
     # the accumulators read unreduced: coefficients past p change the images,
-    # which fails the cross-check on some cases and T(v) = 0 on others
-    "final reduction skipped": ("_barrett", lambda true: lambda layout, p, ints: list(ints)),
+    # which fails the cross-check on some flat cases and T(v) = 0 on others;
+    # on the others some coefficients are no field element, and the tail's
+    # arithmetic raises on them before any check runs
+    "final reduction skipped": ("_barrett", lambda true: lambda layout, p, ints: list(ints),
+                                {"cross-check", "T(v) = 0"}, {"T(v) = 0", "raised"}),
+    # c_1 = -t taken as +t
+    "weight c_1 with its sign flipped": ("_katz_weights", lambda true: lambda p: [
+        -c % p if m == 1 else c for m, c in enumerate(true(p))], {"T(v) = 0"}, {"T(v) = 0"}),
+    # c_m beta^(p-m) n_m taken as c_m n_m: the same weights over beta = 1
+    "beta^(p - m) dropped": ("_katz_products", lambda true: lambda beta, a0: true(
+        Poly.one(beta.field), a0), {"unchanged"}, {"T(v) = 0"}),
+    # at a0 != 0 the weights (-(x - a0))^m/m! moved m cells up, as the
+    # weights at a0 = 0 are: c_m taken as x^m (-(x - a0))^m/m!
+    "a0 = 0's shift at a0 != 0": ("_katz_products", lambda true: lambda beta, a0: [
+        (w, m) for m, (w, _) in enumerate(true(beta, a0))], {"unchanged"},
+        {"T(v) = 0", "unchanged"}),
 }
+
+
+def _live(bmat, beta):
+    """Whether T^(p-1) w != 0 for a kernel vector w of psi, so that every
+    weight and every level of the projector counts."""
+    ker = [w for _, w in _kernel_core(list(zip(*_t_iterates(bmat, beta)[0])))]
+    return any(any(its[-2]) for its in t_levels(bmat, beta, ker)[len(bmat):])
 
 
 def _live_flat_cases(fields):
@@ -1408,8 +1581,7 @@ def _live_flat_cases(fields):
         for r in (2, 3, 4):
             while True:
                 bmat = random_flat_conn0(rng, field, r=r).A
-                nums, _ = _t_iterates(bmat, Poly.one(field), every_level=True)
-                if any(any(e for e in its[field.p - 1]) for its in nums):
+                if _live(bmat, Poly.one(field)):
                     break
             cases.append(bmat)
     return cases
@@ -1418,25 +1590,50 @@ def _live_flat_cases(fields):
 @pytest.mark.parametrize("mutant", FLAT_MUTANTS)
 def test_a_wrong_flat_pass_is_caught(monkeypatch, mutant):
     # odd p, where the sign of the weights counts.  Over F_(p^k) with log
-    # tables the unreduced digits of the last mutant index past the tables
-    # (IndexError) before any check runs, so it runs over F_p alone
+    # tables the unreduced digits of the reduction mutant index past the
+    # tables (IndexError) before any check runs, so it runs over F_p alone.
+    # The flat cases run _flat_sections, the others _kernel_sections: the
+    # levels of nilpotent flags past the first, over beta != 1, and charts
+    # with poles at 0 and 1, where a0 != 0
     fields = [GF(3), GF(5), GF(7), GF(11)]
     if "reduction" not in mutant:
         fields += [GF(3, 2), GF(7, 2)]
-    cases = _live_flat_cases(fields)
-    wants = [_horizontal_sections(bmat, Poly.one(bmat[0][0].field)) for bmat in cases]
-    name, make = FLAT_MUTANTS[mutant]
-    monkeypatch.setattr(matrix, name, make(getattr(matrix, name)))
-    outcomes = set()
-    for bmat, want in zip(cases, wants):
+    rng = random.Random(37)
+    nilpotent = [gauge_transform(random_strict_upper(rng, field, r),
+                                 random_polynomial_gauge(rng, field, r))
+                 for field in fields for r in (3, 4)]
+    cases = [("_flat_sections", bmat, Poly.one(bmat[0][0].field))
+             for bmat in _live_flat_cases(fields)]
+    cases += [("_kernel_sections", *level) for level in _flag_levels(nilpotent)
+              if not level[1].is_one() and _live(*level)]
+    cases += [("_kernel_sections", *a.cleared) for field in fields
+              for a in _two_pole_charts(rng, field) if _live(*a.cleared)]
+    wants = [_horizontal_sections(bmat, beta) for _, bmat, beta in cases]
+    name, make, *expected = FLAT_MUTANTS[mutant]
+    true, changed = getattr(matrix, name), []
+    wrong = make(true)
+
+    def mutated(*args):
+        got = wrong(*args)
+        changed.append(got != true(*args))
+        return got
+    monkeypatch.setattr(matrix, name, mutated)
+    outcomes = {"_flat_sections": set(), "_kernel_sections": set()}
+    for (run, bmat, beta), want in zip(cases, wants):
+        changed.clear()
         try:
-            outcomes.add("cross-check" if matrix._flat_sections(bmat) != want else "missed")
+            got = (matrix._flat_sections(bmat) if run == "_flat_sections"
+                   else matrix._kernel_sections(bmat, beta))
+            outcome = "cross-check" if got != want else "missed"
         except InternalInvariantError as exc:
             assert "fails T(v) = 0" in str(exc)
-            outcomes.add("T(v) = 0")
-    assert "missed" not in outcomes
-    assert outcomes == ({"T(v) = 0"} if "weights" in mutant or "level" in mutant
-                        else {"cross-check", "T(v) = 0"})
+            outcome = "T(v) = 0"
+        except (OverflowError, ValueError):
+            outcome = "raised"
+        if outcome == "missed" and not any(changed):
+            outcome = "unchanged"
+        outcomes[run].add(outcome)
+    assert outcomes == dict(zip(outcomes, expected))
 
 
 def test_matrix_pow():

@@ -395,12 +395,12 @@ def test_cartier_descent_takes_the_flat_pass_alone(monkeypatch):
                                                               GF(7, 2)) for r in (1, 2, 3)]
     drawn = [CEX40] + [random_conn0(rng, field, r=r) for field in (F3, F5, GF(3, 2))
                        for r in (2, 3)]
-    short = [len(matrix._horizontal_sections(c.A, Poly.one(c.field))) < c.rank for c in drawn]
+    short = [len(matrix._kernel_sections(c.A, Poly.one(c.field))) < c.rank for c in drawn]
     assert short[0] and not all(short)  # some draws are flat
 
     def refused(*args, **kwargs):
         raise AssertionError("cartier_descent left the flat pass")
-    for name in ("_horizontal_sections", "_t_iterates", "_project"):
+    for name in ("_kernel_sections", "_t_iterates", "_kernel_core"):
         monkeypatch.setattr(matrix, name, refused)
     for c in flat:
         _, frame = cartier_descent(c)
