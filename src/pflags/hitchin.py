@@ -187,9 +187,9 @@ def nilpotent_flag_chart(c: ChartConn) -> NilpotentFlag:
     the first level, with the N of its re-verified psi = N/beta^p, and every
     level of ``_triangularize`` takes its connection as such a cleared pair.
     Each level's sections are one ``matrix._katz_pass`` on the kernel of its
-    N.  The returned gauge G makes G^{-1} A G + G^{-1} G' upper
-    triangular, which is re-verified by ``_check_triangular`` without forming
-    G^{-1}.
+    N, of which the level takes the first alone.  The returned gauge G makes
+    G^{-1} A G + G^{-1} G' upper triangular, which is re-verified by
+    ``_check_triangular`` without forming G^{-1}.
     """
     bmat, beta = c.A.cleared
     nmat, delta = _p_curvature(bmat, beta)
@@ -207,7 +207,8 @@ def _triangularize(bmat, beta: Poly, nmat=None) -> tuple[MatRF, list[int]]:
     psi = N/beta^p, when the caller has it; a quotient level's comes from
     ``matrix._t_iterates``, level p alone, in ``matrix._kernel_sections``.
 
-    With v0 = w/P(x^p) the first horizontal section, m its last nonzero index
+    With v0 = w/P(x^p) the first horizontal section that
+    ``matrix._kernel_sections`` yields, m its last nonzero index
     and s1 < ... < s(r-1) the others, the level gauge g1 = [v0 | e_s1 ...] is
     never formed: row k >= 1 of g1^-1 is e_sk - (v0[sk]/v0[m]) e_m and column
     l >= 1 of A g1 + g1' is column sl of A, so the quotient connection is
@@ -223,15 +224,17 @@ def _triangularize(bmat, beta: Poly, nmat=None) -> tuple[MatRF, list[int]]:
         return MatRF.identity(F, 1), [0]
     # A horizontal v lies in ker psi = ker N.  Its entries at the free columns
     # of the rref of N are its coordinates in the rref kernel basis, and its
-    # last nonzero entry is one of them; so the last-first echelon sols[0] is
-    # the v0 that T restricted to ker psi would give, mapped back.  Only the
-    # solution space fixes sols, so it does not matter that the projector
-    # takes that basis as primitive polynomial vectors (``_kernel_core``), or
-    # that the elimination is fraction-free.
-    sols = _kernel_sections(bmat, beta, nmat)
-    if not sols:
+    # last nonzero entry is one of them; so the first section of the
+    # last-first echelon is the v0 that T restricted to ker psi would give,
+    # mapped back.  Only the solution space fixes it, so it does not matter
+    # that the projector takes that basis as primitive polynomial vectors
+    # (``_kernel_core``), or that the elimination is fraction-free.  It is the
+    # last forward row of the tail, taken with no back-substitution and
+    # re-verified alone; no other row is back-substituted or re-verified.
+    first = next(_kernel_sections(bmat, beta, nmat), None)
+    if first is None:
         raise PreconditionError("p-curvature has trivial kernel; not nilpotent")
-    w, den = sols[0]
+    w, den = first
     m = max(i for i in range(r) if w[i])
     others = [i for i in range(r) if i != m]
     if r == 2:

@@ -14,13 +14,18 @@ ker N, and ``_flat_sections``, for a polynomial connection whose psi
 vanishes (Cartier descent), on the e_i at a0 = 0 over beta = 1, reading
 psi = 0 off the same pass.
 
-Every solve is one elimination routine, ``_echelon``: Gauss-Jordan on rows
-of polynomials by cross-multiplication, each new row divided by the gcd of
-its entries.  A matrix of rational functions enters it as the rows of B,
-m = B/beta, a scaling that changes neither the row space nor the reduced
-echelon form.  The kernel's one algorithm, ``_kernel_core``, returns a
-primitive polynomial vector per free column; ``kernel`` and ``inverse`` form
-rational functions only from the entries they return.
+Every solve is one elimination routine: a forward phase, ``_echelon``, and
+a bottom-up back-substitution, ``_back_substitute``, on rows of polynomials
+by cross-multiplication, each new row divided by its content.  It reads the
+columns at a stride: at stride 1 each entry is a column, and at stride p an
+x-polynomial entry is p columns in y = x^p, its coefficients at each
+exponent class mod p, with the multipliers and the content formed in y and
+applied composed with x^p, so the rows stay x-polynomials.  A matrix of
+rational functions enters it as the rows of B, m = B/beta, a scaling that
+changes neither the row space nor the reduced echelon form.  The kernel's
+one algorithm, ``_kernel_core``, returns a primitive polynomial vector per
+free column; ``kernel`` and ``inverse`` run the whole reduction (``_rref``)
+and form rational functions only from the entries they return.
 
 A ``MatRF`` is the one matrix type: its rows, its cleared pair (B, beta),
 or both, each formed from the other once, when first read.  Everything past
@@ -58,18 +63,21 @@ Rational functions are reduced only in results: a matrix's rows when they
 are read (psi's among them, behind ``p_curvature_matrix``,
 ``pone.p_curvature`` and ``hitchin.p_curvature_chart``), ``kernel``'s
 vectors, the inverse and the sections.  ``_kernel_sections`` and
-``_flat_sections`` return each section as its cleared pair (w, P(x^p)),
-through one tail, ``_sections``, and only the three callers that hand
-sections out reduce them: ``horizontal_sections`` and
-``hitchin._triangularize`` for its gauge's columns, from the first, and
-``pone.cartier_descent`` for its frame, from the second.
+``_flat_sections`` yield each section as its cleared pair (w, P(x^p)),
+through one tail, ``_sections``, which eliminates the images' numerators as
+they are, at stride p: the forward phase runs over the rounds, and a section
+is back-substituted and re-verified only when it is taken.  Only the three
+callers that hand sections out reduce them: ``horizontal_sections`` and
+``pone.cartier_descent`` for its frame take every section, and
+``hitchin._triangularize`` takes the first alone, the last forward row,
+which back-substitutes nothing.
 ``horizontal_sections`` re-verifies every section it returns, so it builds
 its N without the re-check, as ``_triangularize`` does past its first level.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from functools import lru_cache
 from operator import mul
 from typing import NamedTuple
@@ -282,41 +290,104 @@ def is_nilpotent(m: MatRF) -> bool:
 # -- elimination: fraction-free, on polynomial rows -----------------------------------
 
 
-def _echelon(rows: list[list[Poly]]) -> list[int]:
-    """Gauss-Jordan on polynomial rows in place, with no division; returns
-    the pivot columns.  Row k over its entry P_k at pivots[k] is row k of the
-    reduced echelon form, and the rows past the pivots are zero."""
-    pivots = []
-    for c in range(len(rows[0]) if rows else 0):
-        r = len(pivots)
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i, row in enumerate(rows):
-            if i != r and row[c]:
-                rows[i] = _eliminate(row, rows[r], c)
-        pivots.append(c)
-        if r + 1 == len(rows):
+def _echelon(rows: list[list[Poly]], p: int = 1) -> list[int]:
+    """The forward phase of Gauss elimination on polynomial rows in place,
+    with no division, reading the columns at stride p; returns the pivot
+    columns.  Each row is zero before its pivot column and every row below it
+    is zero there; the rows past the pivots are zero.
+
+    At stride p an entry e in x stands for p columns, polynomials in
+    y = x^p: column c is e.coeffs[j::p], e = row[c // p] and
+    j = p - 1 - c % p, so j runs down from p - 1 within an entry (the
+    coordinates of e in the F_q(x^p)-basis x^j).  Stride 1 reads each entry
+    as one column.  A step (``_eliminate``) forms its multipliers and the
+    content of the new row in y and applies them composed with x^p, so the
+    rows stay x-polynomials; stride 1 is plain fraction-free elimination.
+    """
+    pivots, leads = [], [_lead(row, p) for row in rows]
+    for r in range(len(rows)):
+        # the pivot column c is the first column nonzero in a row from r on,
+        # and a row from r on is nonzero there exactly when it leads there
+        c = min((c for c in leads[r:] if c is not None), default=None)
+        if c is None:
             break
+        pivot = leads.index(c, r)
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        leads[r], leads[pivot] = c, leads[r]
+        for i in range(r + 1, len(rows)):
+            if leads[i] == c:
+                rows[i] = _eliminate(rows[i], rows[r], c, p)
+                leads[i] = _lead(rows[i], p)
+        pivots.append(c)
     return pivots
 
 
-def _eliminate(row: list[Poly], prow: list[Poly], c: int) -> list[Poly]:
-    """P row - f prow (P = prow[c], f = row[c]) over the gcd of its entries."""
-    P, neg_f = prow[c], -row[c]
-    return _primitive([poly_dot(((P, a), (neg_f, b)), P.field) for a, b in zip(row, prow)])
+def _back_substitute(rows: list[list[Poly]], pivots: list[int], p: int = 1):
+    """The back-substitution after ``_echelon`` at stride p, bottom-up: yields
+    (k, row k reduced), 0 at every other pivot column, for k = len(pivots) - 1
+    down to 0, so a caller that stops early reduces no row above; the rows
+    are left as the forward phase made them.  Row k is eliminated by the
+    forward rows below it, pivot columns ascending, each step clearing one
+    column and changing only those past it: the steps Gauss-Jordan takes on
+    row k.  Over its column pivots[k] it is row k of the reduced echelon
+    form.  The last row is reduced by the forward phase already."""
+    for k in range(len(pivots) - 1, -1, -1):
+        row = rows[k]
+        for l in range(k + 1, len(pivots)):
+            if _coordinate(row, pivots[l], p):
+                row = _eliminate(row, rows[l], pivots[l], p)
+        yield k, row
 
 
-def _primitive(row: list[Poly]) -> list[Poly]:
-    """The row divided by the monic gcd of its entries."""
-    g = None
-    for e in row:
+def _rref(rows: list[list[Poly]]) -> list[int]:
+    """Gauss-Jordan on polynomial rows in place, at stride 1: ``_echelon``
+    and the whole ``_back_substitute``; returns the pivot columns."""
+    pivots = _echelon(rows)
+    for k, row in list(_back_substitute(rows, pivots)):
+        rows[k] = row
+    return pivots
+
+
+def _lead(row: list[Poly], p: int) -> int | None:
+    """The first nonzero column of a row at stride p (see ``_echelon``), or
+    None for a zero row."""
+    for t, e in enumerate(row):
         if e:
-            g = e if g is None else poly_gcd(g, e)
-            if g.degree == 0:
-                return row
-    return row if g is None else [e // g for e in row]
+            cs = e.coeffs
+            return t if p == 1 else t * p + next(c for c in range(p) if any(cs[p - 1 - c::p]))
+    return None
+
+
+def _coordinate(row: list[Poly], c: int, p: int) -> Poly:
+    """Column c of a row at stride p (see ``_echelon``), a polynomial in y;
+    at stride 1 the entry itself."""
+    e = row[c // p]
+    return e if p == 1 else Poly(e.field, e.coeffs[p - 1 - c % p::p])
+
+
+def _eliminate(row: list[Poly], prow: list[Poly], c: int, p: int = 1) -> list[Poly]:
+    """P(x^p) row - f(x^p) prow, P and f column c of prow and of row at
+    stride p, over the content of its columns (``_primitive``)."""
+    P = _coordinate(prow, c, p).compose_xpow(p)
+    neg_f = (-_coordinate(row, c, p)).compose_xpow(p)
+    return _primitive([poly_dot(((P, a), (neg_f, b)), P.field) for a, b in zip(row, prow)], p)
+
+
+def _primitive(row: list[Poly], p: int = 1) -> list[Poly]:
+    """The row over its content at stride p: each entry divided by g(x^p),
+    g the monic gcd in y of the row's nonzero columns (see ``_echelon``)."""
+    g = None
+    for e in filter(None, row):
+        for cs in (e.coeffs[j::p] for j in range(p)):
+            if any(cs):
+                f = e if p == 1 else Poly(e.field, cs)
+                g = f if g is None else poly_gcd(g, f)
+                if g.degree == 0:
+                    return row
+    if g is None:
+        return row
+    g = g.compose_xpow(p)
+    return [e // g for e in row]
 
 
 def kernel(m: MatRF) -> list[Vec]:
@@ -334,12 +405,12 @@ def kernel(m: MatRF) -> list[Vec]:
 
 def _kernel_core(rows) -> list[tuple[int, list[Poly]]]:
     """The right kernel of polynomial rows (the list is not changed), one
-    (fc, w) per free column fc of ``_echelon``, in increasing order: w is the
+    (fc, w) per free column fc of ``_rref``, in increasing order: w is the
     vector with a 1 at fc and -row[fc]/row[pc] at each pivot column pc,
     scaled to a primitive polynomial vector, so that w[fc] is the lcm of that
     vector's reduced denominators, up to a unit."""
     rows, n, F = list(rows), len(rows[0]), rows[0][0].field
-    pivots = _echelon(rows)
+    pivots = _rref(rows)
     basis = []
     for fc in (c for c in range(n) if c not in pivots):
         w = [Poly.one(F) if c == fc else Poly.zero(F) for c in range(n)]
@@ -359,7 +430,7 @@ def inverse(m: MatRF) -> MatRF:
     bmat, beta = m.cleared
     zero = Poly.zero(m.field)
     rows = [[*row, *(beta if j == i else zero for j in range(n))] for i, row in enumerate(bmat)]
-    if _echelon(rows) != list(range(n)):
+    if _rref(rows) != list(range(n)):
         raise PflagsError("matrix is singular")
     return MatRF(m.field, [[RatFunc(e, row[k]) for e in row[n:]] for k, row in enumerate(rows)])
 
@@ -786,8 +857,9 @@ def horizontal_sections(a: MatRF) -> list[Vec]:
 
     All of it is polynomial, with A cleared once to B/beta.  An image is
     n/beta^p, summed on the packed levels of T (``_katz_pass``), and
-    ``_sections`` reduces the images' coordinates in the F_q(x^p)-basis
-    x^j e_i to the sections, which are reduced here and nowhere before.
+    ``_sections`` eliminates the numerators n as they are, reading their
+    coordinates in the F_q(x^p)-basis x^j e_i at stride p; it yields every
+    section here, each reduced here and nowhere before.
 
     The result is the reduced echelon basis of the solutions in that basis,
     coordinates taken last-first: each vector has a 1 at its last nonzero
@@ -799,17 +871,19 @@ def horizontal_sections(a: MatRF) -> list[Vec]:
     return [tuple(RatFunc(e, den) for e in w) for w, den in _kernel_sections(*a.cleared)]
 
 
-def _kernel_sections(bmat, beta: Poly, nmat=None) -> list[tuple[list[Poly], Poly]]:
+def _kernel_sections(bmat, beta: Poly, nmat=None) -> Iterator[tuple[list[Poly], Poly]]:
     """``horizontal_sections`` of A = bmat/beta as cleared pairs (w, P(x^p)),
     the section being w/P(x^p) entrywise and unreduced, from the rows of N,
     psi = N/beta^p, when the caller has them; a polynomial A may come as its
-    rows with beta = 1.  Each round is one ``_katz_pass`` on the x^j w."""
+    rows with beta = 1.  An iterator: ``_sections`` back-substitutes and
+    re-verifies each section only when it is taken.  Each round is one
+    ``_katz_pass`` on the x^j w, run when ``_sections`` asks for it."""
     F = beta.field
     if nmat is None:
         nmat = list(zip(*_t_iterates(bmat, beta)[0]))
     ker = _kernel_core(nmat)
     if not ker:
-        return []
+        return iter(())
     a0 = next((c for c in F.elements()
                if beta.evaluate(c) and all(w[fc].evaluate(c) for fc, w in ker)), 0)
     weights = _katz_products(beta, a0)
@@ -818,46 +892,45 @@ def _kernel_sections(bmat, beta: Poly, nmat=None) -> list[tuple[list[Poly], Poly
     return _sections(bmat, beta, rounds, len(ker))
 
 
-def _sections(bmat, beta: Poly, rounds, s: int) -> list[tuple[list[Poly], Poly]]:
+def _sections(bmat, beta: Poly, rounds, s: int) -> Iterator[tuple[list[Poly], Poly]]:
     """The sections, as cleared pairs (w, P(x^p)), spanned by the images
     n/beta^p of Katz's projector that ``rounds`` yields round by round, each
     image as the coefficients of its numerators n, taken until they have
-    rank s.
+    rank s; yielded one at a time, last pivot first.
 
-    beta^p is a polynomial in y = x^p, so n split by exponent mod p gives the
-    image's coordinates in the F_q(x^p)-basis x^j e_i (coordinate i p + j),
-    in y, up to a row scaling; ``_echelon`` reduces these rows, coordinates
-    last first.  A row with pivot entry P gives the section w/P(x^p),
-    w_i = sum_j e_ij(x^p) x^j, and each w is re-verified: beta w' + B w = 0.
+    beta^p is a polynomial in y = x^p, so the columns of n at stride p are
+    the image's coordinates in the F_q(x^p)-basis x^j e_i, in y, up to a row
+    scaling.  The rows are the numerators as they are, entries reversed, so
+    that ``_echelon`` takes the coordinates last first, and its forward
+    phase runs over the rounds.  Then ``_back_substitute`` reduces the rows
+    bottom-up, one per section taken: a reduced row is w, entries reversed
+    back, and its pivot column composed with x^p is P(x^p).  Each w is
+    re-verified as it is yielded: beta w' + B w = 0.  The first section is
+    the last forward row, which back-substitutes nothing.
     """
     F = beta.field
-    p, r = F.p, len(bmat)
+    p = F.p
     rows: list[list[Poly]] = []
     for images in rounds:
-        rows += [[Poly(F, n[t::p]) for n in image for t in range(p)][::-1] for image in images]
-        pivots = _echelon(rows)
+        rows += [[Poly(F, n) for n in reversed(image)] for image in images]
+        pivots = _echelon(rows, p)
         del rows[len(pivots):]
         if len(pivots) == s:
             break
     else:
         raise InternalInvariantError(
             f"projected sections have rank {len(rows)}, ker psi has dimension {s}")
-    sols = []
-    for row, c in zip(reversed(rows), reversed(pivots)):
-        kv = row[::-1]  # coefficient t of coordinate i p + j is coefficient t p + j of w_i
-        cs = [[0] * (p * max(len(e.coeffs) for e in kv[i * p:i * p + p])) for i in range(r)]
-        for k, e in enumerate(kv):
-            cs[k // p][k % p:k % p + p * len(e.coeffs):p] = e.coeffs
-        w = [Poly(F, ws) for ws in cs]
+    for k, row in _back_substitute(rows, pivots, p):
+        w = row[::-1]
         if any(poly_dot([(beta, wi.derivative()), *zip(brow, w)], F) for wi, brow in zip(w, bmat)):
             raise InternalInvariantError("claimed horizontal section fails T(v) = 0")
-        sols.append((w, row[c].compose_xpow(p)))
-    return sols
+        yield w, _coordinate(row, pivots[k], p).compose_xpow(p)
 
 
-def _flat_sections(bmat) -> list[tuple[list[Poly], Poly]]:
+def _flat_sections(bmat) -> Iterator[tuple[list[Poly], Poly]]:
     """``_kernel_sections`` of a polynomial A = bmat over beta = 1 whose psi
-    vanishes, in one ``_katz_pass``; PreconditionError when psi does not.
+    vanishes, in one ``_katz_pass``, run before this returns;
+    PreconditionError when psi does not vanish.
 
     psi = 0 puts every e_i in ker psi, and at a0 = 0 the images
     P(e_i) = e_i mod x have rank r: so the pass projects the e_i alone, in

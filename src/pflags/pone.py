@@ -27,8 +27,8 @@ from .errors import InternalInvariantError, NeedsExtensionError, PreconditionErr
 from .fields import Field
 from .matrix import (
     MatRF,
+    _echelon,
     _flat_sections,
-    _kernel_core,
     p_curvature_matrix,
 )
 from .poly import Poly
@@ -374,12 +374,14 @@ def cartier_descent(c: Conn0) -> tuple[BundleP1, MatRF]:
     columns at level p, every one 0, and otherwise nothing descends.  Each
     section comes as its cleared pair (w, P(x^p)), and the w columns are the
     frame's columns scaled by P(x^p): the frame is invertible exactly when
-    they are independent, which ``_kernel_core`` tests on them before any
-    section is reduced.
+    they are independent over F_q(x), which the forward phase of
+    ``matrix._echelon`` at stride 1 tests on them, with r pivots, before any
+    section is reduced.  The tail's own pivots cannot stand in for it: they
+    show independence over F_q(x^p) alone, which w and x w have.
     """
     ensure_valid(c)
-    sols = _flat_sections(c.A)
-    if _kernel_core(list(zip(*(w for w, _ in sols)))):
+    sols = list(_flat_sections(c.A))
+    if len(_echelon(list(zip(*(w for w, _ in sols))))) < c.rank:
         raise NeedsExtensionError("horizontal sections do not form a frame")
     cols = [[RatFunc(e, den) for e in w] for w, den in sols]
     frame = MatRF(c.field, zip(*cols))

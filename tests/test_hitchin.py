@@ -618,7 +618,7 @@ def _cleared_quotient_mismatches(monkeypatch, charts):
             pb, pbeta = parents[-1]
             if ([list(row) for row in bmat], beta) != _quotient_by_ratfuncs(pb, pbeta):
                 raise _WrongQuotient
-            w, _ = matrix._kernel_sections(pb, pbeta)[0]
+            w, _ = next(matrix._kernel_sections(pb, pbeta))
             wm = next(e for e in reversed(w) if e)
             reduced += beta.degree < wm.degree + pbeta.degree  # D = w_m beta over g
         parents.append((bmat, beta))

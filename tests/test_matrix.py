@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -10,9 +11,9 @@ from pflags.fields import GF, _reduce_mod_p
 from pflags.hitchin import ChartConn, char_poly_psi
 from pflags.matrix import (
     MatRF,
-    _echelon,
     _kernel_core,
     _primitive,
+    _rref,
     _t_iterates,
     _t_step,
     apply_connection,
@@ -177,9 +178,9 @@ def test_kernel_of_zero_matrix_is_standard_basis():
 
 
 # Oracle: Gauss-Jordan on reduced rational functions, one gcd per operation.
-# ``_echelon`` eliminates fraction-free on polynomial rows; its rows over their
-# pivot entries must give the same reduced form, which the row space alone
-# fixes.
+# ``_rref`` eliminates fraction-free on polynomial rows, a forward phase and a
+# back-substitution; its rows over their pivot entries must give the same
+# reduced form, which the row space alone fixes.
 
 
 def _rref_ref(rows):
@@ -202,10 +203,10 @@ def _rref_ref(rows):
 
 
 def _echelon_as_fractions(rows):
-    """``_echelon`` on the rows cleared one by one, read out as rational
+    """``_rref`` on the rows cleared one by one, read out as rational
     functions over each row's pivot entry, zero rows last."""
     prows = [_clear_denominators([row])[0][0] for row in rows]
-    pivots = _echelon(prows)
+    pivots = _rref(prows)
     zero = RatFunc.zero(rows[0][0].field)
     out = [[RatFunc(e, row[c]) for e in row] for row, c in zip(prows, pivots)]
     return out + [[zero] * len(rows[0]) for _ in rows[len(pivots):]], pivots
@@ -312,7 +313,7 @@ def test_echelon_degrees_stay_within_the_cramer_bound():
     for field in (GF(7), GF(3, 2)):
         for n, m in ((4, 4), (4, 8), (5, 5)):
             rows = [[random_poly(rng, field, 3) for _ in range(m)] for _ in range(n)]
-            pivots = matrix._echelon(rows)
+            pivots = matrix._rref(rows)
             assert len(pivots) == n
             assert max(e.degree for row in rows for e in row) <= 3 * n
 
@@ -1155,10 +1156,10 @@ def test_projector_takes_one_round_at_a_pole_at_zero(monkeypatch):
     true_echelon = matrix._echelon
     rounds = []
 
-    def counted(rows):
+    def counted(rows, p=1):
         if sys._getframe(1).f_code.co_name == "_sections":
             rounds.append(len(rows))
-        return true_echelon(rows)
+        return true_echelon(rows, p)
 
     monkeypatch.setattr(matrix, "_echelon", counted)
     for field in (GF(2), GF(3), GF(5), GF(2, 2)):
@@ -1305,7 +1306,7 @@ def test_horizontal_sections_reduce_the_cleared_pairs():
                                          random_polynomial_gauge(rng, field, r)))
     for a in cases:
         bmat, beta = _clear_denominators(a.rows)
-        pairs = matrix._kernel_sections(bmat, beta)
+        pairs = list(matrix._kernel_sections(bmat, beta))
         assert pairs
         assert horizontal_sections(a) == [tuple(RatFunc(e, den) for e in w) for w, den in pairs]
         for w, den in pairs:
@@ -1314,14 +1315,14 @@ def test_horizontal_sections_reduce_the_cleared_pairs():
                            for wi, brow in zip(w, bmat))
 
 
-def _flipped_sign(row, prow, c):
-    P, f = prow[c], row[c]
-    return matrix._primitive([poly_dot(((P, a), (f, b)), P.field) for a, b in zip(row, prow)])
+def _flipped_sign(row, prow, c, p):
+    P, f = (matrix._coordinate(r, c, p).compose_xpow(p) for r in (prow, row))
+    return matrix._primitive([poly_dot(((P, a), (f, b)), P.field) for a, b in zip(row, prow)], p)
 
 
-def _pivot_dropped(row, prow, c):
-    neg_f = -row[c]
-    return matrix._primitive([a + neg_f * b for a, b in zip(row, prow)])
+def _pivot_dropped(row, prow, c, p):
+    neg_f = (-matrix._coordinate(row, c, p)).compose_xpow(p)
+    return matrix._primitive([a + neg_f * b for a, b in zip(row, prow)], p)
 
 
 @pytest.mark.parametrize("mutant", [_flipped_sign, _pivot_dropped])
@@ -1396,12 +1397,74 @@ def _project(nums, weights, outer, g):
     return [poly_dot([(f, tn[i]) for f, tn in terms], F) for i in range(len(g))]
 
 
+def _echelon_ref(rows):
+    """Oracle for the elimination: Gauss-Jordan on polynomial rows in place,
+    with no division, each new row over the monic gcd of its entries; returns
+    the pivot columns.  Row k over its entry at pivots[k] is row k of the
+    reduced echelon form."""
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        P = rows[r][c]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                neg_f = -row[c]
+                new = [poly_dot(((P, a), (neg_f, b)), P.field) for a, b in zip(row, rows[r])]
+                g = None
+                for e in new:
+                    if e:
+                        g = e if g is None else poly_gcd(g, e)
+                rows[i] = new if g is None or g.degree == 0 else [e // g for e in new]
+        pivots.append(c)
+        if r + 1 == len(rows):
+            break
+    return pivots
+
+
+def _sections_ref(bmat, beta, rounds, s):
+    """Oracle for the tail, ``matrix._sections``: each image's numerators n
+    split by exponent mod p into their coordinates in the F_q(x^p)-basis
+    x^j e_i, polynomials in y = x^p, taken last first, Gauss-Jordan
+    (``_echelon_ref``) on those rows round by round until they have rank s,
+    and each reduced row put back together as w_i = sum_j e_ij(x^p) x^j over
+    its pivot entry composed with x^p.  The pairs (w, P(x^p)), the last
+    pivot row first."""
+    F = beta.field
+    p, r = F.p, len(bmat)
+    rows = []
+    for images in rounds:
+        rows += [[Poly(F, n[t::p]) for n in image for t in range(p)][::-1] for image in images]
+        pivots = _echelon_ref(rows)
+        del rows[len(pivots):]
+        if len(pivots) == s:
+            break
+    else:
+        raise AssertionError(f"the images have rank {len(rows)} < {s}")
+    sols = []
+    for row, c in zip(reversed(rows), reversed(pivots)):
+        kv = row[::-1]  # coefficient t of coordinate i p + j is coefficient t p + j of w_i
+        cs = [[0] * (p * max(len(e.coeffs) for e in kv[i * p:i * p + p])) for i in range(r)]
+        for k, e in enumerate(kv):
+            cs[k // p][k % p:k % p + p * len(e.coeffs):p] = e.coeffs
+        sols.append(([Poly(F, ws) for ws in cs], row[c].compose_xpow(p)))
+    return sols
+
+
+def _reduced(pairs):
+    """The sections w/P(x^p) of cleared pairs, each entry reduced."""
+    return [tuple(RatFunc(e, den) for e in w) for w, den in pairs]
+
+
 def _horizontal_sections(bmat, beta):
     """Oracle for the one pass: the sections of A = bmat/beta as cleared
     pairs (w, P(x^p)), with every level T^m e_i read out as polynomials
     (``t_levels``), the weights (-t)^k/k! and c_m beta^(p-m) formed as
     polynomials, the images P(x^j w) summed by Leibniz (``_project``), and
-    then the library's tail, ``_sections``."""
+    then the tail's oracle, ``_sections_ref``."""
     F = beta.field
     p = F.p
     nums = t_levels(bmat, beta)
@@ -1418,7 +1481,7 @@ def _horizontal_sections(bmat, beta):
     rounds = ([[n.coeffs for n in _project(nums, weights, outer,
                                            [Poly(F, (0,) * j + e.coeffs) for e in w])]
                for _, w in ker] for j in range(p))
-    return matrix._sections(bmat, beta, rounds, len(ker))
+    return _sections_ref(bmat, beta, rounds, len(ker))
 
 
 # GF(11), GF(31) and GF(293) step in several stages; GF(2^8) has cells of 15
@@ -1462,10 +1525,11 @@ def _flag_levels(charts):
 
 
 def _pass_cases(rng):
-    """(bmat, beta) for the cross-checks of the one pass: over FLAT_FIELDS
-    flat connections of ranks 1-4, the zero connection and every level of
-    gauged nilpotent charts of ranks 1-4 (at p = 293 up to rank 3), and over
-    GF(2), GF(3), GF(5) and GF(4) the flat charts with poles at 0 and 1."""
+    """(cases, charts): (bmat, beta) for the cross-checks of the one pass,
+    over FLAT_FIELDS flat connections of ranks 1-4, the zero connection and
+    every level of the gauged nilpotent charts of ranks 1-4 (at p = 293 up to
+    rank 3), and over GF(2), GF(3), GF(5) and GF(4) the flat charts with
+    poles at 0 and 1; and those nilpotent charts."""
     cases, nilpotent = [], []
     for field in FLAT_FIELDS:
         one, zero = Poly.one(field), Poly.zero(field)
@@ -1477,7 +1541,7 @@ def _pass_cases(rng):
     cases += _flag_levels(nilpotent)
     for field in (GF(2), GF(3), GF(5), GF(2, 2)):
         cases += [a.cleared for a in _two_pole_charts(rng, field)]
-    return cases
+    return cases, nilpotent
 
 
 def test_flat_sections_match_the_projector_oracle(monkeypatch):
@@ -1498,21 +1562,127 @@ def test_flat_sections_match_the_projector_oracle(monkeypatch):
     def counted(bmat, beta, cols, weights):
         weighted.append(bool(weights))
         return true_pass(bmat, beta, cols, weights)
-    cases = _pass_cases(random.Random(35))
+    cases, _ = _pass_cases(random.Random(35))
     monkeypatch.setattr(matrix, "_katz_products", products)
     monkeypatch.setattr(matrix, "_katz_pass", counted)
     flat = 0
     for bmat, beta in cases:
         want = _horizontal_sections(bmat, beta)
         weighted.clear()
-        assert matrix._kernel_sections(bmat, beta) == want, (beta.field, len(bmat))
+        assert list(matrix._kernel_sections(bmat, beta)) == want, (beta.field, len(bmat))
         if sum(weighted) > 1:
             reached.add("round j > 0")
         if beta.is_one() and len(want) == len(bmat):
-            assert matrix._flat_sections(bmat) == want, (beta.field, len(bmat))
+            assert list(matrix._flat_sections(bmat)) == want, (beta.field, len(bmat))
             flat += 1
     assert reached == {"beta != 1", "a0 != 0", "a0 outside F_p", "round j > 0", "p = 293"}
     assert flat >= 2 * 4 * len(FLAT_FIELDS)
+
+
+def _tail_compared(true_sections, taken):
+    """``matrix._sections`` run beside its oracle on the same images (the
+    rounds teed): each section it yields is compared, reduced, with the
+    oracle's section of the same place, and (sections taken, oracle's
+    sections) is appended to ``taken`` once the caller stops taking them."""
+    def compared(bmat, beta, rounds, s):
+        mine, theirs = itertools.tee(rounds)
+        want = _reduced(_sections_ref(bmat, beta, theirs, s))
+        got = 0
+        try:
+            for w, den in true_sections(bmat, beta, mine, s):
+                assert _reduced([(w, den)]) == [want[got]], (beta.field, len(bmat), got)
+                got += 1
+                yield w, den
+        finally:
+            taken.append((got, len(want)))
+    return compared
+
+
+def test_the_tail_matches_the_coordinate_split_oracle(monkeypatch):
+    # _sections eliminates the images as they are, at stride p, and
+    # back-substitutes a section only when it is taken; on the same images
+    # the oracle splits them into coordinates and runs Gauss-Jordan.  The
+    # sections agree reduced, as every caller hands them out: through
+    # horizontal_sections (every section) on every case of the one pass, and
+    # through every level of the nilpotent flags, where _triangularize takes
+    # the first section alone
+    from pflags import hitchin
+
+    cases, charts = _pass_cases(random.Random(38))
+    taken = []
+    monkeypatch.setattr(matrix, "_sections", _tail_compared(matrix._sections, taken))
+    for bmat, beta in cases:
+        sols = horizontal_sections(MatRF.from_cleared(beta.field, bmat, beta))
+        if sols:
+            assert taken.pop() == (len(sols), len(sols))
+    assert not taken
+    for a in charts:
+        hitchin.nilpotent_flag_chart(ChartConn(a.field, a.n, a))
+    firsts = [s for got, s in taken if got == 1]
+    assert len(firsts) == len(taken) >= 60, taken
+    assert sum(s > 1 for s in firsts) >= 40, firsts  # levels with more sections than one
+
+
+def _uncomposed_multiplier(row, prow, c, p):
+    """``matrix._eliminate`` with the multiplier f in place of f(x^p)."""
+    P = matrix._coordinate(prow, c, p).compose_xpow(p)
+    neg_f = -matrix._coordinate(row, c, p)
+    return _primitive([poly_dot(((P, a), (neg_f, b)), P.field) for a, b in zip(row, prow)], p)
+
+
+def _content_in_x(row, p=1):
+    """``matrix._primitive`` with the gcd of the row's entries taken in x."""
+    g = None
+    for e in row:
+        if e:
+            g = e if g is None else poly_gcd(g, e)
+    return row if g is None or g.degree == 0 else [e // g for e in row]
+
+
+def _row_zero_first(true):
+    """``matrix._back_substitute`` that gives row 0 first, unreduced, at
+    stride p > 1: the first section read as rows[0], not the last row."""
+    def back(rows, pivots, p=1):
+        if p > 1:
+            yield 0, rows[0]
+        yield from ((k, row) for k, row in true(rows, pivots, p) if k or p == 1)
+    return back
+
+
+# name: (the function replaced, its mutant from the true one)
+TAIL_MUTANTS = {
+    "multiplier f for f(x^p)": ("_eliminate", lambda true: _uncomposed_multiplier),
+    "content gcd in x": ("_primitive", lambda true: _content_in_x),
+    "first section rows[0]": ("_back_substitute", _row_zero_first),
+    "back-substitution skipped past the first": ("_back_substitute", lambda true: (
+        lambda rows, pivots, p=1: ((k, rows[k]) for k in range(len(pivots) - 1, -1, -1))
+        if p > 1 else true(rows, pivots, p))),
+}
+
+
+@pytest.mark.parametrize("mutant", TAIL_MUTANTS)
+def test_a_wrong_tail_is_caught(monkeypatch, mutant):
+    # each mutant of the stride-p elimination or of the back-substitution
+    # leaves stride 1 alone, and on some case it fails the re-check
+    # T(v) = 0 or gives sections other than the coordinate-split oracle's:
+    # those of horizontal_sections, or the first section at a level of a
+    # nilpotent flag
+    cases, charts = _pass_cases(random.Random(39))
+    levels = _flag_levels(charts)
+    wants = [_reduced(_horizontal_sections(bmat, beta)) for bmat, beta in cases + levels]
+    name, make = TAIL_MUTANTS[mutant]
+    monkeypatch.setattr(matrix, name, make(getattr(matrix, name)))
+    caught = []
+    for k, ((bmat, beta), want) in enumerate(zip(cases + levels, wants)):
+        first = k >= len(cases)  # a level of a flag takes the first section alone
+        try:
+            sols = matrix._kernel_sections(bmat, beta)
+            got = _reduced([next(sols)] if first else sols)
+            caught.append(got != (want[:1] if first else want))
+        except InternalInvariantError as exc:
+            assert "fails T(v) = 0" in str(exc) or "projected sections have rank" in str(exc)
+            caught.append(True)
+    assert any(caught), mutant
 
 
 def test_flat_sections_slots_hold_the_accumulators(monkeypatch):
@@ -1527,7 +1697,7 @@ def test_flat_sections_slots_hold_the_accumulators(monkeypatch):
     monkeypatch.setattr(matrix, "_t_layout", recording)
     for field in FLAT_FIELDS:
         zero = Poly.zero(field)
-        assert len(matrix._flat_sections([[zero] * 2, [zero] * 2])) == 2
+        assert len(list(matrix._flat_sections([[zero] * 2, [zero] * 2]))) == 2
     assert {field for field, _ in bounds} == set(FLAT_FIELDS)
     for field, nbits in bounds:
         p = field.p
@@ -1547,10 +1717,13 @@ FLAT_MUTANTS = {
                             {"T(v) = 0"}, {"T(v) = 0"}),
     # the accumulators read unreduced: coefficients past p change the images,
     # which fails the cross-check on some flat cases and T(v) = 0 on others;
-    # on the others some coefficients are no field element, and the tail's
-    # arithmetic raises on them before any check runs
+    # on the others some coefficients are no field element: the tail's
+    # arithmetic raises on them before any check runs, or they vanish mod p
+    # in an elimination step and leave zero sections, which the cross-check
+    # refuses
     "final reduction skipped": ("_barrett", lambda true: lambda layout, p, ints: list(ints),
-                                {"cross-check", "T(v) = 0"}, {"T(v) = 0", "raised"}),
+                                {"cross-check", "T(v) = 0"},
+                                {"T(v) = 0", "raised", "cross-check"}),
     # c_1 = -t taken as +t
     "weight c_1 with its sign flipped": ("_katz_weights", lambda true: lambda p: [
         -c % p if m == 1 else c for m, c in enumerate(true(p))], {"T(v) = 0"}, {"T(v) = 0"}),
@@ -1622,8 +1795,8 @@ def test_a_wrong_flat_pass_is_caught(monkeypatch, mutant):
     for (run, bmat, beta), want in zip(cases, wants):
         changed.clear()
         try:
-            got = (matrix._flat_sections(bmat) if run == "_flat_sections"
-                   else matrix._kernel_sections(bmat, beta))
+            got = list(matrix._flat_sections(bmat) if run == "_flat_sections"
+                       else matrix._kernel_sections(bmat, beta))
             outcome = "cross-check" if got != want else "missed"
         except InternalInvariantError as exc:
             assert "fails T(v) = 0" in str(exc)
@@ -1773,7 +1946,7 @@ def _rowwise_inverse(m):
     n = m.n
     rows = [_clear_denominators([[*row, *e]])[0][0]
             for row, e in zip(m.rows, MatRF.identity(m.field, n).rows)]
-    if _echelon(rows) != list(range(n)):
+    if _rref(rows) != list(range(n)):
         raise PflagsError("matrix is singular")
     return MatRF(m.field, [[RatFunc(e, row[k]) for e in row[n:]] for k, row in enumerate(rows)])
 
