@@ -14,7 +14,8 @@ which forms the pair without reducing an entry; an A built from rows clears
 them on first use.  psi comes from ``matrix.p_curvature_matrix`` as its pair
 (N, beta^p), and ``char_poly_psi`` is Berkowitz on it; only
 ``nilpotent_flag_chart`` calls ``matrix._p_curvature`` itself, for the N
-its first sections project the kernel of.
+whose kernel its first sections span and, from the same pass, the images
+of Katz's projector on the e_i, their round 0 where ker N is constant.
 """
 
 from __future__ import annotations
@@ -186,26 +187,32 @@ def nilpotent_flag_chart(c: ChartConn) -> NilpotentFlag:
     quotient inherits nilpotent p-curvature.  The chart's pair B/beta is
     the first level, with the N of its re-verified psi = N/beta^p, and every
     level of ``_triangularize`` takes its connection as such a cleared pair.
-    Each level's sections are one ``matrix._katz_pass`` on the kernel of its
-    N, of which the level takes the first alone.  The returned gauge G makes
+    Each level steps T once: the pass that forms N also sums Katz's
+    projector on the e_i, and where ker N is spanned by constant vectors
+    (psi = 0 among them) the images' F_q-combinations are round 0 of the
+    level's sections, of which it takes the first alone; only a kernel with
+    polynomial entries, or a round 0 short of rank, runs another
+    ``matrix._katz_pass``.  The returned gauge G makes
     G^{-1} A G + G^{-1} G' upper triangular, which is re-verified by
     ``_check_triangular`` without forming G^{-1}.
     """
     bmat, beta = c.A.cleared
-    nmat, delta = _p_curvature(bmat, beta)
+    nmat, delta, images = _p_curvature(bmat, beta, project=True)
     if not is_nilpotent(MatRF.from_cleared(c.field, nmat, delta)):
         raise PreconditionError("p-curvature is not nilpotent; no flag this way")
-    gauge, order = _triangularize(bmat, beta, nmat)
+    gauge, order = _triangularize(bmat, beta, (nmat, images))
     _check_triangular(bmat, beta, gauge, order)
     return NilpotentFlag(gauge, tuple(range(c.r)))
 
 
-def _triangularize(bmat, beta: Poly, nmat=None) -> tuple[MatRF, list[int]]:
+def _triangularize(bmat, beta: Poly, level=None) -> tuple[MatRF, list[int]]:
     """A gauge G triangularizing T(v) = v' + A v, A = bmat/beta, for nilpotent
     p-curvature, and its row order: the rows order[0], order[1], ... of G form
-    a lower triangular matrix with a nonzero diagonal.  ``nmat`` is N,
-    psi = N/beta^p, when the caller has it; a quotient level's comes from
-    ``matrix._t_iterates``, level p alone, in ``matrix._kernel_sections``.
+    a lower triangular matrix with a nonzero diagonal.  ``level`` is
+    (N, images) from ``matrix._p_curvature`` when the caller has it,
+    psi = N/beta^p and images those of Katz's projector on the e_i; a
+    quotient level forms both in one ``matrix._t_iterates`` pass, in
+    ``matrix._kernel_sections``.
 
     With v0 = w/P(x^p) the first horizontal section that
     ``matrix._kernel_sections`` yields, m its last nonzero index
@@ -231,7 +238,7 @@ def _triangularize(bmat, beta: Poly, nmat=None) -> tuple[MatRF, list[int]]:
     # (``_kernel_core``), or that the elimination is fraction-free.  It is the
     # last forward row of the tail, taken with no back-substitution and
     # re-verified alone; no other row is back-substituted or re-verified.
-    first = next(_kernel_sections(bmat, beta, nmat), None)
+    first = next(_kernel_sections(bmat, beta, level), None)
     if first is None:
         raise PreconditionError("p-curvature has trivial kernel; not nilpotent")
     w, den = first

@@ -7,12 +7,17 @@ p-th iterate (the p-curvature matrix psi), gauge transformation, and the
 horizontal sections (T(v) = 0) as an F_q(x^p)-basis.  The sections come from
 Katz's projector applied to ker psi; the only linear solves are r x r over
 F_q(x) and s x rp over F_q(x^p), with s the number of sections.  The
-projector has one algorithm, ``_katz_pass``: it steps the kernel vectors w
-through T and sums the projector on the packed levels as it goes, reading
-no level out for it.  Every caller runs it: ``_kernel_sections`` on the w of
-ker N, and ``_flat_sections``, for a polynomial connection whose psi
-vanishes (Cartier descent), on the e_i at a0 = 0 over beta = 1, reading
-psi = 0 off the same pass.
+projector has one algorithm, ``_katz_pass``: it steps columns through T and
+sums the projector on the packed levels as it goes, reading no level out
+for it.  T is stepped once per level where it can be: the pass that forms N
+(``_t_iterates``, for ``_kernel_sections``, or ``_p_curvature`` at a
+nilpotent flag's first level) sums it on the e_i, and where ker N is
+spanned by vectors w with entries in F_q (psi = 0 among them) round 0 is
+the F_q-combinations sum_i w_i P(e_i); only a kernel with polynomial
+entries, and a round j >= 1 where round 0 falls short of rank, runs
+``_katz_pass`` on the x^j w again.  ``_flat_sections``, for a polynomial
+connection whose psi vanishes (Cartier descent), projects the e_i at a0 = 0
+over beta = 1 and reads psi = 0 off the same pass.
 
 Every solve is one elimination routine: a forward phase, ``_echelon``, and
 a bottom-up back-substitution, ``_back_substitute``, on rows of polynomials
@@ -39,7 +44,8 @@ gauge columns of ``hitchin``.  With A = B/beta,
 T^k e_i has the fixed denominator beta^k, and its numerators follow the
 classical p-curvature recurrence (Katz), with no gcd in the loop.
 ``_katz_pass`` steps every column at once (for ``_t_iterates``, e_0, ...,
-e_(r-1) and the re-check's sample sections of ``_p_curvature``), from
+e_(r-1), the projector summed on them alone, and the re-check's sample
+sections of ``_p_curvature``), from
 k = 0 to p - 1 (the step at k = 0 takes e_i to column i of B), in doubling
 stages of one ``_t_step`` each.  Its state is one int per row, column l
 in block l of cells whose length is known up front for the stage
@@ -49,7 +55,8 @@ the digit products.  It is differentiated, folded back to d digits and
 reduced mod p on the packed words (``_t_layout``), so the state stays
 packed from level to level over every field.  Only level p is read out,
 and the levels a new stage packs again: for psi, T^p v, and for the
-projector, its sums, folded and reduced once.  Berkowitz on N and the
+projector, its sums, folded and reduced once, when they are read.
+Berkowitz on N and the
 re-check's N v take one ``poly_dot`` per entry.
 psi has one builder, ``p_curvature_matrix``: ``_p_curvature`` reads
 (N, delta) off the iterates at level p, delta = beta^p, re-verifies
@@ -79,6 +86,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from functools import lru_cache
+from itertools import chain
 from operator import mul
 from typing import NamedTuple
 
@@ -454,15 +462,17 @@ def p_curvature_matrix(a: MatRF) -> MatRF:
     """The matrix of T^p, T(v) = v' + A v; O_X-linear by Jacobson's theorem.
     Re-verified (see ``_p_curvature``) and returned as its pair (N, delta),
     delta = beta^p; its entries are reduced only if its rows are read."""
-    *_, nmat, delta = _p_curvature(*a.cleared)
+    nmat, delta, _ = _p_curvature(*a.cleared)
     return MatRF.from_cleared(a.field, nmat, delta)
 
 
-def _p_curvature(bmat, beta: Poly):
-    """(N, delta) for A = bmat/beta, with psi = N/delta; psi is not cleared
-    at all.  It runs behind ``p_curvature_matrix``, the one builder of psi,
-    and behind ``hitchin.nilpotent_flag_chart``, which goes on to project
-    ker N.
+def _p_curvature(bmat, beta: Poly, project: bool = False):
+    """(N, delta, images) for A = bmat/beta, with psi = N/delta; psi is not
+    cleared at all.  It runs behind ``p_curvature_matrix``, the one builder
+    of psi, and behind ``hitchin.nilpotent_flag_chart``, which goes on to
+    take the sections of ker N and asks, with ``project``, for the images of
+    Katz's projector on the e_i from the same pass (``_t_iterates``);
+    otherwise images is empty.
 
     Re-verified on every call, failure indicating an iteration bug, not bad
     input.  The denominator: delta, the iterates' beta^p, equals beta^p
@@ -473,12 +483,12 @@ def _p_curvature(bmat, beta: Poly):
     the iteration that builds psi, over the same beta^k, so with
     delta = beta^p the second identity reads N v = n, n the numerators of
     T^p v.  All columns share one step, so a wrong step is caught by the
-    first identity.
+    first identity; the projector is summed on the e_i alone.
     """
     F = beta.field
     f = Poly(F, (1, 1))  # x + 1
     v = [Poly.monomial(F, 1, i % 3) for i in range(len(bmat))]
-    (*cols, lhs, rhs), delta = _t_iterates(bmat, beta, [[f * e for e in v], v])
+    (*cols, lhs, rhs), delta, images = _t_iterates(bmat, beta, [[f * e for e in v], v], project)
     nmat = list(zip(*cols))
     if delta != Poly(F, [F.frobenius(c) for c in beta.coeffs]).compose_xpow(F.p):
         raise InternalInvariantError("p-curvature denominator is not beta^p")
@@ -486,20 +496,25 @@ def _p_curvature(bmat, beta: Poly):
         raise InternalInvariantError("p-curvature operator is not O-linear")
     if any(_dot(row, v) != e for row, e in zip(nmat, rhs)):
         raise InternalInvariantError("p-curvature matrix disagrees with iterated T")
-    return nmat, delta
+    return nmat, delta, images
 
 
-def _t_iterates(bmat, beta: Poly, extra=()):
+def _t_iterates(bmat, beta: Poly, extra=(), project: bool = False):
     """T^p v with A = bmat/beta, unreduced, for the columns v = e_0, ...,
     e_(r-1) and then those of ``extra`` (numerators over beta^0 = 1), as
-    (cols, delta): cols[l] the numerators of T^p v_l over delta = beta^p,
-    the one denominator of every column.  The columns step together in
-    ``_katz_pass``, with no projector to sum.
+    (cols, delta, images): cols[l] the numerators of T^p v_l over
+    delta = beta^p, the one denominator of every column.  The columns step
+    together in one ``_katz_pass``.  With ``project`` it also sums Katz's
+    projector at a0 = ``_regular_point(beta)`` on e_0, ..., e_(r-1), not on
+    ``extra``, and images yields the numerators of P(e_i) over beta^p as
+    coefficients, read out of the accumulators only when it is iterated;
+    otherwise images is empty.
     """
     F = beta.field
     one = Poly.one(F)
-    cols, _ = _katz_pass(bmat, beta, _unit_columns(F, len(bmat)) + list(extra), ())
-    return cols, _power(beta, F.p, one, lambda f, g: poly_dot(((f, g),), F))
+    weights = _katz_products(beta, _regular_point(beta)) if project else ()
+    cols, images = _katz_pass(bmat, beta, _unit_columns(F, len(bmat)), weights, extra)
+    return cols, _power(beta, F.p, one, lambda f, g: poly_dot(((f, g),), F)), images
 
 
 def _unit_columns(field: Field, r: int) -> list[list[Poly]]:
@@ -856,8 +871,9 @@ def horizontal_sections(a: MatRF) -> list[Vec]:
     w[fc](a0) nonzero, P(w) = w mod t, so round 0 already does.
 
     All of it is polynomial, with A cleared once to B/beta.  An image is
-    n/beta^p, summed on the packed levels of T (``_katz_pass``), and
-    ``_sections`` eliminates the numerators n as they are, reading their
+    n/beta^p, summed on the packed levels of T (``_katz_pass``): round 0 in
+    the pass that forms N, on the e_i, where the w have entries in F_q
+    (``_kernel_sections``), and ``_sections`` eliminates the numerators n as they are, reading their
     coordinates in the F_q(x^p)-basis x^j e_i at stride p; it yields every
     section here, each reduced here and nowhere before.
 
@@ -871,25 +887,67 @@ def horizontal_sections(a: MatRF) -> list[Vec]:
     return [tuple(RatFunc(e, den) for e in w) for w, den in _kernel_sections(*a.cleared)]
 
 
-def _kernel_sections(bmat, beta: Poly, nmat=None) -> Iterator[tuple[list[Poly], Poly]]:
+def _kernel_sections(bmat, beta: Poly, level=None) -> Iterator[tuple[list[Poly], Poly]]:
     """``horizontal_sections`` of A = bmat/beta as cleared pairs (w, P(x^p)),
-    the section being w/P(x^p) entrywise and unreduced, from the rows of N,
-    psi = N/beta^p, when the caller has them; a polynomial A may come as its
-    rows with beta = 1.  An iterator: ``_sections`` back-substitutes and
-    re-verifies each section only when it is taken.  Each round is one
-    ``_katz_pass`` on the x^j w, run when ``_sections`` asks for it."""
+    the section being w/P(x^p) entrywise and unreduced; a polynomial A may
+    come as its rows with beta = 1.  An iterator: ``_sections``
+    back-substitutes and re-verifies each section only when it is taken.
+
+    ``level`` is (N, images) from ``_p_curvature`` when the caller has it,
+    psi = N/beta^p and images Katz's projector on the e_i at
+    a0 = ``_regular_point(beta)``; otherwise one ``_t_iterates`` pass forms
+    both.  Round 0 comes from that pass where the kernel is constant: with
+    psi = 0 it is the images themselves, with no ``_kernel_core``, and where
+    every w of ``_kernel_core`` has entries in F_q, the combinations
+    sum_i w_i P(e_i) (``_constant_round``), P being F_q(x^p)-linear and a0
+    the one the search below picks for such w.  A kernel with polynomial
+    entries takes round 0, and a round 0 short of rank each round j >= 1,
+    from one ``_katz_pass`` on the x^j w, run when ``_sections`` asks."""
     F = beta.field
-    if nmat is None:
-        nmat = list(zip(*_t_iterates(bmat, beta)[0]))
-    ker = _kernel_core(nmat)
-    if not ker:
-        return iter(())
-    a0 = next((c for c in F.elements()
-               if beta.evaluate(c) and all(w[fc].evaluate(c) for fc, w in ker)), 0)
-    weights = _katz_products(beta, a0)
-    rounds = (_katz_pass(bmat, beta, [[Poly(F, (0,) * j + e.coeffs) for e in w] for _, w in ker],
-                         weights)[1] for j in range(F.p))
-    return _sections(bmat, beta, rounds, len(ker))
+    a0 = _regular_point(beta)
+    if level is None:
+        cols, _, images = _t_iterates(bmat, beta, project=True)
+        level = list(zip(*cols)), images
+    nmat, images = level
+    if not any(map(any, nmat)):  # psi = 0
+        ker, first = _unit_columns(F, len(bmat)), images
+    else:
+        core = _kernel_core(nmat)
+        if not core:
+            return iter(())
+        ker = [w for _, w in core]
+        first = _constant_round(ker, images)
+        if first is None:
+            a0 = next((c for c in F.elements()
+                       if beta.evaluate(c) and all(w[fc].evaluate(c) for fc, w in core)), 0)
+
+    def rounds(start):
+        weights = _katz_products(beta, a0)
+        for j in range(start, F.p):
+            yield _katz_pass(bmat, beta, [[Poly(F, (0,) * j + e.coeffs) for e in w] for w in ker],
+                             weights)[1]
+    return _sections(bmat, beta, rounds(0) if first is None else chain([first], rounds(1)),
+                     len(ker))
+
+
+def _constant_round(ker, images):
+    """The images P(w) of the kernel vectors w as F_q-combinations
+    sum_i w_i P(e_i) of the ``images`` P(e_i), each as the coefficients of
+    its numerators over beta^p, or None when some w has an entry outside
+    F_q; images is read only when every entry lies in F_q."""
+    if any(len(e.coeffs) > 1 for w in ker for e in w):
+        return None
+    images = list(images)
+    F = ker[0][0].field
+    columns = [[Poly(F, n) for n in ns] for ns in zip(*images)]  # entry j of every P(e_i)
+    return [[poly_dot(zip(w, col), F).coeffs for col in columns] for w in ker]
+
+
+def _regular_point(beta: Poly) -> int:
+    """The first point a0 of F_q, in ``Field.elements`` order, with
+    beta(a0) != 0, or 0 if there is none: the a0 of the projector that the
+    pass forming N sums."""
+    return next((c for c in beta.field.elements() if beta.evaluate(c)), 0)
 
 
 def _sections(bmat, beta: Poly, rounds, s: int) -> Iterator[tuple[list[Poly], Poly]]:
@@ -921,10 +979,12 @@ def _sections(bmat, beta: Poly, rounds, s: int) -> Iterator[tuple[list[Poly], Po
         raise InternalInvariantError(
             f"projected sections have rank {len(rows)}, ker psi has dimension {s}")
     for k, row in _back_substitute(rows, pivots, p):
-        w = row[::-1]
+        w, den = row[::-1], _coordinate(row, pivots[k], p).compose_xpow(p)
+        if not (den and any(w)):
+            raise InternalInvariantError("claimed horizontal section is zero")
         if any(poly_dot([(beta, wi.derivative()), *zip(brow, w)], F) for wi, brow in zip(w, bmat)):
             raise InternalInvariantError("claimed horizontal section fails T(v) = 0")
-        yield w, _coordinate(row, pivots[k], p).compose_xpow(p)
+        yield w, den
 
 
 def _flat_sections(bmat) -> Iterator[tuple[list[Poly], Poly]]:
@@ -944,11 +1004,14 @@ def _flat_sections(bmat) -> Iterator[tuple[list[Poly], Poly]]:
     return _sections(bmat, one, [images], len(bmat))
 
 
-def _katz_pass(bmat, beta: Poly, cols, weights):
+def _katz_pass(bmat, beta: Poly, cols, weights, extra=()):
     """Katz's projector on the columns ``cols`` of A = bmat/beta, summed on
-    the packed levels in the pass that steps them: (the numerators of T^p v
-    over beta^p, and the coefficients of the numerators of P(v) over beta^p,
-    for each column v), the second empty when ``weights`` is.
+    the packed levels in the pass that steps them, the columns of ``extra``
+    stepped beside them and not projected: (the numerators of T^p v over
+    beta^p for each column v of cols and then of extra, and the images of
+    cols), an image as the coefficients of the numerators of P(v) over
+    beta^p, read out of the accumulators only when iterated; the images are
+    empty when ``weights`` is.
 
     With T^m v = n_m/beta^m, P(v) = sum_(m<p) c_m n_m beta^(p-m)/beta^p, and
     weights[m] = (W_m, s_m) with c_m beta^(p-m) = x^(s_m) W_m
@@ -961,11 +1024,12 @@ def _katz_pass(bmat, beta: Poly, cols, weights):
     product with W_m is a sum over at most len(W_m) coefficient pairs, each
     over at most d digit pairs, or one where W_m lies in F_p[x], of at most
     (p - 1)^2 each: ``_t_step`` lays its slots out for the sum of these over
-    m, and the accumulators are folded and reduced mod p once, at the end
-    (``_barrett``).
+    m, and the accumulators are folded and reduced mod p once, when the
+    images are read (``_barrett``).
     """
     F = beta.field
     p, n = F.p, len(cols)
+    cols = [*cols, *extra]
     cells = [w for w, _ in weights]
     bound = (p - 1) ** 2 * sum(map(len, cells)) * (
         F.k if F.k > 1 and any(c >= p for w in cells for c in w) else 1)
@@ -984,15 +1048,21 @@ def _katz_pass(bmat, beta: Poly, cols, weights):
                             acc[i] += e * w << up
                         row >>= block
             state = step(state, m)
-        cols = read(state, n)
-    if not weights:
-        return cols, []
+        cols = read(state, len(cols))
+    return cols, _katz_images(layout, F, accs) if weights else []
+
+
+def _katz_images(layout: _TLayout, field: Field, accs):
+    """The images of ``_katz_pass`` from its accumulators accs[j][i], one
+    list of numerator coefficients per column i, read when iterated."""
+    p, width = field.p, layout.cell * layout.bits
+    n = len(accs[0])
     nums = _barrett(layout, p, [a for row in accs for a in row])
-    if F.k > 1:  # each cell's digits to its coefficient, at the cell's bottom
+    if field.k > 1:  # each cell's digits to its coefficient, at the cell's bottom
         first = (layout.first & (1 << width) - 1) * _cell_ones(width, nums)
-        nums = [sum((a >> i * layout.bits & first) * p ** i for i in range(F.k)) for a in nums]
+        nums = [sum((a >> i * layout.bits & first) * p ** i for i in range(field.k)) for a in nums]
     nums = [layout.unpack(a, -(-a.bit_length() // width)) for a in nums]
-    return cols, [nums[i::n] for i in range(n)]
+    yield from (nums[i::n] for i in range(n))
 
 
 def _katz_products(beta: Poly, a0: int) -> list[tuple[tuple[int, ...], int]]:

@@ -127,14 +127,15 @@ def _every_level(bmat, beta):
 def _iterates_through(monkeypatch, mutate):
     """Make every psi ``matrix`` returns be built from mutate(iterates), the
     every-level iterates of e_0, ..., e_(r-1), of which ``_t_iterates`` hands
-    on level p.  The re-check's sample sections are iterated as they are, so
-    the re-check must catch every mutation that changes psi."""
+    on level p.  The re-check's sample sections and the projector's images
+    are as they are, so the re-check must catch every mutation that changes
+    psi."""
     true_iterates = matrix._t_iterates
 
-    def mutated(bmat, beta, extra=()):
+    def mutated(bmat, beta, extra=(), project=False):
         nums, dens = mutate(_every_level(bmat, beta))
-        samples = true_iterates(bmat, beta, extra)[0][len(bmat):]
-        return [its[-1] for its in nums] + samples, dens[-1]
+        cols, _, images = true_iterates(bmat, beta, extra, project)
+        return [its[-1] for its in nums] + cols[len(bmat):], dens[-1], images
     monkeypatch.setattr(matrix, "_t_iterates", mutated)
 
 
@@ -243,20 +244,20 @@ def test_p_curvature_recheck_catches_level_one_read_off_the_rows(monkeypatch):
     psis = [p_curvature_chart(c) for c in charts]
     true_iterates, true_step = matrix._t_iterates, matrix._t_step
 
-    def from_rows(bmat, beta, extra=()):
-        # the samples as they are; each e_i restarted at level 1 from row i
-        # of B, a column of the kernel stepped by k = 1..p-1 only
-        cols, delta = true_iterates(bmat, beta, extra)
+    def from_rows(bmat, beta, extra=(), project=False):
+        # the samples and images as they are; each e_i restarted at level 1
+        # from row i of B, a column of the kernel stepped by k = 1..p-1 only
+        cols, delta, images = true_iterates(bmat, beta, extra, project)
         state, step, read, _ = true_step(bmat, beta, [list(row) for row in bmat], beta.field.p)
         for k in range(1, beta.field.p):
             state = step(state, k)
         cols[:len(bmat)] = read(state, len(bmat))
-        return cols, delta
+        return cols, delta, images
 
     monkeypatch.setattr(matrix, "_t_iterates", from_rows)
     caught = 0
     for c, psi in zip(charts, psis):
-        cols, delta = from_rows(*_clear_denominators(c.A.rows))
+        cols, delta, _ = from_rows(*_clear_denominators(c.A.rows))
         if MatRF(c.field, [[RatFunc(e, delta) for e in row] for row in zip(*cols)]) == psi:
             continue  # B symmetric, or the change cancels in psi: nothing to catch
         with pytest.raises(InternalInvariantError, match="disagrees with iterated T"):
@@ -612,7 +613,7 @@ def _cleared_quotient_mismatches(monkeypatch, charts):
     wrong = reduced = 0
     parents, true_triangularize = [], hitchin._triangularize
 
-    def checked(bmat, beta, nmat=None):
+    def checked(bmat, beta, level=None):
         nonlocal reduced
         if parents:
             pb, pbeta = parents[-1]
@@ -622,7 +623,7 @@ def _cleared_quotient_mismatches(monkeypatch, charts):
             wm = next(e for e in reversed(w) if e)
             reduced += beta.degree < wm.degree + pbeta.degree  # D = w_m beta over g
         parents.append((bmat, beta))
-        return true_triangularize(bmat, beta, nmat)
+        return true_triangularize(bmat, beta, level)
 
     with monkeypatch.context() as mp:
         mp.setattr(hitchin, "_triangularize", checked)

@@ -425,7 +425,7 @@ def test_t_iterates_match_gcd_per_step_reference():
             for k, (num, (ref_num, ref_den)) in enumerate(zip(its, ref_its)):
                 assert [RatFunc(e, beta**k) for e in num] == [RatFunc(e, ref_den) for e in ref_num]
         # the library's iterates: level p alone, over beta^p
-        assert _t_iterates(bmat, beta) == ([its[-1] for its in nums], beta**p)
+        assert _t_iterates(bmat, beta) == ([its[-1] for its in nums], beta**p, [])
         assert p_curvature_matrix(a) == column_matrix(a.field, [its[p] for its in ref])
         if a.n > 2:
             continue
@@ -858,7 +858,7 @@ def test_t_iterates_in_stages_match_the_per_entry_oracle():
             for k in range(p + 1):  # every level of every column
                 assert [its[k] for its in nums] == want
                 want = [apply_t_oracle(bmat, beta, col, k) for col in want]
-            assert _t_iterates(bmat, beta, extra) == ([its[-1] for its in nums], beta**p)
+            assert _t_iterates(bmat, beta, extra) == ([its[-1] for its in nums], beta**p, [])
 
 
 def _charpoly_in_x(rows, delta):
@@ -881,7 +881,7 @@ def test_charpoly_of_psi_reduces_in_y_as_in_x(monkeypatch):
     # numerator lie in F_q[x^p], so every coefficient is reduced in y = x^p
     cases = []
     for a in pole_charts():
-        *_, nmat, delta = matrix._p_curvature(*_clear_denominators(a.rows))
+        nmat, delta, _ = matrix._p_curvature(*_clear_denominators(a.rows))
         cases.append((nmat, delta, _charpoly_in_x(nmat, delta)))
     assert sum(delta.degree > 0 for _, delta, _ in cases) >= len(cases) // 2
     mapped = _count_compose_xpow(monkeypatch)
@@ -916,7 +916,7 @@ def test_exact_division_by_delta_matches_one_gcd_reduction():
     # (charpoly_berkowitz's numerators over GF(4), GF(9) and GF(5))
     cases = []
     for a in pole_charts():
-        *_, nmat, delta = matrix._p_curvature(*_clear_denominators(a.rows))
+        nmat, delta, _ = matrix._p_curvature(*_clear_denominators(a.rows))
         p = delta.field.p
         cases.append(([Poly(delta.field, c.coeffs[::p]) for c in matrix._berkowitz(nmat)],
                       Poly(delta.field, delta.coeffs[::p])))
@@ -1512,9 +1512,9 @@ def _flag_levels(charts):
 
     levels, true_sections = [], hitchin._kernel_sections
 
-    def recorded(bmat, beta, nmat=None):
+    def recorded(bmat, beta, level=None):
         levels.append((bmat, beta))
-        return true_sections(bmat, beta, nmat)
+        return true_sections(bmat, beta, level)
     hitchin._kernel_sections = recorded
     try:
         for a in charts:
@@ -1559,9 +1559,11 @@ def test_flat_sections_match_the_projector_oracle(monkeypatch):
             ("a0 outside F_p", a0 >= p), ("p = 293", p == 293)) if hit)
         return true_products(beta, a0)
 
-    def counted(bmat, beta, cols, weights):
-        weighted.append(bool(weights))
-        return true_pass(bmat, beta, cols, weights)
+    def counted(bmat, beta, cols, weights, extra=()):
+        # a round j > 0 projects the x^j w, every entry divisible by x
+        weighted.append(bool(weights) and not any(e.coeffs[:1] != (0,)
+                                                  for col in cols for e in col if e))
+        return true_pass(bmat, beta, cols, weights, extra)
     cases, _ = _pass_cases(random.Random(35))
     monkeypatch.setattr(matrix, "_katz_products", products)
     monkeypatch.setattr(matrix, "_katz_pass", counted)
@@ -1570,7 +1572,7 @@ def test_flat_sections_match_the_projector_oracle(monkeypatch):
         want = _horizontal_sections(bmat, beta)
         weighted.clear()
         assert list(matrix._kernel_sections(bmat, beta)) == want, (beta.field, len(bmat))
-        if sum(weighted) > 1:
+        if any(weighted):
             reached.add("round j > 0")
         if beta.is_one() and len(want) == len(bmat):
             assert list(matrix._flat_sections(bmat)) == want, (beta.field, len(bmat))
@@ -1585,7 +1587,7 @@ def _tail_compared(true_sections, taken):
     oracle's section of the same place, and (sections taken, oracle's
     sections) is appended to ``taken`` once the caller stops taking them."""
     def compared(bmat, beta, rounds, s):
-        mine, theirs = itertools.tee(rounds)
+        mine, theirs = itertools.tee(map(list, rounds))  # a round's images are read once
         want = _reduced(_sections_ref(bmat, beta, theirs, s))
         got = 0
         try:
@@ -1680,7 +1682,8 @@ def test_a_wrong_tail_is_caught(monkeypatch, mutant):
             got = _reduced([next(sols)] if first else sols)
             caught.append(got != (want[:1] if first else want))
         except InternalInvariantError as exc:
-            assert "fails T(v) = 0" in str(exc) or "projected sections have rank" in str(exc)
+            assert any(check in str(exc) for check in (
+                "fails T(v) = 0", "projected sections have rank", "section is zero"))
             caught.append(True)
     assert any(caught), mutant
 
@@ -1719,11 +1722,10 @@ FLAT_MUTANTS = {
     # which fails the cross-check on some flat cases and T(v) = 0 on others;
     # on the others some coefficients are no field element: the tail's
     # arithmetic raises on them before any check runs, or they vanish mod p
-    # in an elimination step and leave zero sections, which the cross-check
-    # refuses
+    # in an elimination step and leave zero sections, which the tail refuses
     "final reduction skipped": ("_barrett", lambda true: lambda layout, p, ints: list(ints),
                                 {"cross-check", "T(v) = 0"},
-                                {"T(v) = 0", "raised", "cross-check"}),
+                                {"T(v) = 0", "raised", "zero section"}),
     # c_1 = -t taken as +t
     "weight c_1 with its sign flipped": ("_katz_weights", lambda true: lambda p: [
         -c % p if m == 1 else c for m, c in enumerate(true(p))], {"T(v) = 0"}, {"T(v) = 0"}),
@@ -1799,14 +1801,153 @@ def test_a_wrong_flat_pass_is_caught(monkeypatch, mutant):
                        else matrix._kernel_sections(bmat, beta))
             outcome = "cross-check" if got != want else "missed"
         except InternalInvariantError as exc:
-            assert "fails T(v) = 0" in str(exc)
-            outcome = "T(v) = 0"
+            outcome = {"claimed horizontal section fails T(v) = 0": "T(v) = 0",
+                       "claimed horizontal section is zero": "zero section"}[str(exc)]
         except (OverflowError, ValueError):
             outcome = "raised"
         if outcome == "missed" and not any(changed):
             outcome = "unchanged"
         outcomes[run].add(outcome)
     assert outcomes == dict(zip(outcomes, expected))
+
+
+# -- round 0 from the pass that forms N ----------------------------------------------
+
+
+def _two_pass_sections(bmat, beta, nmat=None):
+    """Oracle for round 0 taken from the pass that forms N: the sections of
+    A = bmat/beta with T stepped twice, once for N (one ``_t_iterates``
+    pass, unless the caller has N) and once for each round, round 0 too, one
+    ``_katz_pass`` on the x^j w of ``_kernel_core``'s vectors w, at the first
+    a0 of F_q where beta and every w[fc] are nonzero."""
+    F = beta.field
+    if nmat is None:
+        nmat = list(zip(*_t_iterates(bmat, beta)[0]))
+    ker = _kernel_core(nmat)
+    if not ker:
+        return iter(())
+    a0 = next((c for c in F.elements()
+               if beta.evaluate(c) and all(w[fc].evaluate(c) for fc, w in ker)), 0)
+    weights = matrix._katz_products(beta, a0)
+    rounds = (matrix._katz_pass(bmat, beta, [[Poly(F, (0,) * j + e.coeffs) for e in w]
+                                             for _, w in ker], weights)[1] for j in range(F.p))
+    return matrix._sections(bmat, beta, rounds, len(ker))
+
+
+def _gf2_pole_chart():
+    """A nilpotent rank-3 chart over GF(2) with beta = x^2 + x, which
+    vanishes at both points of F_2: random_strict_upper(Random(0)) gauged by
+    diag(1, x, x^2 + x).  Both levels have a kernel of constant vectors whose
+    round 0 falls short of rank, so rounds j >= 1 run."""
+    F = GF(2)
+    x, one, zero = rf(F, (0, 1)), RatFunc.one(F), RatFunc.zero(F)
+    g = MatRF(F, [[one, zero, zero], [zero, x, zero], [zero, zero, x * (x + one)]])
+    return gauge_transform(random_strict_upper(random.Random(0), F, 3), g)
+
+
+def test_round_0_from_the_n_pass_matches_the_two_pass_oracle(monkeypatch):
+    # every section of _kernel_sections, and every gauge of the nilpotent
+    # flags, whose first level takes N and the images of the e_i from
+    # _p_curvature, are those of two T passes per level
+    from pflags import hitchin
+
+    cases, charts = _pass_cases(random.Random(40))
+    charts.append(_gf2_pole_chart())
+    for bmat, beta in cases:
+        want = list(_two_pass_sections(bmat, beta))
+        assert list(matrix._kernel_sections(bmat, beta)) == want, (beta.field, len(bmat))
+    flags = [hitchin.nilpotent_flag_chart(ChartConn(a.field, a.n, a)) for a in charts]
+    monkeypatch.setattr(hitchin, "_kernel_sections", lambda bmat, beta, level=None: (
+        _two_pass_sections(bmat, beta, level and level[0])))
+    assert [hitchin.nilpotent_flag_chart(ChartConn(a.field, a.n, a)) for a in charts] == flags
+
+
+def test_every_branch_of_round_0_is_reached(monkeypatch):
+    # psi = 0 takes the images of the e_i as round 0 with no _kernel_core, and
+    # a kernel of constant vectors their F_q-combinations, neither stepping T
+    # for round 0; a polynomial kernel steps its w once; a round 0 short of
+    # rank goes on to rounds j >= 1.  Through horizontal_sections' path and
+    # at the first and later levels of the nilpotent flags
+    from pflags import hitchin
+
+    passes, cores, reached = [], [], set()
+    true_pass, true_core, true_sections = (
+        matrix._katz_pass, matrix._kernel_core, hitchin._kernel_sections)
+
+    def counted_pass(bmat, beta, cols, weights, extra=()):
+        # a round j > 0 projects the x^j w, every entry divisible by x
+        passes.append(all(not e or not e.coeffs[0] for col in cols for e in col))
+        return true_pass(bmat, beta, cols, weights, extra)
+
+    def counted_core(rows):
+        cores.append(rows)
+        return true_core(rows)
+
+    def census(bmat, beta, level=None, where="horizontal"):
+        nmat = level[0] if level else list(zip(*_t_iterates(bmat, beta)[0]))
+        if not any(map(any, nmat)):
+            kind = f"psi = 0, {where}"
+        elif all(len(e.coeffs) < 2 for _, w in true_core(nmat) for e in w):
+            kind = "constant kernel, N != 0"
+        else:
+            kind = "polynomial kernel"
+        passes.clear()
+        cores.clear()
+        sections = list(true_sections(bmat, beta, level))
+        later = sum(passes)
+        first = len(passes) - later - (level is None)  # the pass forming N steps the e_i
+        # (round-0 passes, _kernel_core calls); psi = 0 makes neither
+        work = {"polynomial kernel": (1, 1), "constant kernel, N != 0": (0, 1)}.get(kind, (0, 0))
+        assert (first, len(cores)) == work, kind
+        reached.add(kind)
+        if later and kind != "polynomial kernel":
+            reached.add("round 0 short of rank, then rounds j >= 1")
+        return iter(sections)
+
+    cases, charts = _pass_cases(random.Random(41))
+    monkeypatch.setattr(matrix, "_katz_pass", counted_pass)
+    monkeypatch.setattr(matrix, "_kernel_core", counted_core)
+    for bmat, beta in cases:
+        census(bmat, beta)
+    monkeypatch.setattr(hitchin, "_kernel_sections", lambda bmat, beta, level=None: census(
+        bmat, beta, level, "first level" if level else "later level"))
+    for a in [*charts, _gf2_pole_chart()]:
+        hitchin.nilpotent_flag_chart(ChartConn(a.field, a.n, a))
+    assert reached == {"psi = 0, horizontal", "psi = 0, first level", "psi = 0, later level",
+                       "constant kernel, N != 0", "polynomial kernel",
+                       "round 0 short of rank, then rounds j >= 1"}
+
+
+def _combined(ker, images):
+    """``matrix._constant_round`` with its constant-entry test dropped."""
+    F = ker[0][0].field
+    columns = [[Poly(F, n) for n in ns] for ns in zip(*images)]
+    return [[poly_dot(zip(w, col), F).coeffs for col in columns] for w in ker]
+
+
+ROUND_0_MUTANTS = {
+    "coefficients from the reversed w": lambda true: lambda ker, images: true(
+        [w[::-1] for w in ker], images),
+    "constant-entry test dropped": lambda true: _combined,
+}
+
+
+@pytest.mark.parametrize("mutant", ROUND_0_MUTANTS)
+def test_a_wrong_round_0_is_caught(monkeypatch, mutant):
+    # each mutant of the combinations sum_i w_i P(e_i) fails the re-check
+    # T(v) = 0 or gives sections other than the two-pass oracle's on some case
+    cases, _ = _pass_cases(random.Random(42))
+    wants = [list(_two_pass_sections(bmat, beta)) for bmat, beta in cases]
+    monkeypatch.setattr(matrix, "_constant_round", ROUND_0_MUTANTS[mutant](matrix._constant_round))
+    caught = 0
+    for (bmat, beta), want in zip(cases, wants):
+        try:
+            caught += list(matrix._kernel_sections(bmat, beta)) != want
+        except InternalInvariantError as exc:
+            assert any(check in str(exc) for check in (
+                "fails T(v) = 0", "projected sections have rank", "section is zero"))
+            caught += 1
+    assert caught, mutant
 
 
 def test_matrix_pow():
