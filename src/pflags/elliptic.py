@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import PflagsError, PreconditionError
+from .fields import _require_characteristic
 
 
 @dataclass(frozen=True)
@@ -232,11 +233,6 @@ def first_line_class(atom: AtiyahAtom) -> PicClass:
 
 
 # -- connection existence ------------------------------------------------------------
-
-
-def _require_characteristic(p: int) -> None:
-    if p < 2:
-        raise PreconditionError(f"characteristic must be >= 2, got {p}")
 
 
 def admits_connection(x: AtiyahAtom | Sequence[AtiyahAtom], p: int) -> bool:

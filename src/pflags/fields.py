@@ -70,7 +70,7 @@ from __future__ import annotations
 
 import struct
 
-from .errors import InvalidFieldError
+from .errors import InvalidFieldError, PreconditionError
 
 _TABLE_MAX = 4096
 
@@ -272,6 +272,14 @@ def _check_pk(p: int, k: int):
         raise InvalidFieldError(f"{p} is not prime")
     if k < 1:
         raise InvalidFieldError(f"extension degree must be >= 1, got {k}")
+
+
+def _require_characteristic(p: int) -> None:
+    """PreconditionError unless p, a characteristic given with no field, is a prime."""
+    if p >= PRIME_BOUND:
+        raise PreconditionError(f"characteristic must be below the primality bound {PRIME_BOUND}")
+    if not is_prime(p):
+        raise PreconditionError(f"characteristic must be a prime, got {p}")
 
 
 def find_irreducible_coeffs(p: int, k: int) -> tuple[int, ...]:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from .elliptic import _check_rank_cap
 from .errors import InternalInvariantError, PflagsError, PreconditionError
 from .fields import Field
 from .matrix import (
@@ -129,12 +130,15 @@ def hitchin_dims(g: int, r: int) -> HitchinDims:
     the split locus: dim B = g + (r^2 - 1)(g - 1) against dim D = r g.
 
     The count uses dim H^0(Omega^i) = (2i - 1)(g - 1) for i >= 2, so it needs
-    g >= 2.
+    g >= 2.  g and r are capped at 2^16, the rank cap of ``elliptic``, so
+    both dimensions stay below 2^48.
     """
     if g < 2:
         raise PreconditionError(f"genus must be >= 2 for this count, got {g}")
     if r < 1:
         raise PreconditionError(f"rank must be >= 1, got {r}")
+    _check_rank_cap(g, "genus")
+    _check_rank_cap(r)
     dim_b = g + (r * r - 1) * (g - 1)
     dim_d = r * g
     return HitchinDims(dim_b, dim_d, dim_b > dim_d)
@@ -211,8 +215,8 @@ def _triangularize(bmat, beta: Poly, level=None) -> tuple[MatRF, list[int]]:
     a lower triangular matrix with a nonzero diagonal.  ``level`` is
     (N, images) from ``matrix._p_curvature`` when the caller has it,
     psi = N/beta^p and images those of Katz's projector on the e_i; a
-    quotient level forms both in one ``matrix._t_iterates`` pass, in
-    ``matrix._kernel_sections``.
+    quotient level forms both in one ``matrix._katz_pass``, in
+    ``matrix._kernel_sections``, the sections entry.
 
     With v0 = w/P(x^p) the first horizontal section that
     ``matrix._kernel_sections`` yields, m its last nonzero index

@@ -9,15 +9,16 @@ Katz's projector applied to ker psi; the only linear solves are r x r over
 F_q(x) and s x rp over F_q(x^p), with s the number of sections.  The
 projector has one algorithm, ``_katz_pass``: it steps columns through T and
 sums the projector on the packed levels as it goes, reading no level out
-for it.  T is stepped once per level where it can be: the pass that forms N
-(``_t_iterates``, for ``_kernel_sections``, or ``_p_curvature`` at a
-nilpotent flag's first level) sums it on the e_i, and where ker N is
-spanned by vectors w with entries in F_q (psi = 0 among them) round 0 is
-the F_q-combinations sum_i w_i P(e_i); only a kernel with polynomial
-entries, and a round j >= 1 where round 0 falls short of rank, runs
-``_katz_pass`` on the x^j w again.  ``_flat_sections``, for a polynomial
-connection whose psi vanishes (Cartier descent), projects the e_i at a0 = 0
-over beta = 1 and reads psi = 0 off the same pass.
+for it.  The sections have one entry, ``_kernel_sections``, behind
+``horizontal_sections``, ``hitchin._triangularize`` and
+``pone.cartier_descent`` (a polynomial connection over beta = 1, whose
+sections number the rank exactly when psi = 0).  T is stepped once per
+level where it can be: the pass that forms N (its own ``_katz_pass``, or
+``_p_curvature`` at a nilpotent flag's first level) sums the projector on
+the e_i, and where ker N is spanned by vectors w with entries in F_q
+(psi = 0 among them) round 0 is the F_q-combinations sum_i w_i P(e_i); only
+a kernel with polynomial entries, and a round j >= 1 where round 0 falls
+short of rank, runs ``_katz_pass`` on the x^j w again.
 
 Every solve is one elimination routine: a forward phase, ``_echelon``, and
 a bottom-up back-substitution, ``_back_substitute``, on rows of polynomials
@@ -43,9 +44,9 @@ matrix built from rows, the quotient connection of each level and the
 gauge columns of ``hitchin``.  With A = B/beta,
 T^k e_i has the fixed denominator beta^k, and its numerators follow the
 classical p-curvature recurrence (Katz), with no gcd in the loop.
-``_katz_pass`` steps every column at once (for ``_t_iterates``, e_0, ...,
-e_(r-1), the projector summed on them alone, and the re-check's sample
-sections of ``_p_curvature``), from
+``_katz_pass`` steps every column at once (e_0, ..., e_(r-1), the
+projector summed on them alone, and in ``_p_curvature`` the re-check's
+sample sections beside them), from
 k = 0 to p - 1 (the step at k = 0 takes e_i to column i of B), in doubling
 stages of one ``_t_step`` each.  Its state is one int per row, column l
 in block l of cells whose length is known up front for the stage
@@ -69,11 +70,11 @@ fractions are reduced in y = x^p, where delta mostly divides them exactly
 Rational functions are reduced only in results: a matrix's rows when they
 are read (psi's among them, behind ``p_curvature_matrix``,
 ``pone.p_curvature`` and ``hitchin.p_curvature_chart``), ``kernel``'s
-vectors, the inverse and the sections.  ``_kernel_sections`` and
-``_flat_sections`` yield each section as its cleared pair (w, P(x^p)),
-through one tail, ``_sections``, which eliminates the images' numerators as
-they are, at stride p: the forward phase runs over the rounds, and a section
-is back-substituted and re-verified only when it is taken.  Only the three
+vectors, the inverse and the sections.  ``_kernel_sections`` yields each
+section as its cleared pair (w, P(x^p)), through one tail, ``_sections``,
+which eliminates the images' numerators as they are, at stride p: the
+forward phase runs over the rounds, and a section is back-substituted and
+re-verified only when it is taken.  Only the three
 callers that hand sections out reduce them: ``horizontal_sections`` and
 ``pone.cartier_descent`` for its frame take every section, and
 ``hitchin._triangularize`` takes the first alone, the last forward row,
@@ -86,7 +87,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from functools import lru_cache
-from itertools import chain
 from operator import mul
 from typing import NamedTuple
 
@@ -508,13 +508,14 @@ def _t_iterates(bmat, beta: Poly, extra=(), project: bool = False):
     projector at a0 = ``_regular_point(beta)`` on e_0, ..., e_(r-1), not on
     ``extra``, and images yields the numerators of P(e_i) over beta^p as
     coefficients, read out of the accumulators only when it is iterated;
-    otherwise images is empty.
+    otherwise images is empty.  It is ``_p_curvature``'s T path alone
+    (``_kernel_sections`` runs its own ``_katz_pass``, needing no delta),
+    kept apart as the seam through which the psi re-checks meet wrong T^p.
     """
     F = beta.field
-    one = Poly.one(F)
     weights = _katz_products(beta, _regular_point(beta)) if project else ()
     cols, images = _katz_pass(bmat, beta, _unit_columns(F, len(bmat)), weights, extra)
-    return cols, _power(beta, F.p, one, lambda f, g: poly_dot(((f, g),), F)), images
+    return cols, _power(beta, F.p, Poly.one(F), lambda f, g: poly_dot(((f, g),), F)), images
 
 
 def _unit_columns(field: Field, r: int) -> list[list[Poly]]:
@@ -890,27 +891,29 @@ def horizontal_sections(a: MatRF) -> list[Vec]:
 def _kernel_sections(bmat, beta: Poly, level=None) -> Iterator[tuple[list[Poly], Poly]]:
     """``horizontal_sections`` of A = bmat/beta as cleared pairs (w, P(x^p)),
     the section being w/P(x^p) entrywise and unreduced; a polynomial A may
-    come as its rows with beta = 1.  An iterator: ``_sections``
-    back-substitutes and re-verifies each section only when it is taken.
+    come as its rows with beta = 1, as ``pone.cartier_descent``'s does.  An
+    iterator: ``_sections`` back-substitutes and re-verifies each section
+    only when it is taken.
 
     ``level`` is (N, images) from ``_p_curvature`` when the caller has it,
     psi = N/beta^p and images Katz's projector on the e_i at
-    a0 = ``_regular_point(beta)``; otherwise one ``_t_iterates`` pass forms
-    both.  Round 0 comes from that pass where the kernel is constant: with
-    psi = 0 it is the images themselves, with no ``_kernel_core``, and where
-    every w of ``_kernel_core`` has entries in F_q, the combinations
-    sum_i w_i P(e_i) (``_constant_round``), P being F_q(x^p)-linear and a0
-    the one the search below picks for such w.  A kernel with polynomial
-    entries takes round 0, and a round 0 short of rank each round j >= 1,
-    from one ``_katz_pass`` on the x^j w, run when ``_sections`` asks."""
+    a0 = ``_regular_point(beta)``; otherwise one ``_katz_pass`` on the e_i
+    at that a0 forms both, with no beta^p.  Round 0 comes from that pass
+    where the kernel is constant: with psi = 0 it is the images themselves,
+    with no ``_kernel_core``, and where every w of ``_kernel_core`` has
+    entries in F_q, the combinations sum_i w_i P(e_i) (``_constant_round``),
+    P being F_q(x^p)-linear and a0 the one ``_regular_point`` picks for such
+    w.  A kernel with polynomial entries takes round 0, and a round 0 short
+    of rank each round j >= 1, from one ``_katz_pass`` on the x^j w at the
+    a0 of ``_regular_point(beta, *w[fc])``, run when ``_sections`` asks."""
     F = beta.field
-    a0 = _regular_point(beta)
+    a0, units = _regular_point(beta), _unit_columns(F, len(bmat))
     if level is None:
-        cols, _, images = _t_iterates(bmat, beta, project=True)
+        cols, images = _katz_pass(bmat, beta, units, _katz_products(beta, a0))
         level = list(zip(*cols)), images
     nmat, images = level
     if not any(map(any, nmat)):  # psi = 0
-        ker, first = _unit_columns(F, len(bmat)), images
+        ker, first = units, images
     else:
         core = _kernel_core(nmat)
         if not core:
@@ -918,16 +921,16 @@ def _kernel_sections(bmat, beta: Poly, level=None) -> Iterator[tuple[list[Poly],
         ker = [w for _, w in core]
         first = _constant_round(ker, images)
         if first is None:
-            a0 = next((c for c in F.elements()
-                       if beta.evaluate(c) and all(w[fc].evaluate(c) for fc, w in core)), 0)
+            a0 = _regular_point(beta, *(w[fc] for fc, w in core))
 
-    def rounds(start):
+    def rounds():
+        if first is not None:
+            yield first
         weights = _katz_products(beta, a0)
-        for j in range(start, F.p):
+        for j in range(first is not None, F.p):
             yield _katz_pass(bmat, beta, [[Poly(F, (0,) * j + e.coeffs) for e in w] for w in ker],
                              weights)[1]
-    return _sections(bmat, beta, rounds(0) if first is None else chain([first], rounds(1)),
-                     len(ker))
+    return _sections(bmat, beta, rounds(), len(ker))
 
 
 def _constant_round(ker, images):
@@ -943,11 +946,13 @@ def _constant_round(ker, images):
     return [[poly_dot(zip(w, col), F).coeffs for col in columns] for w in ker]
 
 
-def _regular_point(beta: Poly) -> int:
-    """The first point a0 of F_q, in ``Field.elements`` order, with
-    beta(a0) != 0, or 0 if there is none: the a0 of the projector that the
-    pass forming N sums."""
-    return next((c for c in beta.field.elements() if beta.evaluate(c)), 0)
+def _regular_point(beta: Poly, *polys: Poly) -> int:
+    """The first point a0 of F_q, in ``Field.elements`` order, where beta
+    and every one of ``polys`` is nonzero, or 0 if there is none: with beta
+    alone, the a0 of the projector that the pass forming N sums, and with
+    the entries w[fc] of a kernel with polynomial entries, its round 0's."""
+    return next((c for c in beta.field.elements()
+                 if beta.evaluate(c) and all(f.evaluate(c) for f in polys)), 0)
 
 
 def _sections(bmat, beta: Poly, rounds, s: int) -> Iterator[tuple[list[Poly], Poly]]:
@@ -985,23 +990,6 @@ def _sections(bmat, beta: Poly, rounds, s: int) -> Iterator[tuple[list[Poly], Po
         if any(poly_dot([(beta, wi.derivative()), *zip(brow, w)], F) for wi, brow in zip(w, bmat)):
             raise InternalInvariantError("claimed horizontal section fails T(v) = 0")
         yield w, den
-
-
-def _flat_sections(bmat) -> Iterator[tuple[list[Poly], Poly]]:
-    """``_kernel_sections`` of a polynomial A = bmat over beta = 1 whose psi
-    vanishes, in one ``_katz_pass``, run before this returns;
-    PreconditionError when psi does not vanish.
-
-    psi = 0 puts every e_i in ker psi, and at a0 = 0 the images
-    P(e_i) = e_i mod x have rank r: so the pass projects the e_i alone, in
-    round 0, and psi = 0 is read off its columns at level p, every one 0.
-    """
-    F = bmat[0][0].field
-    one = Poly.one(F)
-    top, images = _katz_pass(bmat, one, _unit_columns(F, len(bmat)), _katz_products(one, 0))
-    if any(map(any, top)):
-        raise PreconditionError("p-curvature does not vanish; nothing descends")
-    return _sections(bmat, one, [images], len(bmat))
 
 
 def _katz_pass(bmat, beta: Poly, cols, weights, extra=()):

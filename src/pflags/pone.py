@@ -24,11 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInvariantError, NeedsExtensionError, PreconditionError, PflagsError
-from .fields import Field
+from .fields import Field, _require_characteristic
 from .matrix import (
     MatRF,
     _echelon,
-    _flat_sections,
+    _kernel_sections,
     p_curvature_matrix,
 )
 from .poly import Poly
@@ -166,9 +166,8 @@ class FlagP1:
 
 def admits_level(b: BundleP1, p: int, m: int) -> bool:
     """Whether the split bundle carries a level-m module structure: every
-    degree must be divisible by p^{m+1}."""
-    if p < 2:
-        raise PreconditionError(f"characteristic must be >= 2, got {p}")
+    degree must be divisible by p^{m+1}, p a prime."""
+    _require_characteristic(p)
     _check_level(p, m)
     q = p ** (m + 1)
     return all(d % q == 0 for d in b.degrees)
@@ -366,12 +365,13 @@ def cartier_descent(c: Conn0) -> tuple[BundleP1, MatRF]:
 
     Returns the descended degrees (d_i / p) and an invertible frame whose
     columns are horizontal; horizontality and invertibility are re-verified.
-    The horizontal sections number the rank exactly when the p-curvature
-    vanishes (Cartier).  A is polynomial, so its rows go as they are, over
-    beta = 1, to ``matrix._flat_sections``: the one projector pass,
-    ``matrix._katz_pass``, on the e_i, which steps T and sums Katz's
-    projector on the levels as it goes; psi-vanishes is read off the pass's
-    columns at level p, every one 0, and otherwise nothing descends.  Each
+    The horizontal sections number dim ker psi, which is the rank exactly
+    when the p-curvature vanishes (Cartier); with fewer, nothing descends.
+    A is polynomial, so its rows go as they are, over beta = 1, to
+    ``matrix._kernel_sections``, the one sections entry: with psi = 0 it
+    runs one projector pass, ``matrix._katz_pass``, on the e_i at a0 = 0,
+    which steps T, sums Katz's projector on the levels as it goes and shows
+    psi = 0 in its columns at level p, and its images are round 0.  Each
     section comes as its cleared pair (w, P(x^p)), and the w columns are the
     frame's columns scaled by P(x^p): the frame is invertible exactly when
     they are independent over F_q(x), which the forward phase of
@@ -380,7 +380,9 @@ def cartier_descent(c: Conn0) -> tuple[BundleP1, MatRF]:
     show independence over F_q(x^p) alone, which w and x w have.
     """
     ensure_valid(c)
-    sols = list(_flat_sections(c.A))
+    sols = list(_kernel_sections(c.A, Poly.one(c.field)))
+    if len(sols) < c.rank:
+        raise PreconditionError("p-curvature does not vanish; nothing descends")
     if len(_echelon(list(zip(*(w for w, _ in sols))))) < c.rank:
         raise NeedsExtensionError("horizontal sections do not form a frame")
     cols = [[RatFunc(e, den) for e in w] for w, den in sols]

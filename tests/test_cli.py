@@ -12,6 +12,7 @@ import pytest
 from pflags import GF, cli, jsonio, pone
 from pflags.cli import SUBCOMMANDS, main
 from pflags.errors import ParseError
+from pflags.fields import PRIME_BOUND
 from pflags.ops import OP_TABLE
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "pflags" / "fixtures"
@@ -743,6 +744,39 @@ def test_total_rank_cap_on_bundles(capsys):
         assert code == 2 and report["status"] == "precondition-error", sub
         assert report["error"] == "total rank must be <= 2^16 = 65536, got 65537"
         assert "Traceback" not in captured.out + captured.err
+
+
+def test_hitchin_dims_above_the_cap_is_a_precondition_error(capsys):
+    # dim B of a 2,201-digit r has 4,401 digits, more than json writes; g and
+    # r are capped at 2^16, so both dimensions stay below 2^48
+    huge = "1" + "0" * 2200
+    for argv, what in ((["--g", "2", "--r", huge], "rank"), (["--g", huge, "--r", "2"], "genus")):
+        for report in ([], ["--json"]):
+            code = main(["hit-dims", *argv, *report])
+            captured = capsys.readouterr()
+            assert code == 2, (what, report)
+            assert "Traceback" not in captured.out + captured.err
+        report = json.loads(captured.out)
+        assert report["status"] == "precondition-error"
+        assert report["error"] == f"{what} must be <= 2^16 = 65536, got {huge}"
+    code, out = run(capsys, "hit-dims", "--g", "65536", "--r", "65536", "--json")
+    assert code == 0 and json.loads(out)["result"]["dimB"] < 2**48
+
+
+def test_characteristic_must_be_a_prime_below_the_bound(capsys):
+    bundle = '{"group":{"factors":[2]},"atoms":[{"r":1,"d":0,"lam":[1]}]}'
+    for p, error in (("4", "a prime, got 4"), ("1", "a prime, got 1"),
+                     (str(PRIME_BOUND), f"below the primality bound {PRIME_BOUND}"),
+                     ("9" * 4299, f"below the primality bound {PRIME_BOUND}")):
+        for sub in ("ell-admits", "ell-skeleton"):
+            code = main([sub, "--inline", bundle, "--p", p, "--json"])
+            captured = capsys.readouterr()
+            report = json.loads(captured.out)
+            assert code == 2 and report["status"] == "precondition-error", (sub, p[:8])
+            assert report["error"] == f"characteristic must be {error}"
+            assert "Traceback" not in captured.out + captured.err
+    code, out = run(capsys, "ell-admits", "--inline", bundle, "--p", "2", "--json")
+    assert code == 0 and json.loads(out)["result"] is True
 
 
 def test_zero_connection_with_a_huge_degree_gap_ends_at_once(capsys):

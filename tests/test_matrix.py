@@ -1546,9 +1546,10 @@ def _pass_cases(rng):
 
 def test_flat_sections_match_the_projector_oracle(monkeypatch):
     # the one pass's (w, P(x^p)) pairs are the oracle's, through
-    # _kernel_sections on every case and _flat_sections on the flat ones (the
-    # zero connection too); the cases reach every branch of the weights and
-    # rounds past round 0
+    # _kernel_sections on every case, and the flat ones over beta = 1 (the
+    # zero connection too), as Cartier descent takes them, in the pass that
+    # forms N alone; the cases reach every branch of the weights and rounds
+    # past round 0
     reached, weighted = set(), []
     true_products, true_pass = matrix._katz_products, matrix._katz_pass
 
@@ -1575,7 +1576,10 @@ def test_flat_sections_match_the_projector_oracle(monkeypatch):
         if any(weighted):
             reached.add("round j > 0")
         if beta.is_one() and len(want) == len(bmat):
-            assert list(matrix._flat_sections(bmat)) == want, (beta.field, len(bmat))
+            weighted.clear()
+            assert list(matrix._kernel_sections(bmat, Poly.one(beta.field))) == want, (
+                beta.field, len(bmat))
+            assert len(weighted) == 1, (beta.field, len(bmat))
             flat += 1
     assert reached == {"beta != 1", "a0 != 0", "a0 outside F_p", "round j > 0", "p = 293"}
     assert flat >= 2 * 4 * len(FLAT_FIELDS)
@@ -1700,7 +1704,7 @@ def test_flat_sections_slots_hold_the_accumulators(monkeypatch):
     monkeypatch.setattr(matrix, "_t_layout", recording)
     for field in FLAT_FIELDS:
         zero = Poly.zero(field)
-        assert len(list(matrix._flat_sections([[zero] * 2, [zero] * 2]))) == 2
+        assert len(list(matrix._kernel_sections([[zero] * 2, [zero] * 2], Poly.one(field)))) == 2
     assert {field for field, _ in bounds} == set(FLAT_FIELDS)
     for field, nbits in bounds:
         p = field.p
@@ -1767,9 +1771,10 @@ def test_a_wrong_flat_pass_is_caught(monkeypatch, mutant):
     # odd p, where the sign of the weights counts.  Over F_(p^k) with log
     # tables the unreduced digits of the reduction mutant index past the
     # tables (IndexError) before any check runs, so it runs over F_p alone.
-    # The flat cases run _flat_sections, the others _kernel_sections: the
-    # levels of nilpotent flags past the first, over beta != 1, and charts
-    # with poles at 0 and 1, where a0 != 0
+    # Every case runs _kernel_sections: the flat ones over beta = 1, as
+    # Cartier descent does, and the others the levels of nilpotent flags
+    # past the first, over beta != 1, and charts with poles at 0 and 1,
+    # where a0 != 0
     fields = [GF(3), GF(5), GF(7), GF(11)]
     if "reduction" not in mutant:
         fields += [GF(3, 2), GF(7, 2)]
@@ -1777,11 +1782,10 @@ def test_a_wrong_flat_pass_is_caught(monkeypatch, mutant):
     nilpotent = [gauge_transform(random_strict_upper(rng, field, r),
                                  random_polynomial_gauge(rng, field, r))
                  for field in fields for r in (3, 4)]
-    cases = [("_flat_sections", bmat, Poly.one(bmat[0][0].field))
-             for bmat in _live_flat_cases(fields)]
-    cases += [("_kernel_sections", *level) for level in _flag_levels(nilpotent)
+    cases = [("flat", bmat, Poly.one(bmat[0][0].field)) for bmat in _live_flat_cases(fields)]
+    cases += [("other", *level) for level in _flag_levels(nilpotent)
               if not level[1].is_one() and _live(*level)]
-    cases += [("_kernel_sections", *a.cleared) for field in fields
+    cases += [("other", *a.cleared) for field in fields
               for a in _two_pole_charts(rng, field) if _live(*a.cleared)]
     wants = [_horizontal_sections(bmat, beta) for _, bmat, beta in cases]
     name, make, *expected = FLAT_MUTANTS[mutant]
@@ -1793,12 +1797,11 @@ def test_a_wrong_flat_pass_is_caught(monkeypatch, mutant):
         changed.append(got != true(*args))
         return got
     monkeypatch.setattr(matrix, name, mutated)
-    outcomes = {"_flat_sections": set(), "_kernel_sections": set()}
-    for (run, bmat, beta), want in zip(cases, wants):
+    outcomes = {"flat": set(), "other": set()}
+    for (kind, bmat, beta), want in zip(cases, wants):
         changed.clear()
         try:
-            got = list(matrix._flat_sections(bmat) if run == "_flat_sections"
-                       else matrix._kernel_sections(bmat, beta))
+            got = list(matrix._kernel_sections(bmat, beta))
             outcome = "cross-check" if got != want else "missed"
         except InternalInvariantError as exc:
             outcome = {"claimed horizontal section fails T(v) = 0": "T(v) = 0",
@@ -1807,7 +1810,7 @@ def test_a_wrong_flat_pass_is_caught(monkeypatch, mutant):
             outcome = "raised"
         if outcome == "missed" and not any(changed):
             outcome = "unchanged"
-        outcomes[run].add(outcome)
+        outcomes[kind].add(outcome)
     assert outcomes == dict(zip(outcomes, expected))
 
 

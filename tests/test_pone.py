@@ -5,7 +5,7 @@ import pytest
 
 from pflags import matrix, pone, sampling
 from pflags.errors import NeedsExtensionError, PflagsError, PreconditionError
-from pflags.fields import GF
+from pflags.fields import GF, PRIME_BOUND
 from pflags.matrix import MatRF, gauge_transform, inverse, is_nilpotent
 from pflags.poly import Poly
 from pflags.pone import (
@@ -117,6 +117,15 @@ def test_admits_level(degrees, p, m, expected):
 def test_admits_level_rejects_characteristic_below_2(p):
     with pytest.raises(PreconditionError):
         admits_level(BundleP1([2, 0]), p, 0)
+
+
+@pytest.mark.parametrize("p,error", [
+    (4, "a prime, got 4"), (1, "a prime, got 1"), (65535, "a prime, got 65535"),
+    (PRIME_BOUND, "below the primality bound"), (10**4298, "below the primality bound")])
+def test_admits_level_takes_a_prime_characteristic_alone(p, error):
+    # degree 0 is divisible by any p^(m+1): only the check on p refuses
+    with pytest.raises(PreconditionError, match=f"^characteristic must be {error}"):
+        admits_level(BundleP1([0]), p, 0)
 
 
 @pytest.mark.parametrize("p,top", [(2, 16), (3, 10), (251, 2), (65537, 0)])
@@ -380,20 +389,21 @@ def test_cartier_descent_rejects_a_dependent_frame(monkeypatch):
     # are independent over F_q(x^p), where the tail's pivots live, and
     # dependent over F_q(x): the frame check must be its own elimination
     c = canonical_connection(BundleP1([4, 2]), F2, 0).base
-    w, den = next(pone._flat_sections(c.A))
+    w, den = next(pone._kernel_sections(c.A, Poly.one(F2)))
     for power in (2, 1):  # x^p w, then x w
         xp = Poly.monomial(F2, 1, power)
-        monkeypatch.setattr(pone, "_flat_sections",
-                            lambda bmat: [(w, den), ([xp * e for e in w], den)])
+        monkeypatch.setattr(pone, "_kernel_sections",
+                            lambda bmat, beta, level=None: [(w, den), ([xp * e for e in w], den)])
         with pytest.raises(NeedsExtensionError, match="horizontal sections do not form a frame"):
             cartier_descent(c)
 
 
 def test_cartier_descent_takes_the_flat_pass_alone(monkeypatch):
-    # no path of the sections of a general connection runs, at small and
-    # large p and over extension fields, and the pass raises the
-    # PreconditionError of psi != 0 exactly where those sections fall short
-    # of a frame
+    # a flat connection, at small and large p and over extension fields,
+    # runs one projector pass and none of the rest of the sections' paths:
+    # no _kernel_core, no _constant_round and no _t_iterates; and the
+    # PreconditionError of psi != 0 is raised exactly where the sections
+    # fall short of a frame
     rng = random.Random(36)
     flat = [random_flat_conn0(rng, field, r=r) for field in (F2, F3, GF(11), GF(293), GF(2, 2),
                                                               GF(7, 2)) for r in (1, 2, 3)]
@@ -402,13 +412,21 @@ def test_cartier_descent_takes_the_flat_pass_alone(monkeypatch):
     short = [len(list(matrix._kernel_sections(c.A, Poly.one(c.field)))) < c.rank for c in drawn]
     assert short[0] and not all(short)  # some draws are flat
 
-    def refused(*args, **kwargs):
-        raise AssertionError("cartier_descent left the flat pass")
-    for name in ("_kernel_sections", "_t_iterates", "_kernel_core"):
-        monkeypatch.setattr(matrix, name, refused)
-    for c in flat:
-        _, frame = cartier_descent(c)
-        assert gauge_transform(c.matrix(), frame).is_zero()
+    calls = []
+
+    def counted(name, true):
+        def run(*args, **kwargs):
+            calls.append(name)
+            return true(*args, **kwargs)
+        return run
+    with monkeypatch.context() as patch:
+        for name in ("_katz_pass", "_kernel_core", "_constant_round", "_t_iterates"):
+            patch.setattr(matrix, name, counted(name, getattr(matrix, name)))
+        for c in flat:
+            calls.clear()
+            _, frame = cartier_descent(c)
+            assert calls == ["_katz_pass"], (c.field, c.rank, calls)
+            assert gauge_transform(c.matrix(), frame).is_zero()
     for c, fails in zip(drawn, short):
         if fails:
             with pytest.raises(PreconditionError,
@@ -416,6 +434,27 @@ def test_cartier_descent_takes_the_flat_pass_alone(monkeypatch):
                 cartier_descent(c)
         else:
             cartier_descent(c)
+
+
+def test_cartier_refuses_exactly_where_psi_does_not_vanish():
+    # the refusal comes from the section count, dim ker psi, falling short of
+    # the rank; it must agree with psi = 0 on general and flat draws, at
+    # ranks 1-4, over prime fields small and large and over extension fields
+    rng = random.Random(39)
+    seen = set()
+    for field in (F2, F3, GF(293), GF(2, 2), GF(7, 2)):
+        for r in (1, 2, 3, 4):
+            for c in (random_conn0(rng, field, r=r), random_flat_conn0(rng, field, r=r)):
+                flat = p_curvature(c).is_zero()
+                seen.add((flat, r == 4))
+                if flat:
+                    _, frame = cartier_descent(c)
+                    assert gauge_transform(c.matrix(), frame).is_zero()
+                else:
+                    with pytest.raises(PreconditionError,
+                                       match="^p-curvature does not vanish; nothing descends$"):
+                        cartier_descent(c)
+    assert seen == {(True, False), (True, True), (False, False), (False, True)}
 
 
 def test_cartier_roundtrip_randomized():
